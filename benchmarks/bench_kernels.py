@@ -4,7 +4,9 @@
 Workloads mirror the package's hot paths: axiom scans over candidate
 table pairs (the enumeration inner loop) and exhaustive ideal searches
 over bitmasks (the spectrum substrate).  The numba path is warmed once
-before timing so compilation is not counted.
+before timing so compilation is not counted.  Ideal closure has a single
+implementation (an intersection over the cached ideal lattice), timed
+through ``iseki.ideals.generated_ideal`` with the lattice already cached.
 
     python benchmarks/bench_kernels.py [--scan-tables 2000] [--ideal-n 14]
 """
@@ -16,7 +18,8 @@ import numpy as np
 
 from iseki import _kernels
 from iseki.catalog import build_recipe
-from iseki.semiring import direct_product
+from iseki.ideals import generated_ideal
+from iseki.semiring import direct_product, validate_semiring
 
 
 def _random_tables(count, n, seed):
@@ -69,10 +72,6 @@ def main():
         "ideal masks, B x C5 (n=10)": lambda impl: impl["ideal_masks"](
             bb.n, bb.add, bb.mul
         ),
-        f"ideal closure, 1000 seeds on chain n={args.ideal_n}": lambda impl: [
-            impl["close_mask"](args.ideal_n, big_add, big_mul, seed)
-            for seed in range(1, 2001, 2)
-        ],
     }
 
     if "numba" in impls:
@@ -87,7 +86,16 @@ def main():
             row[name] = _time(lambda: job(impl))
         results[label] = row
 
-    width = max(len(label) for label in results)
+    chain = validate_semiring(big_add, big_mul, args.ideal_n - 1, id="chain")
+    seeds = [
+        [e for e in range(args.ideal_n) if (mask >> e) & 1]
+        for mask in range(1, 2001, 2)
+    ]
+    generated_ideal(chain, [])  # fill the ideal-lattice cache
+    closure = _time(lambda: [generated_ideal(chain, seed) for seed in seeds])
+    closure_label = f"ideal closure, {len(seeds)} seeds on chain n={args.ideal_n}"
+
+    width = max(len(label) for label in [*results, closure_label])
     names = list(impls)
     header = f"{'workload':<{width}}  " + "  ".join(f"{n:>10}" for n in names)
     if len(names) == 2:
@@ -101,6 +109,7 @@ def main():
             a, b = (row[n] for n in names)
             line += f"   {max(a, b) / min(a, b):6.1f}x"
         print(line)
+    print(f"{closure_label:<{width}}  {closure * 1e3:9.2f}ms  (generated_ideal)")
 
 
 if __name__ == "__main__":

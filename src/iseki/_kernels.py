@@ -7,9 +7,11 @@ Two interchangeable implementations are provided:
 
 The active backend is chosen at import time from the ``ISEKI_NUMBA``
 environment variable ("0"/"false"/"off" selects the numpy path) and falls
-back to numpy automatically when numba is not importable.  Both paths are
-kept callable through :func:`implementations` so the benchmark and the
-differential tests can compare them directly.
+back to numpy automatically when numba (an optional extra) is not
+importable.  Both paths are kept callable through :func:`implementations`
+so the benchmark can compare them directly.  The scalar loops are also
+valid pure Python, so the differential tests compare them (``_LOOP_IMPL``)
+against numpy whether or not numba is installed.
 
 All tables are ``(n, n)`` int64 arrays; subsets of the element set are
 bitmasks in an int64 (element ``i`` is bit ``i``), which is why ``n <= 16``
@@ -136,28 +138,6 @@ def _ideal_masks_loops(n, add, mul):
     return out[:count]
 
 
-def _close_mask_loops(n, add, mul, seed):
-    mask = seed | 1
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            if not (mask >> a) & 1:
-                continue
-            for b in range(a, n):
-                if (mask >> b) & 1:
-                    c = add[a, b]
-                    if not (mask >> c) & 1:
-                        mask |= 1 << c
-                        changed = True
-            for r in range(n):
-                c = mul[r, a]
-                if not (mask >> c) & 1:
-                    mask |= 1 << c
-                    changed = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Vectorized numpy fallbacks (same outputs, including first witnesses)
 # ---------------------------------------------------------------------------
@@ -228,22 +208,6 @@ def _ideal_masks_numpy(n, add, mul):
     return masks[ok]
 
 
-def _close_mask_numpy(n, add, mul, seed):
-    mask = int(seed) | 1
-    bits = np.arange(n)
-    while True:
-        elems = np.flatnonzero((mask >> bits) & 1)
-        produced = np.concatenate(
-            [add[np.ix_(elems, elems)].ravel(), mul[:, elems].ravel()]
-        )
-        new_mask = mask
-        for e in np.unique(produced):
-            new_mask |= 1 << int(e)
-        if new_mask == mask:
-            return mask
-        mask = new_mask
-
-
 # ---------------------------------------------------------------------------
 # Backend selection
 # ---------------------------------------------------------------------------
@@ -253,12 +217,18 @@ def _numba_enabled():
     return flag not in ("0", "false", "off", "no")
 
 
+_LOOP_IMPL = {
+    "axiom_witness": _axiom_witness_loops,
+    "table_associative": _table_assoc_loops,
+    "distributes": _distributes_loops,
+    "ideal_masks": _ideal_masks_loops,
+}
+
 _NUMPY_IMPL = {
     "axiom_witness": _axiom_witness_numpy,
     "table_associative": _table_assoc_numpy,
     "distributes": _distributes_numpy,
     "ideal_masks": _ideal_masks_numpy,
-    "close_mask": _close_mask_numpy,
 }
 
 _NUMBA_IMPL = None
@@ -267,11 +237,7 @@ if _numba_enabled():
         from numba import njit
 
         _NUMBA_IMPL = {
-            "axiom_witness": njit(cache=True)(_axiom_witness_loops),
-            "table_associative": njit(cache=True)(_table_assoc_loops),
-            "distributes": njit(cache=True)(_distributes_loops),
-            "ideal_masks": njit(cache=True)(_ideal_masks_loops),
-            "close_mask": njit(cache=True)(_close_mask_loops),
+            name: njit(cache=True)(fn) for name, fn in _LOOP_IMPL.items()
         }
     except ImportError:
         _NUMBA_IMPL = None
@@ -315,7 +281,3 @@ def ideal_masks(add, mul):
     """Masks of all +/outer-closed subsets containing 0, ascending."""
     return np.asarray(_ACTIVE["ideal_masks"](add.shape[0], add, mul))
 
-
-def close_mask(add, mul, seed):
-    """Least closed subset (as a mask) containing ``seed`` and 0."""
-    return int(_ACTIVE["close_mask"](add.shape[0], add, mul, int(seed)))

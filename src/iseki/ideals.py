@@ -62,17 +62,32 @@ def ideal_from_members(s, members):
     return ideal_from_mask(s, mask)
 
 
-def is_ideal_mask(s, mask):
-    """Whether a mask is a (possibly improper) ideal of ``s``."""
-    if not mask & 1:
-        return False
-    return _kernels.close_mask(s.add, s.mul, mask) == mask
-
-
 @lru_cache(maxsize=None)
 def _ideal_masks_all(s):
     """All ideal masks of ``s`` including the improper full mask, ascending."""
     return tuple(int(m) for m in _kernels.ideal_masks(s.add, s.mul))
+
+
+@lru_cache(maxsize=None)
+def _ideal_mask_set(s):
+    return frozenset(_ideal_masks_all(s))
+
+
+def is_ideal_mask(s, mask):
+    """Whether a mask is a (possibly improper) ideal of ``s``."""
+    return mask in _ideal_mask_set(s)
+
+
+def _close(s, seed):
+    """Least ideal mask containing ``seed`` (and 0).
+
+    The ideals (the improper one included) are closed under intersection,
+    so the least one containing the seed is the AND of all that contain
+    it.  Being a subset of each of them, it is also the numerically
+    smallest, hence the first match in the ascending list; the full mask
+    comes last and always matches.
+    """
+    return next(m for m in _ideal_masks_all(s) if m & seed == seed)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +113,7 @@ def generated_ideal(s, seed):
         if not 0 <= int(e) < s.n:
             raise RangeError(f"element {e} out of range 0..{s.n - 1}")
         mask |= 1 << int(e)
-    return ideal_from_mask(s, _kernels.close_mask(s.add, s.mul, mask))
+    return ideal_from_mask(s, _close(s, mask))
 
 
 def _require_same_semiring(s, ideals):
@@ -118,7 +133,7 @@ def sum_ideals(s, ideals):
     union = 0
     for a in ideals:
         union |= a.mask
-    return ideal_from_mask(s, _kernels.close_mask(s.add, s.mul, union))
+    return ideal_from_mask(s, _close(s, union))
 
 
 def addition_closure(s, mask):
@@ -154,7 +169,7 @@ def product_ideals(s, a, b, variant="generated"):
         for y in b.members:
             products |= 1 << int(s.mul[x, y])
     if variant == "generated":
-        return ideal_from_mask(s, _kernels.close_mask(s.add, s.mul, products))
+        return ideal_from_mask(s, _close(s, products))
     if variant == "sums":
         return ideal_from_mask(s, addition_closure(s, products))
     raise ValueError(f"unknown product variant {variant!r}")

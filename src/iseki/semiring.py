@@ -48,6 +48,19 @@ class FiniteSemiring:
     def __post_init__(self):
         object.__setattr__(self, "add", _freeze(self.add))
         object.__setattr__(self, "mul", _freeze(self.mul))
+        # Every lru_cache lookup hashes the semiring, so the structural
+        # key and the hash are computed once here.
+        key = (self.n, self.one, self.add.tobytes(), self.mul.tobytes())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((self.id,) + key))
+
+    def __reduce__(self):
+        # bytes hashes are salted per process: rebuild the cached hash on
+        # unpickling instead of carrying the sender's.
+        return (
+            type(self),
+            (self.id, self.n, self.add, self.mul, self.one, self.zero),
+        )
 
     @property
     def elements(self):
@@ -63,18 +76,20 @@ class FiniteSemiring:
 
     def table_key(self):
         """Hashable structural key (tables plus designated identity)."""
-        return (self.n, self.one, self.add.tobytes(), self.mul.tobytes())
+        return self._key
 
     def same_structure(self, other):
-        return self.table_key() == other.table_key()
+        return self._key == other._key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteSemiring):
             return NotImplemented
-        return self.id == other.id and self.same_structure(other)
+        return self.id == other.id and self._key == other._key
 
     def __hash__(self):
-        return hash((self.id,) + self.table_key())
+        return self._hash
 
     def __repr__(self):
         return f"FiniteSemiring(id={self.id!r}, n={self.n})"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iseki.catalog import build_recipe, builtin_catalog
+from iseki.enumeration import enumerate_semirings
 from iseki.semiring import direct_product, validate_semiring
 
 
@@ -61,6 +62,15 @@ def catalog():
 @pytest.fixture(scope="session")
 def catalog_semirings(catalog):
     return [entry.semiring for entry in catalog]
+
+
+@pytest.fixture(scope="session")
+def small_semirings(catalog_semirings):
+    """The catalog plus every labeled semiring of order <= 4."""
+    out = list(catalog_semirings)
+    for n in range(1, 5):
+        out.extend(enumerate_semirings(n))
+    return out
 
 
 def naive_ideal_sets(s):

@@ -6,6 +6,7 @@ from iseki.ideals import (
     addition_closure,
     all_ideals,
     generated_ideal,
+    ideal_from_mask,
     ideal_from_members,
     intersect_ideals,
     jacobson_radical,
@@ -16,6 +17,7 @@ from iseki.ideals import (
     radical_via_primes,
     sum_ideals,
 )
+from iseki.verify import _generated_set
 
 
 def test_all_ideals_matches_naive_scan(catalog_semirings):
@@ -85,6 +87,27 @@ def test_product_variants_agree(catalog_semirings):
                 gen = product_ideals(s, a, b, variant="generated")
                 sums = product_ideals(s, a, b, variant="sums")
                 assert gen.mask == sums.mask, (s.id, a.members, b.members)
+
+
+def test_closure_matches_independent_fixpoint(small_semirings):
+    """Lattice-intersection closure versus the element-wise fixpoint in
+    iseki.verify, for every seed mask and every pair of ideals."""
+    for s in small_semirings:
+        for seed in range(1 << s.n):
+            members = [e for e in range(s.n) if (seed >> e) & 1]
+            expected = _generated_set(s, members)
+            assert generated_ideal(s, members).member_set() == expected, (s.id, seed)
+            low = seed & -seed
+            parts = [ideal_from_mask(s, low), ideal_from_mask(s, seed ^ low)]
+            assert sum_ideals(s, parts).member_set() == expected, (s.id, seed)
+        ideals = all_ideals(s, proper_only=False)
+        for a in ideals:
+            for b in ideals:
+                products = {int(s.mul[x, y]) for x in a.members for y in b.members}
+                expected = _generated_set(s, products)
+                for variant in ("generated", "sums"):
+                    got = product_ideals(s, a, b, variant=variant).member_set()
+                    assert got == expected, (s.id, a.members, b.members, variant)
 
 
 def test_intersection_examples(c3, bb):

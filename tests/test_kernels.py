@@ -1,71 +1,74 @@
-"""Differential tests: the numba kernels and the numpy fallbacks must be
+"""Differential tests: the scalar loop kernels (run as pure Python, and
+compiled by numba where it is installed) and the numpy fallbacks must be
 indistinguishable, including first-witness tuples."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iseki import _kernels
 
-IMPLS = _kernels.implementations()
-BOTH = len(IMPLS) == 2
+IMPLS = {"loops": _kernels._LOOP_IMPL, **_kernels.implementations()}
 
 
-def tables(n, seed):
+def tables(n, seed, shaped):
+    """Random table pair.  ``shaped`` forces the commutativity, identity
+    and absorption axioms (with one = 1) so witnesses come from the
+    associativity and distributivity scans."""
     rng = np.random.default_rng(seed)
-    return (
-        rng.integers(0, n, (n, n)).astype(np.int64),
-        rng.integers(0, n, (n, n)).astype(np.int64),
-    )
+    add = rng.integers(0, n, (n, n)).astype(np.int64)
+    mul = rng.integers(0, n, (n, n)).astype(np.int64)
+    if shaped:
+        rows = np.arange(n)
+        add = np.triu(add) + np.triu(add, k=1).T
+        mul = np.triu(mul) + np.triu(mul, k=1).T
+        add[0, :] = add[:, 0] = rows
+        mul[1, :] = mul[:, 1] = rows
+        mul[0, :] = mul[:, 0] = 0
+    return add, mul
 
 
-@pytest.mark.skipif(not BOTH, reason="numba backend unavailable")
-@given(st.integers(2, 5), st.integers(0, 10_000))
+def assert_agree(kernel, *args):
+    """Run one kernel on every implementation; return the common output."""
+    results = {name: impl[kernel](*args) for name, impl in IMPLS.items()}
+    if kernel in ("axiom_witness", "ideal_masks"):
+        results = {name: tuple(int(v) for v in out) for name, out in results.items()}
+    else:
+        results = {name: bool(out) for name, out in results.items()}
+    assert len(set(results.values())) == 1, (kernel, results)
+    return results["numpy"]
+
+
+@given(st.integers(2, 5), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_axiom_witness_backends_agree(n, seed):
-    add, mul = tables(n, seed)
-    results = {
-        name: impl["axiom_witness"](n, add, mul, 1) for name, impl in IMPLS.items()
-    }
-    a, b = results.values()
-    assert tuple(int(v) for v in a) == tuple(int(v) for v in b)
+def test_axiom_witness_backends_agree(n, seed, shaped):
+    add, mul = tables(n, seed, shaped)
+    assert_agree("axiom_witness", n, add, mul, 1)
 
 
-@pytest.mark.skipif(not BOTH, reason="numba backend unavailable")
-@given(st.integers(2, 6), st.integers(0, 10_000))
+@given(st.integers(2, 5), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_ideal_masks_backends_agree(n, seed):
-    add, mul = tables(n, seed)
-    results = [
-        list(impl["ideal_masks"](n, add, mul)) for impl in IMPLS.values()
-    ]
-    assert results[0] == results[1]
+def test_table_checks_backends_agree(n, seed, shaped):
+    add, mul = tables(n, seed, shaped)
+    assert_agree("table_associative", n, add)
+    assert_agree("table_associative", n, mul)
+    assert_agree("distributes", n, add, mul)
 
 
-@pytest.mark.skipif(not BOTH, reason="numba backend unavailable")
-@given(st.integers(2, 6), st.integers(0, 10_000), st.integers(0, 63))
+@given(st.integers(2, 6), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_close_mask_backends_agree(n, seed, raw_seed_mask):
-    add, mul = tables(n, seed)
-    seed_mask = raw_seed_mask & ((1 << n) - 1)
-    results = [
-        int(impl["close_mask"](n, add, mul, seed_mask)) for impl in IMPLS.values()
-    ]
-    assert results[0] == results[1]
+def test_ideal_masks_backends_agree(n, seed, shaped):
+    add, mul = tables(n, seed, shaped)
+    assert_agree("ideal_masks", n, add, mul)
 
 
-@pytest.mark.skipif(not BOTH, reason="numba backend unavailable")
-def test_backends_agree_on_catalog(catalog_semirings):
-    for s in catalog_semirings:
-        results = {
-            name: tuple(int(v) for v in impl["axiom_witness"](s.n, s.add, s.mul, s.one))
-            for name, impl in IMPLS.items()
-        }
-        assert len(set(results.values())) == 1
-        assert next(iter(results.values()))[0] == 0
-        masks = [list(impl["ideal_masks"](s.n, s.add, s.mul)) for impl in IMPLS.values()]
-        assert masks[0] == masks[1]
+def test_backends_agree_on_small_semirings(small_semirings):
+    for s in small_semirings:
+        assert assert_agree("axiom_witness", s.n, s.add, s.mul, s.one)[0] == 0
+        assert assert_agree("table_associative", s.n, s.add)
+        assert assert_agree("table_associative", s.n, s.mul)
+        assert assert_agree("distributes", s.n, s.add, s.mul)
+        assert assert_agree("ideal_masks", s.n, s.add, s.mul)[-1] == s.full_mask
 
 
 def test_valid_tables_scan_clean(catalog_semirings):
