@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     RangeError,
     SizeLimitExceeded,
-    SpectrumTooLarge,
 )
 from .semiring import (
     FiniteSemiring,

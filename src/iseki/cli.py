@@ -78,11 +78,6 @@ def _cmd_spectrum(args):
 
 
 def _cmd_topology(args):
-    s = ingest(args.file)
-    rep = topology_instance_report(s, args.cls)
-    if "skipped" in rep:
-        _emit(args, rep)
-        return 1
     wanted = (
         [c.strip() for c in args.checks.split(",") if c.strip()]
         if args.checks
@@ -92,6 +87,8 @@ def _cmd_topology(args):
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    s = ingest(args.file)
+    rep = topology_instance_report(s, args.cls)
     out = {
         "semiring": rep["semiring"],
         "class": rep["class"],
@@ -244,7 +241,7 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except IsekiError as exc:
+    except (IsekiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

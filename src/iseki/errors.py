@@ -48,12 +48,9 @@ class NoMaximalIdeal(IsekiError):
     """No maximal ideal exists (only possible for the trivial semiring)."""
 
 
-class SpectrumTooLarge(IsekiError):
-    """Closed-family generation refused: too many spectrum points."""
-
-
-class ParseError(IsekiError):
-    """A JSON document does not match the expected schema."""
+class ParseError(IsekiError, ValueError):
+    """Input does not match the expected schema: a JSON document, a corpus
+    of documents, or a spectrum class name."""
 
 
 class ContractionFails(IsekiError):

@@ -20,12 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .catalog import builtin_catalog
 from .enumeration import enumerate_semirings
-from .errors import (
-    EmptyFamily,
-    HypothesisUnmet,
-    NoUnitDecomposition,
-    SpectrumTooLarge,
-)
+from .errors import EmptyFamily, HypothesisUnmet, NoUnitDecomposition, ParseError
 from .ideals import (
     _ideal_masks_all,
     all_ideals,
@@ -71,12 +66,6 @@ WITNESS_CAP = 10
 def topology_instance_report(s, cls):
     """The per-(semiring, class) topology report."""
     spec = spectrum(s, cls)
-    base = {"semiring": s.id, "class": cls}
-    try:
-        fam = closed_family(s, spec)
-    except SpectrumTooLarge as exc:
-        return {**base, "skipped": str(exc)}
-
     t0 = check_t0(s, spec)
     t1 = check_t1(s, spec)
     sober = check_sober(s, spec)
@@ -116,9 +105,10 @@ def topology_instance_report(s, cls):
             break
 
     return {
-        **base,
+        "semiring": s.id,
+        "class": cls,
         "points": [list(p.members) for p in spec.points],
-        "closed_set_count": len(fam.closed),
+        "closed_set_count": closed_family(s, spec).closed_set_count(),
         "t0": t0["holds"],
         "t0_witness": t0["witness"],
         "t1": t1["t1"],
@@ -332,7 +322,7 @@ def _corpus_semirings(corpus, enumerate_n):
     seen = {}
     for s, _ in semirings:
         if s.id in seen and not seen[s.id].same_structure(s):
-            raise ValueError(f"duplicate corpus id {s.id!r} with different tables")
+            raise ParseError(f"duplicate corpus id {s.id!r} with different tables")
         seen[s.id] = s
     unique = []
     emitted = set()
@@ -379,8 +369,6 @@ def sweep(
 
     for rep in topo:
         key = {"semiring": rep["semiring"], "class": rep["class"]}
-        if "skipped" in rep:
-            continue
         tally.record("t0", rep["t0"], {**key, "witness": rep["t0_witness"]})
         tally.record(
             "t1_equivalence",
@@ -523,11 +511,6 @@ def sweep(
             "instances": len(quotient_reports),
             "reports": quotient_reports,
         },
-        "skipped": [
-            {"semiring": r["semiring"], "class": r["class"], "reason": r["skipped"]}
-            for r in topo
-            if "skipped" in r
-        ],
         "tallies": tally.as_dict(),
         "observations": observations.as_dict(),
         "failures": tally.failures(),

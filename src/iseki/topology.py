@@ -7,19 +7,19 @@ up-sets
 
     up(a) = { x in points | a is a subset of x }
 
-with a running over all ideals.  Point sets are bitmasks over point
-indices, so everything here is exhaustive and exact: the full closed-set
-lattice is materialized once per (semiring, class) pair and every
-separation/connectedness property is decided by direct search, with
-witnesses for every negative verdict.
+with a running over all ideals.  Every point is itself an ideal, so
+up(point) is the smallest closed set containing the point and the space
+is Alexandrov: its closed sets are exactly the point sets that are
+up-closed under inclusion.  Point sets are bitmasks over point indices,
+and every separation/connectedness property is decided exactly from the
+inclusion order, with witnesses for every negative verdict.
 """
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import HypothesisUnmet, NoUnitDecomposition, SpectrumTooLarge
+from .errors import HypothesisUnmet, NoUnitDecomposition, ParseError
 from .ideals import (
     Ideal,
     _ideal_masks_all,
@@ -43,8 +43,6 @@ CLASS_TAGS = (
     "radical",
     "principal",
 )
-
-DEFAULT_POINT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def parse_class(text):
                 return SpectrumClass(tag="fg", k=int(body))
             except ValueError:
                 break
-    raise ValueError(f"unknown spectrum class {text!r}")
+    raise ParseError(f"unknown spectrum class {text!r}")
 
 
 @dataclass(frozen=True)
@@ -161,117 +159,85 @@ def up_set(spec, ideal):
     return out
 
 
-def _point_cap():
-    cap = os.environ.get("ISEKI_SIZE_CAP", "").strip()
-    if cap:
-        try:
-            return int(cap)
-        except ValueError:
-            pass
-    return DEFAULT_POINT_CAP
-
-
 class ClosedFamily:
-    """The complete closed-set lattice of one Iseki space.
+    """The closed sets of one Iseki space, decided from the inclusion order.
 
-    ``closed`` lists every closed point-set ascending; ``subbasis`` maps
-    each ideal mask of the semiring to its up-set.  Everything is exact:
-    both closure operators were iterated to a fixpoint.
+    ``subbasis`` maps each ideal mask of the semiring to its up-set;
+    ``up[i]`` is the up-set of point i, which is both the closure of the
+    point and its principal up-set.  A point set is closed exactly when
+    it is up-closed, so its closure is the union of its points' up-sets.
     """
 
-    def __init__(self, spec, subbasis, closed):
+    def __init__(self, spec, subbasis):
         self.spectrum = spec
         self.subbasis = subbasis
-        self.closed = closed
-        self._closed_set = frozenset(closed)
+        self.up = tuple(subbasis[p.mask] for p in spec.points)
         self.full = spec.full_point_set
-        self._irreducible = None
 
     def is_closed(self, point_set):
-        return point_set in self._closed_set
+        return self.closure(point_set) == point_set
 
     def closure(self, point_set):
-        out = self.full
-        for k in self.closed:
-            if (k & point_set) == point_set:
-                out &= k
+        out = 0
+        for i, u in enumerate(self.up):
+            if (point_set >> i) & 1:
+                out |= u
         return out
 
     def point_closure(self, index):
         return self.closure(1 << index)
 
     def irreducible_closed_sets(self):
-        """Nonempty closed sets that are not unions of two proper closed subsets."""
-        if self._irreducible is None:
-            out = []
-            for k in self.closed:
-                if k == 0:
-                    continue
-                subs = [c for c in self.closed if c != k and (c & k) == c]
-                if not any(
-                    (c1 | c2) == k for i, c1 in enumerate(subs) for c2 in subs[i:]
-                ):
-                    out.append(k)
-            self._irreducible = tuple(out)
-        return self._irreducible
+        """Nonempty closed sets that are not unions of two proper closed
+        subsets: in an Alexandrov space, the principal up-sets."""
+        return tuple(sorted(set(self.up)))
 
-    def to_json(self):
-        return {
-            "points": [list(p.members) for p in self.spectrum.points],
-            "closed_set_count": len(self.closed),
-        }
+    def components(self):
+        """Connected components, ascending: the classes of points linked by
+        a chain of overlapping up-sets (the comparability graph)."""
+        comps = []
+        for u in self.up:
+            merged = u
+            rest = []
+            for c in comps:
+                if c & u:
+                    merged |= c
+                else:
+                    rest.append(c)
+            comps = rest + [merged]
+        return sorted(comps)
 
-
-def _union_closure(seeds):
-    family = set(seeds)
-    family.add(0)
-    frontier = list(family)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in family:
-                u = a | b
-                if u not in family:
-                    new.append(u)
-        for u in new:
-            family.add(u)
-        frontier = new
-    return family
-
-
-def _intersection_closure(family, full):
-    family = set(family)
-    family.add(full)
-    frontier = list(family)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in family:
-                u = a & b
-                if u not in family:
-                    new.append(u)
-        for u in new:
-            family.add(u)
-        frontier = new
-    return family
+    def closed_set_count(self):
+        """Number of up-sets.  The lowest point x of a remaining set R is
+        minimal in R (points ascend by ideal bitset), so an up-set of R
+        either omits x or contains up[x]:
+        count(R) = count(R - {x}) + count(R - up[x])."""
+        count = {0: 1}
+        stack = [self.full]
+        while stack:
+            r = stack[-1]
+            if r in count:
+                stack.pop()
+                continue
+            low = r & -r
+            rests = (r ^ low, r & ~self.up[low.bit_length() - 1])
+            todo = [q for q in rests if q not in count]
+            if todo:
+                stack.extend(todo)
+            else:
+                count[r] = count[rests[0]] + count[rests[1]]
+                stack.pop()
+        return count[self.full]
 
 
 @lru_cache(maxsize=None)
-def _closed_family_cached(s, spec, cap):
-    if spec.size > cap:
-        raise SpectrumTooLarge(
-            f"{spec.size} points exceeds the cap of {cap}"
-            " (raise ISEKI_SIZE_CAP to override)"
-        )
-    subbasis = {m: up_set(spec, m) for m in _ideal_masks_all(s)}
-    unions = _union_closure(subbasis.values())
-    closed = _intersection_closure(unions, spec.full_point_set)
-    return ClosedFamily(spec, subbasis, tuple(sorted(closed)))
+def _closed_family_cached(s, spec):
+    return ClosedFamily(spec, {m: up_set(spec, m) for m in _ideal_masks_all(s)})
 
 
-def closed_family(s, spec, cap=None):
-    """Build (or fetch) the full closed-set lattice for a spectrum."""
-    return _closed_family_cached(s, spec, cap if cap is not None else _point_cap())
+def closed_family(s, spec):
+    """Build (or fetch) the closed family of a spectrum."""
+    return _closed_family_cached(s, spec)
 
 
 def closure(s, spec, point_set):
@@ -448,19 +414,16 @@ def check_fg_spectrum_maximals(s, k):
 
 
 def check_connected(s, spec):
-    """Connectivity by exhaustive clopen search; empty spectra are degenerate."""
+    """Connectivity from the connected components; the witness is the
+    lowest clopen set, the lowest component.  Empty spectra are degenerate."""
     if spec.size == 0:
         return {
             "connected": "degenerate",
             "witness": None,
             "zero_ideal_in_points": False,
         }
-    fam = closed_family(s, spec)
-    witness = None
-    for k in fam.closed:
-        if k not in (0, fam.full) and fam.is_closed(fam.full ^ k):
-            witness = point_set_members(spec, k)
-            break
+    comps = closed_family(s, spec).components()
+    witness = point_set_members(spec, comps[0]) if len(comps) > 1 else None
     return {
         "connected": witness is None,
         "witness": witness,
@@ -483,36 +446,31 @@ def strong_disconnection_witness(s, spec):
     """Two nonempty families of subbasic closed sets whose unions partition
     the space, or None.
 
-    Each side is returned as a list of ideals (the lowest-mask ideal per
-    distinct up-set); a side collapses to a single ideal whenever the
-    side's union is itself an up-set.
+    Every up-set is a union of subbasic sets, so the sides are the lowest
+    component and its complement.  Each side is returned as a list of
+    ideals (the lowest-mask ideal per distinct up-set); a side collapses
+    to a single ideal whenever the side's union is itself an up-set.
     """
     fam = closed_family(s, spec)
-    if spec.size == 0:
+    comps = fam.components()
+    if len(comps) < 2:
         return None
     lowest_ideal_for = {}
     for m in sorted(fam.subbasis):
         u = fam.subbasis[m]
         if u and u not in lowest_ideal_for:
             lowest_ideal_for[u] = m
-    unions = sorted(_union_closure(lowest_ideal_for.keys()))
-    union_set = set(unions)
-    for alpha in unions:
-        if alpha in (0, fam.full):
-            continue
-        beta = fam.full ^ alpha
-        if beta in union_set:
-            def side(mask):
-                if mask in lowest_ideal_for:
-                    return [ideal_from_mask(s, lowest_ideal_for[mask])]
-                return [
-                    ideal_from_mask(s, m)
-                    for u, m in sorted(lowest_ideal_for.items())
-                    if (u & mask) == u
-                ]
 
-            return side(alpha), side(beta)
-    return None
+    def side(mask):
+        if mask in lowest_ideal_for:
+            return [ideal_from_mask(s, lowest_ideal_for[mask])]
+        return [
+            ideal_from_mask(s, m)
+            for u, m in sorted(lowest_ideal_for.items())
+            if (u & mask) == u
+        ]
+
+    return side(comps[0]), side(fam.full ^ comps[0])
 
 
 def idempotent_from_disconnection(s, spec, witness):

@@ -97,3 +97,90 @@ def chain6():
     return validate_semiring(
         np.maximum.outer(rng, rng), np.minimum.outer(rng, rng), 5, id="C6"
     )
+
+
+def _union_closure(seeds):
+    family = set(seeds)
+    family.add(0)
+    frontier = list(family)
+    while frontier:
+        new = {a | b for a in frontier for b in family} - family
+        family |= new
+        frontier = list(new)
+    return family
+
+
+def _intersection_closure(family, full):
+    family = set(family)
+    family.add(full)
+    frontier = list(family)
+    while frontier:
+        new = {a & b for a in frontier for b in family} - family
+        family |= new
+        frontier = list(new)
+    return family
+
+
+class ReferenceLattice:
+    """Fixpoint reference for the topology of a spectrum: the closed sets
+    are generated from the up-sets of every ideal by closing under unions
+    and intersections, and each property is decided by searching them."""
+
+    def __init__(self, s, spec):
+        ideal_masks = sorted(
+            sum(1 << e for e in ideal) for ideal in naive_ideal_sets(s)
+        )
+        points = spec.point_masks()
+        self.full = spec.full_point_set
+        self.subbasis = {
+            m: sum(1 << i for i, p in enumerate(points) if (p & m) == m)
+            for m in ideal_masks
+        }
+        closed = _intersection_closure(_union_closure(self.subbasis.values()), self.full)
+        self.closed = sorted(closed)
+        self.closed_set = frozenset(closed)
+
+    def closure(self, point_set):
+        out = self.full
+        for k in self.closed:
+            if (k & point_set) == point_set:
+                out &= k
+        return out
+
+    def irreducible_closed_sets(self):
+        out = []
+        for k in self.closed:
+            subs = [c for c in self.closed if c != k and (c & k) == c]
+            if k and not any(c1 | c2 == k for c1 in subs for c2 in subs):
+                out.append(k)
+        return out
+
+    def clopen_witness(self):
+        """Lowest closed set other than the empty set and the whole space
+        whose complement is closed, or None."""
+        for k in self.closed:
+            if k not in (0, self.full) and (self.full ^ k) in self.closed_set:
+                return k
+        return None
+
+    def disconnection_sides(self):
+        """Lowest union of subbasic sets whose complement is one too, each
+        side given as ideal masks: the lowest ideal per distinct up-set,
+        collapsed to one ideal when the side is itself an up-set."""
+        lowest = {}
+        for m in sorted(self.subbasis):
+            lowest.setdefault(self.subbasis[m], m)
+        lowest.pop(0, None)
+        unions = _union_closure(lowest)
+        for alpha in sorted(unions):
+            beta = self.full ^ alpha
+            if alpha in (0, self.full) or beta not in unions:
+                continue
+
+            def side(mask):
+                if mask in lowest:
+                    return [lowest[mask]]
+                return [m for u, m in sorted(lowest.items()) if (u & mask) == u]
+
+            return side(alpha), side(beta)
+        return None

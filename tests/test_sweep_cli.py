@@ -6,6 +6,7 @@ import pytest
 from iseki.catalog import build_recipe
 from iseki.cli import main
 from iseki.errors import EmptyFamily
+from iseki.semiring import validate_semiring
 from iseki.serialize import canonical_json, emit
 from iseki.sweep import sweep
 
@@ -100,6 +101,43 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     path.write_text("{nope")
     assert main(["validate", str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["topology", "{B}", "--class", "weird"], "unknown spectrum class 'weird'"),
+        (["spectrum", "{B}", "--class", "fg(x)"], "unknown spectrum class 'fg(x)'"),
+        (["export-dot", "{B}", "--class", "weird"], "unknown spectrum class"),
+        (["morphisms", "{B}", "{B}", "--class", "weird"], "unknown spectrum class"),
+        (["ideals", "{missing}"], "No such file or directory"),
+        (["topology", "{missing}"], "No such file or directory"),
+        (["sweep", "{B}", "{fake_B}", "--jobs", "1"], "duplicate corpus id 'B'"),
+        (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
+    ],
+    ids=[
+        "topology-class",
+        "spectrum-class",
+        "export-dot-class",
+        "morphisms-class",
+        "ideals-missing-file",
+        "topology-missing-file",
+        "sweep-duplicate-id",
+        "checks-before-input",
+    ],
+)
+def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
+    """Unusable input exits 2 with one line on stderr, before any work."""
+    paths = {
+        "B": _write(tmp_path, "B"),
+        "missing": str(tmp_path / "missing.json"),
+        "fake_B": str(tmp_path / "fake_B.json"),
+    }
+    emit(paths["fake_B"], validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 1, id="B"))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
 
 
 def test_cli_ideals(tmp_path, capsys):

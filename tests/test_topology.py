@@ -1,7 +1,18 @@
-import pytest
+from functools import lru_cache
 
-from iseki.errors import HypothesisUnmet, SpectrumTooLarge
-from iseki.ideals import ideal_from_members
+import pytest
+from conftest import ReferenceLattice
+
+from iseki.enumeration import canonical_key
+from iseki.errors import ContractionFails, HypothesisUnmet
+from iseki.ideals import all_ideals, ideal_from_members
+from iseki.morphisms import (
+    check_quotient_homeomorphism,
+    enumerate_homomorphisms,
+    induced_map,
+)
+from iseki.semiring import bourne_quotient, validate_semiring
+from iseki.sweep import topology_instance_report
 from iseki.topology import (
     SpectrumClass,
     check_connected,
@@ -15,6 +26,7 @@ from iseki.topology import (
     closure,
     idempotent_from_disconnection,
     parse_class,
+    point_set_members,
     spectrum,
     strong_disconnection_witness,
     up_set,
@@ -64,14 +76,128 @@ def test_up_set_examples(bb, c3):
         assert (up_set(cspec, p) >> i) & 1  # reflexivity
 
 
-def test_closed_families(boolean, bb, c3):
-    one_point = spectrum(boolean, "prime")
-    fam = closed_family(boolean, one_point)
-    assert fam.closed == (0, 1)
-    discrete = closed_family(bb, spectrum(bb, "maximal"))
-    assert discrete.closed == (0, 1, 2, 3)
-    sierpinski = closed_family(c3, spectrum(c3, "prime"))
-    assert sierpinski.closed == (0, 2, 3)
+def _up_closed(masks, point_set):
+    return all(
+        (point_set >> j) & 1
+        for i in range(len(masks))
+        if (point_set >> i) & 1
+        for j in range(len(masks))
+        if (masks[i] & masks[j]) == masks[i]
+    )
+
+
+def _reference_onto_image(ref_s, ref_t, ind):
+    """The subspace-lattice definition: an injective map is a homeomorphism
+    onto its image when it carries the closed sets of its domain exactly
+    onto the traces of the closed sets of its codomain on the image."""
+    image = ind.image_point_set()
+    forward = set()
+    for k in ref_t.closed:
+        pushed = 0
+        for j, i in enumerate(ind.map):
+            if (k >> j) & 1:
+                pushed |= 1 << i
+        forward.add(pushed)
+    injective = len(set(ind.map)) == len(ind.map)
+    return injective and forward == {k & image for k in ref_s.closed}
+
+
+_reference = lru_cache(maxsize=None)(ReferenceLattice)
+
+
+def test_closed_family_matches_fixpoint_reference(small_semirings):
+    """The inclusion-order core against the fixpoint lattice, on every
+    point set of every spectrum of every semiring of order <= 4 and the
+    catalog, over all eight classes."""
+    for s in small_semirings:
+        for tag in ALL_TAGS:
+            spec = spectrum(s, tag)
+            fam = closed_family(s, spec)
+            ref = _reference(s, spec)
+            where = (s.id, tag)
+            masks = spec.point_masks()
+            assert ref.closed == [
+                k for k in range(1 << spec.size) if _up_closed(masks, k)
+            ], where
+            for k in range(1 << spec.size):
+                assert fam.is_closed(k) == (k in ref.closed_set), (where, k)
+                assert fam.closure(k) == ref.closure(k), (where, k)
+            assert fam.closed_set_count() == len(ref.closed), where
+            assert list(fam.irreducible_closed_sets()) == ref.irreducible_closed_sets(), where
+            if spec.size:
+                clopen = ref.clopen_witness()
+                expected = None if clopen is None else point_set_members(spec, clopen)
+                assert check_connected(s, spec)["witness"] == expected, where
+            sides = strong_disconnection_witness(s, spec)
+            if sides is not None:
+                sides = tuple([a.mask for a in side] for side in sides)
+            assert sides == ref.disconnection_sides(), where
+
+
+def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
+    """The order-embedding test against the subspace-lattice definition,
+    for every Bourne quotient map and every surjective homomorphism from a
+    corpus semiring onto one per isomorphism class of the corpus (the
+    corpus holds every relabeling of its small targets, and relabeling the
+    target only reorders its spectrum), under every class with the
+    contraction property."""
+    targets = {}
+    for t in small_semirings:
+        targets.setdefault(canonical_key(t.add, t.mul), t)
+    maps = []
+    for s in small_semirings:
+        for ideal in all_ideals(s, proper_only=True):
+            maps.append((s, *bourne_quotient(s, ideal)))
+        for t in targets.values():
+            if t.n <= s.n:
+                maps.extend(
+                    (s, t, hom)
+                    for hom in enumerate_homomorphisms(s, t)
+                    if hom.is_surjective_onto(t.n)
+                )
+    for s, t, hom in maps:
+        for tag in ALL_TAGS:
+            try:
+                rep = check_quotient_homeomorphism(s, t, hom, tag)
+            except ContractionFails:
+                continue
+            ind = induced_map(s, t, hom, tag, verify_continuity=False)
+            expected = _reference_onto_image(
+                _reference(s, ind.target_spectrum), _reference(t, ind.source_spectrum), ind
+            )
+            assert rep["homeomorphism_onto_image"] == expected, (s.id, t.id, hom.map, tag)
+
+
+def test_proper_spectrum_above_twenty_points():
+    """38 points: 0, five atoms 1..5 that join pairwise to t = 6, a top
+    one = 7, and a product that is zero except by the unit.  Its proper
+    ideals are {0}, {0, atom} and {0, t} with any set of atoms; the
+    8699 up-sets are 1 + the sum of 2^(number of atoms whose singleton
+    up-set lies in V) over the 7581 up-sets V of the atom subsets."""
+    n, t, one = 8, 6, 7
+
+    def join(a, b):
+        if a == 0 or b == 0:
+            return a + b
+        if one in (a, b):
+            return one
+        return a if a == b else t
+
+    def times(a, b):
+        return b if a == one else a if b == one else 0
+
+    rows = range(n)
+    s = validate_semiring(
+        [[join(a, b) for b in rows] for a in rows],
+        [[times(a, b) for b in rows] for a in rows],
+        one,
+        id="atoms5",
+    )
+    rep = topology_instance_report(s, "proper")
+    assert len(rep["points"]) == 38
+    assert rep["closed_set_count"] == 8699
+    assert rep["t0"] and rep["sober"] and rep["connected"] is True
+    assert rep["upset_laws"] == "pass"
 
 
 def test_closure_examples(c3):
@@ -80,14 +206,6 @@ def test_closure_examples(c3):
     assert closure(c3, spec, spec.full_point_set) == spec.full_point_set
     for i, p in enumerate(spec.points):
         assert closure(c3, spec, 1 << i) == up_set(spec, p)
-
-
-def test_point_cap(chain6, monkeypatch):
-    monkeypatch.setenv("ISEKI_SIZE_CAP", "3")
-    with pytest.raises(SpectrumTooLarge):
-        closed_family(chain6, spectrum(chain6, "proper"))
-    monkeypatch.setenv("ISEKI_SIZE_CAP", "20")
-    closed_family(chain6, spectrum(chain6, "proper"))
 
 
 def test_t0_on_catalog(catalog_semirings):
