@@ -200,6 +200,24 @@ def test_proper_spectrum_above_twenty_points():
     assert rep["upset_laws"] == "pass"
 
 
+def test_closed_families(boolean, bb, c3):
+    def closed_sets(fam, spec):
+        return tuple(k for k in range(1 << spec.size) if fam.is_closed(k))
+
+    one_point = spectrum(boolean, "prime")
+    fam = closed_family(boolean, one_point)
+    assert closed_sets(fam, one_point) == (0, 1)
+    assert fam.closed_set_count() == 2
+    maximal = spectrum(bb, "maximal")
+    discrete = closed_family(bb, maximal)
+    assert closed_sets(discrete, maximal) == (0, 1, 2, 3)
+    assert discrete.closed_set_count() == 4
+    prime = spectrum(c3, "prime")
+    sierpinski = closed_family(c3, prime)
+    assert closed_sets(sierpinski, prime) == (0, 2, 3)
+    assert sierpinski.closed_set_count() == 3
+
+
 def test_closure_examples(c3):
     spec = spectrum(c3, "prime")
     assert closure(c3, spec, 0) == 0

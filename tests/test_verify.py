@@ -9,7 +9,7 @@ from iseki.ideals import classified_ideals
 from iseki.morphisms import check_contraction, enumerate_homomorphisms
 from iseki.semiring import semiring_axiom_report
 from iseki.sweep import sweep
-from iseki.topology import spectrum, strong_disconnection_witness
+from iseki.topology import closed_family, spectrum, strong_disconnection_witness
 from iseki.verify import (
     verify_axiom_witness,
     verify_classification_witnesses,
@@ -82,6 +82,33 @@ def test_connected_witnesses(bb, c3):
     cspec = spectrum(c3, "prime")
     cpoints = [list(p.members) for p in cspec.points]
     assert not verify_connected_false_witness(bb, cpoints, [[0]])
+
+
+def test_closed_family_equals_up_closed_sets(catalog_semirings):
+    """Independent oracle for the closed-set test: with the full ideal
+    subbasis, the closed sets are exactly the point-sets that are
+    up-closed under ideal inclusion."""
+    for s in catalog_semirings:
+        if s.n > 4:
+            continue
+        for tag in ("proper", "prime", "maximal", "radical"):
+            spec = spectrum(s, tag)
+            fam = closed_family(s, spec)
+            masks = spec.point_masks()
+            expected = []
+            for candidate in range(1 << len(masks)):
+                ok = all(
+                    (candidate >> j) & 1
+                    for i in range(len(masks))
+                    if (candidate >> i) & 1
+                    for j in range(len(masks))
+                    if (masks[i] & masks[j]) == masks[i]
+                )
+                if ok:
+                    expected.append(candidate)
+            got = [k for k in range(1 << len(masks)) if fam.is_closed(k)]
+            assert got == expected, (s.id, tag)
+            assert fam.closed_set_count() == len(expected), (s.id, tag)
 
 
 def test_disconnection_witnesses_via_sweep(catalog_semirings):
