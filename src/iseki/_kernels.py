@@ -1,24 +1,13 @@
 """Hot inner loops: axiom scans over Cayley tables and bitset ideal searches.
 
-Two interchangeable implementations are provided:
-
-* ``numba`` -- the scalar loop kernels compiled with ``@njit(cache=True)``;
-* ``numpy`` -- vectorized fallbacks with identical outputs.
-
-The active backend is chosen at import time from the ``ISEKI_NUMBA``
-environment variable ("0"/"false"/"off" selects the numpy path) and falls
-back to numpy automatically when numba (an optional extra) is not
-importable.  Both paths are kept callable through :func:`implementations`
-so the benchmark can compare them directly.  The scalar loops are also
-valid pure Python, so the differential tests compare them (``_LOOP_IMPL``)
-against numpy whether or not numba is installed.
+The public kernels are vectorized numpy.  The scalar loop kernels
+(``_LOOP_IMPL``) compute the same outputs, first witnesses included, one
+element at a time; the differential tests compare them against numpy.
 
 All tables are ``(n, n)`` int64 arrays; subsets of the element set are
 bitmasks in an int64 (element ``i`` is bit ``i``), which is why ``n <= 16``
 everywhere in this package.
 """
-
-import os
 
 import numpy as np
 
@@ -39,7 +28,7 @@ AXIOM_ARITY = {1: 2, 2: 1, 3: 3, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 3}
 
 
 # ---------------------------------------------------------------------------
-# Scalar loop kernels (numba-compilable, also valid pure Python)
+# Scalar loop kernels (the reference for the differential tests)
 # ---------------------------------------------------------------------------
 
 def _axiom_witness_loops(n, add, mul, one):
@@ -139,7 +128,7 @@ def _ideal_masks_loops(n, add, mul):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized numpy fallbacks (same outputs, including first witnesses)
+# Vectorized numpy kernels (same outputs, including first witnesses)
 # ---------------------------------------------------------------------------
 
 def _first_index(bad):
@@ -208,15 +197,7 @@ def _ideal_masks_numpy(n, add, mul):
     return masks[ok]
 
 
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-def _numba_enabled():
-    flag = os.environ.get("ISEKI_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
+# Both implementations by kernel name, for the differential tests.
 _LOOP_IMPL = {
     "axiom_witness": _axiom_witness_loops,
     "table_associative": _table_assoc_loops,
@@ -231,33 +212,10 @@ _NUMPY_IMPL = {
     "ideal_masks": _ideal_masks_numpy,
 }
 
-_NUMBA_IMPL = None
-if _numba_enabled():
-    try:
-        from numba import njit
 
-        _NUMBA_IMPL = {
-            name: njit(cache=True)(fn) for name, fn in _LOOP_IMPL.items()
-        }
-    except ImportError:
-        _NUMBA_IMPL = None
-
-_ACTIVE = _NUMBA_IMPL if _NUMBA_IMPL is not None else _NUMPY_IMPL
-_BACKEND_NAME = "numba" if _NUMBA_IMPL is not None else "numpy"
-
-
-def backend():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _BACKEND_NAME
-
-
-def implementations():
-    """All available backends, keyed by name, for benchmarks and tests."""
-    impls = {"numpy": _NUMPY_IMPL}
-    if _NUMBA_IMPL is not None:
-        impls["numba"] = _NUMBA_IMPL
-    return impls
-
+# ---------------------------------------------------------------------------
+# Public kernels
+# ---------------------------------------------------------------------------
 
 def axiom_witness(add, mul, one):
     """First failing semiring axiom for the table pair, or code 0.
@@ -265,19 +223,19 @@ def axiom_witness(add, mul, one):
     Returns ``(code, a, b, c)`` with unused witness slots set to -1; see
     AXIOM_NAMES / AXIOM_ARITY for decoding.
     """
-    code, a, b, c = _ACTIVE["axiom_witness"](add.shape[0], add, mul, one)
+    code, a, b, c = _axiom_witness_numpy(add.shape[0], add, mul, one)
     return int(code), int(a), int(b), int(c)
 
 
 def table_associative(table):
-    return bool(_ACTIVE["table_associative"](table.shape[0], table))
+    return _table_assoc_numpy(table.shape[0], table)
 
 
 def distributes(add, mul):
-    return bool(_ACTIVE["distributes"](add.shape[0], add, mul))
+    return _distributes_numpy(add.shape[0], add, mul)
 
 
 def ideal_masks(add, mul):
     """Masks of all +/outer-closed subsets containing 0, ascending."""
-    return np.asarray(_ACTIVE["ideal_masks"](add.shape[0], add, mul))
+    return _ideal_masks_numpy(add.shape[0], add, mul)
 

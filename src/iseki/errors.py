@@ -54,7 +54,12 @@ class ParseError(IsekiError, ValueError):
 
 
 class ContractionFails(IsekiError):
-    """The ideal class is not stable under preimage for this homomorphism."""
+    """The ideal class is not stable under preimage for this homomorphism;
+    carries the class name and the witness ``{"point", "preimage"}``."""
+
+    def __init__(self, cls, witness):
+        self.witness = witness
+        super().__init__(f"class {cls} is not stable under preimage: {witness}")
 
 
 class NotSurjective(IsekiError):

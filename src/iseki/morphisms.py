@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 from .errors import ContractionFails, NotSurjective, SizeLimitExceeded
 from .ideals import (
+    _ideal_masks_all,
+    generated_ideal,
     ideal_from_mask,
     is_ideal_mask,
-    generated_ideal,
     radical,
 )
 from .semiring import Homomorphism, validate_homomorphism
@@ -100,24 +101,29 @@ def compose(s, t, u, first, second):
 
 
 def check_contraction(s, t, hom, cls):
-    """Whether every spectrum point of t pulls back into the spectrum of s."""
+    """Whether every spectrum point of t pulls back into the spectrum of s.
+
+    When it does, ``map[j]`` is the index in the spectrum of s of the
+    preimage of point j of t; otherwise the witness is the first point of
+    t whose preimage is not a point.
+    """
     if isinstance(cls, str):
         cls = parse_class(cls)
-    spec_s = spectrum(s, cls)
-    spec_t = spectrum(t, cls)
-    s_points = set(spec_s.point_masks())
-    for p in spec_t.points:
+    index_of = {m: i for i, m in enumerate(spectrum(s, cls).point_masks())}
+    point_map, witness = [], None
+    for p in spectrum(t, cls).points:
         back = contract_ideal(s, t, hom, p)
-        if back.mask not in s_points:
-            return {
-                "class": cls.display(),
-                "holds": False,
-                "witness": {
-                    "point": list(p.members),
-                    "preimage": list(back.members),
-                },
-            }
-    return {"class": cls.display(), "holds": True, "witness": None}
+        if back.mask not in index_of:
+            witness = {"point": list(p.members), "preimage": list(back.members)}
+            break
+        point_map.append(index_of[back.mask])
+    holds = witness is None
+    return {
+        "class": cls.display(),
+        "holds": holds,
+        "witness": witness,
+        "map": tuple(point_map) if holds else None,
+    }
 
 
 @dataclass(frozen=True)
@@ -127,12 +133,21 @@ class InducedMap:
     ``source_spectrum`` lives over the homomorphism's target semiring and
     ``target_spectrum`` over its source; ``map[j]`` is the index in the
     target spectrum of the preimage of source point j.
+    ``continuity_witness`` is None when the preimage of every subbasic
+    closed set is the up-set of the extended ideal, hence closed;
+    otherwise it is the first ideal of the homomorphism's source for
+    which it is not.
     """
 
     hom: Homomorphism
     source_spectrum: object
     target_spectrum: object
     map: tuple
+    continuity_witness: object
+
+    @property
+    def continuous(self):
+        return self.continuity_witness is None
 
     def image_point_set(self):
         out = 0
@@ -141,77 +156,80 @@ class InducedMap:
         return out
 
 
-def induced_map(s, t, hom, cls, verify_continuity=True):
-    """Build the induced spectrum map; requires the contraction property.
+def induced_map(s, t, hom, cls):
+    """Build the induced spectrum map and verify its continuity.
 
-    With verify_continuity the preimage of every subbasic closed set of
-    the target spectrum is checked to be the up-set of the extended
-    ideal, hence closed.
+    Raises ContractionFails, carrying the contraction witness, when the
+    class is not stable under preimage.  Continuity is returned as a
+    verdict on the map (``continuous``, ``continuity_witness``): the
+    preimage of the up-set of each ideal a of s must be the up-set of the
+    ideal of t generated by the image of a.
     """
     if isinstance(cls, str):
         cls = parse_class(cls)
     verdict = check_contraction(s, t, hom, cls)
     if not verdict["holds"]:
-        raise ContractionFails(
-            f"class {cls.display()} is not stable under preimage: "
-            f"{verdict['witness']}"
-        )
+        raise ContractionFails(cls.display(), verdict["witness"])
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
-    index_of = {m: i for i, m in enumerate(spec_s.point_masks())}
-    point_map = tuple(
-        index_of[contract_ideal(s, t, hom, p).mask] for p in spec_t.points
+    point_map = verdict["map"]
+    witness = None
+    for m in _ideal_masks_all(s):
+        target_up = up_set(spec_s, m)
+        pulled = 0
+        for j in range(spec_t.size):
+            if (target_up >> point_map[j]) & 1:
+                pulled |= 1 << j
+        ideal = ideal_from_mask(s, m)
+        if pulled != up_set(spec_t, extend_ideal(s, t, hom, ideal).mask):
+            witness = {"ideal": list(ideal.members)}
+            break
+    return InducedMap(
+        hom=hom,
+        source_spectrum=spec_t,
+        target_spectrum=spec_s,
+        map=point_map,
+        continuity_witness=witness,
     )
-    induced = InducedMap(
-        hom=hom, source_spectrum=spec_t, target_spectrum=spec_s, map=point_map
-    )
-    if verify_continuity:
-        from .ideals import _ideal_masks_all
-
-        for m in _ideal_masks_all(s):
-            target_up = up_set(spec_s, m)
-            pulled = 0
-            for j in range(spec_t.size):
-                if (target_up >> point_map[j]) & 1:
-                    pulled |= 1 << j
-            extended = extend_ideal(s, t, hom, ideal_from_mask(s, m))
-            if pulled != up_set(spec_t, extended.mask):
-                raise AssertionError(
-                    "preimage of a subbasic closed set is not the expected up-set"
-                )
-    return induced
 
 
-def check_quotient_homeomorphism(s, t, hom, cls):
-    """For a surjective homomorphism: is the induced map a homeomorphism
-    of the target-semiring spectrum onto the up-set of the kernel?
+def check_quotient_homeomorphism(s, t, ind):
+    """For the map induced by a surjective homomorphism s -> t: is it a
+    homeomorphism of the spectrum of t onto the up-set of the kernel?
 
     Reports the injectivity, the image/kernel-up-set comparison, and the
     subspace homeomorphism onto the actual image separately, so a gap
     between the image and the kernel up-set is visible as data.
+
+    Both spaces are Alexandrov, so a continuous injective map is a
+    homeomorphism onto its image exactly when it is an embedding of the
+    inclusion orders.  For a surjection f, f(f^-1(q)) = q for every ideal
+    q of t, so that conjunct follows from correct preimages:
+    ``homeomorphism_onto_image`` checks the preimage and continuity code,
+    not a separate theorem instance.
     """
-    if isinstance(cls, str):
-        cls = parse_class(cls)
+    hom = ind.hom
     if not hom.is_surjective_onto(t.n):
         raise NotSurjective(f"map {hom.map} does not cover {t.id}")
-    ind = induced_map(s, t, hom, cls)
     spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
     ker = kernel(s, t, hom)
     ker_up = up_set(spec_s, ker.mask)
     image = ind.image_point_set()
     injective = len(set(ind.map)) == len(ind.map)
 
-    # Both spaces are Alexandrov, so an injective map is a homeomorphism
-    # onto its image exactly when it is an embedding of the inclusion orders.
     q, p = spec_t.point_masks(), spec_s.point_masks()
-    onto_image = injective and all(
-        ((q[i] & q[j]) == q[i]) == ((p[a] & p[b]) == p[a])
-        for i, a in enumerate(ind.map)
-        for j, b in enumerate(ind.map)
+    onto_image = (
+        ind.continuous
+        and injective
+        and all(
+            ((q[i] & q[j]) == q[i]) == ((p[a] & p[b]) == p[a])
+            for i, a in enumerate(ind.map)
+            for j, b in enumerate(ind.map)
+        )
     )
 
     return {
-        "class": cls.display(),
+        "class": spec_s.class_tag,
         "contraction": True,
         "injective": injective,
         "kernel": list(ker.members),
@@ -222,7 +240,7 @@ def check_quotient_homeomorphism(s, t, hom, cls):
     }
 
 
-def check_density(s, t, hom, cls):
+def check_density(s, t, ind):
     """Density of the induced image versus the kernel-inclusion criterion.
 
     dense: the closure of the image of the induced map is the whole
@@ -231,12 +249,9 @@ def check_density(s, t, hom, cls):
     closure-of-image identity (closure equals the kernel up-set) and,
     for the prime class, the radical-equality form of the criterion.
     """
-    if isinstance(cls, str):
-        cls = parse_class(cls)
-    ind = induced_map(s, t, hom, cls)
     spec_s = ind.target_spectrum
     fam_s = closed_family(s, spec_s)
-    ker = kernel(s, t, hom)
+    ker = kernel(s, t, ind.hom)
     image = ind.image_point_set()
     cl_image = fam_s.closure(image)
     dense = cl_image == spec_s.full_point_set
@@ -247,14 +262,14 @@ def check_density(s, t, hom, cls):
     criterion = (ker.mask & inter) == ker.mask
 
     report = {
-        "class": cls.display(),
+        "class": spec_s.class_tag,
         "dense": dense,
         "density_rhs": criterion,
         "biconditional": dense == criterion,
         "closure_image_equals_kernel_upset": cl_image
         == up_set(spec_s, ker.mask),
     }
-    if cls.tag == "prime":
+    if spec_s.class_tag == "prime":
         report["radical_equality"] = radical(s, ker).mask == inter
         report["radical_equality_matches_density"] = (
             report["radical_equality"] == dense

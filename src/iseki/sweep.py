@@ -1,12 +1,10 @@
 """Sweep harness: run every theorem oracle over a corpus and aggregate.
 
-The sweep distinguishes two kinds of checks.  Universal oracles are
-statements that must hold on every instance; any failure is counted in
-``tallies`` and makes the sweep exit nonzero.  Observations are
-recorded claims that are known to fail on honest instances (the
-image-versus-kernel-up-set comparison for arbitrary surjections and the
-ideal-up-set form of the quotient embedding); their violations are
-reported with witnesses but do not fail the sweep.
+Every oracle is one row of ``ORACLES`` (see ``Oracle``).  The same rows
+fill the sweep's ``tallies`` and ``observations`` and decide the exit
+code of ``iseki topology`` and ``iseki morphisms``.  The observations are
+the image-versus-kernel-up-set comparison for arbitrary surjections and
+the ideal-up-set form of the quotient embedding.
 
 Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
@@ -17,10 +15,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 from .catalog import builtin_catalog
 from .enumeration import enumerate_semirings
-from .errors import EmptyFamily, HypothesisUnmet, NoUnitDecomposition, ParseError
+from .errors import (
+    ContractionFails,
+    EmptyFamily,
+    HypothesisUnmet,
+    NoUnitDecomposition,
+    ParseError,
+)
 from .ideals import (
     _ideal_masks_all,
     all_ideals,
@@ -34,7 +40,6 @@ from .ideals import (
     sum_ideals,
 )
 from .morphisms import (
-    check_contraction,
     check_density,
     check_quotient_homeomorphism,
     enumerate_homomorphisms,
@@ -42,7 +47,6 @@ from .morphisms import (
     kernel,
 )
 from .semiring import bourne_quotient
-from .serialize import semiring_from_json, semiring_to_json
 from .topology import (
     CLASS_TAGS,
     check_connected,
@@ -61,6 +65,7 @@ from .topology import (
 
 DEFAULT_CLASSES = list(CLASS_TAGS)
 WITNESS_CAP = 10
+QUOTIENT_CLASSES = ("prime", "proper")
 
 
 def topology_instance_report(s, cls):
@@ -131,11 +136,6 @@ def topology_instance_report(s, cls):
         "generator_upset_identity": generator_identity,
         "generator_upset_witness": generator_witness,
     }
-
-
-def _topology_job(payload):
-    doc, cls = payload
-    return topology_instance_report(semiring_from_json(doc), cls)
 
 
 def ideal_lattice_report(s):
@@ -221,22 +221,21 @@ def morphism_report(s, t, hom, cls="prime"):
         "hom": list(hom.map),
         "class": cls,
     }
-    contraction = check_contraction(s, t, hom, cls)
-    rep["contraction"] = contraction["holds"]
-    if not contraction["holds"]:
-        rep["contraction_witness"] = contraction["witness"]
+    try:
+        ind = induced_map(s, t, hom, cls)
+    except ContractionFails as exc:
+        rep["contraction"] = False
+        rep["contraction_witness"] = exc.witness
         rep["continuous"] = "n/a"
         rep["dense"] = "n/a"
         rep["density_rhs"] = "n/a"
         rep["homeomorphism_onto_kernel_upset"] = "n/a"
         return rep
-    try:
-        induced_map(s, t, hom, cls)
-        rep["continuous"] = True
-    except AssertionError as exc:
-        rep["continuous"] = False
-        rep["continuity_witness"] = str(exc)
-    density = check_density(s, t, hom, cls)
+    rep["contraction"] = True
+    rep["continuous"] = ind.continuous
+    if not ind.continuous:
+        rep["continuity_witness"] = ind.continuity_witness
+    density = check_density(s, t, ind)
     rep["dense"] = density["dense"]
     rep["density_rhs"] = density["density_rhs"]
     rep["density_biconditional"] = density["biconditional"]
@@ -248,16 +247,15 @@ def morphism_report(s, t, hom, cls="prime"):
             "radical_equality_matches_density"
         ]
     rep["kernel"] = list(kernel(s, t, hom).members)
-    if hom.is_surjective_onto(t.n):
-        q = check_quotient_homeomorphism(s, t, hom, cls)
-        rep["surjective"] = True
+    rep["surjective"] = hom.is_surjective_onto(t.n)
+    if rep["surjective"]:
+        q = check_quotient_homeomorphism(s, t, ind)
         rep["homeomorphism_onto_image"] = q["homeomorphism_onto_image"]
         rep["image_equals_kernel_upset"] = q["image_equals_kernel_upset"]
         rep["homeomorphism_onto_kernel_upset"] = q[
             "homeomorphism_onto_kernel_upset"
         ]
     else:
-        rep["surjective"] = False
         rep["homeomorphism_onto_kernel_upset"] = "n/a"
     return rep
 
@@ -273,39 +271,172 @@ def quotient_report(s, ideal):
         "map_surjective": qmap.is_surjective_onto(quotient.n),
         "kernel": list(kernel(s, quotient, qmap).members),
     }
-    for cls in ("prime", "proper"):
-        q = check_quotient_homeomorphism(s, quotient, qmap, cls)
+    for cls in QUOTIENT_CLASSES:
+        ind = induced_map(s, quotient, qmap, cls)
+        q = check_quotient_homeomorphism(s, quotient, ind)
         rep[f"{cls}_homeomorphism_onto_kernel_upset"] = q[
             "homeomorphism_onto_kernel_upset"
         ]
-        ind = induced_map(s, quotient, qmap, cls)
         rep[f"{cls}_image_equals_ideal_upset"] = (
             ind.image_point_set() == up_set(ind.target_spectrum, ideal.mask)
         )
     return rep
 
 
-class _Tally:
-    def __init__(self):
-        self.data = {}
+# Report kinds, and the report fields that identify a failing instance.
+TOPOLOGY, IDEAL_LATTICE, MORPHISM, QUOTIENT = (
+    "topology instance", "ideal lattice", "morphism", "quotient"
+)
+INSTANCE_KEY = {
+    TOPOLOGY: ("semiring", "class"),
+    IDEAL_LATTICE: ("semiring",),
+    MORPHISM: ("source", "target", "hom"),
+    QUOTIENT: ("semiring", "ideal"),
+}
+UNIVERSAL, OBSERVATION = True, False
 
-    def record(self, name, ok, witness):
-        entry = self.data.setdefault(
-            name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
-        )
-        entry["instances"] += 1
-        if ok:
-            entry["passes"] += 1
-        else:
-            entry["failures"] += 1
-            if len(entry["witnesses"]) < WITNESS_CAP:
-                entry["witnesses"].append(witness)
 
-    def as_dict(self):
-        return {k: self.data[k] for k in sorted(self.data)}
+@dataclass(frozen=True)
+class Oracle:
+    """One theorem oracle, evaluated on every report of one kind.
 
-    def failures(self):
-        return sum(v["failures"] for v in self.data.values())
+    ``holds``, ``applies`` and ``witness`` take the report dict.  A
+    failing instance is recorded as the report's ``INSTANCE_KEY`` fields
+    plus ``witness(rep)``.  A universal oracle must hold wherever it
+    applies: a failure fails the sweep and the CLI verb.  An observation
+    is a claim known to fail on honest instances; its failures are
+    recorded with witnesses but fail nothing.
+    """
+
+    name: str
+    kind: str
+    universal: bool
+    holds: Callable[[dict], bool]
+    applies: Callable[[dict], bool] = lambda rep: True
+    witness: Callable[[dict], dict] = lambda rep: {}
+
+
+def _prime_contraction(rep):
+    # The morphism suite is stated for the prime class, where contraction
+    # is a theorem; the other morphism oracles need the induced map.
+    return rep["class"] == "prime" and rep["contraction"]
+
+
+def _prime_surjection(rep):
+    return _prime_contraction(rep) and rep["surjective"]
+
+
+def _quotient_class_oracles(cls):
+    """The quotient-map oracles for the induced map under one class."""
+    return (
+        Oracle("quotient_kernel_homeomorphism", QUOTIENT, UNIVERSAL,
+               lambda r: r[f"{cls}_homeomorphism_onto_kernel_upset"],
+               witness=lambda r: {"class": cls}),
+        Oracle("quotient_image_equals_ideal_upset", QUOTIENT, OBSERVATION,
+               lambda r: r[f"{cls}_image_equals_ideal_upset"],
+               witness=lambda r: {"class": cls}),
+    )
+
+
+ORACLES = (
+    Oracle("t0", TOPOLOGY, UNIVERSAL, lambda r: r["t0"],
+           witness=lambda r: {"witness": r["t0_witness"]}),
+    Oracle("t1_equivalence", TOPOLOGY, UNIVERSAL,
+           lambda r: r["t1"] == r["t1_predicate"],
+           witness=lambda r: {"t1": r["t1"], "predicate": r["t1_predicate"]}),
+    Oracle("sober_agreement", TOPOLOGY, UNIVERSAL,
+           lambda r: r["sober"] == r["sober_criterion"]),
+    Oracle("sober_corollary", TOPOLOGY, UNIVERSAL, lambda r: r["sober"],
+           applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
+    Oracle("connected_when_zero_present", TOPOLOGY, UNIVERSAL,
+           lambda r: r["connected"] is True,
+           applies=lambda r: r["zero_ideal_in_points"]),
+    Oracle("irreducible_upsets", TOPOLOGY, UNIVERSAL,
+           lambda r: r["irreducible_upsets"]),
+    Oracle("upset_laws", TOPOLOGY, UNIVERSAL, lambda r: r["upset_laws"] == "pass",
+           witness=lambda r: {"laws": r["upset_laws"]}),
+    Oracle("quasi_compact_mechanism", TOPOLOGY, UNIVERSAL,
+           lambda r: r["quasi_compact_sum_identity"] and r["quasi_compact_maximal_rule"]),
+    Oracle("generator_upset_identity", TOPOLOGY, UNIVERSAL,
+           lambda r: r["generator_upset_identity"],
+           witness=lambda r: {"witness": r["generator_upset_witness"]}),
+    Oracle("idempotent_extraction", TOPOLOGY, UNIVERSAL,
+           lambda r: r["idempotent_status"] == "ok",
+           applies=lambda r: r["idempotent_status"].split(":")[0]
+           in ("ok", "mechanism-failure"),
+           witness=lambda r: {"status": r["idempotent_status"]}),
+    Oracle("radical_oracle", IDEAL_LATTICE, UNIVERSAL,
+           lambda r: r["radical_oracle"],
+           witness=lambda r: {"witness": r["radical_oracle_witness"]}),
+    Oracle("classification_implications", IDEAL_LATTICE, UNIVERSAL,
+           lambda r: r["classification_implications"],
+           witness=lambda r: {"witness": r["classification_witness"]}),
+    Oracle("radical_monotone", IDEAL_LATTICE, UNIVERSAL,
+           lambda r: r["radical_monotone"]),
+    Oracle("product_in_intersection", IDEAL_LATTICE, UNIVERSAL,
+           lambda r: r["product_in_intersection"]),
+    Oracle("sum_lub_intersection_glb", IDEAL_LATTICE, UNIVERSAL,
+           lambda r: r["sum_lub_intersection_glb"]),
+    Oracle("morphism_prime_contraction", MORPHISM, UNIVERSAL,
+           lambda r: r["contraction"], applies=lambda r: r["class"] == "prime"),
+    Oracle("morphism_continuity", MORPHISM, UNIVERSAL,
+           lambda r: r["continuous"] is True, applies=_prime_contraction),
+    Oracle("morphism_density_biconditional", MORPHISM, UNIVERSAL,
+           lambda r: r["density_biconditional"], applies=_prime_contraction),
+    Oracle("morphism_closure_image_equals_kernel_upset", MORPHISM, UNIVERSAL,
+           lambda r: r["closure_image_equals_kernel_upset"],
+           applies=_prime_contraction),
+    Oracle("morphism_prime_radical_equality", MORPHISM, UNIVERSAL,
+           lambda r: r["radical_equality_matches_density"],
+           applies=lambda r: _prime_contraction(r)
+           and "radical_equality_matches_density" in r),
+    Oracle("morphism_homeomorphism_onto_image", MORPHISM, UNIVERSAL,
+           lambda r: r["homeomorphism_onto_image"], applies=_prime_surjection),
+    Oracle("surjective_image_equals_kernel_upset", MORPHISM, OBSERVATION,
+           lambda r: r["image_equals_kernel_upset"], applies=_prime_surjection),
+    Oracle("quotient_map_surjective", QUOTIENT, UNIVERSAL,
+           lambda r: r["map_surjective"]),
+    *(oracle for cls in QUOTIENT_CLASSES for oracle in _quotient_class_oracles(cls)),
+)
+
+
+def evaluate(kind, rep):
+    """Yield ``(oracle, holds, witness)`` for every oracle of ``kind`` that
+    applies to ``rep``; the witness is None when the oracle holds."""
+    for oracle in ORACLES:
+        if oracle.kind == kind and oracle.applies(rep):
+            ok = bool(oracle.holds(rep))
+            witness = None
+            if not ok:
+                witness = {field: rep[field] for field in INSTANCE_KEY[kind]}
+                witness.update(oracle.witness(rep))
+            yield oracle, ok, witness
+
+
+def universal_oracles_hold(kind, reports):
+    """Whether every universal oracle of ``kind`` holds on every report it
+    applies to: the exit-0 condition of ``iseki topology``/``morphisms``."""
+    return all(
+        ok
+        for rep in reports
+        for oracle, ok, _ in evaluate(kind, rep)
+        if oracle.universal
+    )
+
+
+def _record(tally, name, ok, witness):
+    """Count one instance of an oracle; keep the first WITNESS_CAP failure
+    witnesses."""
+    entry = tally.setdefault(
+        name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
+    )
+    entry["instances"] += 1
+    if ok:
+        entry["passes"] += 1
+    else:
+        entry["failures"] += 1
+        if len(entry["witnesses"]) < WITNESS_CAP:
+            entry["witnesses"].append(witness)
 
 
 def _corpus_semirings(corpus, enumerate_n):
@@ -353,142 +484,42 @@ def sweep(
     semirings = _corpus_semirings(corpus, enumerate_n)
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
 
-    payloads = [
-        (semiring_to_json(s), cls) for s, _ in semirings for cls in classes
-    ]
-    if jobs > 1 and len(payloads) > 1:
+    grid = [(s, cls) for s, _ in semirings for cls in classes]
+    if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            topo = list(pool.map(_topology_job, payloads, chunksize=8))
+            topo = list(pool.map(topology_instance_report, *zip(*grid), chunksize=8))
     else:
-        topo = [_topology_job(p) for p in payloads]
+        topo = [topology_instance_report(s, cls) for s, cls in grid]
 
     ideal_reports = [ideal_lattice_report(s) for s, _ in semirings]
 
-    tally = _Tally()
-    observations = _Tally()
-
-    for rep in topo:
-        key = {"semiring": rep["semiring"], "class": rep["class"]}
-        tally.record("t0", rep["t0"], {**key, "witness": rep["t0_witness"]})
-        tally.record(
-            "t1_equivalence",
-            rep["t1"] == rep["t1_predicate"],
-            {**key, "t1": rep["t1"], "predicate": rep["t1_predicate"]},
-        )
-        tally.record(
-            "sober_agreement", rep["sober"] == rep["sober_criterion"], key
-        )
-        if rep["class"] in ("proper", "prime", "strongly-irreducible"):
-            tally.record("sober_corollary", rep["sober"], key)
-        if rep["zero_ideal_in_points"]:
-            tally.record(
-                "connected_when_zero_present", rep["connected"] is True, key
-            )
-        tally.record("irreducible_upsets", rep["irreducible_upsets"], key)
-        tally.record("upset_laws", rep["upset_laws"] == "pass", {**key, "laws": rep["upset_laws"]})
-        tally.record(
-            "quasi_compact_mechanism",
-            rep["quasi_compact_sum_identity"] and rep["quasi_compact_maximal_rule"],
-            key,
-        )
-        tally.record(
-            "generator_upset_identity",
-            rep["generator_upset_identity"],
-            {**key, "witness": rep["generator_upset_witness"]},
-        )
-        if rep["idempotent_status"] in ("ok",) or rep[
-            "idempotent_status"
-        ].startswith("mechanism-failure"):
-            tally.record(
-                "idempotent_extraction",
-                rep["idempotent_status"] == "ok",
-                {**key, "status": rep["idempotent_status"]},
-            )
-
-    for rep in ideal_reports:
-        key = {"semiring": rep["semiring"]}
-        tally.record(
-            "radical_oracle",
-            rep["radical_oracle"],
-            {**key, "witness": rep["radical_oracle_witness"]},
-        )
-        tally.record(
-            "classification_implications",
-            rep["classification_implications"],
-            {**key, "witness": rep["classification_witness"]},
-        )
-        tally.record("radical_monotone", rep["radical_monotone"], key)
-        tally.record("product_in_intersection", rep["product_in_intersection"], key)
-        tally.record("sum_lub_intersection_glb", rep["sum_lub_intersection_glb"], key)
-
-    morphism_reports = []
-    hom_count = 0
-    pair_count = 0
+    pairs = []
     if include_morphisms:
         small = [s for s, _ in semirings if s.n <= morphism_order_cap]
-        for s in small:
-            for t in small:
-                pair_count += 1
-                for hom in enumerate_homomorphisms(s, t):
-                    hom_count += 1
-                    rep = morphism_report(s, t, hom, "prime")
-                    morphism_reports.append(rep)
-                    key = {
-                        "source": s.id,
-                        "target": t.id,
-                        "hom": list(hom.map),
-                    }
-                    tally.record("morphism_prime_contraction", rep["contraction"], key)
-                    if rep["contraction"]:
-                        tally.record(
-                            "morphism_continuity", rep["continuous"] is True, key
-                        )
-                        tally.record(
-                            "morphism_density_biconditional",
-                            rep["density_biconditional"],
-                            key,
-                        )
-                        tally.record(
-                            "morphism_closure_image_equals_kernel_upset",
-                            rep["closure_image_equals_kernel_upset"],
-                            key,
-                        )
-                        if "radical_equality_matches_density" in rep:
-                            tally.record(
-                                "morphism_prime_radical_equality",
-                                rep["radical_equality_matches_density"],
-                                key,
-                            )
-                        if rep["surjective"]:
-                            tally.record(
-                                "morphism_homeomorphism_onto_image",
-                                rep["homeomorphism_onto_image"],
-                                key,
-                            )
-                            observations.record(
-                                "surjective_image_equals_kernel_upset",
-                                rep["image_equals_kernel_upset"],
-                                key,
-                            )
+        pairs = [(s, t) for s in small for t in small]
+    morphism_reports = [
+        morphism_report(s, t, hom, "prime")
+        for s, t in pairs
+        for hom in enumerate_homomorphisms(s, t)
+    ]
 
-    quotient_reports = []
-    for s, _ in semirings:
-        for ideal in all_ideals(s, proper_only=True):
-            rep = quotient_report(s, ideal)
-            quotient_reports.append(rep)
-            key = {"semiring": s.id, "ideal": list(ideal.members)}
-            tally.record("quotient_map_surjective", rep["map_surjective"], key)
-            for cls in ("prime", "proper"):
-                tally.record(
-                    "quotient_kernel_homeomorphism",
-                    rep[f"{cls}_homeomorphism_onto_kernel_upset"],
-                    {**key, "class": cls},
-                )
-                observations.record(
-                    "quotient_image_equals_ideal_upset",
-                    rep[f"{cls}_image_equals_ideal_upset"],
-                    {**key, "class": cls},
-                )
+    quotient_reports = [
+        quotient_report(s, ideal)
+        for s, _ in semirings
+        for ideal in all_ideals(s, proper_only=True)
+    ]
+
+    tallies, observations = {}, {}
+    for kind, reports in (
+        (TOPOLOGY, topo),
+        (IDEAL_LATTICE, ideal_reports),
+        (MORPHISM, morphism_reports),
+        (QUOTIENT, quotient_reports),
+    ):
+        for rep in reports:
+            for oracle, ok, witness in evaluate(kind, rep):
+                tally = tallies if oracle.universal else observations
+                _record(tally, oracle.name, ok, witness)
 
     report = {
         "corpus": {
@@ -503,22 +534,22 @@ def sweep(
         "ideal_checks": ideal_reports,
         "morphisms": {
             "order_cap": morphism_order_cap,
-            "pairs": pair_count,
-            "homs": hom_count,
+            "pairs": len(pairs),
+            "homs": len(morphism_reports),
             "reports": morphism_reports,
         },
         "quotients": {
             "instances": len(quotient_reports),
             "reports": quotient_reports,
         },
-        "tallies": tally.as_dict(),
-        "observations": observations.as_dict(),
-        "failures": tally.failures(),
+        "tallies": dict(sorted(tallies.items())),
+        "observations": dict(sorted(observations.items())),
+        "failures": sum(entry["failures"] for entry in tallies.values()),
     }
     elapsed = time.perf_counter() - start
     print(
         f"sweep: {len(semirings)} semirings x {len(classes)} classes, "
-        f"{hom_count} homomorphisms, {len(quotient_reports)} quotients, "
+        f"{len(morphism_reports)} homomorphisms, {len(quotient_reports)} quotients, "
         f"{report['failures']} failures, {elapsed:.2f}s",
         file=log if log is not None else sys.stderr,
     )

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import pytest
 
+import iseki.morphisms
+import iseki.sweep
+from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, NotSurjective
 from iseki.ideals import all_ideals, ideal_from_members
 from iseki.morphisms import (
@@ -98,10 +103,11 @@ def test_induced_map_requires_contraction(c3, c4):
 def test_quotient_homeomorphism_examples(bb, z4, z2, catalog_semirings):
     ideal = ideal_from_members(bb, [0, 2])
     quotient, qmap = bourne_quotient(bb, ideal)
-    rep = check_quotient_homeomorphism(bb, quotient, qmap, "prime")
+    ind = induced_map(bb, quotient, qmap, "prime")
+    rep = check_quotient_homeomorphism(bb, quotient, ind)
     assert rep["homeomorphism_onto_kernel_upset"]
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
-    rep = check_quotient_homeomorphism(z4, z2, mod2, "prime")
+    rep = check_quotient_homeomorphism(z4, z2, induced_map(z4, z2, mod2, "prime"))
     assert rep["homeomorphism_onto_kernel_upset"]
     assert rep["kernel"] == [0, 2]
 
@@ -109,7 +115,9 @@ def test_quotient_homeomorphism_examples(bb, z4, z2, catalog_semirings):
 def test_quotient_homeomorphism_requires_surjective(boolean, bb):
     diag = hom_by_map(boolean, bb, (0, 3))
     with pytest.raises(NotSurjective):
-        check_quotient_homeomorphism(boolean, bb, diag, "prime")
+        check_quotient_homeomorphism(
+            boolean, bb, induced_map(boolean, bb, diag, "prime")
+        )
 
 
 def test_known_gap_surjection_image_smaller_than_kernel_upset(c3, boolean):
@@ -120,12 +128,13 @@ def test_known_gap_surjection_image_smaller_than_kernel_upset(c3, boolean):
     is genuinely false; only the closure of the image equals the kernel
     up-set.)"""
     collapse = hom_by_map(c3, boolean, (0, 1, 1))
-    rep = check_quotient_homeomorphism(c3, boolean, collapse, "prime")
+    ind = induced_map(c3, boolean, collapse, "prime")
+    rep = check_quotient_homeomorphism(c3, boolean, ind)
     assert rep["injective"]
     assert rep["homeomorphism_onto_image"]
     assert not rep["image_equals_kernel_upset"]
     assert not rep["homeomorphism_onto_kernel_upset"]
-    density = check_density(c3, boolean, collapse, "prime")
+    density = check_density(c3, boolean, ind)
     assert density["closure_image_equals_kernel_upset"]
     assert density["biconditional"]
 
@@ -137,20 +146,20 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
     x = ideal_from_members(collapsing3, [0, 1])
     quotient, qmap = bourne_quotient(collapsing3, x)
     assert quotient.n == 1
-    rep = check_quotient_homeomorphism(collapsing3, quotient, qmap, "prime")
+    ind = induced_map(collapsing3, quotient, qmap, "prime")
+    rep = check_quotient_homeomorphism(collapsing3, quotient, ind)
     assert rep["homeomorphism_onto_kernel_upset"]  # both sides empty
     assert not rep["kernel_proper"]
-    ind = induced_map(collapsing3, quotient, qmap, "prime")
     assert ind.image_point_set() == 0
     assert up_set(ind.target_spectrum, x.mask) != 0
 
 
 def test_density_examples(z4, z2, c3, boolean):
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
-    rep = check_density(z4, z2, mod2, "prime")
+    rep = check_density(z4, z2, induced_map(z4, z2, mod2, "prime"))
     assert rep["dense"] and rep["density_rhs"] and rep["biconditional"]
     ident = hom_by_map(c3, c3, (0, 1, 2))
-    rep = check_density(c3, c3, ident, "prime")
+    rep = check_density(c3, c3, induced_map(c3, c3, ident, "prime"))
     assert rep["dense"] and rep["biconditional"]
 
 
@@ -159,7 +168,7 @@ def test_density_biconditional_on_small_corpus(catalog_semirings):
     for s in small:
         for t in small:
             for hom in enumerate_homomorphisms(s, t):
-                rep = check_density(s, t, hom, "prime")
+                rep = check_density(s, t, induced_map(s, t, hom, "prime"))
                 assert rep["biconditional"], (s.id, t.id, hom.map)
                 assert rep["closure_image_equals_kernel_upset"]
                 assert rep["radical_equality_matches_density"]
@@ -189,7 +198,8 @@ def test_quotient_corollary_kernel_form_on_catalog(catalog_semirings):
         for ideal in all_ideals(s, proper_only=True):
             quotient, qmap = bourne_quotient(s, ideal)
             for cls in ("prime", "proper"):
-                rep = check_quotient_homeomorphism(s, quotient, qmap, cls)
+                ind = induced_map(s, quotient, qmap, cls)
+                rep = check_quotient_homeomorphism(s, quotient, ind)
                 assert rep["homeomorphism_onto_kernel_upset"], (
                     s.id,
                     ideal.members,
@@ -214,3 +224,36 @@ def test_hom_search_cap(chain6):
     )
     with pytest.raises(SizeLimitExceeded):
         enumerate_homomorphisms(chain6, c16)  # 16^6 raw maps exceeds the cap
+
+
+def test_morphism_report_builds_each_induced_map_once(catalog_semirings, monkeypatch):
+    """Over the order <= 3 corpus, the prime-class morphism suite runs one
+    contraction check and builds one induced map per homomorphism."""
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (iseki.morphisms, iseki.sweep):
+        for name in ("induced_map", "check_contraction"):
+            if hasattr(module, name):
+                counting(module, name)
+    small = [s for s in catalog_semirings if s.n <= 3]
+    for n in range(1, 4):
+        small.extend(enumerate_semirings(n, up_to_iso=True))
+    surjective = 0
+    for s in small:
+        for t in small:
+            for hom in enumerate_homomorphisms(s, t):
+                calls.clear()
+                rep = iseki.sweep.morphism_report(s, t, hom, "prime")
+                assert calls["induced_map"] <= 1, (s.id, t.id, hom.map, calls)
+                assert calls["check_contraction"] <= 1, (s.id, t.id, hom.map, calls)
+                surjective += rep.get("surjective", False)
+    assert surjective > 0

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import iseki.sweep
 from iseki.catalog import build_recipe
 from iseki.cli import main
 from iseki.errors import EmptyFamily
@@ -195,3 +196,49 @@ def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["entries"]) >= 10
+
+
+def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monkeypatch):
+    """One oracle row decides the sweep tally and the topology exit code:
+    a spectrum that is neither sober nor meets the generic-point criterion
+    passes sober_agreement, and fails sober_corollary only for the
+    classes the corollary covers."""
+    real = iseki.sweep.check_sober
+
+    def not_sober(s, spec):
+        return {**real(s, spec), "sober": False, "criterion": False}
+
+    monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
+    report = sweep(corpus=[build_recipe(("named", "C3"))], jobs=1, log=io.StringIO())
+    assert report["tallies"]["sober_agreement"]["failures"] == 0
+    assert report["tallies"]["sober_corollary"]["witnesses"] == [
+        {"semiring": "C3", "class": cls}
+        for cls in ("proper", "prime", "strongly-irreducible")
+    ]
+    path = _write(tmp_path, "C3")
+    assert main(["topology", path, "--class", "prime"]) == 1
+    assert main(["topology", path, "--class", " prime "]) == 1
+    assert main(["topology", path, "--class", "maximal"]) == 0
+
+
+def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monkeypatch):
+    """The morphisms verb exits 1 on the same morphism_prime_radical_equality
+    failure the sweep tallies, and only for the prime class."""
+    real = iseki.sweep.check_density
+
+    def mismatched(*args):
+        rep = real(*args)
+        if "radical_equality_matches_density" in rep:
+            rep["radical_equality_matches_density"] = False
+        return rep
+
+    monkeypatch.setattr(iseki.sweep, "check_density", mismatched)
+    corpus = [build_recipe(("named", name)) for name in ("C3", "B")]
+    report = sweep(corpus=corpus, jobs=1, log=io.StringIO())
+    tally = report["tallies"]["morphism_prime_radical_equality"]
+    assert tally["failures"] == tally["instances"] > 0
+    assert {"source": "C3", "target": "B", "hom": [0, 1, 1]} in tally["witnesses"]
+    src, dst = _write(tmp_path, "C3"), _write(tmp_path, "B")
+    assert main(["morphisms", src, dst, "--class", "prime"]) == 1
+    assert main(["morphisms", src, dst, "--class", " prime "]) == 1
+    assert main(["morphisms", src, dst, "--class", "maximal"]) == 0
