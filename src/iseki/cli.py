@@ -7,6 +7,7 @@ oracle failed, 2 means the input was unusable.
 """
 
 import argparse
+import json
 import sys
 
 from .catalog import builtin_catalog
@@ -116,16 +117,27 @@ def _cmd_morphisms(args):
 
 
 def _cmd_sweep(args):
+    for flag, value in (("--enumerate", args.enumerate), ("--jobs", args.jobs)):
+        if value is not None and value < 1:
+            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     corpus = None
     if args.files:
         corpus = [ingest(path) for path in args.files]
     report = sweep(
         corpus=corpus,
         classes=args.classes,
-        enumerate_n=[args.enumerate] if args.enumerate else (),
+        enumerate_n=[args.enumerate] if args.enumerate is not None else (),
         jobs=args.jobs,
     )
     _emit(args, report)
+    for name, entry in report["tallies"].items():
+        if entry["failures"]:
+            print(
+                f"failed: {name}: {entry['failures']} of {entry['instances']} "
+                f"instances; first witness {json.dumps(entry['witnesses'][0], sort_keys=True)}",
+                file=sys.stderr,
+            )
     return 0 if report["failures"] == 0 else 1
 
 
@@ -199,7 +211,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run every oracle over a corpus")
     p.add_argument("files", nargs="*", help="semiring JSON files (default: builtin catalog)")
-    p.add_argument("--enumerate", type=int, default=0, metavar="N")
+    p.add_argument("--enumerate", type=int, default=None, metavar="N")
     p.add_argument("--classes", nargs="+", default=None, choices=DEFAULT_CLASSES)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out")

@@ -8,8 +8,9 @@ Subsets are bitmasks (element i = bit i).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 from . import _kernels
 from .errors import EmptyFamily, ImproperIdeal, NoMaximalIdeal, RangeError
@@ -90,6 +91,61 @@ def _close(s, seed):
     return next(m for m in _ideal_masks_all(s) if m & seed == seed)
 
 
+def mask_members(s, mask):
+    """The elements of a subset mask of ``s``, ascending."""
+    return [i for i in range(s.n) if (mask >> i) & 1]
+
+
+class IdealAlgebra:
+    """The ideal algebra of one semiring, as masks over its ideal lattice.
+
+    ``masks`` are the ideal masks, ascending, the improper one last.
+    ``principals[g]`` is the ideal generated by element g;
+    ``sums[a][b]`` and ``products[a][b]`` are the sum and the (generated)
+    product of ideals a and b, and ``radicals[a]`` the radical of a, all
+    keyed by mask.  None of it depends on a spectrum class, so every
+    class's checks read the one table that ``ideal_algebra`` caches.
+    """
+
+    def __init__(self, s):
+        self._semiring = s
+        self.masks = _ideal_masks_all(s)
+        mul = s.mul.tolist()
+        members = {a: mask_members(s, a) for a in self.masks}
+        self.principals = tuple(_close(s, 1 << g) for g in range(s.n))
+        self.sums = {
+            a: {b: _close(s, a | b) for b in self.masks} for a in self.masks
+        }
+        self.products = {}
+        for a in self.masks:
+            row = {}
+            for b in self.masks:
+                pairs = 0
+                for x in members[a]:
+                    for y in members[b]:
+                        pairs |= 1 << mul[x][y]
+                row[b] = _close(s, pairs)
+            self.products[a] = row
+        self.radicals = {a: _radical_mask(s, a) for a in self.masks}
+        self._family_sums = {}
+
+    def family_sums(self, size):
+        """Sum mask of every family of ``size`` ideals, in the order that
+        ``combinations(self.masks, size)`` gives the families."""
+        if size not in self._family_sums:
+            self._family_sums[size] = tuple(
+                _close(self._semiring, reduce(or_, family))
+                for family in combinations(self.masks, size)
+            )
+        return self._family_sums[size]
+
+
+@lru_cache(maxsize=None)
+def ideal_algebra(s):
+    """The cached :class:`IdealAlgebra` of ``s``."""
+    return IdealAlgebra(s)
+
+
 @lru_cache(maxsize=None)
 def _proper_ideal_masks(s):
     full = s.full_mask
@@ -146,7 +202,7 @@ def addition_closure(s, mask):
     changed = True
     while changed:
         changed = False
-        members = [i for i in range(s.n) if (mask >> i) & 1]
+        members = mask_members(s, mask)
         for a in members:
             for b in members:
                 c = int(s.add[a, b])

@@ -28,16 +28,12 @@ from .errors import (
     ParseError,
 )
 from .ideals import (
-    _ideal_masks_all,
     all_ideals,
     classified_ideals,
-    generated_ideal,
+    ideal_algebra,
     ideal_from_mask,
-    intersect_ideals,
-    product_ideals,
-    radical,
+    mask_members,
     radical_via_primes,
-    sum_ideals,
 )
 from .morphisms import (
     check_density,
@@ -99,11 +95,12 @@ def topology_instance_report(s, cls):
 
     generator_identity = True
     generator_witness = None
+    principals = ideal_algebra(s).principals
     for ideal, classification in classified_ideals(s):
         seed = dict(classification.witnesses)["generators"]
         pulled = spec.full_point_set
         for g in seed:
-            pulled &= up_set(spec, generated_ideal(s, [g]).mask)
+            pulled &= up_set(spec, principals[g])
         if up_set(spec, ideal.mask) != pulled:
             generator_identity = False
             generator_witness = list(ideal.members)
@@ -142,14 +139,15 @@ def ideal_lattice_report(s):
     """Per-semiring ideal-lattice oracles (radical equality, implications,
     lattice laws)."""
     report = {"semiring": s.id, "n": s.n}
-    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
-    proper = [a for a in ideals if a.is_proper]
-    report["proper_ideals"] = len(proper)
+    algebra = ideal_algebra(s)
+    masks = algebra.masks
+    radicals = algebra.radicals
+    report["proper_ideals"] = sum(1 for a in masks if a != s.full_mask)
 
     rad_ok, rad_witness = True, None
-    for a in ideals:
-        if radical(s, a).mask != radical_via_primes(s, a).mask:
-            rad_ok, rad_witness = False, list(a.members)
+    for a in masks:
+        if radicals[a] != radical_via_primes(s, ideal_from_mask(s, a)).mask:
+            rad_ok, rad_witness = False, mask_members(s, a)
             break
     report["radical_oracle"] = rad_ok
     report["radical_oracle_witness"] = rad_witness
@@ -169,16 +167,16 @@ def ideal_lattice_report(s):
     report["classification_witness"] = impl_witness
 
     mono_ok, mono_witness = True, None
-    for a in ideals:
-        ra = radical(s, a)
-        if (a.mask & ra.mask) != a.mask:
-            mono_ok, mono_witness = False, list(a.members)
+    for a in masks:
+        ra = radicals[a]
+        if (a & ra) != a:
+            mono_ok, mono_witness = False, mask_members(s, a)
             break
-        for b in ideals:
-            if (a.mask & b.mask) == a.mask:
-                rb = radical(s, b)
-                if (ra.mask & rb.mask) != ra.mask:
-                    mono_ok, mono_witness = False, [list(a.members), list(b.members)]
+        for b in masks:
+            if (a & b) == a:
+                rb = radicals[b]
+                if (ra & rb) != ra:
+                    mono_ok, mono_witness = False, [mask_members(s, a), mask_members(s, b)]
                     break
         if not mono_ok:
             break
@@ -187,23 +185,24 @@ def ideal_lattice_report(s):
 
     lat_ok, lat_witness = True, None
     prod_ok, prod_witness = True, None
-    ideal_masks = {a.mask for a in ideals}
-    for a in ideals:
-        for b in ideals:
-            total = sum_ideals(s, [a, b])
-            inter = intersect_ideals(s, [a, b])
-            prod = product_ideals(s, a, b)
-            if prod_ok and (prod.mask & inter.mask) != prod.mask:
-                prod_ok, prod_witness = False, [list(a.members), list(b.members)]
-            union = a.mask | b.mask
-            if (total.mask & union) != union or not all(
-                (total.mask & m) == total.mask
+    ideal_masks = set(masks)
+    for a in masks:
+        sums, products = algebra.sums[a], algebra.products[a]
+        for b in masks:
+            total = sums[b]
+            inter = a & b
+            prod = products[b]
+            if prod_ok and (prod & inter) != prod:
+                prod_ok, prod_witness = False, [mask_members(s, a), mask_members(s, b)]
+            union = a | b
+            if (total & union) != union or not all(
+                (total & m) == total
                 for m in ideal_masks
                 if (m & union) == union
             ):
-                lat_ok, lat_witness = False, [list(a.members), list(b.members)]
-            if inter.mask not in ideal_masks:
-                lat_ok, lat_witness = False, [list(a.members), list(b.members)]
+                lat_ok, lat_witness = False, [mask_members(s, a), mask_members(s, b)]
+            if inter not in ideal_masks:
+                lat_ok, lat_witness = False, [mask_members(s, a), mask_members(s, b)]
         if not (lat_ok and prod_ok):
             break
     report["product_in_intersection"] = prod_ok

@@ -24,13 +24,12 @@ from .ideals import (
     Ideal,
     _ideal_masks_all,
     classified_ideals,
+    ideal_algebra,
     ideal_from_mask,
-    intersect_ideals,
+    is_ideal_mask,
     jacobson_radical,
+    mask_members,
     maximal_ideal_masks,
-    product_ideals,
-    radical,
-    sum_ideals,
 )
 
 CLASS_TAGS = (
@@ -327,7 +326,7 @@ def check_sober(s, spec):
                 inter &= spec.points[i].mask
         if inter not in point_mask_set:
             criterion = False
-            criterion_witness = [i for i in range(s.n) if (m >> i) & 1]
+            criterion_witness = mask_members(s, m)
             break
 
     return {
@@ -348,7 +347,7 @@ def check_quasi_compact(s, spec, family_size_cap=3):
     sum to be improper.
     """
     fam = closed_family(s, spec)
-    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
+    algebra = ideal_algebra(s)
     maximals_present = all(
         m in set(spec.point_masks()) for m in maximal_ideal_masks(s)
     )
@@ -357,19 +356,19 @@ def check_quasi_compact(s, spec, family_size_cap=3):
     witness = None
     empty_families = 0
     for size in range(1, family_size_cap + 1):
-        for family in combinations(ideals, size):
+        sums = algebra.family_sums(size)
+        for family, total in zip(combinations(algebra.masks, size), sums):
             inter = fam.full
             for a in family:
-                inter &= fam.subbasis[a.mask]
-            total = sum_ideals(s, family)
-            if fam.subbasis[total.mask] != inter:
+                inter &= fam.subbasis[a]
+            if fam.subbasis[total] != inter:
                 identity_ok = False
-                witness = [list(a.members) for a in family]
+                witness = [mask_members(s, a) for a in family]
             if inter == 0:
                 empty_families += 1
-                if maximals_present and total.is_proper:
+                if maximals_present and total != s.full_mask:
                     maximal_ok = False
-                    witness = [list(a.members) for a in family]
+                    witness = [mask_members(s, a) for a in family]
         if not (identity_ok and maximal_ok):
             break
     return {
@@ -399,7 +398,7 @@ def check_fg_spectrum_maximals(s, k):
         all_present = all_present and present
         rows.append(
             {
-                "maximal": [i for i in range(s.n) if (m >> i) & 1],
+                "maximal": mask_members(s, m),
                 "min_generators": gens,
                 "present": present,
             }
@@ -486,6 +485,10 @@ def idempotent_from_disconnection(s, spec, witness):
     left, right = witness
     if not left or not right:
         raise HypothesisUnmet("witness", "a side of the witness is empty")
+    if not all(
+        a.semiring == s.id and is_ideal_mask(s, a.mask) for a in [*left, *right]
+    ):
+        raise HypothesisUnmet("witness", "a side holds a non-ideal of the semiring")
     left_union = 0
     for a in left:
         left_union |= up_set(spec, a)
@@ -507,18 +510,20 @@ def idempotent_from_disconnection(s, spec, witness):
     if jacobson_radical(s).mask != 1:
         raise HypothesisUnmet("jacobson", "Jacobson radical is not zero")
 
-    x = left[0]
+    algebra = ideal_algebra(s)
+    products = algebra.products
+    x = left[0].mask
     for a in left[1:]:
-        x = product_ideals(s, x, a)
-    y = right[0]
+        x = products[x][a.mask]
+    y = right[0].mask
     for b in right[1:]:
-        y = product_ideals(s, y, b)
-    if sum_ideals(s, [x, y]).is_proper:
+        y = products[y][b.mask]
+    if algebra.sums[x][y] != s.full_mask:
         raise NoUnitDecomposition("reduced ideals do not sum to the whole semiring")
-    if product_ideals(s, x, y).mask != 1:
+    if products[x][y] != 1:
         raise NoUnitDecomposition("reduced ideal product is not the zero ideal")
-    for u in x.members:
-        for v in y.members:
+    for u in mask_members(s, x):
+        for v in mask_members(s, y):
             if int(s.add[u, v]) == s.one:
                 if int(s.mul[u, u]) != u or u == 0 or u == s.one:
                     raise NoUnitDecomposition(
@@ -539,7 +544,8 @@ def verify_upset_laws(s, spec, family_size_cap=3):
     up(a) = up(radical(a)) for every ideal a.
     """
     fam = closed_family(s, spec)
-    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
+    algebra = ideal_algebra(s)
+    masks = algebra.masks
     up = fam.subbasis
 
     zero_up = up.get(1, up_set(spec, 1))
@@ -548,58 +554,58 @@ def verify_upset_laws(s, spec, family_size_cap=3):
     if up.get(s.full_mask, 0) != 0 and s.n > 1:
         return {"holds": False, "law": "improper-empty", "witness": None}
 
-    for a in ideals:
-        for b in ideals:
-            if (a.mask & b.mask) == a.mask and (up[a.mask] & up[b.mask]) != up[b.mask]:
+    for a in masks:
+        for b in masks:
+            if (a & b) == a and (up[a] & up[b]) != up[b]:
                 return {
                     "holds": False,
                     "law": "antitone",
-                    "witness": [list(a.members), list(b.members)],
+                    "witness": [mask_members(s, a), mask_members(s, b)],
                 }
 
-    for a in ideals:
-        for b in ideals:
-            inter = intersect_ideals(s, [a, b])
-            prod = product_ideals(s, a, b)
-            union = up[a.mask] | up[b.mask]
-            if (union & up[inter.mask]) != union:
+    for a in masks:
+        products = algebra.products[a]
+        for b in masks:
+            inter_up = up[a & b]
+            union = up[a] | up[b]
+            if (union & inter_up) != union:
                 return {
                     "holds": False,
                     "law": "union-inside-intersection",
-                    "witness": [list(a.members), list(b.members)],
+                    "witness": [mask_members(s, a), mask_members(s, b)],
                 }
-            if (up[inter.mask] & up[prod.mask]) != up[inter.mask]:
+            if (inter_up & up[products[b]]) != inter_up:
                 return {
                     "holds": False,
                     "law": "intersection-inside-product",
-                    "witness": [list(a.members), list(b.members)],
+                    "witness": [mask_members(s, a), mask_members(s, b)],
                 }
 
     for size in range(1, family_size_cap + 1):
-        for family in combinations(ideals, size):
+        sums = algebra.family_sums(size)
+        for family, total in zip(combinations(masks, size), sums):
             inter = fam.full
             for a in family:
-                inter &= up[a.mask]
-            if up[sum_ideals(s, family).mask] != inter:
+                inter &= up[a]
+            if up[total] != inter:
                 return {
                     "holds": False,
                     "law": "sum-identity",
-                    "witness": [list(a.members) for a in family],
+                    "witness": [mask_members(s, a) for a in family],
                 }
 
-    for a in ideals:
-        r = radical(s, a)
-        if (up[r.mask] & up[a.mask]) != up[r.mask]:
+    radicals = algebra.radicals
+    for a in masks:
+        r = radicals[a]
+        if (up[r] & up[a]) != up[r]:
             return {
                 "holds": False,
                 "law": "radical-up-shrinks",
-                "witness": list(a.members),
+                "witness": mask_members(s, a),
             }
 
-    all_points_radical = all(
-        radical(s, p).mask == p.mask for p in spec.points
-    )
-    ups_stable = all(up[radical(s, a).mask] == up[a.mask] for a in ideals)
+    all_points_radical = all(radicals[p.mask] == p.mask for p in spec.points)
+    ups_stable = all(up[radicals[a]] == up[a] for a in masks)
     if all_points_radical != ups_stable:
         return {
             "holds": False,

@@ -1,9 +1,21 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from iseki.catalog import build_recipe, builtin_catalog
 from iseki.enumeration import enumerate_semirings
+from iseki.ideals import (
+    _ideal_masks_all,
+    ideal_from_mask,
+    intersect_ideals,
+    maximal_ideal_masks,
+    product_ideals,
+    radical,
+    sum_ideals,
+)
 from iseki.semiring import direct_product, validate_semiring
+from iseki.topology import up_set
 
 
 @pytest.fixture(scope="session")
@@ -184,3 +196,118 @@ class ReferenceLattice:
 
             return side(alpha), side(beta)
         return None
+
+
+def reference_quasi_compact(s, spec, fam, family_size_cap=3):
+    """The quasi-compactness mechanism check computed per class through
+    ``sum_ideals``: the reference for ``topology.check_quasi_compact``."""
+    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
+    maximals_present = all(
+        m in set(spec.point_masks()) for m in maximal_ideal_masks(s)
+    )
+    identity_ok = True
+    maximal_ok = True
+    witness = None
+    empty_families = 0
+    for size in range(1, family_size_cap + 1):
+        for family in combinations(ideals, size):
+            inter = fam.full
+            for a in family:
+                inter &= fam.subbasis[a.mask]
+            total = sum_ideals(s, family)
+            if fam.subbasis[total.mask] != inter:
+                identity_ok = False
+                witness = [list(a.members) for a in family]
+            if inter == 0:
+                empty_families += 1
+                if maximals_present and total.is_proper:
+                    maximal_ok = False
+                    witness = [list(a.members) for a in family]
+        if not (identity_ok and maximal_ok):
+            break
+    return {
+        "quasi_compact": True,
+        "sum_identity": identity_ok,
+        "maximals_in_spectrum": maximals_present,
+        "empty_intersection_families": empty_families,
+        "empty_intersection_implies_improper_sum": maximal_ok,
+        "witness": witness,
+    }
+
+
+def reference_upset_laws(s, spec, fam, family_size_cap=3):
+    """The up-set laws computed per class through ``sum_ideals``,
+    ``product_ideals``, ``intersect_ideals`` and ``radical``: the reference
+    for ``topology.verify_upset_laws``."""
+    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
+    up = fam.subbasis
+
+    zero_up = up.get(1, up_set(spec, 1))
+    if zero_up != fam.full:
+        return {"holds": False, "law": "zero-full", "witness": None}
+    if up.get(s.full_mask, 0) != 0 and s.n > 1:
+        return {"holds": False, "law": "improper-empty", "witness": None}
+
+    for a in ideals:
+        for b in ideals:
+            if (a.mask & b.mask) == a.mask and (up[a.mask] & up[b.mask]) != up[b.mask]:
+                return {
+                    "holds": False,
+                    "law": "antitone",
+                    "witness": [list(a.members), list(b.members)],
+                }
+
+    for a in ideals:
+        for b in ideals:
+            inter = intersect_ideals(s, [a, b])
+            prod = product_ideals(s, a, b)
+            union = up[a.mask] | up[b.mask]
+            if (union & up[inter.mask]) != union:
+                return {
+                    "holds": False,
+                    "law": "union-inside-intersection",
+                    "witness": [list(a.members), list(b.members)],
+                }
+            if (up[inter.mask] & up[prod.mask]) != up[inter.mask]:
+                return {
+                    "holds": False,
+                    "law": "intersection-inside-product",
+                    "witness": [list(a.members), list(b.members)],
+                }
+
+    for size in range(1, family_size_cap + 1):
+        for family in combinations(ideals, size):
+            inter = fam.full
+            for a in family:
+                inter &= up[a.mask]
+            if up[sum_ideals(s, family).mask] != inter:
+                return {
+                    "holds": False,
+                    "law": "sum-identity",
+                    "witness": [list(a.members) for a in family],
+                }
+
+    for a in ideals:
+        r = radical(s, a)
+        if (up[r.mask] & up[a.mask]) != up[r.mask]:
+            return {
+                "holds": False,
+                "law": "radical-up-shrinks",
+                "witness": list(a.members),
+            }
+
+    all_points_radical = all(
+        radical(s, p).mask == p.mask for p in spec.points
+    )
+    ups_stable = all(up[radical(s, a).mask] == up[a.mask] for a in ideals)
+    if all_points_radical != ups_stable:
+        return {
+            "holds": False,
+            "law": "radical-spectrum-equivalence",
+            "witness": {
+                "all_points_radical": all_points_radical,
+                "upsets_radical_stable": ups_stable,
+            },
+        }
+
+    return {"holds": True, "law": None, "witness": None}

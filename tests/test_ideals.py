@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import naive_ideal_sets
@@ -6,6 +8,7 @@ from iseki.ideals import (
     addition_closure,
     all_ideals,
     generated_ideal,
+    ideal_algebra,
     ideal_from_mask,
     ideal_from_members,
     intersect_ideals,
@@ -108,6 +111,31 @@ def test_closure_matches_independent_fixpoint(small_semirings):
                 for variant in ("generated", "sums"):
                     got = product_ideals(s, a, b, variant=variant).member_set()
                     assert got == expected, (s.id, a.members, b.members, variant)
+
+
+def test_ideal_algebra_matches_ideal_operations(small_semirings):
+    """Every mask of the cached ideal algebra against the operation it
+    stands for: principal ideals, pair sums, both product variants,
+    radicals, and the sums of every family of one to three ideals."""
+    for s in small_semirings:
+        algebra = ideal_algebra(s)
+        ideals = all_ideals(s, proper_only=False)
+        assert algebra.masks == tuple(a.mask for a in ideals), s.id
+        assert algebra.principals == tuple(
+            generated_ideal(s, [g]).mask for g in range(s.n)
+        ), s.id
+        for a in ideals:
+            assert algebra.radicals[a.mask] == radical(s, a).mask, (s.id, a)
+            for b in ideals:
+                where = (s.id, a, b)
+                assert algebra.sums[a.mask][b.mask] == sum_ideals(s, [a, b]).mask, where
+                for variant in ("generated", "sums"):
+                    product = product_ideals(s, a, b, variant=variant).mask
+                    assert algebra.products[a.mask][b.mask] == product, (where, variant)
+        for size in range(1, 4):
+            assert algebra.family_sums(size) == tuple(
+                sum_ideals(s, family).mask for family in combinations(ideals, size)
+            ), (s.id, size)
 
 
 def test_intersection_examples(c3, bb):

@@ -115,6 +115,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["topology", "{missing}"], "No such file or directory"),
         (["sweep", "{B}", "{fake_B}", "--jobs", "1"], "duplicate corpus id 'B'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
+        (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
+        (["sweep", "{missing}", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["sweep", "{missing}", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
     ],
     ids=[
         "topology-class",
@@ -125,6 +128,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "topology-missing-file",
         "sweep-duplicate-id",
         "checks-before-input",
+        "sweep-enumerate-zero",
+        "sweep-jobs-zero",
+        "sweep-jobs-negative",
     ],
 )
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -242,3 +248,32 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
     assert main(["morphisms", src, dst, "--class", "prime"]) == 1
     assert main(["morphisms", src, dst, "--class", " prime "]) == 1
     assert main(["morphisms", src, dst, "--class", "maximal"]) == 0
+
+
+def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
+    """A failing sweep prints one stderr line per failing universal oracle,
+    with its failure count and first witness; the report is unchanged."""
+    real = iseki.sweep.check_sober
+
+    def not_sober(s, spec):
+        return {**real(s, spec), "sober": False}
+
+    monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
+    out_path = tmp_path / "report.json"
+    path = _write(tmp_path, "C3")
+    assert main(["sweep", path, "--jobs", "1", "--out", str(out_path)]) == 1
+    corpus = [build_recipe(("named", "C3"))]
+    report = sweep(corpus=corpus, jobs=1, log=io.StringIO())
+    assert out_path.read_text() == canonical_json(report)
+    failing = [name for name, entry in report["tallies"].items() if entry["failures"]]
+    assert failing == ["sober_agreement", "sober_corollary"]
+    summary = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("failed: ")
+    ]
+    assert summary == [
+        "failed: sober_agreement: 8 of 8 instances; first witness "
+        '{"class": "proper", "semiring": "C3"}',
+        "failed: sober_corollary: 3 of 3 instances; first witness "
+        '{"class": "proper", "semiring": "C3"}',
+    ]

@@ -1,19 +1,24 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import ReferenceLattice
+from conftest import ReferenceLattice, reference_quasi_compact, reference_upset_laws
 
-from iseki.enumeration import canonical_key
+import iseki.ideals
+import iseki.sweep
+import iseki.topology
+from iseki.enumeration import canonical_key, enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
-from iseki.ideals import all_ideals, ideal_from_members
+from iseki.ideals import all_ideals, ideal_algebra, ideal_from_members
 from iseki.morphisms import (
     check_quotient_homeomorphism,
     enumerate_homomorphisms,
     induced_map,
 )
 from iseki.semiring import bourne_quotient, validate_semiring
-from iseki.sweep import topology_instance_report
+from iseki.sweep import ideal_lattice_report, topology_instance_report
 from iseki.topology import (
+    ClosedFamily,
     SpectrumClass,
     check_connected,
     check_fg_spectrum_maximals,
@@ -132,6 +137,94 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
             if sides is not None:
                 sides = tuple([a.mask for a in side] for side in sides)
             assert sides == ref.disconnection_sides(), where
+
+
+def _one_point_flipped(fam):
+    """Closed families equal to ``fam`` except that one ideal's up-set has
+    one point flipped in or out."""
+    for m in sorted(fam.subbasis):
+        for i in range(fam.spectrum.size):
+            subbasis = dict(fam.subbasis)
+            subbasis[m] ^= 1 << i
+            yield ClosedFamily(fam.spectrum, subbasis)
+
+
+def test_upset_checks_match_per_class_reference(
+    small_semirings, catalog_semirings, monkeypatch
+):
+    """verify_upset_laws and check_quasi_compact, which read the cached
+    ideal algebra, return the same dicts as the per-class references in
+    conftest: on every spectrum of the catalog and the semirings of order
+    <= 4, and, so that failing laws and witnesses are compared too, on
+    the catalog and the order <= 3 semirings with one point of one up-set
+    flipped."""
+    family = {}
+    monkeypatch.setattr(iseki.topology, "closed_family", lambda s, spec: family["fam"])
+    failures = Counter()
+    flipped_corpus = {s.id for s in catalog_semirings}
+    for s in small_semirings:
+        for tag in ALL_TAGS:
+            spec = spectrum(s, tag)
+            fam = closed_family(s, spec)
+            variants = [fam]
+            if s.n <= 3 or s.id in flipped_corpus:
+                variants.extend(_one_point_flipped(fam))
+            for fam in variants:
+                family["fam"] = fam
+                where = (s.id, tag, fam.subbasis)
+                laws = reference_upset_laws(s, spec, fam)
+                assert verify_upset_laws(s, spec) == laws, where
+                qc = reference_quasi_compact(s, spec, fam)
+                assert check_quasi_compact(s, spec) == qc, where
+                failures[laws["law"]] += 1
+                failures["qc sum identity"] += not qc["sum_identity"]
+                failures["qc maximal rule"] += not qc["empty_intersection_implies_improper_sum"]
+    reached = {law for law, count in failures.items() if count and law is not None}
+    assert reached >= {
+        "zero-full",
+        "improper-empty",
+        "antitone",
+        "sum-identity",
+        "radical-spectrum-equivalence",
+        "qc sum identity",
+        "qc maximal rule",
+    }, failures
+
+
+def test_topology_reports_build_ideal_algebra_once(catalog_semirings, monkeypatch):
+    """Over the catalog plus orders 1-3, a semiring's topology reports
+    under all eight classes and its ideal-lattice report build its ideal
+    algebra once, and the topology reports make no more sum_ideals and
+    product_ideals calls for eight classes than for one."""
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (iseki.ideals, iseki.topology, iseki.sweep):
+        for name in ("sum_ideals", "product_ideals"):
+            if hasattr(module, name):
+                counting(module, name)
+    corpus = list(catalog_semirings)
+    for n in range(1, 4):
+        corpus.extend(enumerate_semirings(n, up_to_iso=True))
+    for s in corpus:
+        per_classes = []
+        for classes in (ALL_TAGS[:1], ALL_TAGS):
+            ideal_algebra.cache_clear()
+            calls.clear()
+            for cls in classes:
+                topology_instance_report(s, cls)
+            per_classes.append(sum(calls.values()))
+        assert per_classes[0] == per_classes[1], (s.id, per_classes)
+        ideal_lattice_report(s)
+        assert ideal_algebra.cache_info().misses == 1, s.id
 
 
 def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
