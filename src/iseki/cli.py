@@ -117,10 +117,9 @@ def _cmd_morphisms(args):
 
 
 def _cmd_sweep(args):
-    for flag, value in (("--enumerate", args.enumerate), ("--jobs", args.jobs)):
-        if value is not None and value < 1:
-            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
-            return 2
+    if args.enumerate is not None and args.enumerate < 1:
+        print(f"--enumerate must be at least 1, got {args.enumerate}", file=sys.stderr)
+        return 2
     corpus = None
     if args.files:
         corpus = [ingest(path) for path in args.files]
@@ -128,7 +127,6 @@ def _cmd_sweep(args):
         corpus=corpus,
         classes=args.classes,
         enumerate_n=[args.enumerate] if args.enumerate is not None else (),
-        jobs=args.jobs,
     )
     _emit(args, report)
     for name, entry in report["tallies"].items():
@@ -213,7 +211,6 @@ def build_parser():
     p.add_argument("files", nargs="*", help="semiring JSON files (default: builtin catalog)")
     p.add_argument("--enumerate", type=int, default=None, metavar="N")
     p.add_argument("--classes", nargs="+", default=None, choices=DEFAULT_CLASSES)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sweep)
 

@@ -33,13 +33,6 @@ class Ideal:
     def is_proper(self):
         return self.mask != (1 << self.n) - 1
 
-    @property
-    def is_zero(self):
-        return self.mask == 1
-
-    def contains(self, element):
-        return bool((self.mask >> element) & 1)
-
     def issubset(self, other):
         return (self.mask & other.mask) == self.mask
 

@@ -94,7 +94,11 @@ def extend_ideal(s, t, hom, ideal_of_s):
 
 
 def compose(s, t, u, first, second):
-    """The composite homomorphism s -> u of first: s -> t and second: t -> u."""
+    """The composite homomorphism s -> u of first: s -> t and second: t -> u.
+
+    No sweep path calls it: ``tests/test_morphisms.py::
+    test_functoriality_of_induced_maps`` uses it to check functoriality.
+    """
     return validate_homomorphism(
         s, u, tuple(second.map[first.map[a]] for a in range(s.n))
     )

@@ -33,9 +33,8 @@ def _freeze(table):
 class FiniteSemiring:
     """A validated finite commutative semiring.
 
-    Instances are immutable and safe to share across workers.  Construct
-    through :func:`validate_semiring`; the constructor itself does not
-    re-check the axioms.
+    Instances are immutable.  Construct through :func:`validate_semiring`;
+    the constructor itself does not re-check the axioms.
     """
 
     id: str
@@ -63,20 +62,8 @@ class FiniteSemiring:
         )
 
     @property
-    def elements(self):
-        return range(self.n)
-
-    @property
     def full_mask(self):
         return (1 << self.n) - 1
-
-    @property
-    def is_trivial(self):
-        return self.n == 1
-
-    def table_key(self):
-        """Hashable structural key (tables plus designated identity)."""
-        return self._key
 
     def same_structure(self, other):
         return self._key == other._key
@@ -110,9 +97,6 @@ class Homomorphism:
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(int(v) for v in self.map))
-
-    def apply(self, element):
-        return self.map[element]
 
     def is_surjective_onto(self, target_n):
         return len(set(self.map)) == target_n

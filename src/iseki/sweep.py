@@ -8,13 +8,11 @@ the ideal-up-set form of the quotient embedding.
 
 Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
-runs (with any worker count) produce byte-identical JSON.
+runs produce byte-identical JSON.
 """
 
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +60,9 @@ from .topology import (
 DEFAULT_CLASSES = list(CLASS_TAGS)
 WITNESS_CAP = 10
 QUOTIENT_CLASSES = ("prime", "proper")
+# The morphism suite runs over every ordered pair of corpus semirings of
+# at most this order.
+MORPHISM_ORDER_CAP = 3
 
 
 def topology_instance_report(s, cls):
@@ -96,12 +97,13 @@ def topology_instance_report(s, cls):
     generator_identity = True
     generator_witness = None
     principals = ideal_algebra(s).principals
+    up = closed_family(s, spec).subbasis
     for ideal, classification in classified_ideals(s):
         seed = dict(classification.witnesses)["generators"]
         pulled = spec.full_point_set
         for g in seed:
-            pulled &= up_set(spec, principals[g])
-        if up_set(spec, ideal.mask) != pulled:
+            pulled &= up[principals[g]]
+        if up[ideal.mask] != pulled:
             generator_identity = False
             generator_witness = list(ideal.members)
             break
@@ -463,39 +465,26 @@ def _corpus_semirings(corpus, enumerate_n):
     return unique
 
 
-def sweep(
-    corpus=None,
-    classes=None,
-    enumerate_n=(),
-    jobs=None,
-    include_morphisms=True,
-    morphism_order_cap=3,
-    log=None,
-):
+def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     """Run every oracle over the corpus x class grid and aggregate.
 
     Returns the report dict; ``report["failures"]`` counts universal
     oracle failures (the exit signal).  Wall time is written to ``log``
-    (default stderr), never into the report.
+    (default stderr), never into the report.  ``jobs`` is ignored; it is
+    kept only because ``perfbench/sample.py`` still passes it.
     """
     start = time.perf_counter()
     classes = list(classes) if classes is not None else list(DEFAULT_CLASSES)
     semirings = _corpus_semirings(corpus, enumerate_n)
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
 
-    grid = [(s, cls) for s, _ in semirings for cls in classes]
-    if jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            topo = list(pool.map(topology_instance_report, *zip(*grid), chunksize=8))
-    else:
-        topo = [topology_instance_report(s, cls) for s, cls in grid]
+    topo = [
+        topology_instance_report(s, cls) for s, _ in semirings for cls in classes
+    ]
 
     ideal_reports = [ideal_lattice_report(s) for s, _ in semirings]
 
-    pairs = []
-    if include_morphisms:
-        small = [s for s, _ in semirings if s.n <= morphism_order_cap]
-        pairs = [(s, t) for s in small for t in small]
+    small = [s for s, _ in semirings if s.n <= MORPHISM_ORDER_CAP]
+    pairs = [(s, t) for s in small for t in small]
     morphism_reports = [
         morphism_report(s, t, hom, "prime")
         for s, t in pairs
@@ -532,7 +521,7 @@ def sweep(
         "topology": topo,
         "ideal_checks": ideal_reports,
         "morphisms": {
-            "order_cap": morphism_order_cap,
+            "order_cap": MORPHISM_ORDER_CAP,
             "pairs": len(pairs),
             "homs": len(morphism_reports),
             "reports": morphism_reports,

@@ -42,6 +42,9 @@ CLASS_TAGS = (
     "radical",
     "principal",
 )
+# The ideal families of the sum identity (quasi-compactness and up-set
+# law 3) have at most this many members.
+FAMILY_SIZE_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -338,13 +341,13 @@ def check_sober(s, spec):
     }
 
 
-def check_quasi_compact(s, spec, family_size_cap=3):
+def check_quasi_compact(s, spec):
     """Finite spaces are quasi-compact; the value is the proof mechanism.
 
-    For every ideal family up to the size cap, the intersection of the
-    up-sets must equal the up-set of the ideal sum; and when the spectrum
-    contains every maximal ideal, an empty up-set intersection forces the
-    sum to be improper.
+    For every ideal family of at most ``FAMILY_SIZE_CAP`` members, the
+    intersection of the up-sets must equal the up-set of the ideal sum;
+    and when the spectrum contains every maximal ideal, an empty up-set
+    intersection forces the sum to be improper.
     """
     fam = closed_family(s, spec)
     algebra = ideal_algebra(s)
@@ -355,7 +358,7 @@ def check_quasi_compact(s, spec, family_size_cap=3):
     maximal_ok = True
     witness = None
     empty_families = 0
-    for size in range(1, family_size_cap + 1):
+    for size in range(1, FAMILY_SIZE_CAP + 1):
         sums = algebra.family_sums(size)
         for family, total in zip(combinations(algebra.masks, size), sums):
             inter = fam.full
@@ -533,15 +536,15 @@ def idempotent_from_disconnection(s, spec, witness):
     raise NoUnitDecomposition("no decomposition of 1 across the two sides")
 
 
-def verify_upset_laws(s, spec, family_size_cap=3):
+def verify_upset_laws(s, spec):
     """Exhaustively verify the order/lattice laws of the up-set map.
 
     Laws: (1) antitone, with the zero ideal mapping to the full space and
     the whole semiring to the empty set; (2) up(a) | up(b) inside
     up(a&b) inside up(ab); (3) intersections of up-sets equal the up-set
-    of the ideal sum, for families up to the size cap; (4) up(a) contains
-    up(radical(a)); (5) every point is a radical ideal if and only if
-    up(a) = up(radical(a)) for every ideal a.
+    of the ideal sum, for families of at most ``FAMILY_SIZE_CAP``; (4)
+    up(a) contains up(radical(a)); (5) every point is a radical ideal if
+    and only if up(a) = up(radical(a)) for every ideal a.
     """
     fam = closed_family(s, spec)
     algebra = ideal_algebra(s)
@@ -581,7 +584,7 @@ def verify_upset_laws(s, spec, family_size_cap=3):
                     "witness": [mask_members(s, a), mask_members(s, b)],
                 }
 
-    for size in range(1, family_size_cap + 1):
+    for size in range(1, FAMILY_SIZE_CAP + 1):
         sums = algebra.family_sums(size)
         for family, total in zip(combinations(masks, size), sums):
             inter = fam.full

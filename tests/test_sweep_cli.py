@@ -15,7 +15,7 @@ from iseki.sweep import sweep
 @pytest.fixture(scope="module")
 def small_report():
     corpus = [build_recipe(("named", name)) for name in ("B", "Z2", "C3", "Z4")]
-    return sweep(corpus=corpus, jobs=1, log=io.StringIO())
+    return sweep(corpus=corpus, log=io.StringIO())
 
 
 def test_small_sweep_is_clean(small_report):
@@ -26,16 +26,29 @@ def test_small_sweep_is_clean(small_report):
 
 def test_sweep_rejects_empty_corpus():
     with pytest.raises(EmptyFamily):
-        sweep(corpus=[], jobs=1, log=io.StringIO())
+        sweep(corpus=[], log=io.StringIO())
 
 
-def test_sweep_deterministic_across_runs_and_jobs():
+def test_sweep_deterministic_across_runs():
     corpus = [build_recipe(("named", name)) for name in ("B", "C3", "Z4")]
-    runs = [
-        canonical_json(sweep(corpus=corpus, jobs=jobs, log=io.StringIO()))
-        for jobs in (1, 1, 2)
-    ]
-    assert runs[0] == runs[1] == runs[2]
+    runs = [canonical_json(sweep(corpus=corpus, log=io.StringIO())) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_default_sweep_runs_in_process(monkeypatch):
+    """With default arguments every topology instance report is built in
+    this process: one call per (semiring, class)."""
+    real = iseki.sweep.topology_instance_report
+    calls = []
+
+    def counting(s, cls):
+        calls.append((s.id, cls))
+        return real(s, cls)
+
+    monkeypatch.setattr(iseki.sweep, "topology_instance_report", counting)
+    corpus = [build_recipe(("named", name)) for name in ("B", "C3")]
+    sweep(corpus=corpus, log=io.StringIO())
+    assert calls == [(s.id, cls) for s in corpus for cls in iseki.sweep.DEFAULT_CLASSES]
 
 
 def test_sweep_report_shape(small_report):
@@ -113,11 +126,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["morphisms", "{B}", "{B}", "--class", "weird"], "unknown spectrum class"),
         (["ideals", "{missing}"], "No such file or directory"),
         (["topology", "{missing}"], "No such file or directory"),
-        (["sweep", "{B}", "{fake_B}", "--jobs", "1"], "duplicate corpus id 'B'"),
+        (["sweep", "{B}", "{fake_B}"], "duplicate corpus id 'B'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
-        (["sweep", "{missing}", "--jobs", "0"], "--jobs must be at least 1, got 0"),
-        (["sweep", "{missing}", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
     ],
     ids=[
         "topology-class",
@@ -129,8 +140,6 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "sweep-duplicate-id",
         "checks-before-input",
         "sweep-enumerate-zero",
-        "sweep-jobs-zero",
-        "sweep-jobs-negative",
     ],
 )
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -192,7 +201,7 @@ def test_cli_export_dot(tmp_path, capsys):
 def test_cli_sweep_files_and_out(tmp_path, capsys):
     files = [_write(tmp_path, name) for name in ("B", "Z2")]
     out_path = tmp_path / "report.json"
-    assert main(["sweep", *files, "--jobs", "1", "--out", str(out_path)]) == 0
+    assert main(["sweep", *files, "--out", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
     assert report["failures"] == 0
     assert report["corpus"]["size"] == 2
@@ -215,7 +224,7 @@ def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monke
         return {**real(s, spec), "sober": False, "criterion": False}
 
     monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
-    report = sweep(corpus=[build_recipe(("named", "C3"))], jobs=1, log=io.StringIO())
+    report = sweep(corpus=[build_recipe(("named", "C3"))], log=io.StringIO())
     assert report["tallies"]["sober_agreement"]["failures"] == 0
     assert report["tallies"]["sober_corollary"]["witnesses"] == [
         {"semiring": "C3", "class": cls}
@@ -240,7 +249,7 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
 
     monkeypatch.setattr(iseki.sweep, "check_density", mismatched)
     corpus = [build_recipe(("named", name)) for name in ("C3", "B")]
-    report = sweep(corpus=corpus, jobs=1, log=io.StringIO())
+    report = sweep(corpus=corpus, log=io.StringIO())
     tally = report["tallies"]["morphism_prime_radical_equality"]
     assert tally["failures"] == tally["instances"] > 0
     assert {"source": "C3", "target": "B", "hom": [0, 1, 1]} in tally["witnesses"]
@@ -261,9 +270,9 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
     out_path = tmp_path / "report.json"
     path = _write(tmp_path, "C3")
-    assert main(["sweep", path, "--jobs", "1", "--out", str(out_path)]) == 1
+    assert main(["sweep", path, "--out", str(out_path)]) == 1
     corpus = [build_recipe(("named", "C3"))]
-    report = sweep(corpus=corpus, jobs=1, log=io.StringIO())
+    report = sweep(corpus=corpus, log=io.StringIO())
     assert out_path.read_text() == canonical_json(report)
     failing = [name for name, entry in report["tallies"].items() if entry["failures"]]
     assert failing == ["sober_agreement", "sober_corollary"]

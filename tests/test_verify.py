@@ -152,7 +152,7 @@ def test_kernel_upset_gap_witnesses(c3, boolean):
 def test_sweep_observation_witnesses_revalidate(catalog_semirings):
     """Every violation recorded by the sweep's observations re-validates."""
     small = [s for s in catalog_semirings if s.n <= 3]
-    report = sweep(corpus=small, jobs=1, log=io.StringIO())
+    report = sweep(corpus=small, log=io.StringIO())
     by_id = {s.id: s for s in small}
     obs = report["observations"]["surjective_image_equals_kernel_upset"]
     assert obs["failures"] > 0  # the known gap shows up even on this corpus
