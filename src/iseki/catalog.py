@@ -6,24 +6,20 @@ semiring, so the catalog is reproducible from its own description.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ideals import all_ideals, ideal_from_members
 from .semiring import FiniteSemiring, bourne_quotient, direct_product, validate_semiring
 
 
 def _chain(k, name):
     """Totally ordered chain 0 < 1 < ... < k-1 with add=max, mul=min."""
-    rng = np.arange(k)
-    add = np.maximum.outer(rng, rng)
-    mul = np.minimum.outer(rng, rng)
+    add = [[max(a, b) for b in range(k)] for a in range(k)]
+    mul = [[min(a, b) for b in range(k)] for a in range(k)]
     return validate_semiring(add, mul, k - 1, id=name)
 
 
 def _mod_ring(k, name):
-    rng = np.arange(k)
-    add = np.add.outer(rng, rng) % k
-    mul = np.multiply.outer(rng, rng) % k
+    add = [[(a + b) % k for b in range(k)] for a in range(k)]
+    mul = [[(a * b) % k for b in range(k)] for a in range(k)]
     return validate_semiring(add, mul, 1 if k > 1 else 0, id=name)
 
 

@@ -11,8 +11,6 @@ permutations fixing 0.
 
 from itertools import permutations, product
 
-import numpy as np
-
 from . import _kernels
 from .errors import SizeLimitExceeded
 from .semiring import FiniteSemiring
@@ -27,42 +25,35 @@ def _free_cells(n):
 def _commutative_tables(n, row0):
     """All commutative tables with the given forced row/column 0."""
     cells = _free_cells(n)
-    base = np.zeros((n, n), dtype=np.int64)
-    base[0, :] = row0
-    base[:, 0] = row0
     for values in product(range(n), repeat=len(cells)):
-        t = base.copy()
+        t = [list(row0)] + [[row0[i]] + [0] * (n - 1) for i in range(1, n)]
         for (i, j), v in zip(cells, values):
-            t[i, j] = v
-            t[j, i] = v
-        yield t
+            t[i][j] = v
+            t[j][i] = v
+        yield tuple(map(tuple, t))
 
 
 def _mul_identity(t):
-    n = t.shape[0]
-    for e in range(n):
-        if all(t[e, x] == x for x in range(n)):
+    identity = tuple(range(len(t)))
+    for e, row in enumerate(t):
+        if row == identity:
             return e
     return None
 
 
 def _permuted_pair(add, mul, perm):
-    n = add.shape[0]
+    n = len(add)
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
-    pa = tuple(
-        int(inv[add[perm[i], perm[j]]]) for i in range(n) for j in range(n)
-    )
-    pm = tuple(
-        int(inv[mul[perm[i], perm[j]]]) for i in range(n) for j in range(n)
-    )
+    pa = tuple(inv[add[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+    pm = tuple(inv[mul[perm[i]][perm[j]]] for i in range(n) for j in range(n))
     return pa, pm
 
 
 def canonical_key(add, mul):
     """Least (add, mul) flat pair over the permutations fixing element 0."""
-    n = add.shape[0]
+    n = len(add)
     return min(
         _permuted_pair(add, mul, (0,) + p)
         for p in permutations(range(1, n))
@@ -70,7 +61,7 @@ def canonical_key(add, mul):
 
 
 def table_pair_key(add, mul):
-    return tuple(int(v) for v in add.ravel()), tuple(int(v) for v in mul.ravel())
+    return tuple(v for row in add for v in row), tuple(v for row in mul for v in row)
 
 
 def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
@@ -88,8 +79,8 @@ def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
             f"enumeration capped at n <= {ENUMERATION_CAP} (asked for {n})"
         )
     prefix = id_prefix if id_prefix is not None else f"enum{n}"
-    identity_row = np.arange(n, dtype=np.int64)
-    zero_row = np.zeros(n, dtype=np.int64)
+    identity_row = tuple(range(n))
+    zero_row = (0,) * n
 
     add_tables = [
         t for t in _commutative_tables(n, identity_row)

@@ -59,7 +59,7 @@ def ideal_from_members(s, members):
 @lru_cache(maxsize=None)
 def _ideal_masks_all(s):
     """All ideal masks of ``s`` including the improper full mask, ascending."""
-    return tuple(int(m) for m in _kernels.ideal_masks(s.add, s.mul))
+    return _kernels.ideal_masks(s.add, s.mul)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +103,7 @@ class IdealAlgebra:
     def __init__(self, s):
         self._semiring = s
         self.masks = _ideal_masks_all(s)
-        mul = s.mul.tolist()
+        mul = s.mul
         members = {a: mask_members(s, a) for a in self.masks}
         self.principals = tuple(_close(s, 1 << g) for g in range(s.n))
         self.sums = {
@@ -198,7 +198,7 @@ def addition_closure(s, mask):
         members = mask_members(s, mask)
         for a in members:
             for b in members:
-                c = int(s.add[a, b])
+                c = s.add[a][b]
                 if not (mask >> c) & 1:
                     mask |= 1 << c
                     changed = True
@@ -216,7 +216,7 @@ def product_ideals(s, a, b, variant="generated"):
     products = 0
     for x in a.members:
         for y in b.members:
-            products |= 1 << int(s.mul[x, y])
+            products |= 1 << s.mul[x][y]
     if variant == "generated":
         return ideal_from_mask(s, _close(s, products))
     if variant == "sums":
@@ -245,7 +245,7 @@ def _radical_mask(s, mask):
             if (mask >> x) & 1:
                 out |= 1 << r
                 break
-            x = int(s.mul[x, r])
+            x = s.mul[x][r]
     return out
 
 
@@ -261,7 +261,7 @@ def _is_prime_mask(s, mask):
         for y in range(x, s.n):
             if (mask >> y) & 1:
                 continue
-            if (mask >> int(s.mul[x, y])) & 1:
+            if (mask >> s.mul[x][y]) & 1:
                 return (x, y)
     return None
 
@@ -399,7 +399,7 @@ def classify(s, a):
     for x in range(s.n):
         if primary and not (a.mask >> x) & 1:
             for y in range(s.n):
-                if (a.mask >> int(s.mul[x, y])) & 1 and not (rad_mask >> y) & 1:
+                if (a.mask >> s.mul[x][y]) & 1 and not (rad_mask >> y) & 1:
                     primary = False
                     witnesses["primary"] = (x, y)
                     break

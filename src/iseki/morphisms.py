@@ -47,8 +47,8 @@ def enumerate_homomorphisms(s, t):
             if image[y] == -1:
                 continue
             for table, ttable in ((s.add, t.add), (s.mul, t.mul)):
-                z = int(table[x, y])
-                if image[z] != -1 and image[z] != int(ttable[image[x], image[y]]):
+                z = table[x][y]
+                if image[z] != -1 and image[z] != ttable[image[x]][image[y]]:
                     return False
         return True
 

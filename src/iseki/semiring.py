@@ -8,9 +8,9 @@ Element 0 is the additive identity by storage convention; ``one`` may
 equal 0 only in the one-element (trivial) semiring.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import index
 
 from . import _kernels
 from .errors import (
@@ -24,9 +24,7 @@ MAX_ELEMENTS = 16
 
 
 def _freeze(table):
-    arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
-    arr.setflags(write=False)
-    return arr
+    return tuple(tuple(int(v) for v in row) for row in table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,13 +32,14 @@ class FiniteSemiring:
     """A validated finite commutative semiring.
 
     Instances are immutable.  Construct through :func:`validate_semiring`;
-    the constructor itself does not re-check the axioms.
+    the constructor itself does not re-check the axioms.  ``add`` and
+    ``mul`` are tuples of n int tuples, read as ``add[a][b]``.
     """
 
     id: str
     n: int
-    add: np.ndarray
-    mul: np.ndarray
+    add: tuple
+    mul: tuple
     one: int
     zero: int = 0
 
@@ -49,12 +48,12 @@ class FiniteSemiring:
         object.__setattr__(self, "mul", _freeze(self.mul))
         # Every lru_cache lookup hashes the semiring, so the structural
         # key and the hash are computed once here.
-        key = (self.n, self.one, self.add.tobytes(), self.mul.tobytes())
+        key = (self.n, self.one, self.add, self.mul)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((self.id,) + key))
 
     def __reduce__(self):
-        # bytes hashes are salted per process: rebuild the cached hash on
+        # str hashes are salted per process: rebuild the cached hash on
         # unpickling instead of carrying the sender's.
         return (
             type(self),
@@ -102,31 +101,62 @@ class Homomorphism:
         return len(set(self.map)) == target_n
 
 
+def _shape(table):
+    """Shape of a nested sequence as (), (rows,) or (rows, columns); None
+    when the rows differ in length or mix sequences with scalars."""
+    if not isinstance(table, Iterable):
+        return ()
+    rows = list(table)
+    nested = [isinstance(row, Iterable) and not isinstance(row, str) for row in rows]
+    if not any(nested):
+        return (len(rows),)
+    if not all(nested):
+        return None
+    widths = {len(row) for row in rows}
+    return (len(rows), widths.pop()) if len(widths) == 1 else None
+
+
+def _entry(v):
+    if isinstance(v, bool):
+        raise TypeError("bool is not a table entry")
+    return index(v)
+
+
+def _int_table(name, table, n):
+    """The table as a tuple of int tuples; non-integer entries (bool and
+    float included) and entries outside 0..n-1 raise RangeError."""
+    try:
+        out = tuple(tuple(map(_entry, row)) for row in table)
+    except TypeError:
+        raise RangeError(f"{name} table has non-integer entries") from None
+    for i, row in enumerate(out):
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                raise RangeError(f"{name}[{i},{j}] = {v} out of range 0..{n - 1}")
+    return out
+
+
 def _check_tables_shape(add, mul, one):
-    add = np.asarray(add)
-    mul = np.asarray(mul)
-    if add.ndim != 2 or add.shape[0] != add.shape[1]:
-        raise RangeError(f"addition table is not square: shape {add.shape}")
-    if mul.shape != add.shape:
-        raise RangeError(
-            f"table shapes differ: add {add.shape} vs mul {mul.shape}"
-        )
-    n = int(add.shape[0])
+    shape = _shape(add)
+    if shape is None:
+        raise RangeError("addition table has rows of different lengths")
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise RangeError(f"addition table is not square: shape {shape}")
+    mul_shape = _shape(mul)
+    if mul_shape is None:
+        raise RangeError("multiplication table has rows of different lengths")
+    if mul_shape != shape:
+        raise RangeError(f"table shapes differ: add {shape} vs mul {mul_shape}")
+    n = shape[0]
     if n < 1:
         raise RangeError("element count must be at least 1")
     if n > MAX_ELEMENTS:
         raise SizeLimitExceeded(f"n={n} exceeds the {MAX_ELEMENTS}-element cap")
-    for name, t in (("add", add), ("mul", mul)):
-        if not np.issubdtype(t.dtype, np.integer):
-            raise RangeError(f"{name} table has non-integer entries")
-        if t.min() < 0 or t.max() >= n:
-            bad = np.argwhere((t < 0) | (t >= n))[0]
-            raise RangeError(
-                f"{name}[{bad[0]},{bad[1]}] = {t[bad[0], bad[1]]} out of range 0..{n - 1}"
-            )
+    add = _int_table("add", add, n)
+    mul = _int_table("mul", mul, n)
     if not 0 <= int(one) < n:
         raise RangeError(f"one={one} out of range 0..{n - 1}")
-    return n, add.astype(np.int64), mul.astype(np.int64)
+    return n, add, mul
 
 
 def validate_semiring(add, mul, one, id="anonymous"):
@@ -177,11 +207,11 @@ def validate_homomorphism(source, target, mapping, check_only=False):
         raise InvalidHomomorphism("preserves-one", (source.one,))
     for a in range(source.n):
         for b in range(a, source.n):
-            if m[source.add[a, b]] != target.add[m[a], m[b]]:
+            if m[source.add[a][b]] != target.add[m[a]][m[b]]:
                 if check_only:
                     return False
                 raise InvalidHomomorphism("preserves-add", (a, b))
-            if m[source.mul[a, b]] != target.mul[m[a], m[b]]:
+            if m[source.mul[a][b]] != target.mul[m[a]][m[b]]:
                 if check_only:
                     return False
                 raise InvalidHomomorphism("preserves-mul", (a, b))
@@ -197,16 +227,13 @@ def direct_product(s, t, id=None):
         raise SizeLimitExceeded(
             f"product size {s.n}*{t.n}={n} exceeds {MAX_ELEMENTS}"
         )
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i in range(s.n):
-        for j in range(t.n):
-            x = i * t.n + j
-            for k in range(s.n):
-                for l in range(t.n):
-                    y = k * t.n + l
-                    add[x, y] = s.add[i, k] * t.n + t.add[j, l]
-                    mul[x, y] = s.mul[i, k] * t.n + t.mul[j, l]
+    pairs = [(i, j) for i in range(s.n) for j in range(t.n)]
+    add = [
+        [s.add[i][k] * t.n + t.add[j][l] for k, l in pairs] for i, j in pairs
+    ]
+    mul = [
+        [s.mul[i][k] * t.n + t.mul[j][l] for k, l in pairs] for i, j in pairs
+    ]
     one = s.one * t.n + t.one
     return validate_semiring(add, mul, one, id=id or f"{s.id}x{t.id}")
 
@@ -216,7 +243,7 @@ def nontrivial_idempotents(s):
     return [
         x
         for x in range(s.n)
-        if s.mul[x, x] == x and x != 0 and x != s.one
+        if s.mul[x][x] == x and x != 0 and x != s.one
     ]
 
 
@@ -248,9 +275,9 @@ def bourne_congruence_classes(s, members):
     member_list = sorted(members)
     uf = _UnionFind(s.n)
     for a in range(s.n):
-        reach_a = {int(s.add[a, i]) for i in member_list}
+        reach_a = {s.add[a][i] for i in member_list}
         for b in range(a + 1, s.n):
-            if any(int(s.add[b, j]) in reach_a for j in member_list):
+            if any(s.add[b][j] in reach_a for j in member_list):
                 uf.union(a, b)
     roots = {}
     for x in range(s.n):
@@ -272,21 +299,16 @@ def bourne_quotient(s, ideal, id=None):
     for ci, cls in enumerate(classes):
         for x in cls:
             index_of[x] = ci
-    q = len(classes)
     reps = [cls[0] for cls in classes]
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            add[i, j] = index_of[int(s.add[a, b])]
-            mul[i, j] = index_of[int(s.mul[a, b])]
+    add = [[index_of[s.add[a][b]] for b in reps] for a in reps]
+    mul = [[index_of[s.mul[a][b]] for b in reps] for a in reps]
     # Well-definedness of the tables on classes; the congruence property
     # guarantees it, so a failure here is an internal bug.
     for a in range(s.n):
         for b in range(s.n):
-            if add[index_of[a], index_of[b]] != index_of[int(s.add[a, b])]:
+            if add[index_of[a]][index_of[b]] != index_of[s.add[a][b]]:
                 raise AssertionError("congruence not compatible with +")
-            if mul[index_of[a], index_of[b]] != index_of[int(s.mul[a, b])]:
+            if mul[index_of[a]][index_of[b]] != index_of[s.mul[a][b]]:
                 raise AssertionError("congruence not compatible with *")
     if any(index_of[x] != 0 for x in members):
         raise AssertionError("ideal escaped the zero class")

@@ -25,8 +25,8 @@ def semiring_to_json(s):
         "id": s.id,
         "n": s.n,
         "one": s.one,
-        "add": s.add.tolist(),
-        "mul": s.mul.tolist(),
+        "add": [list(row) for row in s.add],
+        "mul": [list(row) for row in s.mul],
     }
 
 

@@ -2,17 +2,19 @@
 
 Every negative verdict emitted by the package carries a concrete
 witness.  The functions here re-check those witnesses from first
-principles with plain set arithmetic over the Cayley tables: no bitmask
-kernels, no closed-set lattice, no classification cache.  They return
-True when the witness genuinely demonstrates the claimed failure.
+principles with plain set arithmetic over the Cayley tables, read as
+``t[a][b]`` (a semiring's tuple tables, or the nested lists of a
+document): no bitmask kernels, no closed-set lattice, no classification
+cache.  They return True when the witness genuinely demonstrates the
+claimed failure.
 """
 
 
 def _is_ideal_set(s, subset):
     if not subset or 0 not in subset:
         return False
-    if all(int(s.add[a, b]) in subset for a in subset for b in subset) and all(
-        int(s.mul[r, a]) in subset for r in range(s.n) for a in subset
+    if all(s.add[a][b] in subset for a in subset for b in subset) and all(
+        s.mul[r][a] in subset for r in range(s.n) for a in subset
     ):
         return True
     return False
@@ -24,9 +26,9 @@ def _generated_set(s, seed):
         grown = set(out)
         for a in out:
             for b in out:
-                grown.add(int(s.add[a, b]))
+                grown.add(s.add[a][b])
             for r in range(s.n):
-                grown.add(int(s.mul[r, a]))
+                grown.add(s.mul[r][a])
         if grown == out:
             return out
         out = grown
@@ -37,7 +39,7 @@ def _powers(s, r):
     x = r
     while x not in seen:
         seen.append(x)
-        x = int(s.mul[x, r])
+        x = s.mul[x][r]
     return seen
 
 
@@ -87,7 +89,7 @@ def verify_classification_witnesses(s, members, classification_json):
 
     if not flags["prime"]:
         x, y = witnesses["prime"]
-        if not (int(s.mul[x, y]) in a and x not in a and y not in a):
+        if not (s.mul[x][y] in a and x not in a and y not in a):
             bad.append("prime")
     if not flags["radical"]:
         (r,) = witnesses["radical"]
@@ -96,7 +98,7 @@ def verify_classification_witnesses(s, members, classification_json):
     if not flags["primary"]:
         x, y = witnesses["primary"]
         if not (
-            int(s.mul[x, y]) in a
+            s.mul[x][y] in a
             and x not in a
             and not any(p in a for p in _powers(s, y))
         ):

@@ -1,6 +1,5 @@
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from iseki.catalog import build_recipe, builtin_catalog
@@ -94,9 +93,9 @@ def naive_ideal_sets(s):
         if not subset:
             continue
         closed = all(
-            int(s.add[a, b]) in subset for a in subset for b in subset
+            s.add[a][b] in subset for a in subset for b in subset
         ) and all(
-            int(s.mul[r, a]) in subset for r in elements for a in subset
+            s.mul[r][a] in subset for r in elements for a in subset
         )
         if closed:
             out.append(subset)
@@ -105,9 +104,33 @@ def naive_ideal_sets(s):
 
 @pytest.fixture(scope="session")
 def chain6():
-    rng = np.arange(6)
+    add = [[max(a, b) for b in range(6)] for a in range(6)]
+    mul = [[min(a, b) for b in range(6)] for a in range(6)]
+    return validate_semiring(add, mul, 5, id="C6")
+
+
+@pytest.fixture(scope="session")
+def atoms5():
+    """Eight elements: 0, five atoms 1..5 that join pairwise to t = 6, a
+    top one = 7, and a product that is zero except by the unit."""
+    n, t, one = 8, 6, 7
+
+    def join(a, b):
+        if a == 0 or b == 0:
+            return a + b
+        if one in (a, b):
+            return one
+        return a if a == b else t
+
+    def times(a, b):
+        return b if a == one else a if b == one else 0
+
+    rows = range(n)
     return validate_semiring(
-        np.maximum.outer(rng, rng), np.minimum.outer(rng, rng), 5, id="C6"
+        [[join(a, b) for b in rows] for a in rows],
+        [[times(a, b) for b in rows] for a in rows],
+        one,
+        id="atoms5",
     )
 
 

@@ -63,7 +63,7 @@ def test_naive_prime_check_agrees(catalog_semirings):
         for ideal, c in classified_ideals(s):
             members = ideal.member_set()
             naive = all(
-                int(s.mul[x, y]) not in members or x in members or y in members
+                s.mul[x][y] not in members or x in members or y in members
                 for x in range(s.n)
                 for y in range(s.n)
             )

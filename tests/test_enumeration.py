@@ -25,7 +25,7 @@ def test_two_element_count_up_to_iso():
     reps = list(enumerate_semirings(2, up_to_iso=True))
     assert len(reps) == 2
     # One has idempotent addition (the boolean semiring), one has 1+1=0.
-    sums = sorted(int(s.add[1, 1]) for s in reps)
+    sums = sorted(s.add[1][1] for s in reps)
     assert sums == [0, 1]
 
 

@@ -106,7 +106,7 @@ def test_closure_matches_independent_fixpoint(small_semirings):
         ideals = all_ideals(s, proper_only=False)
         for a in ideals:
             for b in ideals:
-                products = {int(s.mul[x, y]) for x in a.members for y in b.members}
+                products = {s.mul[x][y] for x in a.members for y in b.members}
                 expected = _generated_set(s, products)
                 for variant in ("generated", "sums"):
                     got = product_ideals(s, a, b, variant=variant).member_set()

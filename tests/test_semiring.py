@@ -40,15 +40,75 @@ def test_malformed_tables():
         validate_semiring([[0, 1], [1, 1]], [[0, 0], [0, 1]], 7)
 
 
+B_ADD = [[0, 1], [1, 1]]
+B_MUL = [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "add, mul",
+    [
+        (B_ADD, B_MUL),
+        (((0, 1), (1, 1)), ((0, 0), (0, 1))),
+        (np.array(B_ADD), np.array(B_MUL)),
+        (np.array(B_ADD, dtype=np.uint8), [(0, 0), np.array([0, 1])]),
+    ],
+    ids=["lists", "tuples", "arrays", "mixed"],
+)
+def test_tables_accepted_as_nested_integer_sequences(add, mul):
+    """Lists, tuples and numpy arrays all give the same tuple tables."""
+    s = validate_semiring(add, mul, np.int64(1), id="B")
+    assert s.add == ((0, 1), (1, 1)) and s.mul == ((0, 0), (0, 1))
+    assert all(type(v) is int for t in (s.add, s.mul) for row in t for v in row)
+    assert type(s.one) is int
+    assert s == validate_semiring(B_ADD, B_MUL, 1, id="B")
+
+
+@pytest.mark.parametrize(
+    "add, mul, message",
+    [
+        ([[0, 1]], B_MUL, "addition table is not square: shape (1, 2)"),
+        ([0, 1], B_MUL, "addition table is not square: shape (2,)"),
+        (0, B_MUL, "addition table is not square: shape ()"),
+        (B_ADD, [[0, 0, 0]] * 3, "table shapes differ: add (2, 2) vs mul (3, 3)"),
+        ([[False, True], [True, True]], B_MUL, "add table has non-integer entries"),
+        (B_ADD, np.array(B_MUL, dtype=bool), "mul table has non-integer entries"),
+        ([[0.0, 1.0], [1.0, 1.0]], B_MUL, "add table has non-integer entries"),
+        ([[0, 5], [1, 1.0]], B_MUL, "add table has non-integer entries"),
+        ([[0, 5], [5, 5]], B_MUL, "add[0,1] = 5 out of range 0..1"),
+        (B_ADD, [[0, 0], [0, -1]], "mul[1,1] = -1 out of range 0..1"),
+        ([[0, 1], [1]], B_MUL, "addition table has rows of different lengths"),
+        (B_ADD, [[0, 0], [0]], "multiplication table has rows of different lengths"),
+    ],
+    ids=[
+        "not-square",
+        "flat",
+        "scalar",
+        "shapes-differ",
+        "bool",
+        "numpy-bool",
+        "float",
+        "float-before-range",
+        "out-of-range",
+        "negative",
+        "ragged-add",
+        "ragged-mul",
+    ],
+)
+def test_malformed_table_messages(add, mul, message):
+    with pytest.raises(RangeError) as err:
+        validate_semiring(add, mul, 1)
+    assert str(err.value) == message
+
+
 def _mutations(s):
     for table_name in ("add", "mul"):
         table = getattr(s, table_name)
         for i in range(s.n):
             for j in range(s.n):
                 for v in range(s.n):
-                    if v != table[i, j]:
-                        mutated = np.array(table)
-                        mutated[i, j] = v
+                    if v != table[i][j]:
+                        mutated = [list(row) for row in table]
+                        mutated[i][j] = v
                         yield table_name, mutated
 
 
@@ -69,12 +129,11 @@ def test_single_cell_mutations_never_crash(boolean, z2, c3, z4):
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=64, deadline=None)
 def test_mutation_property_z4(i, j, v, table_pick):
-    rng = np.arange(4)
-    add = np.add.outer(rng, rng) % 4
-    mul = np.multiply.outer(rng, rng) % 4
+    add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    mul = [[(a * b) % 4 for b in range(4)] for a in range(4)]
     target = add if table_pick % 2 == 0 else mul
-    target = np.array(target)
-    target[i, j] = v
+    target = [list(row) for row in target]
+    target[i][j] = v
     try:
         validate_semiring(
             target if table_pick % 2 == 0 else add,
@@ -95,14 +154,14 @@ def test_direct_product_boolean_square(boolean):
 def test_direct_product_with_trivial_is_isomorphic(boolean, trivial):
     p = direct_product(boolean, trivial)
     assert p.n == boolean.n
-    assert p.add.tolist() == boolean.add.tolist()
-    assert p.mul.tolist() == boolean.mul.tolist()
+    assert p.add == boolean.add
+    assert p.mul == boolean.mul
 
 
 def test_direct_product_z2_square(z2):
     p = direct_product(z2, z2)
     one = p.one
-    assert p.add[one, one] == 0
+    assert p.add[one][one] == 0
 
 
 def test_direct_product_size_cap(z4):
@@ -128,15 +187,15 @@ def test_bourne_quotient_by_zero_is_identity(boolean):
     q, hom = bourne_quotient(boolean, ideal_from_members(boolean, [0]))
     assert q.n == 2
     assert hom.map == (0, 1)
-    assert q.add.tolist() == boolean.add.tolist()
+    assert q.add == boolean.add
 
 
 def test_bourne_quotient_bb_by_axis(bb, boolean):
     ideal = ideal_from_members(bb, [0, 2])  # B x {0}
     q, hom = bourne_quotient(bb, ideal)
     assert q.n == 2
-    assert q.add.tolist() == boolean.add.tolist()
-    assert q.mul.tolist() == boolean.mul.tolist()
+    assert q.add == boolean.add
+    assert q.mul == boolean.mul
     assert all(hom.map[m] == 0 for m in ideal.members)
 
 
@@ -144,7 +203,7 @@ def test_bourne_quotient_z4(z4):
     q, hom = bourne_quotient(z4, ideal_from_members(z4, [0, 2]))
     assert q.n == 2
     assert hom.map == (0, 1, 0, 1)
-    assert q.add.tolist() == [[0, 1], [1, 0]]  # xor: it is Z2
+    assert q.add == ((0, 1), (1, 0))  # xor: it is Z2
 
 
 def test_bourne_quotient_collapse(collapsing3):

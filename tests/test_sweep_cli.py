@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +290,30 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
         "failed: sober_corollary: 3 of 3 instances; first witness "
         '{"class": "proper", "semiring": "C3"}',
     ]
+
+
+_WITHOUT_NUMPY = """
+import sys
+import iseki.cli, iseki.sweep
+assert "numpy" not in sys.modules, "importing iseki.cli and iseki.sweep loaded numpy"
+sys.modules["numpy"] = None  # any later import of numpy raises ImportError
+raise SystemExit(iseki.cli.main(["sweep", "--enumerate", "2", "--out", sys.argv[1]]))
+"""
+
+
+def test_runs_without_numpy(tmp_path):
+    """The package imports and sweeps in a process where numpy cannot be
+    imported; numpy is a test-only dependency."""
+    src = str(Path(iseki.sweep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["failures"] == 0

@@ -15,7 +15,7 @@ from iseki.morphisms import (
     enumerate_homomorphisms,
     induced_map,
 )
-from iseki.semiring import bourne_quotient, validate_semiring
+from iseki.semiring import bourne_quotient
 from iseki.sweep import ideal_lattice_report, topology_instance_report
 from iseki.topology import (
     ClosedFamily,
@@ -261,32 +261,12 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
             assert rep["homeomorphism_onto_image"] == expected, (s.id, t.id, hom.map, tag)
 
 
-def test_proper_spectrum_above_twenty_points():
-    """38 points: 0, five atoms 1..5 that join pairwise to t = 6, a top
-    one = 7, and a product that is zero except by the unit.  Its proper
-    ideals are {0}, {0, atom} and {0, t} with any set of atoms; the
-    8699 up-sets are 1 + the sum of 2^(number of atoms whose singleton
-    up-set lies in V) over the 7581 up-sets V of the atom subsets."""
-    n, t, one = 8, 6, 7
-
-    def join(a, b):
-        if a == 0 or b == 0:
-            return a + b
-        if one in (a, b):
-            return one
-        return a if a == b else t
-
-    def times(a, b):
-        return b if a == one else a if b == one else 0
-
-    rows = range(n)
-    s = validate_semiring(
-        [[join(a, b) for b in rows] for a in rows],
-        [[times(a, b) for b in rows] for a in rows],
-        one,
-        id="atoms5",
-    )
-    rep = topology_instance_report(s, "proper")
+def test_proper_spectrum_above_twenty_points(atoms5):
+    """38 points: the proper ideals of ``atoms5`` are {0}, {0, atom} and
+    {0, t} with any set of atoms; the 8699 up-sets are 1 + the sum of
+    2^(number of atoms whose singleton up-set lies in V) over the 7581
+    up-sets V of the atom subsets."""
+    rep = topology_instance_report(atoms5, "proper")
     assert len(rep["points"]) == 38
     assert rep["closed_set_count"] == 8699
     assert rep["t0"] and rep["sober"] and rep["connected"] is True
@@ -437,7 +417,7 @@ def test_idempotent_extraction_bb(bb):
     w = strong_disconnection_witness(bb, spec)
     e = idempotent_from_disconnection(bb, spec, w)
     assert e in (1, 2)  # the pairs (0,1) and (1,0)
-    assert int(bb.mul[e, e]) == e
+    assert bb.mul[e][e] == e
 
 
 def test_idempotent_hypothesis_no_witness(z4):
