@@ -2,9 +2,12 @@
 
 A homomorphism s -> t pulls ideals of t back to ideals of s.  When the
 spectrum class is stable under preimage (the contraction property), this
-gives a continuous map from the spectrum of t into the spectrum of s;
-the checks below verify continuity, the closed-subspace embedding for
-surjections, and the density criterion, reporting witnesses instead of
+gives a continuous map from the spectrum of t into the spectrum of s.
+``induced_map`` derives that map in one pass: it raises ContractionFails
+with the first point whose preimage is not a point, and otherwise
+returns the map with its continuity verdict and the kernel.  The checks
+below read the map to verify the closed-subspace embedding for
+surjections and the density criterion, reporting witnesses instead of
 silently dropping points when a hypothesis fails.
 """
 
@@ -12,14 +15,14 @@ from dataclasses import dataclass
 
 from .errors import ContractionFails, NotSurjective, SizeLimitExceeded
 from .ideals import (
-    _ideal_masks_all,
+    Ideal,
     generated_ideal,
     ideal_from_mask,
     is_ideal_mask,
     radical,
 )
 from .semiring import Homomorphism, validate_homomorphism
-from .topology import closed_family, parse_class, spectrum, up_set
+from .topology import closed_family, parse_class, spectrum
 
 HOM_SEARCH_CAP = 10_000_000
 
@@ -104,39 +107,14 @@ def compose(s, t, u, first, second):
     )
 
 
-def check_contraction(s, t, hom, cls):
-    """Whether every spectrum point of t pulls back into the spectrum of s.
-
-    When it does, ``map[j]`` is the index in the spectrum of s of the
-    preimage of point j of t; otherwise the witness is the first point of
-    t whose preimage is not a point.
-    """
-    if isinstance(cls, str):
-        cls = parse_class(cls)
-    index_of = {m: i for i, m in enumerate(spectrum(s, cls).point_masks())}
-    point_map, witness = [], None
-    for p in spectrum(t, cls).points:
-        back = contract_ideal(s, t, hom, p)
-        if back.mask not in index_of:
-            witness = {"point": list(p.members), "preimage": list(back.members)}
-            break
-        point_map.append(index_of[back.mask])
-    holds = witness is None
-    return {
-        "class": cls.display(),
-        "holds": holds,
-        "witness": witness,
-        "map": tuple(point_map) if holds else None,
-    }
-
-
 @dataclass(frozen=True)
 class InducedMap:
     """The spectrum map induced by a homomorphism, acting by preimage.
 
     ``source_spectrum`` lives over the homomorphism's target semiring and
     ``target_spectrum`` over its source; ``map[j]`` is the index in the
-    target spectrum of the preimage of source point j.
+    target spectrum of the preimage of source point j.  ``kernel`` is the
+    homomorphism's kernel, an ideal of its source.
     ``continuity_witness`` is None when the preimage of every subbasic
     closed set is the up-set of the extended ideal, hence closed;
     otherwise it is the first ideal of the homomorphism's source for
@@ -147,6 +125,7 @@ class InducedMap:
     source_spectrum: object
     target_spectrum: object
     map: tuple
+    kernel: Ideal
     continuity_witness: object
 
     @property
@@ -163,36 +142,46 @@ class InducedMap:
 def induced_map(s, t, hom, cls):
     """Build the induced spectrum map and verify its continuity.
 
-    Raises ContractionFails, carrying the contraction witness, when the
-    class is not stable under preimage.  Continuity is returned as a
-    verdict on the map (``continuous``, ``continuity_witness``): the
-    preimage of the up-set of each ideal a of s must be the up-set of the
-    ideal of t generated by the image of a.
+    Each point of the spectrum of t maps to its preimage.  When the class
+    is not stable under preimage (the contraction property fails), raises
+    ContractionFails with the witness ``{"point", "preimage"}`` of the
+    first point of t whose preimage is not a point.  Continuity is
+    returned as a verdict on the map (``continuous``,
+    ``continuity_witness``): the preimage of the up-set of each ideal a of
+    s must be the up-set of the ideal of t generated by the image of a.
+    Both up-sets are read from the spectra's closed families.
     """
     if isinstance(cls, str):
         cls = parse_class(cls)
-    verdict = check_contraction(s, t, hom, cls)
-    if not verdict["holds"]:
-        raise ContractionFails(cls.display(), verdict["witness"])
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
-    point_map = verdict["map"]
+    index_of = {m: i for i, m in enumerate(spec_s.point_masks())}
+    point_map = []
+    for p in spec_t.points:
+        back = contract_ideal(s, t, hom, p)
+        if back.mask not in index_of:
+            raise ContractionFails(
+                cls.display(),
+                {"point": list(p.members), "preimage": list(back.members)},
+            )
+        point_map.append(index_of[back.mask])
+    up_t = closed_family(t, spec_t).subbasis
     witness = None
-    for m in _ideal_masks_all(s):
-        target_up = up_set(spec_s, m)
+    for m, target_up in closed_family(s, spec_s).subbasis.items():
         pulled = 0
-        for j in range(spec_t.size):
-            if (target_up >> point_map[j]) & 1:
+        for j, i in enumerate(point_map):
+            if (target_up >> i) & 1:
                 pulled |= 1 << j
         ideal = ideal_from_mask(s, m)
-        if pulled != up_set(spec_t, extend_ideal(s, t, hom, ideal).mask):
+        if pulled != up_t[extend_ideal(s, t, hom, ideal).mask]:
             witness = {"ideal": list(ideal.members)}
             break
     return InducedMap(
         hom=hom,
         source_spectrum=spec_t,
         target_spectrum=spec_s,
-        map=point_map,
+        map=tuple(point_map),
+        kernel=kernel(s, t, hom),
         continuity_witness=witness,
     )
 
@@ -216,8 +205,8 @@ def check_quotient_homeomorphism(s, t, ind):
     if not hom.is_surjective_onto(t.n):
         raise NotSurjective(f"map {hom.map} does not cover {t.id}")
     spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
-    ker = kernel(s, t, hom)
-    ker_up = up_set(spec_s, ker.mask)
+    ker = ind.kernel
+    ker_up = closed_family(s, spec_s).subbasis[ker.mask]
     image = ind.image_point_set()
     injective = len(set(ind.map)) == len(ind.map)
 
@@ -255,7 +244,7 @@ def check_density(s, t, ind):
     """
     spec_s = ind.target_spectrum
     fam_s = closed_family(s, spec_s)
-    ker = kernel(s, t, ind.hom)
+    ker = ind.kernel
     image = ind.image_point_set()
     cl_image = fam_s.closure(image)
     dense = cl_image == spec_s.full_point_set
@@ -271,7 +260,7 @@ def check_density(s, t, ind):
         "density_rhs": criterion,
         "biconditional": dense == criterion,
         "closure_image_equals_kernel_upset": cl_image
-        == up_set(spec_s, ker.mask),
+        == fam_s.subbasis[ker.mask],
     }
     if spec_s.class_tag == "prime":
         report["radical_equality"] = radical(s, ker).mask == inter

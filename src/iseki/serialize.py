@@ -36,7 +36,8 @@ def semiring_from_json(doc):
     for key, kind in (("id", str), ("n", int), ("one", int), ("add", list), ("mul", list)):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
-        if not isinstance(doc[key], kind):
+        # Exact types: JSON true/false load as bool, a subclass of int.
+        if type(doc[key]) is not kind:
             raise ParseError(f"field {key!r} must be {kind.__name__}")
     n = doc["n"]
     for key in ("add", "mul"):
@@ -47,7 +48,7 @@ def semiring_from_json(doc):
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"field {key!r} row {r} must have {n} entries")
             for c, v in enumerate(row):
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise ParseError(f"field {key!r}[{r}][{c}] must be an integer")
     return validate_semiring(doc["add"], doc["mul"], doc["one"], id=doc["id"])
 
@@ -61,6 +62,8 @@ def ingest(path):
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     return semiring_from_json(doc)
 
 
@@ -80,6 +83,6 @@ def ideal_from_json(s, doc):
             f"ideal belongs to {doc['semiring']!r}, not {s.id!r}"
         )
     members = doc["members"]
-    if not isinstance(members, list) or not all(isinstance(m, int) for m in members):
+    if not isinstance(members, list) or not all(type(m) is int for m in members):
         raise ParseError("field 'members' must be a list of integers")
     return ideal_from_members(s, members)

@@ -38,7 +38,6 @@ from .morphisms import (
     check_quotient_homeomorphism,
     enumerate_homomorphisms,
     induced_map,
-    kernel,
 )
 from .semiring import bourne_quotient
 from .topology import (
@@ -53,7 +52,6 @@ from .topology import (
     idempotent_from_disconnection,
     spectrum,
     strong_disconnection_witness,
-    up_set,
     verify_upset_laws,
 )
 
@@ -247,7 +245,7 @@ def morphism_report(s, t, hom, cls="prime"):
         rep["radical_equality_matches_density"] = density[
             "radical_equality_matches_density"
         ]
-    rep["kernel"] = list(kernel(s, t, hom).members)
+    rep["kernel"] = list(ind.kernel.members)
     rep["surjective"] = hom.is_surjective_onto(t.n)
     if rep["surjective"]:
         q = check_quotient_homeomorphism(s, t, ind)
@@ -270,7 +268,6 @@ def quotient_report(s, ideal):
         "quotient": quotient.id,
         "quotient_size": quotient.n,
         "map_surjective": qmap.is_surjective_onto(quotient.n),
-        "kernel": list(kernel(s, quotient, qmap).members),
     }
     for cls in QUOTIENT_CLASSES:
         ind = induced_map(s, quotient, qmap, cls)
@@ -278,9 +275,12 @@ def quotient_report(s, ideal):
         rep[f"{cls}_homeomorphism_onto_kernel_upset"] = q[
             "homeomorphism_onto_kernel_upset"
         ]
+        up = closed_family(s, ind.target_spectrum).subbasis
         rep[f"{cls}_image_equals_ideal_upset"] = (
-            ind.image_point_set() == up_set(ind.target_spectrum, ideal.mask)
+            ind.image_point_set() == up[ideal.mask]
         )
+    # The kernel does not depend on the class.
+    rep["kernel"] = list(ind.kernel.members)
     return rep
 
 

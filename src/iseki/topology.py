@@ -103,9 +103,14 @@ def parse_class(text):
         if text.startswith("fg" + open_) and text.endswith(close):
             body = text[3:-1] if open_ == "(" else text[3:]
             try:
-                return SpectrumClass(tag="fg", k=int(body))
+                k = int(body)
             except ValueError:
                 break
+            if k < 0:
+                raise ParseError(
+                    f"spectrum class {text!r} needs a generator bound of at least 0"
+                )
+            return SpectrumClass(tag="fg", k=k)
     raise ParseError(f"unknown spectrum class {text!r}")
 
 
@@ -368,9 +373,8 @@ def check_quasi_compact(s, spec):
     """
     fam = closed_family(s, spec)
     algebra = ideal_algebra(s)
-    maximals_present = all(
-        m in set(spec.point_masks()) for m in maximal_ideal_masks(s)
-    )
+    point_mask_set = set(spec.point_masks())
+    maximals_present = all(m in point_mask_set for m in maximal_ideal_masks(s))
     identity_ok = True
     maximal_ok = True
     witness = None
@@ -508,12 +512,13 @@ def idempotent_from_disconnection(s, spec, witness):
         a.semiring == s.id and is_ideal_mask(s, a.mask) for a in [*left, *right]
     ):
         raise HypothesisUnmet("witness", "a side holds a non-ideal of the semiring")
+    up = closed_family(s, spec).subbasis
     left_union = 0
     for a in left:
-        left_union |= up_set(spec, a)
+        left_union |= up[a.mask]
     right_union = 0
     for b in right:
-        right_union |= up_set(spec, b)
+        right_union |= up[b.mask]
     if (
         left_union == 0
         or right_union == 0

@@ -46,7 +46,7 @@ def test_roundtrip_identity(tmp_path, boolean, catalog):
         assert canonical_json(semiring_to_json(loaded)) == text
 
 
-def test_parse_errors(tmp_path):
+def test_parse_errors(tmp_path, boolean):
     bad_width = {"id": "x", "n": 2, "one": 1, "add": [[0, 1]], "mul": [[0, 0], [0, 1]]}
     with pytest.raises(ParseError) as err:
         semiring_from_json(bad_width)
@@ -55,6 +55,18 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         semiring_from_json({"id": "x", "n": 2, "add": [], "mul": []})
     assert "one" in str(err.value)
+
+    with pytest.raises(ParseError) as err:
+        semiring_from_json({"id": "x", "n": True, "one": 0, "add": [[0]], "mul": [[0]]})
+    assert "'n' must be int" in str(err.value)
+
+    with pytest.raises(ParseError) as err:
+        semiring_from_json({"id": "x", "n": 1, "one": 0, "add": [[False]], "mul": [[0]]})
+    assert "must be an integer" in str(err.value)
+
+    with pytest.raises(ParseError) as err:
+        ideal_from_json(boolean, {"members": [False]})
+    assert "members" in str(err.value)
 
     path = tmp_path / "broken.json"
     path.write_text('{"id": "x",\n  broken\n}')

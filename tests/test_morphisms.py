@@ -8,7 +8,6 @@ from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, NotSurjective
 from iseki.ideals import all_ideals, ideal_from_members
 from iseki.morphisms import (
-    check_contraction,
     check_density,
     check_quotient_homeomorphism,
     compose,
@@ -73,15 +72,15 @@ def test_prime_contraction_universal(catalog_semirings):
     for s in small:
         for t in small:
             for hom in enumerate_homomorphisms(s, t):
-                assert check_contraction(s, t, hom, "prime")["holds"]
+                induced_map(s, t, hom, "prime")  # ContractionFails would fail it
 
 
 def test_maximal_contraction_can_fail(c3, c4):
     jump = hom_by_map(c3, c4, (0, 3, 3))
-    rep = check_contraction(c3, c4, jump, "maximal")
-    assert not rep["holds"]
+    with pytest.raises(ContractionFails) as err:
+        induced_map(c3, c4, jump, "maximal")
     # The maximal ideal {0,1,2} of C4 pulls back to {0}, not maximal in C3.
-    assert rep["witness"]["preimage"] == [0]
+    assert err.value.witness == {"point": [0, 1, 2], "preimage": [0]}
 
 
 def test_induced_map_examples(z4, z2, bb, boolean):
@@ -224,8 +223,8 @@ def test_hom_search_cap(chain6):
 
 
 def test_morphism_report_builds_each_induced_map_once(catalog_semirings, monkeypatch):
-    """Over the order <= 3 corpus, the prime-class morphism suite runs one
-    contraction check and builds one induced map per homomorphism."""
+    """Over the order <= 3 corpus, the prime-class morphism suite builds one
+    induced map, two spectra and one kernel per homomorphism."""
     calls = Counter()
 
     def counting(module, name):
@@ -238,7 +237,7 @@ def test_morphism_report_builds_each_induced_map_once(catalog_semirings, monkeyp
         monkeypatch.setattr(module, name, wrapper)
 
     for module in (iseki.morphisms, iseki.sweep):
-        for name in ("induced_map", "check_contraction"):
+        for name in ("induced_map", "spectrum", "kernel"):
             if hasattr(module, name):
                 counting(module, name)
     small = [s for s in catalog_semirings if s.n <= 3]
@@ -251,6 +250,7 @@ def test_morphism_report_builds_each_induced_map_once(catalog_semirings, monkeyp
                 calls.clear()
                 rep = iseki.sweep.morphism_report(s, t, hom, "prime")
                 assert calls["induced_map"] <= 1, (s.id, t.id, hom.map, calls)
-                assert calls["check_contraction"] <= 1, (s.id, t.id, hom.map, calls)
+                assert calls["spectrum"] <= 2, (s.id, t.id, hom.map, calls)
+                assert calls["kernel"] <= 1, (s.id, t.id, hom.map, calls)
                 surjective += rep.get("surjective", False)
     assert surjective > 0

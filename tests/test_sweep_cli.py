@@ -133,6 +133,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["sweep", "{B}", "{fake_B}"], "duplicate corpus id 'B'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
+        (["validate", "{not_utf8}"], "not valid UTF-8 at byte 0"),
+        (["validate", "{bool_one}"], "field 'one' must be int"),
+        (["topology", "{B}", "--class", "fg(-1)"], "generator bound of at least 0"),
     ],
     ids=[
         "topology-class",
@@ -144,6 +147,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "sweep-duplicate-id",
         "checks-before-input",
         "sweep-enumerate-zero",
+        "validate-not-utf8",
+        "validate-bool-one",
+        "topology-negative-fg",
     ],
 )
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -152,8 +158,14 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
         "B": _write(tmp_path, "B"),
         "missing": str(tmp_path / "missing.json"),
         "fake_B": str(tmp_path / "fake_B.json"),
+        "not_utf8": tmp_path / "not_utf8.json",
+        "bool_one": tmp_path / "bool_one.json",
     }
     emit(paths["fake_B"], validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 1, id="B"))
+    paths["not_utf8"].write_bytes(b"\xff\xfe")
+    paths["bool_one"].write_text(
+        json.dumps({"id": "B", "n": 2, "one": True, "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]]})
+    )
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,8 +3,11 @@ the package emits (and refute fabricated ones)."""
 
 import io
 
+import pytest
+
+from iseki.errors import ContractionFails
 from iseki.ideals import classified_ideals
-from iseki.morphisms import check_contraction, enumerate_homomorphisms
+from iseki.morphisms import enumerate_homomorphisms, induced_map
 from iseki.semiring import semiring_axiom_report
 from iseki.sweep import sweep
 from iseki.topology import closed_family, spectrum, strong_disconnection_witness
@@ -128,10 +131,11 @@ def test_disconnection_witnesses_via_sweep(catalog_semirings):
 
 def test_contraction_witnesses(c3, c4):
     jump = [h for h in enumerate_homomorphisms(c3, c4) if h.map == (0, 3, 3)][0]
-    rep = check_contraction(c3, c4, jump, "maximal")
-    assert not rep["holds"]
+    with pytest.raises(ContractionFails) as err:
+        induced_map(c3, c4, jump, "maximal")
+    witness = err.value.witness
     assert verify_contraction_witness(
-        c3, c4, jump.map, rep["witness"]["point"], rep["witness"]["preimage"]
+        c3, c4, jump.map, witness["point"], witness["preimage"]
     )
 
 
