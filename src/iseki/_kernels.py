@@ -117,17 +117,6 @@ def axiom_witness(add, mul, one):
     return (0, -1, -1, -1)
 
 
-def table_associative(table):
-    return _associativity_witness(table) is None
-
-
-def distributes(add, mul):
-    return (
-        _left_distributivity_witness(add, mul) is None
-        and _right_distributivity_witness(add, mul) is None
-    )
-
-
 def ideal_masks(add, mul):
     """Masks of all ideals, the improper one included, ascending.
 

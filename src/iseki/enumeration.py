@@ -1,17 +1,28 @@
 """Exhaustive enumeration of small commutative semirings.
 
-Candidates are built from the free upper-triangle entries of commutative
-tables (the additive identity row and the absorbing multiplication row
-are forced), pruned by associativity and the existence of a
-multiplicative identity, and finally paired under the distributivity
-filter.  Canonical forms for the up-to-isomorphism stream are the
-lexicographically least (add, mul) flat table pair over all element
-permutations fixing 0.
+One backtracking search builds every table.  It fills the free cells
+(i, j), 1 <= i <= j < n, of a commutative table in row-major order and
+tries their values in ascending order, so its leaves come out in
+lexicographic order of the free cells.  Row and column 0 are forced: 0
+is the additive identity and multiplicatively absorbing, so every law
+holds on a triple that contains 0.  A branch is cut as soon as a law
+whose cells are all assigned fails: associativity on both tables, and
+a(b + c) = ab + ac on the multiplication table against its addition
+table (commutativity gives the right law).
+
+The search runs over addition tables first, then over the
+multiplication tables of each addition table kept, keeping those with a
+multiplicative identity.  Up to isomorphism the addition table is fixed
+first: it is kept only if its flat table is least over the permutations
+fixing 0, and the multiplication table is then compared under the
+addition table's automorphisms alone (see ``enumerate_semirings``).
+This is the cell-by-cell constraint search of Distler & Kelsey, *The
+monoids of orders eight, nine & ten*, and Distler et al., *The
+semigroups of order 10* (CP 2012).
 """
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 
-from . import _kernels
 from .errors import SizeLimitExceeded
 from .semiring import FiniteSemiring
 
@@ -22,15 +33,72 @@ def _free_cells(n):
     return [(i, j) for i in range(1, n) for j in range(i, n)]
 
 
-def _commutative_tables(n, row0):
-    """All commutative tables with the given forced row/column 0."""
+def _search(n, row0, admissible):
+    """Yield every commutative table on {0..n-1} whose row and column 0
+    are ``row0`` and whose every partial table passes ``admissible``.
+
+    ``admissible(t, k)`` runs once the k-th free cell is assigned.  Row
+    and column n of ``t`` and its unassigned cells hold n, so a lookup
+    through an unassigned cell reads n.
+    """
     cells = _free_cells(n)
-    for values in product(range(n), repeat=len(cells)):
-        t = [list(row0)] + [[row0[i]] + [0] * (n - 1) for i in range(1, n)]
-        for (i, j), v in zip(cells, values):
-            t[i][j] = v
-            t[j][i] = v
-        yield tuple(map(tuple, t))
+    t = [list(row0) + [n]]
+    t += [[row0[i]] + [n] * n for i in range(1, n)]
+    t.append([n] * (n + 1))
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row[:n]) for row in t[:n])
+            return
+        i, j = cells[k]
+        for v in range(n):
+            t[i][j] = t[j][i] = v
+            if admissible(t, k):
+                yield from fill(k + 1)
+        t[i][j] = t[j][i] = n
+
+    return fill(0)
+
+
+def _triples_by_cell(n):
+    """For each free cell k, the triples a <= b <= c of non-zero elements
+    (not all equal) whose cells (a, b), (b, c), (a, c) are assigned once
+    cell k is.
+
+    In a commutative table, (ab)c = a(bc) on every ordering of {a, b, c}
+    exactly when (ab)c, (bc)a and (ac)b agree.
+    """
+    position = {cell: k for k, cell in enumerate(_free_cells(n))}
+    ready = [[] for _ in position]
+    for a, b, c in combinations_with_replacement(range(1, n), 3):
+        if a < c:
+            last = max(position[a, b], position[b, c], position[a, c])
+            for k in range(last, len(ready)):
+                ready[k].append((a, b, c))
+    return ready
+
+
+def _associative_so_far(t, triples, n):
+    # {.., n} has more than two members when two assigned values differ.
+    for a, b, c in triples:
+        if len({t[t[a][b]][c], t[t[b][c]][a], t[t[a][c]][b], n}) > 2:
+            return False
+    return True
+
+
+def _distributivity_by_cell(add):
+    """For each free cell k, the triples (a, b, c), 1 <= b <= c, whose
+    multiplication cells ab, ac and a(b + c) are first all assigned at
+    cell k."""
+    n = len(add)
+    position = {cell: k for k, cell in enumerate(_free_cells(n))}
+    due = [[] for _ in position]
+    for a in range(1, n):
+        for b, c in combinations_with_replacement(range(1, n), 2):
+            cells = [(a, b), (a, c), (a, add[b][c])]
+            last = max(position.get(tuple(sorted(cell)), -1) for cell in cells)
+            due[last].append((a, b, c, add[b][c]))
+    return due
 
 
 def _mul_identity(t):
@@ -41,36 +109,40 @@ def _mul_identity(t):
     return None
 
 
-def _permuted_pair(add, mul, perm):
-    n = len(add)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    pa = tuple(inv[add[perm[i]][perm[j]]] for i in range(n) for j in range(n))
-    pm = tuple(inv[mul[perm[i]][perm[j]]] for i in range(n) for j in range(n))
-    return pa, pm
+def _relabelings(n):
+    """(perm, inverse) for every permutation of {0..n-1} fixing 0."""
+    out = []
+    for p in permutations(range(1, n)):
+        perm = (0,) + p
+        inv = [0] * n
+        for i, x in enumerate(perm):
+            inv[x] = i
+        out.append((perm, inv))
+    return out
 
 
-def canonical_key(add, mul):
-    """Least (add, mul) flat pair over the permutations fixing element 0."""
-    n = len(add)
-    return min(
-        _permuted_pair(add, mul, (0,) + p)
-        for p in permutations(range(1, n))
-    )
+def _permuted(t, relabeling):
+    """Flat table of ``t`` with every element x renamed perm^-1(x)."""
+    perm, inv = relabeling
+    return tuple(inv[t[i][j]] for i in perm for j in perm)
 
 
-def table_pair_key(add, mul):
-    return tuple(v for row in add for v in row), tuple(v for row in mul for v in row)
+def _flat(t):
+    return tuple(v for row in t for v in row)
 
 
 def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
     """Yield every commutative semiring on {0..n-1} with zero = 0.
 
-    With up_to_iso, exactly the canonical representative of each
-    isomorphism class is yielded.  Deterministic order: lexicographic in
-    the free addition-table entries, then the free multiplication-table
-    entries.
+    Deterministic order: lexicographic in the free addition-table
+    entries, then the free multiplication-table entries.  With
+    up_to_iso, exactly one representative of each isomorphism class is
+    yielded: the pair whose flat (add, mul) tables are least over the
+    permutations fixing 0.  A pair is that least one exactly when its
+    addition table is least over the permutations and its
+    multiplication table is least over the addition table's
+    automorphisms, since a permutation either makes the addition table
+    larger or fixes it.
     """
     if n < 1:
         raise SizeLimitExceeded("element count must be at least 1")
@@ -79,25 +151,32 @@ def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
             f"enumeration capped at n <= {ENUMERATION_CAP} (asked for {n})"
         )
     prefix = id_prefix if id_prefix is not None else f"enum{n}"
-    identity_row = tuple(range(n))
-    zero_row = (0,) * n
+    associativity = _triples_by_cell(n)
+    relabelings = _relabelings(n) if up_to_iso else ()
 
-    add_tables = [
-        t for t in _commutative_tables(n, identity_row)
-        if _kernels.table_associative(t)
-    ]
-    mul_tables = []
-    for t in _commutative_tables(n, zero_row):
-        e = _mul_identity(t)
-        if e is not None and _kernels.table_associative(t):
-            mul_tables.append((t, e))
+    def add_admissible(t, k):
+        return _associative_so_far(t, associativity[k], n)
 
     count = 0
-    for add in add_tables:
-        for mul, one in mul_tables:
-            if not _kernels.distributes(add, mul):
+    for add in _search(n, tuple(range(n)), add_admissible):
+        flat_add = _flat(add)
+        if any(_permuted(add, r) < flat_add for r in relabelings):
+            continue
+        automorphisms = [r for r in relabelings if _permuted(add, r) == flat_add]
+        distributivity = _distributivity_by_cell(add)
+
+        def mul_admissible(t, k):
+            for a, b, c, s in distributivity[k]:
+                if t[a][s] != add[t[a][b]][t[a][c]]:
+                    return False
+            return _associative_so_far(t, associativity[k], n)
+
+        for mul in _search(n, (0,) * n, mul_admissible):
+            one = _mul_identity(mul)
+            if one is None:
                 continue
-            if up_to_iso and table_pair_key(add, mul) != canonical_key(add, mul):
+            flat_mul = _flat(mul)
+            if any(_permuted(mul, r) < flat_mul for r in automorphisms):
                 continue
             yield FiniteSemiring(
                 id=f"{prefix}-{count}", n=n, add=add, mul=mul, one=one
@@ -107,8 +186,6 @@ def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
 
 def isomorphism_orbit_size(s):
     """Number of distinct labeled table pairs isomorphic to ``s`` (0 fixed)."""
-    keys = {
-        _permuted_pair(s.add, s.mul, (0,) + p)
-        for p in permutations(range(1, s.n))
-    }
-    return len(keys)
+    return len(
+        {(_permuted(s.add, r), _permuted(s.mul, r)) for r in _relabelings(s.n)}
+    )

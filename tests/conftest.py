@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,6 +15,82 @@ from iseki.ideals import (
 )
 from iseki.semiring import direct_product, validate_semiring
 from iseki.topology import up_set
+
+
+def _commutative_tables(n, row0):
+    """All commutative tables with the given forced row/column 0, in
+    lexicographic order of the free upper-triangle entries."""
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    for values in product(range(n), repeat=len(cells)):
+        t = [list(row0)] + [[row0[i]] + [0] * (n - 1) for i in range(1, n)]
+        for (i, j), v in zip(cells, values):
+            t[i][j] = v
+            t[j][i] = v
+        yield tuple(map(tuple, t))
+
+
+def _permuted_pair(add, mul, perm):
+    n = len(add)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    pa = tuple(inv[add[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+    pm = tuple(inv[mul[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+    return pa, pm
+
+
+def canonical_key(add, mul):
+    """Least (add, mul) flat pair over the permutations fixing element 0."""
+    n = len(add)
+    return min(
+        _permuted_pair(add, mul, (0,) + p)
+        for p in permutations(range(1, n))
+    )
+
+
+def table_pair_key(add, mul):
+    return tuple(v for row in add for v in row), tuple(v for row in mul for v in row)
+
+
+def _associative(t):
+    n = len(t)
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(range(n), repeat=3)
+    )
+
+
+def _distributive(add, mul):
+    # a(b + c) = ab + ac; commutativity of mul gives the right law.
+    n = len(add)
+    return all(
+        mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a, b, c in product(range(n), repeat=3)
+    )
+
+
+def reference_semirings(n, up_to_iso=False):
+    """Brute-force reference for ``enumerate_semirings``: every pair of
+    associative commutative tables built by ``product()``, filtered by a
+    multiplicative identity, whole-table distributivity and, up to
+    isomorphism, ``canonical_key``.  Yields ``(id, one, add, mul)``."""
+    add_tables = [
+        t for t in _commutative_tables(n, tuple(range(n))) if _associative(t)
+    ]
+    identity = tuple(range(n))
+    mul_tables = [
+        (t, t.index(identity))
+        for t in _commutative_tables(n, (0,) * n)
+        if identity in t and _associative(t)
+    ]
+    count = 0
+    for add in add_tables:
+        for mul, one in mul_tables:
+            if not _distributive(add, mul):
+                continue
+            if up_to_iso and table_pair_key(add, mul) != canonical_key(add, mul):
+                continue
+            yield f"enum{n}-{count}", one, add, mul
+            count += 1
 
 
 @pytest.fixture(scope="session")

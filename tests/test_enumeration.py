@@ -1,15 +1,22 @@
 """Enumeration counts were first computed by an independent full-table
 brute force (all 3^9 x 3^9 raw table pairs filtered by the axioms) and
-are pinned here as regression constants."""
+are pinned here as regression constants.
+
+For n <= 4 the backtracking search must give the same stream as the
+``product()`` brute force it replaced (``conftest.reference_semirings``).
+That reference cannot reach n = 5, so the n = 5 figures are pinned from
+prototypes: the 5,292 labeled semirings from a numpy one (an
+associativity-pruned cell search found 1,486 addition and 1,020
+multiplication monoid tables, then one vectorized distributivity check
+per addition table ran over all multiplication tables), and the 228
+isomorphism classes from a pure-Python one of this search.  The
+orbit-stabilizer identity ties the two counts together."""
 
 import pytest
+from conftest import canonical_key, reference_semirings, table_pair_key
 
-from iseki.enumeration import (
-    canonical_key,
-    enumerate_semirings,
-    isomorphism_orbit_size,
-    table_pair_key,
-)
+from iseki import enumeration
+from iseki.enumeration import enumerate_semirings, isomorphism_orbit_size
 from iseki.errors import SizeLimitExceeded
 from iseki.semiring import validate_semiring
 
@@ -60,6 +67,27 @@ def test_n4_is_best_effort_but_works():
     assert sum(isomorphism_orbit_size(s) for s in reps) == 207
     assert len(list(enumerate_semirings(4))) == 207
     for s in reps[:5]:
+        validate_semiring(s.add, s.mul, s.one)
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True], ids=["labeled", "iso"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stream_matches_brute_force_reference(n, up_to_iso):
+    stream = [
+        (s.id, s.one, s.add, s.mul)
+        for s in enumerate_semirings(n, up_to_iso=up_to_iso)
+    ]
+    assert stream == list(reference_semirings(n, up_to_iso))
+
+
+def test_order_five_self_check(monkeypatch):
+    monkeypatch.setattr(enumeration, "ENUMERATION_CAP", 5)
+    reps = list(enumerate_semirings(5, up_to_iso=True))
+    assert len(reps) == 228
+    assert sum(isomorphism_orbit_size(s) for s in reps) == 5292
+    for s in reps:
+        assert table_pair_key(s.add, s.mul) == canonical_key(s.add, s.mul)
+    for s in (reps[0], reps[-1]):
         validate_semiring(s.add, s.mul, s.one)
 
 

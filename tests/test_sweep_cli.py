@@ -133,6 +133,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["sweep", "{B}", "{fake_B}"], "duplicate corpus id 'B'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
+        (["sweep", "{B}", "--enumerate", "5"], "enumeration capped at n <= 4 (asked for 5)"),
         (["validate", "{not_utf8}"], "not valid UTF-8 at byte 0"),
         (["validate", "{bool_one}"], "field 'one' must be int"),
         (["topology", "{B}", "--class", "fg(-1)"], "generator bound of at least 0"),
@@ -147,6 +148,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "sweep-duplicate-id",
         "checks-before-input",
         "sweep-enumerate-zero",
+        "sweep-enumerate-above-cap",
         "validate-not-utf8",
         "validate-bool-one",
         "topology-negative-fg",

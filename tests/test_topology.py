@@ -2,12 +2,17 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import ReferenceLattice, reference_quasi_compact, reference_upset_laws
+from conftest import (
+    ReferenceLattice,
+    canonical_key,
+    reference_quasi_compact,
+    reference_upset_laws,
+)
 
 import iseki.ideals
 import iseki.sweep
 import iseki.topology
-from iseki.enumeration import canonical_key, enumerate_semirings
+from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
 from iseki.ideals import all_ideals, ideal_algebra, ideal_from_members
 from iseki.morphisms import (
