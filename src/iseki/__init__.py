@@ -9,7 +9,6 @@ from .errors import (
     ImproperIdeal,
     InvalidHomomorphism,
     IsekiError,
-    NoMaximalIdeal,
     NotSurjective,
     NoUnitDecomposition,
     ParseError,
@@ -34,28 +33,21 @@ from .ideals import (
     generated_ideal,
     ideal_from_mask,
     ideal_from_members,
-    intersect_ideals,
     jacobson_radical,
-    maximal_cover,
     min_generators,
-    product_ideals,
-    radical,
     radical_via_primes,
-    sum_ideals,
 )
 from .topology import (
     ClosedFamily,
     Spectrum,
     SpectrumClass,
     check_connected,
-    check_fg_spectrum_maximals,
     check_irreducible_upsets,
     check_quasi_compact,
     check_sober,
     check_t0,
     check_t1,
     closed_family,
-    closure,
     idempotent_from_disconnection,
     parse_class,
     spectrum,

@@ -56,7 +56,7 @@ def build_recipe(recipe):
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def builtin_catalog(with_quotients=True):
+def builtin_catalog():
     """The built-in corpus: named semirings, two products, and the Bourne
     quotients of each base entry by each of its proper ideals."""
     entries = []
@@ -76,10 +76,9 @@ def builtin_catalog(with_quotients=True):
         push(recipe, s)
         bases.append((recipe, s))
 
-    if with_quotients:
-        for base_recipe, base in bases:
-            for ideal in all_ideals(base, proper_only=True):
-                recipe = ("quotient", base_recipe, tuple(ideal.members))
-                quotient, _ = bourne_quotient(base, ideal)
-                push(recipe, quotient)
+    for base_recipe, base in bases:
+        for ideal in all_ideals(base, proper_only=True):
+            recipe = ("quotient", base_recipe, tuple(ideal.members))
+            quotient, _ = bourne_quotient(base, ideal)
+            push(recipe, quotient)
     return entries

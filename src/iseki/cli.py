@@ -13,7 +13,7 @@ import sys
 from .catalog import builtin_catalog
 from .dot import export_dot
 from .errors import AxiomViolation, IsekiError, ParseError
-from .ideals import all_ideals, classified_ideals
+from .ideals import classified_ideals
 from .morphisms import enumerate_homomorphisms
 from .serialize import canonical_json, ingest, semiring_to_json
 from .sweep import (

@@ -37,15 +37,11 @@ class SizeLimitExceeded(IsekiError):
 
 
 class EmptyFamily(IsekiError):
-    """An ideal-family operation was given no ideals."""
+    """A sweep was given an empty corpus."""
 
 
 class ImproperIdeal(IsekiError):
     """A proper ideal was required but the whole semiring was supplied."""
-
-
-class NoMaximalIdeal(IsekiError):
-    """No maximal ideal exists (only possible for the trivial semiring)."""
 
 
 class ParseError(IsekiError, ValueError):

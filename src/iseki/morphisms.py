@@ -17,11 +17,11 @@ from .errors import ContractionFails, NotSurjective, SizeLimitExceeded
 from .ideals import (
     Ideal,
     generated_ideal,
+    ideal_algebra,
     ideal_from_mask,
     is_ideal_mask,
-    radical,
 )
-from .semiring import Homomorphism, validate_homomorphism
+from .semiring import Homomorphism, _homomorphism_violation, validate_homomorphism
 from .topology import closed_family, parse_class, spectrum
 
 HOM_SEARCH_CAP = 10_000_000
@@ -57,7 +57,7 @@ def enumerate_homomorphisms(s, t):
 
     def dfs(pos):
         if pos == len(free):
-            if validate_homomorphism(s, t, image, check_only=True):
+            if _homomorphism_violation(s, t, image) is None:
                 found.append(Homomorphism(s.id, t.id, tuple(image)))
             return
         x = free[pos]
@@ -71,16 +71,6 @@ def enumerate_homomorphisms(s, t):
     return found
 
 
-def kernel(s, t, hom):
-    """Preimage of {0}; an ideal of s, improper only for a zero-collapse."""
-    mask = 0
-    for a in range(s.n):
-        if hom.map[a] == 0:
-            mask |= 1 << a
-    assert is_ideal_mask(s, mask), "kernel failed the ideal axioms"
-    return ideal_from_mask(s, mask)
-
-
 def contract_ideal(s, t, hom, ideal_of_t):
     """Preimage of an ideal of t; always an ideal of s."""
     mask = 0
@@ -89,6 +79,12 @@ def contract_ideal(s, t, hom, ideal_of_t):
             mask |= 1 << a
     assert is_ideal_mask(s, mask), "contraction failed the ideal axioms"
     return ideal_from_mask(s, mask)
+
+
+def kernel(s, t, hom):
+    """Preimage of the zero ideal of t; an ideal of s, improper only for a
+    zero-collapse."""
+    return contract_ideal(s, t, hom, ideal_from_mask(t, 1))
 
 
 def extend_ideal(s, t, hom, ideal_of_s):
@@ -263,7 +259,7 @@ def check_density(s, t, ind):
         == fam_s.subbasis[ker.mask],
     }
     if spec_s.class_tag == "prime":
-        report["radical_equality"] = radical(s, ker).mask == inter
+        report["radical_equality"] = ideal_algebra(s).radicals[ker.mask] == inter
         report["radical_equality_matches_density"] = (
             report["radical_equality"] == dense
         )

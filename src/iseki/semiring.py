@@ -173,50 +173,35 @@ def validate_semiring(add, mul, one, id="anonymous"):
     return FiniteSemiring(id=id, n=n, add=add, mul=mul, one=int(one))
 
 
-def semiring_axiom_report(add, mul, one):
-    """Like validate_semiring but returns (ok, axiom, witness) without raising."""
-    try:
-        n, add, mul = _check_tables_shape(add, mul, one)
-    except (RangeError, SizeLimitExceeded) as exc:
-        return False, "table-format", str(exc)
-    code, a, b, c = _kernels.axiom_witness(add, mul, int(one))
-    if code == 0:
-        return True, None, None
-    arity = _kernels.AXIOM_ARITY[code]
-    return False, _kernels.AXIOM_NAMES[code], (a, b, c)[:arity]
-
-
-def validate_homomorphism(source, target, mapping, check_only=False):
-    """Validate that ``mapping`` preserves +, *, 0 and 1.
-
-    Returns a Homomorphism, or raises InvalidHomomorphism with the law
-    name and witness.  With check_only, returns True/False instead.
-    """
-    m = tuple(int(v) for v in mapping)
+def _homomorphism_violation(source, target, m):
+    """The first law that the int sequence ``m`` breaks as a map from
+    ``source`` to ``target``, as ``(law, witness)``; None when ``m`` is a
+    homomorphism."""
     if len(m) != source.n or any(not 0 <= v < target.n for v in m):
-        if check_only:
-            return False
-        raise InvalidHomomorphism("total-map", (len(m),))
+        return "total-map", (len(m),)
     if m[0] != 0:
-        if check_only:
-            return False
-        raise InvalidHomomorphism("preserves-zero", (0,))
+        return "preserves-zero", (0,)
     if m[source.one] != target.one:
-        if check_only:
-            return False
-        raise InvalidHomomorphism("preserves-one", (source.one,))
+        return "preserves-one", (source.one,)
     for a in range(source.n):
         for b in range(a, source.n):
             if m[source.add[a][b]] != target.add[m[a]][m[b]]:
-                if check_only:
-                    return False
-                raise InvalidHomomorphism("preserves-add", (a, b))
+                return "preserves-add", (a, b)
             if m[source.mul[a][b]] != target.mul[m[a]][m[b]]:
-                if check_only:
-                    return False
-                raise InvalidHomomorphism("preserves-mul", (a, b))
-    if check_only:
-        return True
+                return "preserves-mul", (a, b)
+    return None
+
+
+def validate_homomorphism(source, target, mapping):
+    """Validate that ``mapping`` preserves +, *, 0 and 1.
+
+    Returns a Homomorphism, or raises InvalidHomomorphism with the first
+    broken law and its witness.
+    """
+    m = tuple(int(v) for v in mapping)
+    violation = _homomorphism_violation(source, target, m)
+    if violation is not None:
+        raise InvalidHomomorphism(*violation)
     return Homomorphism(source=source.id, target=target.id, map=m)
 
 

@@ -97,7 +97,7 @@ def topology_instance_report(s, cls):
     principals = ideal_algebra(s).principals
     up = closed_family(s, spec).subbasis
     for ideal, classification in classified_ideals(s):
-        seed = dict(classification.witnesses)["generators"]
+        seed = classification.witness_dict()["generators"]
         pulled = spec.full_point_set
         for g in seed:
             pulled &= up[principals[g]]

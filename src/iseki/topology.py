@@ -1,7 +1,7 @@
 """Spectra of distinguished ideal classes and their coarse lower topology.
 
-A spectrum is the ordered set of proper ideals of one semiring satisfying
-a class predicate (prime, maximal, radical, ...).  Its Iseki space is the
+A spectrum is the ordered set of proper ideals of one semiring that
+belong to one class (prime, maximal, radical, ...).  Its Iseki space is the
 topology whose closed sets are generated, as a closed subbasis, by the
 up-sets
 
@@ -21,7 +21,6 @@ from itertools import combinations
 
 from .errors import HypothesisUnmet, NoUnitDecomposition, ParseError
 from .ideals import (
-    Ideal,
     _ideal_masks_all,
     classified_ideals,
     ideal_algebra,
@@ -32,16 +31,19 @@ from .ideals import (
     maximal_ideal_masks,
 )
 
-CLASS_TAGS = (
-    "proper",
-    "prime",
-    "maximal",
-    "primary",
-    "irreducible",
-    "strongly-irreducible",
-    "radical",
-    "principal",
-)
+# Each built-in class tag and the classification flag that selects its
+# points; every proper ideal is a point of "proper".
+CLASS_FLAGS = {
+    "proper": None,
+    "prime": "prime",
+    "maximal": "maximal",
+    "primary": "primary",
+    "irreducible": "irreducible",
+    "strongly-irreducible": "strongly_irreducible",
+    "radical": "radical_ideal",
+    "principal": "principal",
+}
+CLASS_TAGS = tuple(CLASS_FLAGS)
 # The ideal families of the sum identity (quasi-compactness and up-set
 # law 3) have at most this many members.
 FAMILY_SIZE_CAP = 3
@@ -49,49 +51,24 @@ FAMILY_SIZE_CAP = 3
 
 @dataclass(frozen=True)
 class SpectrumClass:
-    """A decidable, deterministic predicate selecting proper ideals.
-
-    Built-in tags are listed in CLASS_TAGS; ``fg`` takes the generator
-    bound ``k``; ``custom`` carries a user predicate of signature
-    ``(semiring, ideal, classification) -> bool`` which must be
-    deterministic.
-    """
+    """A class of proper ideals: a tag of ``CLASS_FLAGS``, or ``fg`` with
+    the generator bound ``k`` (the ideals with at most k generators)."""
 
     tag: str
     k: int = -1
-    name: str = ""
-    predicate: object = None
 
     def display(self):
         if self.tag == "fg":
             return f"fg({self.k})"
-        if self.tag == "custom":
-            return self.name or "custom"
         return self.tag
 
-    def accepts(self, s, ideal, classification):
-        tag = self.tag
-        if tag == "proper":
-            return True
-        if tag == "prime":
-            return classification.prime
-        if tag == "maximal":
-            return classification.maximal
-        if tag == "primary":
-            return classification.primary
-        if tag == "irreducible":
-            return classification.irreducible
-        if tag == "strongly-irreducible":
-            return classification.strongly_irreducible
-        if tag == "radical":
-            return classification.radical_ideal
-        if tag == "principal":
-            return classification.principal
-        if tag == "fg":
+    def accepts(self, classification):
+        if self.tag == "fg":
             return classification.min_generators <= self.k
-        if tag == "custom":
-            return bool(self.predicate(s, ideal, classification))
-        raise ValueError(f"unknown spectrum class tag {tag!r}")
+        if self.tag not in CLASS_FLAGS:
+            raise ValueError(f"unknown spectrum class tag {self.tag!r}")
+        flag = CLASS_FLAGS[self.tag]
+        return flag is None or getattr(classification, flag)
 
 
 def parse_class(text):
@@ -147,18 +124,15 @@ def spectrum(s, cls):
     points = tuple(
         ideal
         for ideal, classification in classified_ideals(s)
-        if cls.accepts(s, ideal, classification)
+        if cls.accepts(classification)
     )
     return Spectrum(semiring=s.id, class_tag=cls.display(), points=points)
 
 
-def up_set(spec, ideal):
-    """Point-set bitmask of the points containing the given ideal.
-
-    Accepts an Ideal or a raw element bitmask; improper ideals give the
-    empty set since no proper point can contain them.
-    """
-    mask = ideal.mask if isinstance(ideal, Ideal) else int(ideal)
+def up_set(spec, mask):
+    """Point-set bitmask of the points containing the ideal with element
+    bitmask ``mask``; the improper ideal gives the empty set since no
+    proper point can contain it."""
     out = 0
     for i, p in enumerate(spec.points):
         if (p.mask & mask) == mask:
@@ -264,11 +238,6 @@ def closed_family(s, spec):
     return _closed_family_cached(s, spec)
 
 
-def closure(s, spec, point_set):
-    """Smallest closed superset of a point-set."""
-    return closed_family(s, spec).closure(point_set)
-
-
 def point_set_members(spec, point_set):
     return [list(spec.points[i].members) for i in range(spec.size) if (point_set >> i) & 1]
 
@@ -295,10 +264,13 @@ def check_t0(s, spec):
 
 
 def check_t1(s, spec):
-    """Singleton-closure T1 test plus the all-maximal-ideals predicate.
+    """Singleton-closure T1 test plus the "points are exactly the maximal
+    ideals" test.
 
-    The two booleans must agree for every built-in class; both are
-    reported so disagreements are visible rather than asserted away.
+    The two booleans agree whenever every maximal ideal is a point; both
+    are reported so disagreements are visible rather than asserted away.
+    ``fg(0)`` on C3 is T1 (its one point is {0}) but {0} is not maximal:
+    ``tests/test_topology.py::test_t1_equivalence_fg0_c3`` pins it.
     """
     fam = closed_family(s, spec)
     t1 = True
@@ -308,12 +280,11 @@ def check_t1(s, spec):
             t1 = False
             witness = list(spec.points[i].members)
             break
-    maximal_set = set(maximal_ideal_masks(s))
-    predicate = set(spec.point_masks()) == maximal_set
+    points_maximal = set(spec.point_masks()) == set(maximal_ideal_masks(s))
     return {
         "t1": t1,
-        "t1_predicate": predicate,
-        "agree": t1 == predicate,
+        "t1_predicate": points_maximal,
+        "agree": t1 == points_maximal,
         "witness": witness,
         "degenerate": spec.size == 0,
     }
@@ -401,37 +372,6 @@ def check_quasi_compact(s, spec):
         "empty_intersection_families": empty_families,
         "empty_intersection_implies_improper_sum": maximal_ok,
         "witness": witness,
-    }
-
-
-def check_fg_spectrum_maximals(s, k):
-    """Presence of each maximal ideal in the k-generated spectrum.
-
-    In a finite semiring every ideal is finitely generated, so this
-    reports the generator count of each maximal ideal against ``k``
-    rather than asserting a theorem.
-    """
-    spec = spectrum(s, SpectrumClass(tag="fg", k=k))
-    rows = []
-    all_present = True
-    by_mask = {ideal.mask: c for ideal, c in classified_ideals(s)}
-    for m in maximal_ideal_masks(s):
-        gens = by_mask[m].min_generators
-        present = gens <= k
-        all_present = all_present and present
-        rows.append(
-            {
-                "maximal": mask_members(s, m),
-                "min_generators": gens,
-                "present": present,
-            }
-        )
-    return {
-        "k": k,
-        "quasi_compact": True,
-        "all_maximals_present": all_present,
-        "maximals": rows,
-        "degenerate": spec.size == 0,
     }
 
 

@@ -1,20 +1,14 @@
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
 
 from iseki.catalog import build_recipe, builtin_catalog
 from iseki.enumeration import enumerate_semirings
-from iseki.ideals import (
-    _ideal_masks_all,
-    ideal_from_mask,
-    intersect_ideals,
-    maximal_ideal_masks,
-    product_ideals,
-    radical,
-    sum_ideals,
-)
+from iseki.ideals import _ideal_masks_all, maximal_ideal_masks
 from iseki.semiring import direct_product, validate_semiring
 from iseki.topology import up_set
+from iseki.verify import _generated_set, _powers
 
 
 def _commutative_tables(n, row0):
@@ -297,10 +291,51 @@ class ReferenceLattice:
         return None
 
 
+def _members(mask):
+    return [e for e in range(mask.bit_length()) if (mask >> e) & 1]
+
+
+def _mask(elements):
+    return sum(1 << e for e in set(elements))
+
+
+@lru_cache(maxsize=None)
+def reference_generated(s, seed):
+    """Mask of the ideal generated by the elements of the mask ``seed``,
+    by the element-wise fixpoint of ``iseki.verify``."""
+    return _mask(_generated_set(s, _members(seed)))
+
+
+def reference_sum(s, family):
+    """Sum of a family of ideal masks: the ideal generated by their union."""
+    union = 0
+    for a in family:
+        union |= a
+    return reference_generated(s, union)
+
+
+@lru_cache(maxsize=None)
+def reference_product(s, a, b):
+    """Product of two ideal masks: the ideal generated by the element
+    products."""
+    products = {s.mul[x][y] for x in _members(a) for y in _members(b)}
+    return reference_generated(s, _mask(products))
+
+
+@lru_cache(maxsize=None)
+def reference_radical(s, a):
+    """Radical of an ideal mask: the elements with some positive power in
+    it, from the power lists of ``iseki.verify``."""
+    return _mask(
+        r for r in range(s.n) if any((a >> x) & 1 for x in _powers(s, r))
+    )
+
+
 def reference_quasi_compact(s, spec, fam, family_size_cap=3):
-    """The quasi-compactness mechanism check computed per class through
-    ``sum_ideals``: the reference for ``topology.check_quasi_compact``."""
-    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
+    """The quasi-compactness mechanism check computed per class, with the
+    family sums from ``reference_sum``: the reference for
+    ``topology.check_quasi_compact``."""
+    masks = _ideal_masks_all(s)
     maximals_present = all(
         m in set(spec.point_masks()) for m in maximal_ideal_masks(s)
     )
@@ -309,19 +344,19 @@ def reference_quasi_compact(s, spec, fam, family_size_cap=3):
     witness = None
     empty_families = 0
     for size in range(1, family_size_cap + 1):
-        for family in combinations(ideals, size):
+        for family in combinations(masks, size):
             inter = fam.full
             for a in family:
-                inter &= fam.subbasis[a.mask]
-            total = sum_ideals(s, family)
-            if fam.subbasis[total.mask] != inter:
+                inter &= fam.subbasis[a]
+            total = reference_sum(s, family)
+            if fam.subbasis[total] != inter:
                 identity_ok = False
-                witness = [list(a.members) for a in family]
+                witness = [_members(a) for a in family]
             if inter == 0:
                 empty_families += 1
-                if maximals_present and total.is_proper:
+                if maximals_present and total != s.full_mask:
                     maximal_ok = False
-                    witness = [list(a.members) for a in family]
+                    witness = [_members(a) for a in family]
         if not (identity_ok and maximal_ok):
             break
     return {
@@ -335,10 +370,10 @@ def reference_quasi_compact(s, spec, fam, family_size_cap=3):
 
 
 def reference_upset_laws(s, spec, fam, family_size_cap=3):
-    """The up-set laws computed per class through ``sum_ideals``,
-    ``product_ideals``, ``intersect_ideals`` and ``radical``: the reference
-    for ``topology.verify_upset_laws``."""
-    ideals = [ideal_from_mask(s, m) for m in _ideal_masks_all(s)]
+    """The up-set laws computed per class through ``reference_sum``,
+    ``reference_product`` and ``reference_radical``, with intersections as
+    mask ANDs: the reference for ``topology.verify_upset_laws``."""
+    masks = _ideal_masks_all(s)
     up = fam.subbasis
 
     zero_up = up.get(1, up_set(spec, 1))
@@ -347,58 +382,58 @@ def reference_upset_laws(s, spec, fam, family_size_cap=3):
     if up.get(s.full_mask, 0) != 0 and s.n > 1:
         return {"holds": False, "law": "improper-empty", "witness": None}
 
-    for a in ideals:
-        for b in ideals:
-            if (a.mask & b.mask) == a.mask and (up[a.mask] & up[b.mask]) != up[b.mask]:
+    for a in masks:
+        for b in masks:
+            if (a & b) == a and (up[a] & up[b]) != up[b]:
                 return {
                     "holds": False,
                     "law": "antitone",
-                    "witness": [list(a.members), list(b.members)],
+                    "witness": [_members(a), _members(b)],
                 }
 
-    for a in ideals:
-        for b in ideals:
-            inter = intersect_ideals(s, [a, b])
-            prod = product_ideals(s, a, b)
-            union = up[a.mask] | up[b.mask]
-            if (union & up[inter.mask]) != union:
+    for a in masks:
+        for b in masks:
+            inter = up[a & b]
+            union = up[a] | up[b]
+            if (union & inter) != union:
                 return {
                     "holds": False,
                     "law": "union-inside-intersection",
-                    "witness": [list(a.members), list(b.members)],
+                    "witness": [_members(a), _members(b)],
                 }
-            if (up[inter.mask] & up[prod.mask]) != up[inter.mask]:
+            if (inter & up[reference_product(s, a, b)]) != inter:
                 return {
                     "holds": False,
                     "law": "intersection-inside-product",
-                    "witness": [list(a.members), list(b.members)],
+                    "witness": [_members(a), _members(b)],
                 }
 
     for size in range(1, family_size_cap + 1):
-        for family in combinations(ideals, size):
+        for family in combinations(masks, size):
             inter = fam.full
             for a in family:
-                inter &= up[a.mask]
-            if up[sum_ideals(s, family).mask] != inter:
+                inter &= up[a]
+            if up[reference_sum(s, family)] != inter:
                 return {
                     "holds": False,
                     "law": "sum-identity",
-                    "witness": [list(a.members) for a in family],
+                    "witness": [_members(a) for a in family],
                 }
 
-    for a in ideals:
-        r = radical(s, a)
-        if (up[r.mask] & up[a.mask]) != up[r.mask]:
+    radicals = {a: reference_radical(s, a) for a in masks}
+    for a in masks:
+        r = radicals[a]
+        if (up[r] & up[a]) != up[r]:
             return {
                 "holds": False,
                 "law": "radical-up-shrinks",
-                "witness": list(a.members),
+                "witness": _members(a),
             }
 
     all_points_radical = all(
-        radical(s, p).mask == p.mask for p in spec.points
+        reference_radical(s, p.mask) == p.mask for p in spec.points
     )
-    ups_stable = all(up[radical(s, a).mask] == up[a.mask] for a in ideals)
+    ups_stable = all(up[radicals[a]] == up[a] for a in masks)
     if all_points_radical != ups_stable:
         return {
             "holds": False,

@@ -75,7 +75,7 @@ def test_naive_maximal_check_agrees(catalog_semirings):
         proper = all_ideals(s, proper_only=True)
         for ideal, c in classified_ideals(s):
             naive = not any(
-                ideal.mask != other.mask and ideal.issubset(other)
+                ideal.mask != other.mask and (ideal.mask & other.mask) == ideal.mask
                 for other in proper
             )
             assert naive == c.maximal

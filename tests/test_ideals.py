@@ -1,28 +1,23 @@
 from itertools import combinations
 
-import pytest
-
-from conftest import naive_ideal_sets
-from iseki.errors import EmptyFamily, ImproperIdeal
+from conftest import (
+    naive_ideal_sets,
+    reference_generated,
+    reference_product,
+    reference_radical,
+    reference_sum,
+)
 from iseki.ideals import (
-    addition_closure,
     all_ideals,
     generated_ideal,
     ideal_algebra,
-    ideal_from_mask,
     ideal_from_members,
-    intersect_ideals,
+    is_ideal_mask,
     jacobson_radical,
-    maximal_cover,
+    mask_members,
     min_generators,
-    product_ideals,
-    radical,
     radical_via_primes,
-    sum_ideals,
 )
-from iseki.verify import _generated_set
-
-
 def test_all_ideals_matches_naive_scan(catalog_semirings):
     """Dual route: bitmask kernel scan versus an independent frozenset scan."""
     for s in catalog_semirings:
@@ -48,125 +43,143 @@ def test_generated_ideal_examples(boolean, c3, z4):
     assert not generated_ideal(z4, [1]).is_proper  # 1 generates everything
 
 
+def _addition_closure(s, mask):
+    """Closure of a subset mask (plus 0) under addition only: the finite
+    sums of its elements."""
+    mask |= 1
+    while True:
+        members = mask_members(s, mask)
+        grown = mask
+        for a in members:
+            for b in members:
+                grown |= 1 << s.add[a][b]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
 def test_sum_examples(c3, bb):
-    zero = ideal_from_members(c3, [0])
-    low = ideal_from_members(c3, [0, 1])
-    assert sum_ideals(c3, [zero, low]).members == (0, 1)
-    assert sum_ideals(c3, [zero, zero]).members == (0,)
-    left = ideal_from_members(bb, [0, 2])
-    right = ideal_from_members(bb, [0, 1])
-    assert not sum_ideals(bb, [left, right]).is_proper
-    with pytest.raises(EmptyFamily):
-        sum_ideals(c3, [])
+    sums = ideal_algebra(c3).sums
+    zero = ideal_from_members(c3, [0]).mask
+    low = ideal_from_members(c3, [0, 1]).mask
+    assert sums[zero][low] == low
+    assert sums[zero][zero] == zero
+    left = ideal_from_members(bb, [0, 2]).mask
+    right = ideal_from_members(bb, [0, 1]).mask
+    assert ideal_algebra(bb).sums[left][right] == bb.full_mask
 
 
 def test_sum_equals_addition_closure_of_union(catalog_semirings):
-    """The finite-sums definition agrees with the generated ideal."""
+    """The sum table agrees with the finite-sums definition: the sums of
+    an element of one ideal and an element of the other."""
     for s in catalog_semirings:
-        ideals = all_ideals(s, proper_only=False)
-        for a in ideals:
-            for b in ideals:
-                total = sum_ideals(s, [a, b])
-                assert total.mask == addition_closure(s, a.mask | b.mask)
+        algebra = ideal_algebra(s)
+        for a in algebra.masks:
+            for b in algebra.masks:
+                assert algebra.sums[a][b] == _addition_closure(s, a | b), (s.id, a, b)
 
 
 def test_product_examples(bb, z4, c3):
-    left = ideal_from_members(bb, [0, 2])
-    right = ideal_from_members(bb, [0, 1])
-    assert product_ideals(bb, left, right).members == (0,)
-    zero = ideal_from_members(z4, [0])
-    m = ideal_from_members(z4, [0, 2])
-    assert product_ideals(z4, m, zero).members == (0,)
-    assert product_ideals(z4, m, m).members == (0,)  # 2*2 = 0 in Z4
-    low = ideal_from_members(c3, [0, 1])
-    assert product_ideals(c3, low, low).members == (0, 1)
+    left = ideal_from_members(bb, [0, 2]).mask
+    right = ideal_from_members(bb, [0, 1]).mask
+    assert ideal_algebra(bb).products[left][right] == 0b1
+    products = ideal_algebra(z4).products
+    zero = ideal_from_members(z4, [0]).mask
+    m = ideal_from_members(z4, [0, 2]).mask
+    assert products[m][zero] == zero
+    assert products[m][m] == zero  # 2*2 = 0 in Z4
+    low = ideal_from_members(c3, [0, 1]).mask
+    assert ideal_algebra(c3).products[low][low] == low
 
 
 def test_product_variants_agree(catalog_semirings):
+    """The product table, the ideal generated by the element products,
+    agrees with the finite-sums definition: the finite sums of those
+    products, which already absorb multiplication."""
     for s in catalog_semirings:
-        ideals = all_ideals(s, proper_only=False)
-        for a in ideals:
-            for b in ideals:
-                gen = product_ideals(s, a, b, variant="generated")
-                sums = product_ideals(s, a, b, variant="sums")
-                assert gen.mask == sums.mask, (s.id, a.members, b.members)
+        algebra = ideal_algebra(s)
+        for a in algebra.masks:
+            for b in algebra.masks:
+                pairs = 0
+                for x in mask_members(s, a):
+                    for y in mask_members(s, b):
+                        pairs |= 1 << s.mul[x][y]
+                assert algebra.products[a][b] == _addition_closure(s, pairs), (s.id, a, b)
 
 
 def test_closure_matches_independent_fixpoint(small_semirings):
     """Lattice-intersection closure versus the element-wise fixpoint in
-    iseki.verify, for every seed mask and every pair of ideals."""
+    iseki.verify, for every seed mask."""
     for s in small_semirings:
         for seed in range(1 << s.n):
             members = [e for e in range(s.n) if (seed >> e) & 1]
-            expected = _generated_set(s, members)
-            assert generated_ideal(s, members).member_set() == expected, (s.id, seed)
-            low = seed & -seed
-            parts = [ideal_from_mask(s, low), ideal_from_mask(s, seed ^ low)]
-            assert sum_ideals(s, parts).member_set() == expected, (s.id, seed)
-        ideals = all_ideals(s, proper_only=False)
-        for a in ideals:
-            for b in ideals:
-                products = {s.mul[x][y] for x in a.members for y in b.members}
-                expected = _generated_set(s, products)
-                for variant in ("generated", "sums"):
-                    got = product_ideals(s, a, b, variant=variant).member_set()
-                    assert got == expected, (s.id, a.members, b.members, variant)
+            expected = reference_generated(s, seed)
+            assert generated_ideal(s, members).mask == expected, (s.id, seed)
 
 
 def test_ideal_algebra_matches_ideal_operations(small_semirings):
-    """Every mask of the cached ideal algebra against the operation it
-    stands for: principal ideals, pair sums, both product variants,
-    radicals, and the sums of every family of one to three ideals."""
+    """Every field of the cached ideal algebra against the references in
+    conftest, which build on the element-wise fixpoint ``_generated_set``
+    and the power lists ``_powers`` of iseki.verify: the ideal masks,
+    principal ideals, pair sums, products, the sums of every family of one
+    to three ideals, and radicals."""
     for s in small_semirings:
         algebra = ideal_algebra(s)
-        ideals = all_ideals(s, proper_only=False)
-        assert algebra.masks == tuple(a.mask for a in ideals), s.id
+        masks = tuple(sorted(sum(1 << e for e in ss) for ss in naive_ideal_sets(s)))
+        assert algebra.masks == masks, s.id
         assert algebra.principals == tuple(
-            generated_ideal(s, [g]).mask for g in range(s.n)
+            reference_generated(s, 1 << g) for g in range(s.n)
         ), s.id
-        for a in ideals:
-            assert algebra.radicals[a.mask] == radical(s, a).mask, (s.id, a)
-            for b in ideals:
+        for a in masks:
+            assert algebra.radicals[a] == reference_radical(s, a), (s.id, a)
+            for b in masks:
                 where = (s.id, a, b)
-                assert algebra.sums[a.mask][b.mask] == sum_ideals(s, [a, b]).mask, where
-                for variant in ("generated", "sums"):
-                    product = product_ideals(s, a, b, variant=variant).mask
-                    assert algebra.products[a.mask][b.mask] == product, (where, variant)
+                assert algebra.sums[a][b] == reference_sum(s, (a, b)), where
+                assert algebra.products[a][b] == reference_product(s, a, b), where
         for size in range(1, 4):
             assert algebra.family_sums(size) == tuple(
-                sum_ideals(s, family).mask for family in combinations(ideals, size)
+                reference_sum(s, family) for family in combinations(masks, size)
             ), (s.id, size)
 
 
-def test_intersection_examples(c3, bb):
-    low = ideal_from_members(c3, [0, 1])
-    zero = ideal_from_members(c3, [0])
-    assert intersect_ideals(c3, [low, zero]).members == (0,)
-    assert intersect_ideals(c3, [low, low]).members == (0, 1)
-    left = ideal_from_members(bb, [0, 2])
-    right = ideal_from_members(bb, [0, 1])
-    assert intersect_ideals(bb, [left, right]).members == (0,)
-    with pytest.raises(EmptyFamily):
-        intersect_ideals(c3, [])
+def test_intersection_examples(c3, bb, catalog_semirings):
+    """The intersection of two ideals is the AND of their masks, and it is
+    an ideal: the premise of the closure in iseki.ideals."""
+    low = ideal_from_members(c3, [0, 1]).mask
+    zero = ideal_from_members(c3, [0]).mask
+    assert low & zero == zero
+    left = ideal_from_members(bb, [0, 2]).mask
+    right = ideal_from_members(bb, [0, 1]).mask
+    assert left & right == 0b1
+    for s in catalog_semirings:
+        masks = ideal_algebra(s).masks
+        for a in masks:
+            for b in masks:
+                assert is_ideal_mask(s, a & b), (s.id, a, b)
 
 
 def test_radical_examples(z4, boolean):
-    assert radical(z4, ideal_from_members(z4, [0])).members == (0, 2)
-    assert radical(boolean, ideal_from_members(boolean, [0])).members == (0,)
+    zero = ideal_from_members(z4, [0]).mask
+    assert ideal_algebra(z4).radicals[zero] == ideal_from_members(z4, [0, 2]).mask
+    assert ideal_algebra(boolean).radicals[0b1] == 0b1
 
 
 def test_radical_is_idempotent_and_monotone(catalog_semirings):
     for s in catalog_semirings:
-        for a in all_ideals(s, proper_only=False):
-            r = radical(s, a)
-            assert (a.mask & r.mask) == a.mask
-            assert radical(s, r).mask == r.mask
+        radicals = ideal_algebra(s).radicals
+        for a, r in radicals.items():
+            assert (a & r) == a
+            assert radicals[r] == r
+            for b, rb in radicals.items():
+                if (a & b) == a:
+                    assert (r & rb) == r, (s.id, a, b)
 
 
 def test_radical_agrees_with_prime_intersection(catalog_semirings):
     for s in catalog_semirings:
+        radicals = ideal_algebra(s).radicals
         for a in all_ideals(s, proper_only=False):
-            assert radical(s, a).mask == radical_via_primes(s, a).mask, (
+            assert radicals[a.mask] == radical_via_primes(s, a).mask, (
                 s.id,
                 a.members,
             )
@@ -182,21 +195,6 @@ def test_jacobson_examples(bb, z4, c3, trivial):
     assert jacobson_radical(z4).members == (0, 2)
     assert jacobson_radical(c3).members == (0, 1)
     assert not jacobson_radical(trivial).is_proper
-
-
-def test_maximal_cover_examples(c3, bb, trivial):
-    assert maximal_cover(c3, ideal_from_members(c3, [0])).members == (0, 1)
-    m = ideal_from_members(c3, [0, 1])
-    assert maximal_cover(c3, m).members == (0, 1)
-    # Two candidates in B x B; the lower bitset {0}xB = {0,1} wins.
-    assert maximal_cover(bb, ideal_from_members(bb, [0])).members == (0, 1)
-    # In the trivial semiring {0} is already the whole semiring, so the
-    # improper guard fires before NoMaximalIdeal can (the latter is
-    # unreachable for valid finite inputs and stays as a defensive error).
-    with pytest.raises(ImproperIdeal):
-        maximal_cover(trivial, ideal_from_members(trivial, [0]))
-    with pytest.raises(ImproperIdeal):
-        maximal_cover(c3, ideal_from_members(c3, [0, 1, 2]))
 
 
 def test_min_generators(z4, bb):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iseki.errors import AxiomViolation, RangeError, SizeLimitExceeded
+from iseki.errors import AxiomViolation, InvalidHomomorphism, RangeError, SizeLimitExceeded
 from iseki.ideals import all_ideals, ideal_from_members
 from iseki.semiring import (
     bourne_quotient,
@@ -216,12 +216,19 @@ def test_quotient_maps_are_surjective_homomorphisms(catalog_semirings):
     for s in catalog_semirings:
         for ideal in all_ideals(s, proper_only=True):
             q, hom = bourne_quotient(s, ideal)
-            assert validate_homomorphism(s, q, hom.map, check_only=True)
+            assert validate_homomorphism(s, q, hom.map) == hom
             assert hom.is_surjective_onto(q.n)
             assert all(hom.map[m] == 0 for m in ideal.members)
 
 
 def test_homomorphism_validation_rejects_bad_maps(boolean, z2):
-    assert not validate_homomorphism(z2, boolean, (0, 1), check_only=True)
-    assert validate_homomorphism(boolean, boolean, (0, 1), check_only=True)
-    assert not validate_homomorphism(boolean, boolean, (0, 0), check_only=True)
+    with pytest.raises(InvalidHomomorphism) as err:
+        validate_homomorphism(z2, boolean, (0, 1))
+    assert (err.value.law, err.value.witness) == ("preserves-add", (1, 1))
+    assert validate_homomorphism(boolean, boolean, (0, 1)).map == (0, 1)
+    with pytest.raises(InvalidHomomorphism) as err:
+        validate_homomorphism(boolean, boolean, (0, 0))
+    assert (err.value.law, err.value.witness) == ("preserves-one", (1,))
+    with pytest.raises(InvalidHomomorphism) as err:
+        validate_homomorphism(boolean, boolean, (0, 2))
+    assert err.value.law == "total-map"

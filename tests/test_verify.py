@@ -5,10 +5,10 @@ import io
 
 import pytest
 
-from iseki.errors import ContractionFails
+from iseki.errors import AxiomViolation, ContractionFails
 from iseki.ideals import classified_ideals
 from iseki.morphisms import enumerate_homomorphisms, induced_map
-from iseki.semiring import semiring_axiom_report
+from iseki.semiring import validate_semiring
 from iseki.sweep import sweep
 from iseki.topology import closed_family, spectrum, strong_disconnection_witness
 from iseki.verify import (
@@ -31,11 +31,12 @@ def test_axiom_witnesses_are_pluggable(z4):
                     continue
                 mutated = [list(row) for row in z4.mul]
                 mutated[i][j] = v
-                ok, axiom, witness = semiring_axiom_report(z4.add, mutated, 1)
-                if not ok:
+                try:
+                    validate_semiring(z4.add, mutated, 1)
+                except AxiomViolation as exc:
                     assert verify_axiom_witness(
-                        z4.add, mutated, 1, axiom, witness
-                    ), (axiom, witness)
+                        z4.add, mutated, 1, exc.axiom, exc.witness
+                    ), (exc.axiom, exc.witness)
 
 
 def test_classification_witnesses_on_catalog(catalog_semirings):
