@@ -182,10 +182,3 @@ def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
                 id=f"{prefix}-{count}", n=n, add=add, mul=mul, one=one
             )
             count += 1
-
-
-def isomorphism_orbit_size(s):
-    """Number of distinct labeled table pairs isomorphic to ``s`` (0 fixed)."""
-    return len(
-        {(_permuted(s.add, r), _permuted(s.mul, r)) for r in _relabelings(s.n)}
-    )

@@ -34,6 +34,9 @@ class FiniteSemiring:
     Instances are immutable.  Construct through :func:`validate_semiring`;
     the constructor itself does not re-check the axioms.  ``add`` and
     ``mul`` are tuples of n int tuples, read as ``add[a][b]``.
+    ``structure`` is ``(n, one, add, mul)``: everything but the id, so
+    two semirings with equal ``structure`` have the same ideals, spectra
+    and homomorphisms.
     """
 
     id: str
@@ -49,7 +52,7 @@ class FiniteSemiring:
         # Every lru_cache lookup hashes the semiring, so the structural
         # key and the hash are computed once here.
         key = (self.n, self.one, self.add, self.mul)
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "structure", key)
         object.__setattr__(self, "_hash", hash((self.id,) + key))
 
     def __reduce__(self):
@@ -65,14 +68,14 @@ class FiniteSemiring:
         return (1 << self.n) - 1
 
     def same_structure(self, other):
-        return self._key == other._key
+        return self.structure == other.structure
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, FiniteSemiring):
             return NotImplemented
-        return self.id == other.id and self._key == other._key
+        return self.id == other.id and self.structure == other.structure
 
     def __hash__(self):
         return self._hash
@@ -270,6 +273,12 @@ def bourne_congruence_classes(s, members):
     return sorted(roots.values(), key=lambda cls: cls[0])
 
 
+def quotient_id(semiring_id, members):
+    """The default id of the quotient of a semiring by an ideal, e.g.
+    ``C3/{0,1}``."""
+    return f"{semiring_id}/{{{','.join(str(m) for m in sorted(members))}}}"
+
+
 def bourne_quotient(s, ideal, id=None):
     """Quotient by the additive congruence generated by an ideal.
 
@@ -297,9 +306,8 @@ def bourne_quotient(s, ideal, id=None):
                 raise AssertionError("congruence not compatible with *")
     if any(index_of[x] != 0 for x in members):
         raise AssertionError("ideal escaped the zero class")
-    member_str = ",".join(str(m) for m in sorted(members))
     quotient = validate_semiring(
-        add, mul, index_of[s.one], id=id or f"{s.id}/{{{member_str}}}"
+        add, mul, index_of[s.one], id=id or quotient_id(s.id, members)
     )
     hom = validate_homomorphism(
         s, quotient, [index_of[x] for x in range(s.n)]

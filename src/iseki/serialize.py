@@ -1,4 +1,4 @@
-"""JSON ingestion and emission for semirings, ideals, and reports.
+"""JSON ingestion and emission for semirings and reports.
 
 The semiring document is the unit of persistence everywhere:
 
@@ -12,7 +12,6 @@ so emit(ingest(x)) is the identity on canonical documents.
 import json
 
 from .errors import ParseError
-from .ideals import ideal_from_members
 from .semiring import validate_semiring
 
 
@@ -73,16 +72,3 @@ def emit(path, s):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
-
-
-def ideal_from_json(s, doc):
-    if not isinstance(doc, dict) or "members" not in doc:
-        raise ParseError("ideal document must carry a 'members' list")
-    if doc.get("semiring", s.id) != s.id:
-        raise ParseError(
-            f"ideal belongs to {doc['semiring']!r}, not {s.id!r}"
-        )
-    members = doc["members"]
-    if not isinstance(members, list) or not all(type(m) is int for m in members):
-        raise ParseError("field 'members' must be a list of integers")
-    return ideal_from_members(s, members)

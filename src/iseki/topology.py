@@ -172,9 +172,6 @@ class ClosedFamily:
             self._family_intersections[size] = tuple(out)
         return self._family_intersections[size]
 
-    def is_closed(self, point_set):
-        return self.closure(point_set) == point_set
-
     def closure(self, point_set):
         out = 0
         for i, u in enumerate(self.up):

@@ -42,6 +42,13 @@ def canonical_key(add, mul):
     )
 
 
+def isomorphism_orbit_size(s):
+    """Number of distinct labeled table pairs isomorphic to ``s`` (0 fixed)."""
+    return len(
+        {_permuted_pair(s.add, s.mul, (0,) + p) for p in permutations(range(1, s.n))}
+    )
+
+
 def table_pair_key(add, mul):
     return tuple(v for row in add for v in row), tuple(v for row in mul for v in row)
 

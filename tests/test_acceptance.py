@@ -16,9 +16,10 @@ import io
 import time
 
 import pytest
+from conftest import isomorphism_orbit_size
 
 from iseki.catalog import builtin_catalog
-from iseki.enumeration import enumerate_semirings, isomorphism_orbit_size
+from iseki.enumeration import enumerate_semirings
 from iseki.serialize import canonical_json
 from iseki.sweep import sweep
 from iseki.topology import (

@@ -2,13 +2,12 @@ import json
 
 import pytest
 
-from iseki.catalog import build_recipe, builtin_catalog
+from iseki.catalog import build_recipe
 from iseki.dot import export_dot
 from iseki.errors import AxiomViolation, ParseError
 from iseki.serialize import (
     canonical_json,
     emit,
-    ideal_from_json,
     ingest,
     semiring_from_json,
     semiring_to_json,
@@ -46,7 +45,7 @@ def test_roundtrip_identity(tmp_path, boolean, catalog):
         assert canonical_json(semiring_to_json(loaded)) == text
 
 
-def test_parse_errors(tmp_path, boolean):
+def test_parse_errors(tmp_path):
     bad_width = {"id": "x", "n": 2, "one": 1, "add": [[0, 1]], "mul": [[0, 0], [0, 1]]}
     with pytest.raises(ParseError) as err:
         semiring_from_json(bad_width)
@@ -63,10 +62,6 @@ def test_parse_errors(tmp_path, boolean):
     with pytest.raises(ParseError) as err:
         semiring_from_json({"id": "x", "n": 1, "one": 0, "add": [[False]], "mul": [[0]]})
     assert "must be an integer" in str(err.value)
-
-    with pytest.raises(ParseError) as err:
-        ideal_from_json(boolean, {"members": [False]})
-    assert "members" in str(err.value)
 
     path = tmp_path / "broken.json"
     path.write_text('{"id": "x",\n  broken\n}')
@@ -94,15 +89,6 @@ def test_ingest_of_catalog_dump_reproduces_catalog(tmp_path, catalog):
         path = tmp_path / "entry.json"
         emit(path, entry.semiring)
         assert ingest(path).same_structure(entry.semiring)
-
-
-def test_ideal_from_json(boolean):
-    ideal = ideal_from_json(boolean, {"semiring": "B", "members": [0]})
-    assert ideal.members == (0,)
-    with pytest.raises(ParseError):
-        ideal_from_json(boolean, {"semiring": "other", "members": [0]})
-    with pytest.raises(ParseError):
-        ideal_from_json(boolean, {"members": "zero"})
 
 
 def test_export_dot_examples(c3, bb, boolean):

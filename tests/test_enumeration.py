@@ -13,10 +13,15 @@ isomorphism classes from a pure-Python one of this search.  The
 orbit-stabilizer identity ties the two counts together."""
 
 import pytest
-from conftest import canonical_key, reference_semirings, table_pair_key
+from conftest import (
+    canonical_key,
+    isomorphism_orbit_size,
+    reference_semirings,
+    table_pair_key,
+)
 
 from iseki import enumeration
-from iseki.enumeration import enumerate_semirings, isomorphism_orbit_size
+from iseki.enumeration import enumerate_semirings
 from iseki.errors import SizeLimitExceeded
 from iseki.semiring import validate_semiring
 

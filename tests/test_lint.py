@@ -1,10 +1,13 @@
-"""Static checks on the package source that need no installed linter."""
+"""Static checks on the package and test source that need no installed
+linter."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "iseki"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for p in (ROOT / "src" / "iseki").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -25,9 +28,13 @@ def unused_imports(source):
 
 
 def test_no_unused_imports():
-    """Every name that a module of ``src/iseki`` imports is read in it.
-    ``__init__.py`` is skipped: its imports are the package's re-exports."""
+    """Every name that a module of ``src/iseki`` or ``tests`` imports is
+    read in it.  ``src/iseki/__init__.py`` is skipped: its imports are the
+    package's re-exports."""
     sample = "import os\nimport a.b\nfrom x import y as z, w\nprint(os, w)\n"
     assert unused_imports(sample) == ["a", "z"]
-    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    found = {
+        str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8"))
+        for p in MODULES
+    }
     assert {name: names for name, names in found.items() if names} == {}

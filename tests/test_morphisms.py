@@ -18,7 +18,7 @@ from iseki.morphisms import (
     kernel,
 )
 from iseki.semiring import Homomorphism, bourne_quotient
-from iseki.topology import spectrum, up_set
+from iseki.topology import up_set
 
 
 def hom_by_map(s, t, mapping):

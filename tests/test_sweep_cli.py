@@ -8,12 +8,20 @@ from pathlib import Path
 import pytest
 
 import iseki.sweep
-from iseki.catalog import build_recipe
+from iseki.catalog import build_recipe, builtin_catalog
 from iseki.cli import main
+from iseki.enumeration import enumerate_semirings
 from iseki.errors import EmptyFamily
+from iseki.ideals import all_ideals
+from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import validate_semiring
 from iseki.serialize import canonical_json, emit
-from iseki.sweep import sweep
+from iseki.sweep import (
+    morphism_report,
+    quotient_report,
+    sweep,
+    topology_instance_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +49,10 @@ def test_sweep_deterministic_across_runs():
 
 def test_default_sweep_runs_in_process(monkeypatch):
     """With default arguments every topology instance report is built in
-    this process: one call per (semiring, class)."""
+    this process, once per distinct (tables, point set): B's eight classes
+    share the points {0}, C3's share {0} and {0,1} except maximal, whose
+    only point is {0,1}.  The report still has one row per (semiring,
+    class), in order."""
     real = iseki.sweep.topology_instance_report
     calls = []
 
@@ -51,8 +62,58 @@ def test_default_sweep_runs_in_process(monkeypatch):
 
     monkeypatch.setattr(iseki.sweep, "topology_instance_report", counting)
     corpus = [build_recipe(("named", name)) for name in ("B", "C3")]
-    sweep(corpus=corpus, log=io.StringIO())
-    assert calls == [(s.id, cls) for s in corpus for cls in iseki.sweep.DEFAULT_CLASSES]
+    report = sweep(corpus=corpus, log=io.StringIO())
+    assert calls == [("B", "proper"), ("C3", "proper"), ("C3", "maximal")]
+    assert [(rep["semiring"], rep["class"]) for rep in report["topology"]] == [
+        (s.id, cls) for s in corpus for cls in iseki.sweep.DEFAULT_CLASSES
+    ]
+
+
+def test_memoized_reports_equal_per_instance_reports():
+    """The sweep builds one report body per distinct structure and stamps
+    each instance's ids on a copy; building every instance's report on its
+    own gives the same lists.  The corpus repeats tables (B, B/{0},
+    C3/{0,1}, ... share B's), so a memo key or a stamp that is wrong
+    changes some row."""
+    report = sweep(enumerate_n=[3], log=io.StringIO())
+    semirings = [e.semiring for e in builtin_catalog()]
+    semirings += enumerate_semirings(3, up_to_iso=True)
+    assert [s.id for s in semirings] == [
+        entry["id"] for entry in report["corpus"]["semirings"]
+    ]
+    assert len({s.structure for s in semirings}) < len(semirings)
+
+    assert report["topology"] == [
+        topology_instance_report(s, cls)
+        for s in semirings
+        for cls in report["classes"]
+    ]
+    small = [s for s in semirings if s.n <= iseki.sweep.MORPHISM_ORDER_CAP]
+    assert report["morphisms"]["reports"] == [
+        morphism_report(s, t, hom, "prime")
+        for s in small
+        for t in small
+        for hom in enumerate_homomorphisms(s, t)
+    ]
+    assert report["quotients"]["reports"] == [
+        quotient_report(s, ideal)
+        for s in semirings
+        for ideal in all_ideals(s, proper_only=True)
+    ]
+
+
+def test_sweep_summary_counts_distinct_instances():
+    """The stderr summary of the catalog sweep names how many distinct
+    spaces, homomorphisms and quotients it checked; the catalog has 240
+    topology instances, 318 homomorphisms and 62 quotients."""
+    log = io.StringIO()
+    report = sweep(log=log)
+    assert len(report["topology"]) == 240
+    assert (report["morphisms"]["homs"], report["quotients"]["instances"]) == (318, 62)
+    assert (
+        "16 distinct spaces, 12 distinct homomorphisms, 21 distinct quotients"
+        in log.getvalue()
+    )
 
 
 def test_sweep_report_shape(small_report):

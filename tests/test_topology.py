@@ -129,7 +129,7 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
                 k for k in range(1 << spec.size) if _up_closed(masks, k)
             ], where
             for k in range(1 << spec.size):
-                assert fam.is_closed(k) == (k in ref.closed_set), (where, k)
+                assert (fam.closure(k) == k) == (k in ref.closed_set), (where, k)
                 assert fam.closure(k) == ref.closure(k), (where, k)
             assert fam.closed_set_count() == len(ref.closed), where
             assert list(fam.irreducible_closed_sets()) == ref.irreducible_closed_sets(), where
@@ -273,7 +273,7 @@ def test_proper_spectrum_above_twenty_points(atoms5):
 
 def test_closed_families(boolean, bb, c3):
     def closed_sets(fam, spec):
-        return tuple(k for k in range(1 << spec.size) if fam.is_closed(k))
+        return tuple(k for k in range(1 << spec.size) if fam.closure(k) == k)
 
     one_point = spectrum(boolean, "prime")
     fam = closed_family(boolean, one_point)

@@ -106,7 +106,7 @@ def test_closed_family_equals_up_closed_sets(catalog_semirings):
                 )
                 if ok:
                     expected.append(candidate)
-            got = [k for k in range(1 << len(masks)) if fam.is_closed(k)]
+            got = [k for k in range(1 << len(masks)) if fam.closure(k) == k]
             assert got == expected, (s.id, tag)
             assert fam.closed_set_count() == len(expected), (s.id, tag)
 
