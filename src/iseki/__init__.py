@@ -9,7 +9,6 @@ from .errors import (
     ImproperIdeal,
     InvalidHomomorphism,
     IsekiError,
-    NotSurjective,
     NoUnitDecomposition,
     ParseError,
     RangeError,
@@ -42,6 +41,7 @@ from .topology import (
     Spectrum,
     SpectrumClass,
     check_connected,
+    check_disconnection,
     check_irreducible_upsets,
     check_quasi_compact,
     check_sober,

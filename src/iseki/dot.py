@@ -7,9 +7,9 @@ is deterministic.
 """
 
 
-def export_dot(spec, graph_name="specialization"):
+def export_dot(spec):
     points = spec.points
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph specialization {"]
     for i, p in enumerate(points):
         label = "{" + ",".join(str(m) for m in p.members) + "}"
         lines.append(f'  p{i} [label="{label}"];')

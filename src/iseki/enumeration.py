@@ -131,7 +131,7 @@ def _flat(t):
     return tuple(v for row in t for v in row)
 
 
-def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
+def enumerate_semirings(n, up_to_iso=False):
     """Yield every commutative semiring on {0..n-1} with zero = 0.
 
     Deterministic order: lexicographic in the free addition-table
@@ -150,7 +150,6 @@ def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
         raise SizeLimitExceeded(
             f"enumeration capped at n <= {ENUMERATION_CAP} (asked for {n})"
         )
-    prefix = id_prefix if id_prefix is not None else f"enum{n}"
     associativity = _triples_by_cell(n)
     relabelings = _relabelings(n) if up_to_iso else ()
 
@@ -179,6 +178,6 @@ def enumerate_semirings(n, up_to_iso=False, id_prefix=None):
             if any(_permuted(mul, r) < flat_mul for r in automorphisms):
                 continue
             yield FiniteSemiring(
-                id=f"{prefix}-{count}", n=n, add=add, mul=mul, one=one
+                id=f"enum{n}-{count}", n=n, add=add, mul=mul, one=one
             )
             count += 1

@@ -58,10 +58,6 @@ class ContractionFails(IsekiError):
         super().__init__(f"class {cls} is not stable under preimage: {witness}")
 
 
-class NotSurjective(IsekiError):
-    """A surjective homomorphism was required."""
-
-
 class HypothesisUnmet(IsekiError):
     """A theorem hypothesis does not hold for the given instance."""
 

@@ -37,9 +37,6 @@ class Ideal:
     def is_proper(self):
         return self.mask != (1 << self.n) - 1
 
-    def to_json(self):
-        return {"semiring": self.semiring, "members": list(self.members)}
-
     def __repr__(self):
         return f"Ideal({self.semiring}, {{{','.join(map(str, self.members))}}})"
 

@@ -7,13 +7,13 @@ gives a continuous map from the spectrum of t into the spectrum of s.
 with the first point whose preimage is not a point, and otherwise
 returns the map with its continuity verdict and the kernel.  The checks
 below read the map to verify the closed-subspace embedding for
-surjections and the density criterion, reporting witnesses instead of
-silently dropping points when a hypothesis fails.
+surjections and the density criterion; like the topology checks, each
+returns exactly the report fields it decides, under their report names.
 """
 
 from dataclasses import dataclass
 
-from .errors import ContractionFails, NotSurjective, SizeLimitExceeded
+from .errors import ContractionFails, SizeLimitExceeded
 from .ideals import (
     Ideal,
     generated_ideal,
@@ -183,12 +183,13 @@ def induced_map(s, t, hom, cls):
 
 
 def check_quotient_homeomorphism(s, t, ind):
-    """For the map induced by a surjective homomorphism s -> t: is it a
-    homeomorphism of the spectrum of t onto the up-set of the kernel?
+    """Is the map induced by a homomorphism s -> t a homeomorphism of the
+    spectrum of t onto the up-set of the kernel?  Decided only for a
+    surjection; otherwise ``homeomorphism_onto_kernel_upset`` is "n/a".
 
-    Reports the injectivity, the image/kernel-up-set comparison, and the
-    subspace homeomorphism onto the actual image separately, so a gap
-    between the image and the kernel up-set is visible as data.
+    Reports the image/kernel-up-set comparison and the subspace
+    homeomorphism onto the actual image separately, so a gap between the
+    image and the kernel up-set is visible as data.
 
     Both spaces are Alexandrov, so a continuous injective map is a
     homeomorphism onto its image exactly when it is an embedding of the
@@ -197,19 +198,16 @@ def check_quotient_homeomorphism(s, t, ind):
     ``homeomorphism_onto_image`` checks the preimage and continuity code,
     not a separate theorem instance.
     """
-    hom = ind.hom
-    if not hom.is_surjective_onto(t.n):
-        raise NotSurjective(f"map {hom.map} does not cover {t.id}")
+    if not ind.hom.is_surjective_onto(t.n):
+        return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
-    ker = ind.kernel
-    ker_up = closed_family(s, spec_s).subbasis[ker.mask]
+    ker_up = closed_family(s, spec_s).subbasis[ind.kernel.mask]
     image = ind.image_point_set()
-    injective = len(set(ind.map)) == len(ind.map)
 
     q, p = spec_t.point_masks(), spec_s.point_masks()
     onto_image = (
         ind.continuous
-        and injective
+        and len(set(ind.map)) == len(ind.map)
         and all(
             ((q[i] & q[j]) == q[i]) == ((p[a] & p[b]) == p[a])
             for i, a in enumerate(ind.map)
@@ -218,11 +216,7 @@ def check_quotient_homeomorphism(s, t, ind):
     )
 
     return {
-        "class": spec_s.class_tag,
-        "contraction": True,
-        "injective": injective,
-        "kernel": list(ker.members),
-        "kernel_proper": ker.is_proper,
+        "surjective": True,
         "image_equals_kernel_upset": image == ker_up,
         "homeomorphism_onto_image": onto_image,
         "homeomorphism_onto_kernel_upset": onto_image and image == ker_up,
@@ -233,16 +227,16 @@ def check_density(s, t, ind):
     """Density of the induced image versus the kernel-inclusion criterion.
 
     dense: the closure of the image of the induced map is the whole
-    spectrum of s.  criterion: the kernel is contained in the
+    spectrum of s.  density_rhs: the kernel is contained in the
     intersection of all spectrum points.  The report also carries the
     closure-of-image identity (closure equals the kernel up-set) and,
-    for the prime class, the radical-equality form of the criterion.
+    for the prime class, whether the radical-equality form of the
+    criterion (the kernel's radical is that intersection) matches density.
     """
     spec_s = ind.target_spectrum
     fam_s = closed_family(s, spec_s)
     ker = ind.kernel
-    image = ind.image_point_set()
-    cl_image = fam_s.closure(image)
+    cl_image = fam_s.closure(ind.image_point_set())
     dense = cl_image == spec_s.full_point_set
 
     inter = s.full_mask
@@ -251,16 +245,14 @@ def check_density(s, t, ind):
     criterion = (ker.mask & inter) == ker.mask
 
     report = {
-        "class": spec_s.class_tag,
         "dense": dense,
         "density_rhs": criterion,
-        "biconditional": dense == criterion,
+        "density_biconditional": dense == criterion,
         "closure_image_equals_kernel_upset": cl_image
         == fam_s.subbasis[ker.mask],
     }
     if spec_s.class_tag == "prime":
-        report["radical_equality"] = ideal_algebra(s).radicals[ker.mask] == inter
         report["radical_equality_matches_density"] = (
-            report["radical_equality"] == dense
-        )
+            ideal_algebra(s).radicals[ker.mask] == inter
+        ) == dense
     return report

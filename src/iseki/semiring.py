@@ -208,7 +208,7 @@ def validate_homomorphism(source, target, mapping):
     return Homomorphism(source=source.id, target=target.id, map=m)
 
 
-def direct_product(s, t, id=None):
+def direct_product(s, t):
     """Componentwise product semiring; element (i, j) becomes i*|t| + j."""
     n = s.n * t.n
     if n > MAX_ELEMENTS:
@@ -223,7 +223,7 @@ def direct_product(s, t, id=None):
         [s.mul[i][k] * t.n + t.mul[j][l] for k, l in pairs] for i, j in pairs
     ]
     one = s.one * t.n + t.one
-    return validate_semiring(add, mul, one, id=id or f"{s.id}x{t.id}")
+    return validate_semiring(add, mul, one, id=f"{s.id}x{t.id}")
 
 
 def nontrivial_idempotents(s):
@@ -274,12 +274,12 @@ def bourne_congruence_classes(s, members):
 
 
 def quotient_id(semiring_id, members):
-    """The default id of the quotient of a semiring by an ideal, e.g.
+    """The id of the quotient of a semiring by an ideal, e.g.
     ``C3/{0,1}``."""
     return f"{semiring_id}/{{{','.join(str(m) for m in sorted(members))}}}"
 
 
-def bourne_quotient(s, ideal, id=None):
+def bourne_quotient(s, ideal):
     """Quotient by the additive congruence generated by an ideal.
 
     Returns (quotient semiring, surjective quotient homomorphism).  The
@@ -307,7 +307,7 @@ def bourne_quotient(s, ideal, id=None):
     if any(index_of[x] != 0 for x in members):
         raise AssertionError("ideal escaped the zero class")
     quotient = validate_semiring(
-        add, mul, index_of[s.one], id=id or quotient_id(s.id, members)
+        add, mul, index_of[s.one], id=quotient_id(s.id, members)
     )
     hom = validate_homomorphism(
         s, quotient, [index_of[x] for x in range(s.n)]

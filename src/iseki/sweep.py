@@ -6,6 +6,11 @@ code of ``iseki topology`` and ``iseki morphisms``.  The observations are
 the image-versus-kernel-up-set comparison for arbitrary surjections and
 the ideal-up-set form of the quotient embedding.
 
+The rows read report fields, and each field has one definition: the
+check in ``topology`` or ``morphisms`` that decides it returns it under
+its report name, and the report builders below only merge those dicts
+with the instance's identity fields.
+
 Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
 runs produce byte-identical JSON.
@@ -32,13 +37,7 @@ from typing import Callable
 
 from .catalog import builtin_catalog
 from .enumeration import enumerate_semirings
-from .errors import (
-    ContractionFails,
-    EmptyFamily,
-    HypothesisUnmet,
-    NoUnitDecomposition,
-    ParseError,
-)
+from .errors import ContractionFails, EmptyFamily, ParseError
 from .ideals import (
     all_ideals,
     classified_ideals,
@@ -57,15 +56,14 @@ from .semiring import bourne_quotient, quotient_id
 from .topology import (
     CLASS_TAGS,
     check_connected,
+    check_disconnection,
     check_irreducible_upsets,
     check_quasi_compact,
     check_sober,
     check_t0,
     check_t1,
     closed_family,
-    idempotent_from_disconnection,
     spectrum,
-    strong_disconnection_witness,
     verify_upset_laws,
 )
 
@@ -78,74 +76,22 @@ MORPHISM_ORDER_CAP = 3
 
 
 def topology_instance_report(s, cls):
-    """The per-(semiring, class) topology report."""
+    """The per-(semiring, class) topology report: the space's points and
+    closed-set count, and the fields of every topology check."""
     spec = spectrum(s, cls)
-    t0 = check_t0(s, spec)
-    t1 = check_t1(s, spec)
-    sober = check_sober(s, spec)
-    connected = check_connected(s, spec)
-    irr = check_irreducible_upsets(s, spec)
-    laws = verify_upset_laws(s, spec)
-    qc = check_quasi_compact(s, spec)
-
-    witness = strong_disconnection_witness(s, spec)
-    witness_json = None
-    idempotent = None
-    status = "no-witness"
-    if witness is not None:
-        left, right = witness
-        witness_json = {
-            "left": [list(a.members) for a in left],
-            "right": [list(b.members) for b in right],
-        }
-        try:
-            idempotent = idempotent_from_disconnection(s, spec, witness)
-            status = "ok"
-        except HypothesisUnmet as exc:
-            status = f"hypothesis:{exc.hypothesis}"
-        except NoUnitDecomposition as exc:
-            status = f"mechanism-failure:{exc}"
-
-    generator_identity = True
-    generator_witness = None
-    principals = ideal_algebra(s).principals
-    up = closed_family(s, spec).subbasis
-    for ideal, classification in classified_ideals(s):
-        seed = classification.witness_dict()["generators"]
-        pulled = spec.full_point_set
-        for g in seed:
-            pulled &= up[principals[g]]
-        if up[ideal.mask] != pulled:
-            generator_identity = False
-            generator_witness = list(ideal.members)
-            break
-
     return {
         "semiring": s.id,
         "class": cls,
         "points": [list(p.members) for p in spec.points],
         "closed_set_count": closed_family(s, spec).closed_set_count(),
-        "t0": t0["holds"],
-        "t0_witness": t0["witness"],
-        "t1": t1["t1"],
-        "t1_predicate": t1["t1_predicate"],
-        "t1_witness": t1["witness"],
-        "sober": sober["sober"],
-        "sober_criterion": sober["criterion"],
-        "sober_witness": sober["witness"],
-        "connected": connected["connected"],
-        "connected_witness": connected["witness"],
-        "zero_ideal_in_points": connected["zero_ideal_in_points"],
-        "disconnection_witness": witness_json,
-        "idempotent": idempotent,
-        "idempotent_status": status,
-        "irreducible_upsets": irr["holds"],
-        "upset_laws": "pass" if laws["holds"] else laws,
-        "quasi_compact": qc["quasi_compact"],
-        "quasi_compact_sum_identity": qc["sum_identity"],
-        "quasi_compact_maximal_rule": qc["empty_intersection_implies_improper_sum"],
-        "generator_upset_identity": generator_identity,
-        "generator_upset_witness": generator_witness,
+        **check_t0(s, spec),
+        **check_t1(s, spec),
+        **check_sober(s, spec),
+        **check_connected(s, spec),
+        **check_disconnection(s, spec),
+        **check_irreducible_upsets(s, spec),
+        **verify_upset_laws(s, spec),
+        **check_quasi_compact(s, spec),
     }
 
 
@@ -226,7 +172,7 @@ def ideal_lattice_report(s):
     return report
 
 
-def morphism_report(s, t, hom, cls="prime"):
+def morphism_report(s, t, hom, cls):
     """The morphism suite for one homomorphism under one class."""
     rep = {
         "source": s.id,
@@ -237,40 +183,25 @@ def morphism_report(s, t, hom, cls="prime"):
     try:
         ind = induced_map(s, t, hom, cls)
     except ContractionFails as exc:
-        rep["contraction"] = False
-        rep["contraction_witness"] = exc.witness
-        rep["continuous"] = "n/a"
-        rep["dense"] = "n/a"
-        rep["density_rhs"] = "n/a"
-        rep["homeomorphism_onto_kernel_upset"] = "n/a"
-        return rep
+        return {
+            **rep,
+            "contraction": False,
+            "contraction_witness": exc.witness,
+            "continuous": "n/a",
+            "dense": "n/a",
+            "density_rhs": "n/a",
+            "homeomorphism_onto_kernel_upset": "n/a",
+        }
     rep["contraction"] = True
     rep["continuous"] = ind.continuous
     if not ind.continuous:
         rep["continuity_witness"] = ind.continuity_witness
-    density = check_density(s, t, ind)
-    rep["dense"] = density["dense"]
-    rep["density_rhs"] = density["density_rhs"]
-    rep["density_biconditional"] = density["biconditional"]
-    rep["closure_image_equals_kernel_upset"] = density[
-        "closure_image_equals_kernel_upset"
-    ]
-    if "radical_equality_matches_density" in density:
-        rep["radical_equality_matches_density"] = density[
-            "radical_equality_matches_density"
-        ]
     rep["kernel"] = list(ind.kernel.members)
-    rep["surjective"] = hom.is_surjective_onto(t.n)
-    if rep["surjective"]:
-        q = check_quotient_homeomorphism(s, t, ind)
-        rep["homeomorphism_onto_image"] = q["homeomorphism_onto_image"]
-        rep["image_equals_kernel_upset"] = q["image_equals_kernel_upset"]
-        rep["homeomorphism_onto_kernel_upset"] = q[
-            "homeomorphism_onto_kernel_upset"
-        ]
-    else:
-        rep["homeomorphism_onto_kernel_upset"] = "n/a"
-    return rep
+    return {
+        **rep,
+        **check_density(s, t, ind),
+        **check_quotient_homeomorphism(s, t, ind),
+    }
 
 
 def quotient_report(s, ideal):

@@ -12,12 +12,17 @@ up(point) is the smallest closed set containing the point and the space
 is Alexandrov: its closed sets are exactly the point sets that are
 up-closed under inclusion.  Point sets are bitmasks over point indices,
 and every separation/connectedness property is decided exactly from the
-inclusion order, with witnesses for every negative verdict.
+inclusion order; a failed T0, T1, sobriety, connectedness or up-set law
+verdict carries a witness.  Each ``check_*`` function (and
+``verify_upset_laws``) returns exactly the report fields it decides,
+under their report names, so the sweep's topology report is the merge
+of their dicts.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from .errors import HypothesisUnmet, NoUnitDecomposition, ParseError
 from .ideals import (
@@ -147,6 +152,9 @@ class ClosedFamily:
     ``up[i]`` is the up-set of point i, which is both the closure of the
     point and its principal up-set.  A point set is closed exactly when
     it is up-closed, so its closure is the union of its points' up-sets.
+    ``components`` are the connected components, ascending: the classes
+    of points linked by a chain of overlapping up-sets (the comparability
+    graph).
     """
 
     def __init__(self, spec, subbasis):
@@ -154,42 +162,6 @@ class ClosedFamily:
         self.subbasis = subbasis
         self.up = tuple(subbasis[p.mask] for p in spec.points)
         self.full = spec.full_point_set
-        self._family_intersections = {}
-
-    def family_intersections(self, size):
-        """Up-set intersection of every family of ``size`` ideals, in the
-        order that ``combinations`` gives the families of the ascending
-        ideal masks, as ``IdealAlgebra.family_sums`` does; memoized per
-        size, so the sum identity of both the up-set laws and the
-        quasi-compactness check reads one table."""
-        if size not in self._family_intersections:
-            out = []
-            for family in combinations(sorted(self.subbasis), size):
-                inter = self.full
-                for a in family:
-                    inter &= self.subbasis[a]
-                out.append(inter)
-            self._family_intersections[size] = tuple(out)
-        return self._family_intersections[size]
-
-    def closure(self, point_set):
-        out = 0
-        for i, u in enumerate(self.up):
-            if (point_set >> i) & 1:
-                out |= u
-        return out
-
-    def point_closure(self, index):
-        return self.closure(1 << index)
-
-    def irreducible_closed_sets(self):
-        """Nonempty closed sets that are not unions of two proper closed
-        subsets: in an Alexandrov space, the principal up-sets."""
-        return tuple(sorted(set(self.up)))
-
-    def components(self):
-        """Connected components, ascending: the classes of points linked by
-        a chain of overlapping up-sets (the comparability graph)."""
         comps = []
         for u in self.up:
             merged = u
@@ -200,7 +172,46 @@ class ClosedFamily:
                 else:
                     rest.append(c)
             comps = rest + [merged]
-        return sorted(comps)
+        self.components = sorted(comps)
+        self._sum_identity = None
+
+    def sum_identity(self, s):
+        """One walk over every family of at most ``FAMILY_SIZE_CAP`` ideals
+        of ``s``, in the order that ``combinations`` gives the families of
+        the ascending ideal masks, as ``IdealAlgebra.family_sums`` does.
+        Returns the first family whose up-set intersection is not the
+        up-set of its sum (None when the identity holds), and whether every
+        family with an empty up-set intersection has the improper sum.
+        Memoized, so the up-set laws and the quasi-compactness check read
+        the one walk."""
+        if self._sum_identity is None:
+            algebra = ideal_algebra(s)
+            failure = None
+            empty_sums_improper = True
+            for size in range(1, FAMILY_SIZE_CAP + 1):
+                families = combinations(algebra.masks, size)
+                for family, total in zip(families, algebra.family_sums(size)):
+                    inter = self.full
+                    for a in family:
+                        inter &= self.subbasis[a]
+                    if failure is None and self.subbasis[total] != inter:
+                        failure = family
+                    if inter == 0 and total != s.full_mask:
+                        empty_sums_improper = False
+            self._sum_identity = (failure, empty_sums_improper)
+        return self._sum_identity
+
+    def closure(self, point_set):
+        out = 0
+        for i, u in enumerate(self.up):
+            if (point_set >> i) & 1:
+                out |= u
+        return out
+
+    def irreducible_closed_sets(self):
+        """Nonempty closed sets that are not unions of two proper closed
+        subsets: in an Alexandrov space, the principal up-sets."""
+        return tuple(sorted(set(self.up)))
 
     def closed_set_count(self):
         """Number of up-sets.  The lowest point x of a remaining set R is
@@ -240,24 +251,25 @@ def point_set_members(spec, point_set):
 
 
 # ---------------------------------------------------------------------------
-# Separation / compactness / connectedness checks; every report is a plain
-# dict ready for JSON and every negative verdict carries a witness.
+# Separation / compactness / connectedness checks.  Each check returns
+# exactly the report fields it decides, under their report names, as a
+# plain dict ready for JSON.
 # ---------------------------------------------------------------------------
 
 def check_t0(s, spec):
-    fam = closed_family(s, spec)
-    closures = [fam.point_closure(i) for i in range(spec.size)]
+    """T0: no two points have the same closure."""
+    up = closed_family(s, spec).up
     for i in range(spec.size):
         for j in range(i + 1, spec.size):
-            if closures[i] == closures[j]:
+            if up[i] == up[j]:
                 return {
-                    "holds": False,
-                    "witness": [
+                    "t0": False,
+                    "t0_witness": [
                         list(spec.points[i].members),
                         list(spec.points[j].members),
                     ],
                 }
-    return {"holds": True, "witness": None}
+    return {"t0": True, "t0_witness": None}
 
 
 def check_t1(s, spec):
@@ -269,21 +281,15 @@ def check_t1(s, spec):
     ``fg(0)`` on C3 is T1 (its one point is {0}) but {0} is not maximal:
     ``tests/test_topology.py::test_t1_equivalence_fg0_c3`` pins it.
     """
-    fam = closed_family(s, spec)
-    t1 = True
-    witness = None
-    for i in range(spec.size):
-        if fam.point_closure(i) != (1 << i):
-            t1 = False
-            witness = list(spec.points[i].members)
-            break
-    points_maximal = set(spec.point_masks()) == set(maximal_ideal_masks(s))
+    up = closed_family(s, spec).up
+    witness = next(
+        (list(p.members) for i, p in enumerate(spec.points) if up[i] != 1 << i),
+        None,
+    )
     return {
-        "t1": t1,
-        "t1_predicate": points_maximal,
-        "agree": t1 == points_maximal,
-        "witness": witness,
-        "degenerate": spec.size == 0,
+        "t1": witness is None,
+        "t1_predicate": set(spec.point_masks()) == set(maximal_ideal_masks(s)),
+        "t1_witness": witness,
     }
 
 
@@ -296,22 +302,17 @@ def check_sober(s, spec):
     ideal is itself a point.  The theorem says the two agree.
     """
     fam = closed_family(s, spec)
-    sober = True
-    witness = None
-    for k in fam.irreducible_closed_sets():
-        generics = [i for i in range(spec.size) if fam.point_closure(i) == k]
-        if len(generics) != 1:
-            sober = False
-            witness = point_set_members(spec, k)
-            break
+    irr = fam.irreducible_closed_sets()
+    witness = next(
+        (point_set_members(spec, k) for k in irr if fam.up.count(k) != 1), None
+    )
 
     criterion = True
-    criterion_witness = None
-    irr = set(fam.irreducible_closed_sets())
+    irr_set = set(irr)
     point_mask_set = set(spec.point_masks())
     for m in _ideal_masks_all(s):
         u = fam.subbasis[m]
-        if u == 0 or u not in irr:
+        if u == 0 or u not in irr_set:
             continue
         inter = s.full_mask
         for i in range(spec.size):
@@ -319,15 +320,12 @@ def check_sober(s, spec):
                 inter &= spec.points[i].mask
         if inter not in point_mask_set:
             criterion = False
-            criterion_witness = mask_members(s, m)
             break
 
     return {
-        "sober": sober,
-        "criterion": criterion,
-        "agree": sober == criterion,
-        "witness": witness,
-        "criterion_witness": criterion_witness,
+        "sober": witness is None,
+        "sober_criterion": criterion,
+        "sober_witness": witness,
     }
 
 
@@ -337,38 +335,16 @@ def check_quasi_compact(s, spec):
     For every ideal family of at most ``FAMILY_SIZE_CAP`` members, the
     intersection of the up-sets must equal the up-set of the ideal sum;
     and when the spectrum contains every maximal ideal, an empty up-set
-    intersection forces the sum to be improper.
+    intersection forces the sum to be improper.  Both read the one walk
+    of ``ClosedFamily.sum_identity``.
     """
-    fam = closed_family(s, spec)
-    algebra = ideal_algebra(s)
+    failure, empty_sums_improper = closed_family(s, spec).sum_identity(s)
     point_mask_set = set(spec.point_masks())
     maximals_present = all(m in point_mask_set for m in maximal_ideal_masks(s))
-    identity_ok = True
-    maximal_ok = True
-    witness = None
-    empty_families = 0
-    for size in range(1, FAMILY_SIZE_CAP + 1):
-        sums = algebra.family_sums(size)
-        inters = fam.family_intersections(size)
-        families = combinations(algebra.masks, size)
-        for family, total, inter in zip(families, sums, inters):
-            if fam.subbasis[total] != inter:
-                identity_ok = False
-                witness = [mask_members(s, a) for a in family]
-            if inter == 0:
-                empty_families += 1
-                if maximals_present and total != s.full_mask:
-                    maximal_ok = False
-                    witness = [mask_members(s, a) for a in family]
-        if not (identity_ok and maximal_ok):
-            break
     return {
         "quasi_compact": True,
-        "sum_identity": identity_ok,
-        "maximals_in_spectrum": maximals_present,
-        "empty_intersection_families": empty_families,
-        "empty_intersection_implies_improper_sum": maximal_ok,
-        "witness": witness,
+        "quasi_compact_sum_identity": failure is None,
+        "quasi_compact_maximal_rule": empty_sums_improper or not maximals_present,
     }
 
 
@@ -378,27 +354,63 @@ def check_connected(s, spec):
     if spec.size == 0:
         return {
             "connected": "degenerate",
-            "witness": None,
+            "connected_witness": None,
             "zero_ideal_in_points": False,
         }
-    comps = closed_family(s, spec).components()
+    comps = closed_family(s, spec).components
     witness = point_set_members(spec, comps[0]) if len(comps) > 1 else None
     return {
         "connected": witness is None,
-        "witness": witness,
+        "connected_witness": witness,
         "zero_ideal_in_points": any(p.mask == 1 for p in spec.points),
     }
 
 
+def check_disconnection(s, spec):
+    """The strong disconnection witness, and the idempotent extracted from
+    it with the extraction's status: ``ok``, ``no-witness``,
+    ``hypothesis:<name>`` for an unmet hypothesis, or
+    ``mechanism-failure:<reason>``."""
+    witness = strong_disconnection_witness(s, spec)
+    if witness is None:
+        return {
+            "disconnection_witness": None,
+            "idempotent": None,
+            "idempotent_status": "no-witness",
+        }
+    idempotent = None
+    try:
+        idempotent = idempotent_from_disconnection(s, spec, witness)
+        status = "ok"
+    except HypothesisUnmet as exc:
+        status = f"hypothesis:{exc.hypothesis}"
+    except NoUnitDecomposition as exc:
+        status = f"mechanism-failure:{exc}"
+    left, right = witness
+    return {
+        "disconnection_witness": {
+            "left": [list(a.members) for a in left],
+            "right": [list(b.members) for b in right],
+        },
+        "idempotent": idempotent,
+        "idempotent_status": status,
+    }
+
+
 def check_irreducible_upsets(s, spec):
-    """Each point's up-set must equal the closure of the point and be irreducible."""
+    """Each point's up-set must be the closure of the point, computed from
+    its definition: the intersection of every subbasic closed set that
+    contains the point.  The closure of a point is irreducible, so each
+    point's up-set is then an irreducible closed set."""
     fam = closed_family(s, spec)
-    irr = set(fam.irreducible_closed_sets())
-    for i, p in enumerate(spec.points):
-        u = fam.subbasis[p.mask]
-        if fam.point_closure(i) != u or u not in irr:
-            return {"holds": False, "witness": list(p.members)}
-    return {"holds": True, "witness": None}
+    subbasic = fam.subbasis.values()
+    return {
+        "irreducible_upsets": all(
+            reduce(and_, (u for u in subbasic if (u >> i) & 1), fam.full)
+            == fam.subbasis[p.mask]
+            for i, p in enumerate(spec.points)
+        )
+    }
 
 
 def strong_disconnection_witness(s, spec):
@@ -411,7 +423,7 @@ def strong_disconnection_witness(s, spec):
     to a single ideal whenever the side's union is itself an up-set.
     """
     fam = closed_family(s, spec)
-    comps = fam.components()
+    comps = fam.components
     if len(comps) < 2:
         return None
     lowest_ideal_for = {}
@@ -495,30 +507,55 @@ def idempotent_from_disconnection(s, spec, witness):
 
 
 def verify_upset_laws(s, spec):
-    """Exhaustively verify the order/lattice laws of the up-set map.
+    """Exhaustively verify the order/lattice laws of the up-set map, and the
+    generator identity.
 
     Laws: (1) antitone, with the zero ideal mapping to the full space and
     the whole semiring to the empty set; (2) up(a) | up(b) inside
     up(a&b) inside up(ab); (3) intersections of up-sets equal the up-set
-    of the ideal sum, for families of at most ``FAMILY_SIZE_CAP``; (4)
-    up(a) contains up(radical(a)); (5) every point is a radical ideal if
-    and only if up(a) = up(radical(a)) for every ideal a.
+    of the ideal sum, for families of at most ``FAMILY_SIZE_CAP``, read
+    from ``ClosedFamily.sum_identity``; (4) up(a) contains
+    up(radical(a)); (5) every point is a radical ideal if and only if
+    up(a) = up(radical(a)) for every ideal a.  ``upset_laws`` is "pass"
+    or the first failing law with its witness.  The generator identity:
+    the up-set of each ideal is the intersection of the up-sets of the
+    principal ideals of its generators.
     """
     fam = closed_family(s, spec)
+    up = fam.subbasis
+    law = _first_failing_upset_law(s, spec, fam)
+    principals = ideal_algebra(s).principals
+    generator_witness = None
+    for ideal, classification in classified_ideals(s):
+        pulled = fam.full
+        for g in classification.witness_dict()["generators"]:
+            pulled &= up[principals[g]]
+        if up[ideal.mask] != pulled:
+            generator_witness = list(ideal.members)
+            break
+    return {
+        "upset_laws": "pass" if law is None else {"holds": False, **law},
+        "generator_upset_identity": generator_witness is None,
+        "generator_upset_witness": generator_witness,
+    }
+
+
+def _first_failing_upset_law(s, spec, fam):
+    """The first up-set law of ``verify_upset_laws`` that fails, as
+    ``{"law", "witness"}``, or None."""
     algebra = ideal_algebra(s)
     masks = algebra.masks
     up = fam.subbasis
 
     if up[1] != fam.full:
-        return {"holds": False, "law": "zero-full", "witness": None}
+        return {"law": "zero-full", "witness": None}
     if up[s.full_mask] != 0 and s.n > 1:
-        return {"holds": False, "law": "improper-empty", "witness": None}
+        return {"law": "improper-empty", "witness": None}
 
     for a in masks:
         for b in masks:
             if (a & b) == a and (up[a] & up[b]) != up[b]:
                 return {
-                    "holds": False,
                     "law": "antitone",
                     "witness": [mask_members(s, a), mask_members(s, b)],
                 }
@@ -530,48 +567,36 @@ def verify_upset_laws(s, spec):
             union = up[a] | up[b]
             if (union & inter_up) != union:
                 return {
-                    "holds": False,
                     "law": "union-inside-intersection",
                     "witness": [mask_members(s, a), mask_members(s, b)],
                 }
             if (inter_up & up[products[b]]) != inter_up:
                 return {
-                    "holds": False,
                     "law": "intersection-inside-product",
                     "witness": [mask_members(s, a), mask_members(s, b)],
                 }
 
-    for size in range(1, FAMILY_SIZE_CAP + 1):
-        sums = algebra.family_sums(size)
-        inters = fam.family_intersections(size)
-        for family, total, inter in zip(combinations(masks, size), sums, inters):
-            if up[total] != inter:
-                return {
-                    "holds": False,
-                    "law": "sum-identity",
-                    "witness": [mask_members(s, a) for a in family],
-                }
+    failure, _ = fam.sum_identity(s)
+    if failure is not None:
+        return {
+            "law": "sum-identity",
+            "witness": [mask_members(s, a) for a in failure],
+        }
 
     radicals = algebra.radicals
     for a in masks:
         r = radicals[a]
         if (up[r] & up[a]) != up[r]:
-            return {
-                "holds": False,
-                "law": "radical-up-shrinks",
-                "witness": mask_members(s, a),
-            }
+            return {"law": "radical-up-shrinks", "witness": mask_members(s, a)}
 
     all_points_radical = all(radicals[p.mask] == p.mask for p in spec.points)
     ups_stable = all(up[radicals[a]] == up[a] for a in masks)
     if all_points_radical != ups_stable:
         return {
-            "holds": False,
             "law": "radical-spectrum-equivalence",
             "witness": {
                 "all_points_radical": all_points_radical,
                 "upsets_radical_stable": ups_stable,
             },
         }
-
-    return {"holds": True, "law": None, "witness": None}
+    return None

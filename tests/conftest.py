@@ -5,7 +5,7 @@ import pytest
 
 from iseki.catalog import build_recipe, builtin_catalog
 from iseki.enumeration import enumerate_semirings
-from iseki.ideals import _ideal_masks_all, maximal_ideal_masks
+from iseki.ideals import _ideal_masks_all, classified_ideals, maximal_ideal_masks
 from iseki.semiring import direct_product, validate_semiring
 from iseki.topology import up_set
 from iseki.verify import _generated_set, _powers
@@ -339,17 +339,15 @@ def reference_radical(s, a):
 
 
 def reference_quasi_compact(s, spec, fam, family_size_cap=3):
-    """The quasi-compactness mechanism check computed per class, with the
-    family sums from ``reference_sum``: the reference for
-    ``topology.check_quasi_compact``."""
+    """The quasi-compactness mechanism check computed per class over every
+    family, with the family sums from ``reference_sum``: the reference
+    for ``topology.check_quasi_compact``."""
     masks = _ideal_masks_all(s)
     maximals_present = all(
         m in set(spec.point_masks()) for m in maximal_ideal_masks(s)
     )
     identity_ok = True
     maximal_ok = True
-    witness = None
-    empty_families = 0
     for size in range(1, family_size_cap + 1):
         for family in combinations(masks, size):
             inter = fam.full
@@ -358,45 +356,51 @@ def reference_quasi_compact(s, spec, fam, family_size_cap=3):
             total = reference_sum(s, family)
             if fam.subbasis[total] != inter:
                 identity_ok = False
-                witness = [_members(a) for a in family]
-            if inter == 0:
-                empty_families += 1
-                if maximals_present and total != s.full_mask:
-                    maximal_ok = False
-                    witness = [_members(a) for a in family]
-        if not (identity_ok and maximal_ok):
-            break
+            if inter == 0 and maximals_present and total != s.full_mask:
+                maximal_ok = False
     return {
         "quasi_compact": True,
-        "sum_identity": identity_ok,
-        "maximals_in_spectrum": maximals_present,
-        "empty_intersection_families": empty_families,
-        "empty_intersection_implies_improper_sum": maximal_ok,
-        "witness": witness,
+        "quasi_compact_sum_identity": identity_ok,
+        "quasi_compact_maximal_rule": maximal_ok,
     }
 
 
 def reference_upset_laws(s, spec, fam, family_size_cap=3):
     """The up-set laws computed per class through ``reference_sum``,
     ``reference_product`` and ``reference_radical``, with intersections as
-    mask ANDs: the reference for ``topology.verify_upset_laws``."""
+    mask ANDs, and the generator identity through ``reference_generated``:
+    the reference for ``topology.verify_upset_laws``."""
+    law = _reference_failing_upset_law(s, spec, fam, family_size_cap)
+    up = fam.subbasis
+    generator_witness = None
+    for ideal, classification in classified_ideals(s):
+        pulled = fam.full
+        for g in classification.witness_dict()["generators"]:
+            pulled &= up[reference_generated(s, 1 << g)]
+        if up[ideal.mask] != pulled:
+            generator_witness = _members(ideal.mask)
+            break
+    return {
+        "upset_laws": "pass" if law is None else {"holds": False, **law},
+        "generator_upset_identity": generator_witness is None,
+        "generator_upset_witness": generator_witness,
+    }
+
+
+def _reference_failing_upset_law(s, spec, fam, family_size_cap):
     masks = _ideal_masks_all(s)
     up = fam.subbasis
 
     zero_up = up.get(1, up_set(spec, 1))
     if zero_up != fam.full:
-        return {"holds": False, "law": "zero-full", "witness": None}
+        return {"law": "zero-full", "witness": None}
     if up.get(s.full_mask, 0) != 0 and s.n > 1:
-        return {"holds": False, "law": "improper-empty", "witness": None}
+        return {"law": "improper-empty", "witness": None}
 
     for a in masks:
         for b in masks:
             if (a & b) == a and (up[a] & up[b]) != up[b]:
-                return {
-                    "holds": False,
-                    "law": "antitone",
-                    "witness": [_members(a), _members(b)],
-                }
+                return {"law": "antitone", "witness": [_members(a), _members(b)]}
 
     for a in masks:
         for b in masks:
@@ -404,13 +408,11 @@ def reference_upset_laws(s, spec, fam, family_size_cap=3):
             union = up[a] | up[b]
             if (union & inter) != union:
                 return {
-                    "holds": False,
                     "law": "union-inside-intersection",
                     "witness": [_members(a), _members(b)],
                 }
             if (inter & up[reference_product(s, a, b)]) != inter:
                 return {
-                    "holds": False,
                     "law": "intersection-inside-product",
                     "witness": [_members(a), _members(b)],
                 }
@@ -422,7 +424,6 @@ def reference_upset_laws(s, spec, fam, family_size_cap=3):
                 inter &= up[a]
             if up[reference_sum(s, family)] != inter:
                 return {
-                    "holds": False,
                     "law": "sum-identity",
                     "witness": [_members(a) for a in family],
                 }
@@ -431,11 +432,7 @@ def reference_upset_laws(s, spec, fam, family_size_cap=3):
     for a in masks:
         r = radicals[a]
         if (up[r] & up[a]) != up[r]:
-            return {
-                "holds": False,
-                "law": "radical-up-shrinks",
-                "witness": _members(a),
-            }
+            return {"law": "radical-up-shrinks", "witness": _members(a)}
 
     all_points_radical = all(
         reference_radical(s, p.mask) == p.mask for p in spec.points
@@ -443,12 +440,10 @@ def reference_upset_laws(s, spec, fam, family_size_cap=3):
     ups_stable = all(up[radicals[a]] == up[a] for a in masks)
     if all_points_radical != ups_stable:
         return {
-            "holds": False,
             "law": "radical-spectrum-equivalence",
             "witness": {
                 "all_points_radical": all_points_radical,
                 "upsets_radical_stable": ups_stable,
             },
         }
-
-    return {"holds": True, "law": None, "witness": None}
+    return None

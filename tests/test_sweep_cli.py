@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import io
 import json
 import os
@@ -114,6 +116,45 @@ def test_sweep_summary_counts_distinct_instances():
         "16 distinct spaces, 12 distinct homomorphisms, 21 distinct quotients"
         in log.getvalue()
     )
+
+
+# SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
+# to the report must update the digest here and say why.
+REPORT_DIGESTS = {
+    (): "d816d0ed6929b20b017aebad038630ea5a43cbb07c7b3589ba51be1a5fe997b3",
+    (3,): "ff02c3642d317e17bdf3db6d03010c8edbf30d3541320b0d6d2474d17c87b471",
+    (4,): "8889b35961cd7a4a9521fcadd4e676228202ed060341cd6d8cd3a42863f08586",
+}
+
+
+@pytest.mark.parametrize(
+    "enumerate_n", list(REPORT_DIGESTS), ids=["catalog", "enumerate3", "enumerate4"]
+)
+def test_report_bytes_match_pinned_digest(enumerate_n):
+    """The report bytes of ``iseki sweep`` and ``--enumerate 3`` / ``4`` are
+    pinned, so a refactor that changes any report field fails here."""
+    text = canonical_json(sweep(enumerate_n=list(enumerate_n), log=io.StringIO()))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == REPORT_DIGESTS[enumerate_n]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("iseki.ideals", "_ideal_masks_all"),
+        ("iseki.ideals", "_proper_ideal_masks"),
+        ("iseki.ideals", "prime_ideal_masks"),
+        ("iseki.ideals", "maximal_ideal_masks"),
+        ("iseki.ideals", "classified_ideals"),
+        ("iseki.topology", "_closed_family_cached"),
+    ],
+)
+def test_benchmark_cache_contract(module, name):
+    """``perfbench/sample.py`` reports ``cache_info()`` of these caches
+    when it traces a sweep; renaming one must fail here, not there."""
+    cache = getattr(importlib.import_module(module), name, None)
+    assert cache is not None, f"{module}.{name} is gone; perfbench/sample.py reads it"
+    assert callable(getattr(cache, "cache_info", None)), f"{module}.{name} has no cache_info"
 
 
 def test_sweep_report_shape(small_report):
@@ -300,7 +341,7 @@ def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monke
     real = iseki.sweep.check_sober
 
     def not_sober(s, spec):
-        return {**real(s, spec), "sober": False, "criterion": False}
+        return {**real(s, spec), "sober": False, "sober_criterion": False}
 
     monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
     report = sweep(corpus=[build_recipe(("named", "C3"))], log=io.StringIO())

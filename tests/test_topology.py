@@ -1,5 +1,7 @@
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import and_
 
 import pytest
 from conftest import (
@@ -14,7 +16,13 @@ import iseki.topology
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
-from iseki.ideals import all_ideals, classified_ideals, ideal_algebra, ideal_from_members
+from iseki.ideals import (
+    all_ideals,
+    classified_ideals,
+    ideal_algebra,
+    ideal_from_members,
+    maximal_ideal_masks,
+)
 from iseki.morphisms import (
     check_quotient_homeomorphism,
     enumerate_homomorphisms,
@@ -24,6 +32,7 @@ from iseki.semiring import bourne_quotient
 from iseki.serialize import emit
 from iseki.sweep import ideal_lattice_report, topology_instance_report
 from iseki.topology import (
+    FAMILY_SIZE_CAP,
     ClosedFamily,
     Spectrum,
     check_connected,
@@ -136,7 +145,7 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
             if spec.size:
                 clopen = ref.clopen_witness()
                 expected = None if clopen is None else point_set_members(spec, clopen)
-                assert check_connected(s, spec)["witness"] == expected, where
+                assert check_connected(s, spec)["connected_witness"] == expected, where
             sides = strong_disconnection_witness(s, spec)
             if sides is not None:
                 sides = tuple([a.mask for a in side] for side in sides)
@@ -161,7 +170,8 @@ def test_upset_checks_match_per_class_reference(
     conftest: on every spectrum of the catalog and the semirings of order
     <= 4, and, so that failing laws and witnesses are compared too, on
     the catalog and the order <= 3 semirings with one point of one up-set
-    flipped."""
+    flipped.  check_irreducible_upsets holds on every true family and
+    fails on some flipped ones."""
     family = {}
     monkeypatch.setattr(iseki.topology, "closed_family", lambda s, spec: family["fam"])
     failures = Counter()
@@ -180,18 +190,25 @@ def test_upset_checks_match_per_class_reference(
                 assert verify_upset_laws(s, spec) == laws, where
                 qc = reference_quasi_compact(s, spec, fam)
                 assert check_quasi_compact(s, spec) == qc, where
-                failures[laws["law"]] += 1
-                failures["qc sum identity"] += not qc["sum_identity"]
-                failures["qc maximal rule"] += not qc["empty_intersection_implies_improper_sum"]
-    reached = {law for law, count in failures.items() if count and law is not None}
+                irreducible = check_irreducible_upsets(s, spec)["irreducible_upsets"]
+                assert irreducible or fam is not variants[0], where
+                if laws["upset_laws"] != "pass":
+                    failures[laws["upset_laws"]["law"]] += 1
+                failures["generator identity"] += not laws["generator_upset_identity"]
+                failures["qc sum identity"] += not qc["quasi_compact_sum_identity"]
+                failures["qc maximal rule"] += not qc["quasi_compact_maximal_rule"]
+                failures["irreducible_upsets"] += not irreducible
+    reached = {law for law, count in failures.items() if count}
     assert reached >= {
         "zero-full",
         "improper-empty",
         "antitone",
         "sum-identity",
         "radical-spectrum-equivalence",
+        "generator identity",
         "qc sum identity",
         "qc maximal rule",
+        "irreducible_upsets",
     }, failures
 
 
@@ -301,7 +318,7 @@ def test_closure_examples(c3):
 def test_t0_on_catalog(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            assert check_t0(s, spectrum(s, tag))["holds"], (s.id, tag)
+            assert check_t0(s, spectrum(s, tag))["t0"], (s.id, tag)
 
 
 def test_t1_examples(bb, c3, trivial):
@@ -309,8 +326,9 @@ def test_t1_examples(bb, c3, trivial):
     assert r["t1"] and r["t1_predicate"]
     r = check_t1(c3, spectrum(c3, "prime"))
     assert not r["t1"] and not r["t1_predicate"]
-    r = check_t1(trivial, spectrum(trivial, "prime"))
-    assert r["t1"] and r["t1_predicate"] and r["degenerate"]
+    spec = spectrum(trivial, "prime")
+    r = check_t1(trivial, spec)
+    assert r["t1"] and r["t1_predicate"] and spec.size == 0
 
 
 @pytest.mark.xfail(
@@ -337,29 +355,39 @@ def test_sober_examples(bb, c3, z4, catalog_semirings):
     for s in catalog_semirings:
         for tag in ("proper", "prime", "strongly-irreducible"):
             rep = check_sober(s, spectrum(s, tag))
-            assert rep["sober"] and rep["agree"], (s.id, tag)
+            assert rep["sober"] and rep["sober_criterion"], (s.id, tag)
 
 
 def test_sober_agreement_everywhere(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
             rep = check_sober(s, spectrum(s, tag))
-            assert rep["agree"], (s.id, tag)
+            assert rep["sober"] == rep["sober_criterion"], (s.id, tag)
 
 
 def test_quasi_compact_mechanism(bb, catalog_semirings):
-    rep = check_quasi_compact(bb, spectrum(bb, "maximal"))
-    assert rep["quasi_compact"] and rep["sum_identity"]
-    assert rep["maximals_in_spectrum"]
-    assert rep["empty_intersection_implies_improper_sum"]
-    assert rep["empty_intersection_families"] > 0
+    """On B x B's maximal spectrum, which holds every maximal ideal, some
+    ideal families have an empty up-set intersection, so the maximal rule
+    is exercised there."""
+    spec = spectrum(bb, "maximal")
+    rep = check_quasi_compact(bb, spec)
+    assert rep["quasi_compact"] and rep["quasi_compact_sum_identity"]
+    assert set(spec.point_masks()) == set(maximal_ideal_masks(bb))
+    assert rep["quasi_compact_maximal_rule"]
+    fam = closed_family(bb, spec)
+    empty_families = sum(
+        reduce(and_, (fam.subbasis[a] for a in family), fam.full) == 0
+        for size in range(1, FAMILY_SIZE_CAP + 1)
+        for family in combinations(sorted(fam.subbasis), size)
+    )
+    assert empty_families > 0
     for s in catalog_semirings:
         if s.n > 4:
             continue
         for tag in ALL_TAGS:
             rep = check_quasi_compact(s, spectrum(s, tag))
-            assert rep["sum_identity"], (s.id, tag)
-            assert rep["empty_intersection_implies_improper_sum"], (s.id, tag)
+            assert rep["quasi_compact_sum_identity"], (s.id, tag)
+            assert rep["quasi_compact_maximal_rule"], (s.id, tag)
 
 
 def test_connected_examples(bb, c3, boolean):
@@ -381,14 +409,17 @@ def test_degenerate_empty_spectrum(trivial):
     spec = spectrum(trivial, "prime")
     assert spec.size == 0
     assert check_connected(trivial, spec)["connected"] == "degenerate"
-    assert check_t0(trivial, spec)["holds"]
+    assert check_t0(trivial, spec)["t0"]
     assert check_sober(trivial, spec)["sober"]
 
 
 def test_irreducible_upsets_everywhere(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            assert check_irreducible_upsets(s, spectrum(s, tag))["holds"], (s.id, tag)
+            assert check_irreducible_upsets(s, spectrum(s, tag))["irreducible_upsets"], (
+                s.id,
+                tag,
+            )
 
 
 def test_upset_laws_everywhere(catalog_semirings):
@@ -397,7 +428,8 @@ def test_upset_laws_everywhere(catalog_semirings):
             continue
         for tag in ALL_TAGS:
             rep = verify_upset_laws(s, spectrum(s, tag))
-            assert rep["holds"], (s.id, tag, rep)
+            assert rep["upset_laws"] == "pass", (s.id, tag, rep)
+            assert rep["generator_upset_identity"], (s.id, tag, rep)
 
 
 def test_upset_laws_item5_forward(z4):

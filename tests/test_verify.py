@@ -55,7 +55,7 @@ def test_t1_witnesses(c3, bb):
     rep = check_t1(c3, spec)
     assert not rep["t1"]
     assert verify_t1_witness(
-        c3, [list(p.members) for p in spec.points], rep["witness"]
+        c3, [list(p.members) for p in spec.points], rep["t1_witness"]
     )
     # A fabricated witness is refuted.
     mspec = spectrum(bb, "maximal")
@@ -77,7 +77,7 @@ def test_connected_witnesses(bb, c3):
     rep = check_connected(bb, spec)
     assert rep["connected"] is False
     points = [list(p.members) for p in spec.points]
-    assert verify_connected_false_witness(bb, points, rep["witness"])
+    assert verify_connected_false_witness(bb, points, rep["connected_witness"])
     # The Sierpinski space has no valid clopen split.
     cspec = spectrum(c3, "prime")
     cpoints = [list(p.members) for p in cspec.points]
