@@ -37,7 +37,6 @@ from .ideals import (
     radical_via_primes,
 )
 from .topology import (
-    ClosedFamily,
     Spectrum,
     SpectrumClass,
     check_connected,
@@ -47,7 +46,6 @@ from .topology import (
     check_sober,
     check_t0,
     check_t1,
-    closed_family,
     idempotent_from_disconnection,
     parse_class,
     spectrum,

@@ -81,7 +81,7 @@ def _cmd_ideals(args):
 
 def _cmd_spectrum(args):
     s = ingest(args.file)
-    spec = spectrum(s, parse_class(args.cls))
+    spec = spectrum(s, args.cls)
     _emit(args, spec.to_json())
     return 0
 
@@ -148,7 +148,7 @@ def _cmd_sweep(args):
 
 def _cmd_export_dot(args):
     s = ingest(args.file)
-    spec = spectrum(s, parse_class(args.cls))
+    spec = spectrum(s, args.cls)
     text = export_dot(spec)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

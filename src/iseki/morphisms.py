@@ -21,8 +21,8 @@ from .ideals import (
     ideal_from_mask,
     is_ideal_mask,
 )
-from .semiring import Homomorphism, _homomorphism_violation, validate_homomorphism
-from .topology import closed_family, parse_class, spectrum
+from .semiring import Homomorphism, _homomorphism_violation
+from .topology import spectrum
 
 HOM_SEARCH_CAP = 10_000_000
 
@@ -92,17 +92,6 @@ def extend_ideal(s, t, hom, ideal_of_s):
     return generated_ideal(t, {hom.map[a] for a in ideal_of_s.members})
 
 
-def compose(s, t, u, first, second):
-    """The composite homomorphism s -> u of first: s -> t and second: t -> u.
-
-    No sweep path calls it: ``tests/test_morphisms.py::
-    test_functoriality_of_induced_maps`` uses it to check functoriality.
-    """
-    return validate_homomorphism(
-        s, u, tuple(second.map[first.map[a]] for a in range(s.n))
-    )
-
-
 @dataclass(frozen=True)
 class InducedMap:
     """The spectrum map induced by a homomorphism, acting by preimage.
@@ -145,10 +134,8 @@ def induced_map(s, t, hom, cls):
     returned as a verdict on the map (``continuous``,
     ``continuity_witness``): the preimage of the up-set of each ideal a of
     s must be the up-set of the ideal of t generated by the image of a.
-    Both up-sets are read from the spectra's closed families.
+    Both up-sets are read from the spectra's subbases.
     """
-    if isinstance(cls, str):
-        cls = parse_class(cls)
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
     index_of = {m: i for i, m in enumerate(spec_s.point_masks())}
@@ -157,13 +144,13 @@ def induced_map(s, t, hom, cls):
         back = contract_ideal(s, t, hom, p)
         if back.mask not in index_of:
             raise ContractionFails(
-                cls.display(),
+                spec_s.class_tag,
                 {"point": list(p.members), "preimage": list(back.members)},
             )
         point_map.append(index_of[back.mask])
-    up_t = closed_family(t, spec_t).subbasis
+    up_t = spec_t.subbasis
     witness = None
-    for m, target_up in closed_family(s, spec_s).subbasis.items():
+    for m, target_up in spec_s.subbasis.items():
         pulled = 0
         for j, i in enumerate(point_map):
             if (target_up >> i) & 1:
@@ -201,7 +188,7 @@ def check_quotient_homeomorphism(s, t, ind):
     if not ind.hom.is_surjective_onto(t.n):
         return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
-    ker_up = closed_family(s, spec_s).subbasis[ind.kernel.mask]
+    ker_up = spec_s.subbasis[ind.kernel.mask]
     image = ind.image_point_set()
 
     q, p = spec_t.point_masks(), spec_s.point_masks()
@@ -234,10 +221,9 @@ def check_density(s, t, ind):
     criterion (the kernel's radical is that intersection) matches density.
     """
     spec_s = ind.target_spectrum
-    fam_s = closed_family(s, spec_s)
     ker = ind.kernel
-    cl_image = fam_s.closure(ind.image_point_set())
-    dense = cl_image == spec_s.full_point_set
+    cl_image = spec_s.closure(ind.image_point_set())
+    dense = cl_image == spec_s.full
 
     inter = s.full_mask
     for p in spec_s.points:
@@ -249,7 +235,7 @@ def check_density(s, t, ind):
         "density_rhs": criterion,
         "density_biconditional": dense == criterion,
         "closure_image_equals_kernel_upset": cl_image
-        == fam_s.subbasis[ker.mask],
+        == spec_s.subbasis[ker.mask],
     }
     if spec_s.class_tag == "prime":
         report["radical_equality_matches_density"] = (

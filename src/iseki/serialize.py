@@ -1,4 +1,5 @@
-"""JSON ingestion and emission for semirings and reports.
+"""JSON ingestion of semiring documents, and canonical JSON text for
+semirings and reports.
 
 The semiring document is the unit of persistence everywhere:
 
@@ -6,7 +7,8 @@ The semiring document is the unit of persistence everywhere:
 
 Tables are row-major; element 0 is always the additive identity.
 Canonical text is json.dumps with sorted keys and two-space indentation,
-so emit(ingest(x)) is the identity on canonical documents.
+so canonical_json(semiring_to_json(ingest(x))) is the identity on
+canonical documents.
 """
 
 import json
@@ -64,11 +66,3 @@ def ingest(path):
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     return semiring_from_json(doc)
-
-
-def emit(path, s):
-    """Write the canonical JSON document for a semiring."""
-    text = canonical_json(semiring_to_json(s))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

@@ -1,10 +1,10 @@
 """Sweep harness: run every theorem oracle over a corpus and aggregate.
 
-Every oracle is one row of ``ORACLES`` (see ``Oracle``).  The same rows
-fill the sweep's ``tallies`` and ``observations`` and decide the exit
-code of ``iseki topology`` and ``iseki morphisms``.  The observations are
-the image-versus-kernel-up-set comparison for arbitrary surjections and
-the ideal-up-set form of the quotient embedding.
+Every oracle is one row of ``ORACLES`` (see ``Oracle``), keyed by the
+kind of report it reads.  The same rows fill the sweep's ``tallies`` and
+``observations`` and decide the exit code of ``iseki topology`` and
+``iseki morphisms``.  The observations are the image-versus-kernel-up-set
+comparison for surjections and the ideal-up-set form of the quotient map.
 
 The rows read report fields, and each field has one definition: the
 check in ``topology`` or ``morphisms`` that decides it returns it under
@@ -19,11 +19,11 @@ Each distinct instance is evaluated once per sweep.  An Iseki space
 depends only on the semiring's tables and its point set, not on the
 semiring's id or on the class that picked the points; a homomorphism's
 checks depend on the two tables, the map and the class; a quotient's on
-the tables and the ideal.  ``sweep`` keeps one report body per such key
-in a dict local to the call and writes each instance's identity fields
-(``semiring``/``class``, ``source``/``target``, ``semiring``/``quotient``)
-over a shallow copy of it.  The invariant: a report field that depends on
-an identity (an id or the class name) must be stamped, never memoized.
+the tables and the ideal; an ideal-lattice report's on the tables.
+``sweep`` keeps one report body per such key in a dict local to the call
+and writes each instance's identity fields (ids and class) over a shallow
+copy of it.  The invariant: a report field that depends on an identity
+(an id or the class name) must be stamped, never memoized.
 The tallies still count every instance.  The builtin catalog's 240
 topology instances, 318 homomorphisms and 62 quotients are 16 distinct
 spaces, 12 distinct homomorphisms and 21 distinct quotients; the stderr
@@ -62,7 +62,6 @@ from .topology import (
     check_sober,
     check_t0,
     check_t1,
-    closed_family,
     spectrum,
     verify_upset_laws,
 )
@@ -83,7 +82,7 @@ def topology_instance_report(s, cls):
         "semiring": s.id,
         "class": cls,
         "points": [list(p.members) for p in spec.points],
-        "closed_set_count": closed_family(s, spec).closed_set_count(),
+        "closed_set_count": spec.closed_set_count(),
         **check_t0(s, spec),
         **check_t1(s, spec),
         **check_sober(s, spec),
@@ -220,9 +219,8 @@ def quotient_report(s, ideal):
         rep[f"{cls}_homeomorphism_onto_kernel_upset"] = q[
             "homeomorphism_onto_kernel_upset"
         ]
-        up = closed_family(s, ind.target_spectrum).subbasis
         rep[f"{cls}_image_equals_ideal_upset"] = (
-            ind.image_point_set() == up[ideal.mask]
+            ind.image_point_set() == ind.target_spectrum.subbasis[ideal.mask]
         )
     # The kernel does not depend on the class.
     rep["kernel"] = list(ind.kernel.members)
@@ -255,7 +253,6 @@ class Oracle:
     """
 
     name: str
-    kind: str
     universal: bool
     holds: Callable[[dict], bool]
     applies: Callable[[dict], bool] = lambda rep: True
@@ -275,82 +272,86 @@ def _prime_surjection(rep):
 def _quotient_class_oracles(cls):
     """The quotient-map oracles for the induced map under one class."""
     return (
-        Oracle("quotient_kernel_homeomorphism", QUOTIENT, UNIVERSAL,
+        Oracle("quotient_kernel_homeomorphism", UNIVERSAL,
                lambda r: r[f"{cls}_homeomorphism_onto_kernel_upset"],
                witness=lambda r: {"class": cls}),
-        Oracle("quotient_image_equals_ideal_upset", QUOTIENT, OBSERVATION,
+        Oracle("quotient_image_equals_ideal_upset", OBSERVATION,
                lambda r: r[f"{cls}_image_equals_ideal_upset"],
                witness=lambda r: {"class": cls}),
     )
 
 
-ORACLES = (
-    Oracle("t0", TOPOLOGY, UNIVERSAL, lambda r: r["t0"],
-           witness=lambda r: {"witness": r["t0_witness"]}),
-    Oracle("t1_equivalence", TOPOLOGY, UNIVERSAL,
-           lambda r: r["t1"] == r["t1_predicate"],
-           witness=lambda r: {"t1": r["t1"], "predicate": r["t1_predicate"]}),
-    Oracle("sober_agreement", TOPOLOGY, UNIVERSAL,
-           lambda r: r["sober"] == r["sober_criterion"]),
-    Oracle("sober_corollary", TOPOLOGY, UNIVERSAL, lambda r: r["sober"],
-           applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
-    Oracle("connected_when_zero_present", TOPOLOGY, UNIVERSAL,
-           lambda r: r["connected"] is True,
-           applies=lambda r: r["zero_ideal_in_points"]),
-    Oracle("irreducible_upsets", TOPOLOGY, UNIVERSAL,
-           lambda r: r["irreducible_upsets"]),
-    Oracle("upset_laws", TOPOLOGY, UNIVERSAL, lambda r: r["upset_laws"] == "pass",
-           witness=lambda r: {"laws": r["upset_laws"]}),
-    Oracle("quasi_compact_mechanism", TOPOLOGY, UNIVERSAL,
-           lambda r: r["quasi_compact_sum_identity"] and r["quasi_compact_maximal_rule"]),
-    Oracle("generator_upset_identity", TOPOLOGY, UNIVERSAL,
-           lambda r: r["generator_upset_identity"],
-           witness=lambda r: {"witness": r["generator_upset_witness"]}),
-    Oracle("idempotent_extraction", TOPOLOGY, UNIVERSAL,
-           lambda r: r["idempotent_status"] == "ok",
-           applies=lambda r: r["idempotent_status"].split(":")[0]
-           in ("ok", "mechanism-failure"),
-           witness=lambda r: {"status": r["idempotent_status"]}),
-    Oracle("radical_oracle", IDEAL_LATTICE, UNIVERSAL,
-           lambda r: r["radical_oracle"],
-           witness=lambda r: {"witness": r["radical_oracle_witness"]}),
-    Oracle("classification_implications", IDEAL_LATTICE, UNIVERSAL,
-           lambda r: r["classification_implications"],
-           witness=lambda r: {"witness": r["classification_witness"]}),
-    Oracle("radical_monotone", IDEAL_LATTICE, UNIVERSAL,
-           lambda r: r["radical_monotone"]),
-    Oracle("product_in_intersection", IDEAL_LATTICE, UNIVERSAL,
-           lambda r: r["product_in_intersection"]),
-    Oracle("sum_lub_intersection_glb", IDEAL_LATTICE, UNIVERSAL,
-           lambda r: r["sum_lub_intersection_glb"]),
-    Oracle("morphism_prime_contraction", MORPHISM, UNIVERSAL,
-           lambda r: r["contraction"], applies=lambda r: r["class"] == "prime"),
-    Oracle("morphism_continuity", MORPHISM, UNIVERSAL,
-           lambda r: r["continuous"] is True, applies=_prime_contraction),
-    Oracle("morphism_density_biconditional", MORPHISM, UNIVERSAL,
-           lambda r: r["density_biconditional"], applies=_prime_contraction),
-    Oracle("morphism_closure_image_equals_kernel_upset", MORPHISM, UNIVERSAL,
-           lambda r: r["closure_image_equals_kernel_upset"],
-           applies=_prime_contraction),
-    Oracle("morphism_prime_radical_equality", MORPHISM, UNIVERSAL,
-           lambda r: r["radical_equality_matches_density"],
-           applies=lambda r: _prime_contraction(r)
-           and "radical_equality_matches_density" in r),
-    Oracle("morphism_homeomorphism_onto_image", MORPHISM, UNIVERSAL,
-           lambda r: r["homeomorphism_onto_image"], applies=_prime_surjection),
-    Oracle("surjective_image_equals_kernel_upset", MORPHISM, OBSERVATION,
-           lambda r: r["image_equals_kernel_upset"], applies=_prime_surjection),
-    Oracle("quotient_map_surjective", QUOTIENT, UNIVERSAL,
-           lambda r: r["map_surjective"]),
-    *(oracle for cls in QUOTIENT_CLASSES for oracle in _quotient_class_oracles(cls)),
-)
+ORACLES = {
+    TOPOLOGY: (
+        Oracle("t0", UNIVERSAL, lambda r: r["t0"],
+               witness=lambda r: {"witness": r["t0_witness"]}),
+        Oracle("t1_equivalence", UNIVERSAL, lambda r: r["t1"] == r["t1_predicate"],
+               witness=lambda r: {"t1": r["t1"], "predicate": r["t1_predicate"]}),
+        Oracle("sober_agreement", UNIVERSAL,
+               lambda r: r["sober"] == r["sober_criterion"]),
+        Oracle("sober_corollary", UNIVERSAL, lambda r: r["sober"],
+               applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
+        Oracle("connected_when_zero_present", UNIVERSAL,
+               lambda r: r["connected"] is True,
+               applies=lambda r: r["zero_ideal_in_points"]),
+        Oracle("irreducible_upsets", UNIVERSAL, lambda r: r["irreducible_upsets"]),
+        Oracle("upset_laws", UNIVERSAL, lambda r: r["upset_laws"] == "pass",
+               witness=lambda r: {"laws": r["upset_laws"]}),
+        Oracle("quasi_compact_mechanism", UNIVERSAL,
+               lambda r: r["quasi_compact_sum_identity"]
+               and r["quasi_compact_maximal_rule"]),
+        Oracle("generator_upset_identity", UNIVERSAL,
+               lambda r: r["generator_upset_identity"],
+               witness=lambda r: {"witness": r["generator_upset_witness"]}),
+        Oracle("idempotent_extraction", UNIVERSAL,
+               lambda r: r["idempotent_status"] == "ok",
+               applies=lambda r: r["idempotent_status"].split(":")[0]
+               in ("ok", "mechanism-failure"),
+               witness=lambda r: {"status": r["idempotent_status"]}),
+    ),
+    IDEAL_LATTICE: (
+        Oracle("radical_oracle", UNIVERSAL, lambda r: r["radical_oracle"],
+               witness=lambda r: {"witness": r["radical_oracle_witness"]}),
+        Oracle("classification_implications", UNIVERSAL,
+               lambda r: r["classification_implications"],
+               witness=lambda r: {"witness": r["classification_witness"]}),
+        Oracle("radical_monotone", UNIVERSAL, lambda r: r["radical_monotone"]),
+        Oracle("product_in_intersection", UNIVERSAL,
+               lambda r: r["product_in_intersection"]),
+        Oracle("sum_lub_intersection_glb", UNIVERSAL,
+               lambda r: r["sum_lub_intersection_glb"]),
+    ),
+    MORPHISM: (
+        Oracle("morphism_prime_contraction", UNIVERSAL,
+               lambda r: r["contraction"], applies=lambda r: r["class"] == "prime"),
+        Oracle("morphism_continuity", UNIVERSAL,
+               lambda r: r["continuous"] is True, applies=_prime_contraction),
+        Oracle("morphism_density_biconditional", UNIVERSAL,
+               lambda r: r["density_biconditional"], applies=_prime_contraction),
+        Oracle("morphism_closure_image_equals_kernel_upset", UNIVERSAL,
+               lambda r: r["closure_image_equals_kernel_upset"],
+               applies=_prime_contraction),
+        Oracle("morphism_prime_radical_equality", UNIVERSAL,
+               lambda r: r["radical_equality_matches_density"],
+               applies=lambda r: _prime_contraction(r)
+               and "radical_equality_matches_density" in r),
+        Oracle("morphism_homeomorphism_onto_image", UNIVERSAL,
+               lambda r: r["homeomorphism_onto_image"], applies=_prime_surjection),
+        Oracle("surjective_image_equals_kernel_upset", OBSERVATION,
+               lambda r: r["image_equals_kernel_upset"], applies=_prime_surjection),
+    ),
+    QUOTIENT: (
+        Oracle("quotient_map_surjective", UNIVERSAL, lambda r: r["map_surjective"]),
+        *(oracle for cls in QUOTIENT_CLASSES for oracle in _quotient_class_oracles(cls)),
+    ),
+}
 
 
 def evaluate(kind, rep):
     """Yield ``(oracle, holds, witness)`` for every oracle of ``kind`` that
     applies to ``rep``; the witness is None when the oracle holds."""
-    for oracle in ORACLES:
-        if oracle.kind == kind and oracle.applies(rep):
+    for oracle in ORACLES[kind]:
+        if oracle.applies(rep):
             ok = bool(oracle.holds(rep))
             witness = None
             if not ok:
@@ -433,7 +434,7 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
 
     # One report body per distinct structure, stamped with each
     # instance's identity fields (see the module docstring).
-    spaces, maps, quotients = {}, {}, {}
+    spaces, lattices, maps, quotients = {}, {}, {}, {}
 
     topo = [
         _stamped(
@@ -446,7 +447,10 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
         for cls in classes
     ]
 
-    ideal_reports = [ideal_lattice_report(s) for s, _ in semirings]
+    ideal_reports = [
+        _stamped(lattices, s.structure, {"semiring": s.id}, ideal_lattice_report, s)
+        for s, _ in semirings
+    ]
 
     small = [s for s, _ in semirings if s.n <= MORPHISM_ORDER_CAP]
     pairs = [(s, t) for s in small for t in small]

@@ -16,11 +16,13 @@ inclusion order; a failed T0, T1, sobriety, connectedness or up-set law
 verdict carries a witness.  Each ``check_*`` function (and
 ``verify_upset_laws``) returns exactly the report fields it decides,
 under their report names, so the sweep's topology report is the merge
-of their dicts.
+of their dicts.  One ``Spectrum`` object is the Iseki space: the points
+and, built on first use, the closed sets; ``spectrum(s, cls)`` caches one
+per (semiring, class).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
@@ -35,6 +37,7 @@ from .ideals import (
     mask_members,
     maximal_ideal_masks,
 )
+from .semiring import FiniteSemiring
 
 # Each built-in class tag and the classification flag that selects its
 # points; every proper ideal is a point of "proper".
@@ -98,55 +101,9 @@ def parse_class(text):
 
 @dataclass(frozen=True)
 class Spectrum:
-    semiring: str
-    class_tag: str
-    points: tuple
-
-    @property
-    def size(self):
-        return len(self.points)
-
-    @property
-    def full_point_set(self):
-        return (1 << len(self.points)) - 1
-
-    def point_masks(self):
-        return tuple(p.mask for p in self.points)
-
-    def to_json(self):
-        return {
-            "semiring": self.semiring,
-            "class": self.class_tag,
-            "points": [list(p.members) for p in self.points],
-        }
-
-
-def spectrum(s, cls):
-    """Points of the class, ascending by ideal bitset; the whole semiring
-    is never a point."""
-    if isinstance(cls, str):
-        cls = parse_class(cls)
-    points = tuple(
-        ideal
-        for ideal, classification in classified_ideals(s)
-        if cls.accepts(classification)
-    )
-    return Spectrum(semiring=s.id, class_tag=cls.display(), points=points)
-
-
-def up_set(spec, mask):
-    """Point-set bitmask of the points containing the ideal with element
-    bitmask ``mask``; the improper ideal gives the empty set since no
-    proper point can contain it."""
-    out = 0
-    for i, p in enumerate(spec.points):
-        if (p.mask & mask) == mask:
-            out |= 1 << i
-    return out
-
-
-class ClosedFamily:
-    """The closed sets of one Iseki space, decided from the inclusion order.
+    """The Iseki space on an ascending tuple of proper ideals of
+    ``semiring``, with its closed sets decided from the inclusion order on
+    first use.
 
     ``subbasis`` maps each ideal mask of the semiring to its up-set;
     ``up[i]`` is the up-set of point i, which is both the closure of the
@@ -157,11 +114,38 @@ class ClosedFamily:
     graph).
     """
 
-    def __init__(self, spec, subbasis):
-        self.spectrum = spec
-        self.subbasis = subbasis
-        self.up = tuple(subbasis[p.mask] for p in spec.points)
-        self.full = spec.full_point_set
+    semiring: FiniteSemiring
+    class_tag: str
+    points: tuple
+
+    @property
+    def size(self):
+        return len(self.points)
+
+    @property
+    def full(self):
+        return (1 << len(self.points)) - 1
+
+    def point_masks(self):
+        return tuple(p.mask for p in self.points)
+
+    def to_json(self):
+        return {
+            "semiring": self.semiring.id,
+            "class": self.class_tag,
+            "points": [list(p.members) for p in self.points],
+        }
+
+    @cached_property
+    def subbasis(self):
+        return {m: up_set(self, m) for m in _ideal_masks_all(self.semiring)}
+
+    @cached_property
+    def up(self):
+        return tuple(self.subbasis[p.mask] for p in self.points)
+
+    @cached_property
+    def components(self):
         comps = []
         for u in self.up:
             merged = u
@@ -172,34 +156,34 @@ class ClosedFamily:
                 else:
                     rest.append(c)
             comps = rest + [merged]
-        self.components = sorted(comps)
-        self._sum_identity = None
+        return sorted(comps)
 
-    def sum_identity(self, s):
+    @cached_property
+    def sum_identity(self):
         """One walk over every family of at most ``FAMILY_SIZE_CAP`` ideals
-        of ``s``, in the order that ``combinations`` gives the families of
-        the ascending ideal masks, as ``IdealAlgebra.family_sums`` does.
-        Returns the first family whose up-set intersection is not the
-        up-set of its sum (None when the identity holds), and whether every
-        family with an empty up-set intersection has the improper sum.
-        Memoized, so the up-set laws and the quasi-compactness check read
-        the one walk."""
-        if self._sum_identity is None:
-            algebra = ideal_algebra(s)
-            failure = None
-            empty_sums_improper = True
-            for size in range(1, FAMILY_SIZE_CAP + 1):
-                families = combinations(algebra.masks, size)
-                for family, total in zip(families, algebra.family_sums(size)):
-                    inter = self.full
-                    for a in family:
-                        inter &= self.subbasis[a]
-                    if failure is None and self.subbasis[total] != inter:
-                        failure = family
-                    if inter == 0 and total != s.full_mask:
-                        empty_sums_improper = False
-            self._sum_identity = (failure, empty_sums_improper)
-        return self._sum_identity
+        of the semiring, in the order that ``combinations`` gives the
+        families of the ascending ideal masks, as
+        ``IdealAlgebra.family_sums`` does.  The first family whose up-set
+        intersection is not the up-set of its sum (None when the identity
+        holds), and whether every family with an empty up-set intersection
+        has the improper sum.  Memoized, so the up-set laws and the
+        quasi-compactness check read the one walk."""
+        s = self.semiring
+        algebra = ideal_algebra(s)
+        full = self.full
+        failure = None
+        empty_sums_improper = True
+        for size in range(1, FAMILY_SIZE_CAP + 1):
+            families = combinations(algebra.masks, size)
+            for family, total in zip(families, algebra.family_sums(size)):
+                inter = full
+                for a in family:
+                    inter &= self.subbasis[a]
+                if failure is None and self.subbasis[total] != inter:
+                    failure = family
+                if inter == 0 and total != s.full_mask:
+                    empty_sums_improper = False
+        return failure, empty_sums_improper
 
     def closure(self, point_set):
         out = 0
@@ -236,14 +220,34 @@ class ClosedFamily:
         return count[self.full]
 
 
+def spectrum(s, cls):
+    """The cached space of a class (a ``SpectrumClass`` or its name): its
+    points ascend by ideal bitset, and the whole semiring is never one."""
+    if isinstance(cls, str):
+        cls = parse_class(cls)
+    return _closed_family_cached(s, cls)
+
+
 @lru_cache(maxsize=None)
-def _closed_family_cached(s, spec):
-    return ClosedFamily(spec, {m: up_set(spec, m) for m in _ideal_masks_all(s)})
+def _closed_family_cached(s, cls):
+    # The one cache of spaces; perfbench/sample.py reads it by this name.
+    points = tuple(
+        ideal
+        for ideal, classification in classified_ideals(s)
+        if cls.accepts(classification)
+    )
+    return Spectrum(semiring=s, class_tag=cls.display(), points=points)
 
 
-def closed_family(s, spec):
-    """Build (or fetch) the closed family of a spectrum."""
-    return _closed_family_cached(s, spec)
+def up_set(spec, mask):
+    """Point-set bitmask of the points containing the ideal with element
+    bitmask ``mask``; the improper ideal gives the empty set since no
+    proper point can contain it."""
+    out = 0
+    for i, p in enumerate(spec.points):
+        if (p.mask & mask) == mask:
+            out |= 1 << i
+    return out
 
 
 def point_set_members(spec, point_set):
@@ -258,7 +262,7 @@ def point_set_members(spec, point_set):
 
 def check_t0(s, spec):
     """T0: no two points have the same closure."""
-    up = closed_family(s, spec).up
+    up = spec.up
     for i in range(spec.size):
         for j in range(i + 1, spec.size):
             if up[i] == up[j]:
@@ -281,9 +285,8 @@ def check_t1(s, spec):
     ``fg(0)`` on C3 is T1 (its one point is {0}) but {0} is not maximal:
     ``tests/test_topology.py::test_t1_equivalence_fg0_c3`` pins it.
     """
-    up = closed_family(s, spec).up
     witness = next(
-        (list(p.members) for i, p in enumerate(spec.points) if up[i] != 1 << i),
+        (list(p.members) for i, p in enumerate(spec.points) if spec.up[i] != 1 << i),
         None,
     )
     return {
@@ -301,17 +304,15 @@ def check_sober(s, spec):
     irreducible up-set, the intersection of all points containing the
     ideal is itself a point.  The theorem says the two agree.
     """
-    fam = closed_family(s, spec)
-    irr = fam.irreducible_closed_sets()
+    irr = spec.irreducible_closed_sets()
     witness = next(
-        (point_set_members(spec, k) for k in irr if fam.up.count(k) != 1), None
+        (point_set_members(spec, k) for k in irr if spec.up.count(k) != 1), None
     )
 
     criterion = True
     irr_set = set(irr)
     point_mask_set = set(spec.point_masks())
-    for m in _ideal_masks_all(s):
-        u = fam.subbasis[m]
+    for u in spec.subbasis.values():
         if u == 0 or u not in irr_set:
             continue
         inter = s.full_mask
@@ -336,9 +337,9 @@ def check_quasi_compact(s, spec):
     intersection of the up-sets must equal the up-set of the ideal sum;
     and when the spectrum contains every maximal ideal, an empty up-set
     intersection forces the sum to be improper.  Both read the one walk
-    of ``ClosedFamily.sum_identity``.
+    of ``Spectrum.sum_identity``.
     """
-    failure, empty_sums_improper = closed_family(s, spec).sum_identity(s)
+    failure, empty_sums_improper = spec.sum_identity
     point_mask_set = set(spec.point_masks())
     maximals_present = all(m in point_mask_set for m in maximal_ideal_masks(s))
     return {
@@ -357,7 +358,7 @@ def check_connected(s, spec):
             "connected_witness": None,
             "zero_ideal_in_points": False,
         }
-    comps = closed_family(s, spec).components
+    comps = spec.components
     witness = point_set_members(spec, comps[0]) if len(comps) > 1 else None
     return {
         "connected": witness is None,
@@ -402,12 +403,11 @@ def check_irreducible_upsets(s, spec):
     its definition: the intersection of every subbasic closed set that
     contains the point.  The closure of a point is irreducible, so each
     point's up-set is then an irreducible closed set."""
-    fam = closed_family(s, spec)
-    subbasic = fam.subbasis.values()
+    subbasic = spec.subbasis.values()
     return {
         "irreducible_upsets": all(
-            reduce(and_, (u for u in subbasic if (u >> i) & 1), fam.full)
-            == fam.subbasis[p.mask]
+            reduce(and_, (u for u in subbasic if (u >> i) & 1), spec.full)
+            == spec.subbasis[p.mask]
             for i, p in enumerate(spec.points)
         )
     }
@@ -422,15 +422,13 @@ def strong_disconnection_witness(s, spec):
     ideals (the lowest-mask ideal per distinct up-set); a side collapses
     to a single ideal whenever the side's union is itself an up-set.
     """
-    fam = closed_family(s, spec)
-    comps = fam.components
+    comps = spec.components
     if len(comps) < 2:
         return None
     lowest_ideal_for = {}
-    for m in sorted(fam.subbasis):
-        u = fam.subbasis[m]
-        if u and u not in lowest_ideal_for:
-            lowest_ideal_for[u] = m
+    for m, u in sorted(spec.subbasis.items()):
+        if u:
+            lowest_ideal_for.setdefault(u, m)
 
     def side(mask):
         if mask in lowest_ideal_for:
@@ -441,7 +439,7 @@ def strong_disconnection_witness(s, spec):
             if (u & mask) == u
         ]
 
-    return side(comps[0]), side(fam.full ^ comps[0])
+    return side(comps[0]), side(spec.full ^ comps[0])
 
 
 def idempotent_from_disconnection(s, spec, witness):
@@ -461,7 +459,7 @@ def idempotent_from_disconnection(s, spec, witness):
         a.semiring == s.id and is_ideal_mask(s, a.mask) for a in [*left, *right]
     ):
         raise HypothesisUnmet("witness", "a side holds a non-ideal of the semiring")
-    up = closed_family(s, spec).subbasis
+    up = spec.subbasis
     left_union = 0
     for a in left:
         left_union |= up[a.mask]
@@ -472,7 +470,7 @@ def idempotent_from_disconnection(s, spec, witness):
         left_union == 0
         or right_union == 0
         or (left_union & right_union) != 0
-        or (left_union | right_union) != spec.full_point_set
+        or (left_union | right_union) != spec.full
     ):
         raise HypothesisUnmet("witness", "sides do not partition the spectrum")
     point_mask_set = set(spec.point_masks())
@@ -514,20 +512,19 @@ def verify_upset_laws(s, spec):
     the whole semiring to the empty set; (2) up(a) | up(b) inside
     up(a&b) inside up(ab); (3) intersections of up-sets equal the up-set
     of the ideal sum, for families of at most ``FAMILY_SIZE_CAP``, read
-    from ``ClosedFamily.sum_identity``; (4) up(a) contains
+    from ``Spectrum.sum_identity``; (4) up(a) contains
     up(radical(a)); (5) every point is a radical ideal if and only if
     up(a) = up(radical(a)) for every ideal a.  ``upset_laws`` is "pass"
     or the first failing law with its witness.  The generator identity:
     the up-set of each ideal is the intersection of the up-sets of the
     principal ideals of its generators.
     """
-    fam = closed_family(s, spec)
-    up = fam.subbasis
-    law = _first_failing_upset_law(s, spec, fam)
+    up = spec.subbasis
+    law = _first_failing_upset_law(s, spec)
     principals = ideal_algebra(s).principals
     generator_witness = None
     for ideal, classification in classified_ideals(s):
-        pulled = fam.full
+        pulled = spec.full
         for g in classification.witness_dict()["generators"]:
             pulled &= up[principals[g]]
         if up[ideal.mask] != pulled:
@@ -540,14 +537,14 @@ def verify_upset_laws(s, spec):
     }
 
 
-def _first_failing_upset_law(s, spec, fam):
+def _first_failing_upset_law(s, spec):
     """The first up-set law of ``verify_upset_laws`` that fails, as
     ``{"law", "witness"}``, or None."""
     algebra = ideal_algebra(s)
     masks = algebra.masks
-    up = fam.subbasis
+    up = spec.subbasis
 
-    if up[1] != fam.full:
+    if up[1] != spec.full:
         return {"law": "zero-full", "witness": None}
     if up[s.full_mask] != 0 and s.n > 1:
         return {"law": "improper-empty", "witness": None}
@@ -576,7 +573,7 @@ def _first_failing_upset_law(s, spec, fam):
                     "witness": [mask_members(s, a), mask_members(s, b)],
                 }
 
-    failure, _ = fam.sum_identity(s)
+    failure, _ = spec.sum_identity
     if failure is not None:
         return {
             "law": "sum-identity",

@@ -6,7 +6,8 @@ import pytest
 from iseki.catalog import build_recipe, builtin_catalog
 from iseki.enumeration import enumerate_semirings
 from iseki.ideals import _ideal_masks_all, classified_ideals, maximal_ideal_masks
-from iseki.semiring import direct_product, validate_semiring
+from iseki.semiring import direct_product, validate_homomorphism, validate_semiring
+from iseki.serialize import canonical_json, semiring_to_json
 from iseki.topology import up_set
 from iseki.verify import _generated_set, _powers
 
@@ -47,6 +48,21 @@ def isomorphism_orbit_size(s):
     return len(
         {_permuted_pair(s.add, s.mul, (0,) + p) for p in permutations(range(1, s.n))}
     )
+
+
+def compose(s, t, u, first, second):
+    """The composite homomorphism s -> u of first: s -> t and second: t -> u."""
+    return validate_homomorphism(
+        s, u, tuple(second.map[first.map[a]] for a in range(s.n))
+    )
+
+
+def emit(path, s):
+    """Write the canonical JSON document for a semiring."""
+    text = canonical_json(semiring_to_json(s))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
 def table_pair_key(add, mul):
@@ -243,7 +259,7 @@ class ReferenceLattice:
             sum(1 << e for e in ideal) for ideal in naive_ideal_sets(s)
         )
         points = spec.point_masks()
-        self.full = spec.full_point_set
+        self.full = spec.full
         self.subbasis = {
             m: sum(1 << i for i, p in enumerate(points) if (p & m) == m)
             for m in ideal_masks
@@ -338,7 +354,7 @@ def reference_radical(s, a):
     )
 
 
-def reference_quasi_compact(s, spec, fam, family_size_cap=3):
+def reference_quasi_compact(s, spec, family_size_cap=3):
     """The quasi-compactness mechanism check computed per class over every
     family, with the family sums from ``reference_sum``: the reference
     for ``topology.check_quasi_compact``."""
@@ -350,11 +366,11 @@ def reference_quasi_compact(s, spec, fam, family_size_cap=3):
     maximal_ok = True
     for size in range(1, family_size_cap + 1):
         for family in combinations(masks, size):
-            inter = fam.full
+            inter = spec.full
             for a in family:
-                inter &= fam.subbasis[a]
+                inter &= spec.subbasis[a]
             total = reference_sum(s, family)
-            if fam.subbasis[total] != inter:
+            if spec.subbasis[total] != inter:
                 identity_ok = False
             if inter == 0 and maximals_present and total != s.full_mask:
                 maximal_ok = False
@@ -365,16 +381,16 @@ def reference_quasi_compact(s, spec, fam, family_size_cap=3):
     }
 
 
-def reference_upset_laws(s, spec, fam, family_size_cap=3):
+def reference_upset_laws(s, spec, family_size_cap=3):
     """The up-set laws computed per class through ``reference_sum``,
     ``reference_product`` and ``reference_radical``, with intersections as
     mask ANDs, and the generator identity through ``reference_generated``:
     the reference for ``topology.verify_upset_laws``."""
-    law = _reference_failing_upset_law(s, spec, fam, family_size_cap)
-    up = fam.subbasis
+    law = _reference_failing_upset_law(s, spec, family_size_cap)
+    up = spec.subbasis
     generator_witness = None
     for ideal, classification in classified_ideals(s):
-        pulled = fam.full
+        pulled = spec.full
         for g in classification.witness_dict()["generators"]:
             pulled &= up[reference_generated(s, 1 << g)]
         if up[ideal.mask] != pulled:
@@ -387,12 +403,12 @@ def reference_upset_laws(s, spec, fam, family_size_cap=3):
     }
 
 
-def _reference_failing_upset_law(s, spec, fam, family_size_cap):
+def _reference_failing_upset_law(s, spec, family_size_cap):
     masks = _ideal_masks_all(s)
-    up = fam.subbasis
+    up = spec.subbasis
 
     zero_up = up.get(1, up_set(spec, 1))
-    if zero_up != fam.full:
+    if zero_up != spec.full:
         return {"law": "zero-full", "witness": None}
     if up.get(s.full_mask, 0) != 0 and s.n > 1:
         return {"law": "improper-empty", "witness": None}
@@ -419,7 +435,7 @@ def _reference_failing_upset_law(s, spec, fam, family_size_cap):
 
     for size in range(1, family_size_cap + 1):
         for family in combinations(masks, size):
-            inter = fam.full
+            inter = spec.full
             for a in family:
                 inter &= up[a]
             if up[reference_sum(s, family)] != inter:

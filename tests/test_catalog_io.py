@@ -1,13 +1,13 @@
 import json
 
 import pytest
+from conftest import emit
 
 from iseki.catalog import build_recipe
 from iseki.dot import export_dot
 from iseki.errors import AxiomViolation, ParseError
 from iseki.serialize import (
     canonical_json,
-    emit,
     ingest,
     semiring_from_json,
     semiring_to_json,

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from conftest import compose
 
 import iseki.morphisms
 import iseki.sweep
@@ -10,7 +11,6 @@ from iseki.ideals import all_ideals, ideal_from_members
 from iseki.morphisms import (
     check_density,
     check_quotient_homeomorphism,
-    compose,
     contract_ideal,
     enumerate_homomorphisms,
     extend_ideal,

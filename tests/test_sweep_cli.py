@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import emit
 
 import iseki.sweep
 from iseki.catalog import build_recipe, builtin_catalog
@@ -17,8 +18,9 @@ from iseki.errors import EmptyFamily
 from iseki.ideals import all_ideals
 from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import validate_semiring
-from iseki.serialize import canonical_json, emit
+from iseki.serialize import canonical_json
 from iseki.sweep import (
+    ideal_lattice_report,
     morphism_report,
     quotient_report,
     sweep,
@@ -90,6 +92,7 @@ def test_memoized_reports_equal_per_instance_reports():
         for s in semirings
         for cls in report["classes"]
     ]
+    assert report["ideal_checks"] == [ideal_lattice_report(s) for s in semirings]
     small = [s for s in semirings if s.n <= iseki.sweep.MORPHISM_ORDER_CAP]
     assert report["morphisms"]["reports"] == [
         morphism_report(s, t, hom, "prime")

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
@@ -7,12 +8,12 @@ import pytest
 from conftest import (
     ReferenceLattice,
     canonical_key,
+    emit,
     reference_quasi_compact,
     reference_upset_laws,
 )
 
 import iseki.ideals
-import iseki.topology
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
@@ -28,12 +29,10 @@ from iseki.morphisms import (
     enumerate_homomorphisms,
     induced_map,
 )
-from iseki.semiring import bourne_quotient
-from iseki.serialize import emit
+from iseki.semiring import bourne_quotient, direct_product, nontrivial_idempotents
 from iseki.sweep import ideal_lattice_report, topology_instance_report
 from iseki.topology import (
     FAMILY_SIZE_CAP,
-    ClosedFamily,
     Spectrum,
     check_connected,
     check_irreducible_upsets,
@@ -41,7 +40,6 @@ from iseki.topology import (
     check_sober,
     check_t0,
     check_t1,
-    closed_family,
     idempotent_from_disconnection,
     parse_class,
     point_set_members,
@@ -50,6 +48,7 @@ from iseki.topology import (
     up_set,
     verify_upset_laws,
 )
+from iseki.verify import verify_disconnection_witness
 
 ALL_TAGS = (
     "proper",
@@ -130,7 +129,6 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
     for s in small_semirings:
         for tag in ALL_TAGS:
             spec = spectrum(s, tag)
-            fam = closed_family(s, spec)
             ref = _reference(s, spec)
             where = (s.id, tag)
             masks = spec.point_masks()
@@ -138,10 +136,10 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
                 k for k in range(1 << spec.size) if _up_closed(masks, k)
             ], where
             for k in range(1 << spec.size):
-                assert (fam.closure(k) == k) == (k in ref.closed_set), (where, k)
-                assert fam.closure(k) == ref.closure(k), (where, k)
-            assert fam.closed_set_count() == len(ref.closed), where
-            assert list(fam.irreducible_closed_sets()) == ref.irreducible_closed_sets(), where
+                assert (spec.closure(k) == k) == (k in ref.closed_set), (where, k)
+                assert spec.closure(k) == ref.closure(k), (where, k)
+            assert spec.closed_set_count() == len(ref.closed), where
+            assert list(spec.irreducible_closed_sets()) == ref.irreducible_closed_sets(), where
             if spec.size:
                 clopen = ref.clopen_witness()
                 expected = None if clopen is None else point_set_members(spec, clopen)
@@ -152,46 +150,42 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
             assert sides == ref.disconnection_sides(), where
 
 
-def _one_point_flipped(fam):
-    """Closed families equal to ``fam`` except that one ideal's up-set has
-    one point flipped in or out."""
-    for m in sorted(fam.subbasis):
-        for i in range(fam.spectrum.size):
-            subbasis = dict(fam.subbasis)
+def _one_point_flipped(spec):
+    """Spaces equal to ``spec`` except that one ideal's up-set has one
+    point flipped in or out.  Each is a fresh copy whose ``subbasis`` is
+    stored before any other closed-set property is derived from it."""
+    for m in sorted(spec.subbasis):
+        for i in range(spec.size):
+            subbasis = dict(spec.subbasis)
             subbasis[m] ^= 1 << i
-            yield ClosedFamily(fam.spectrum, subbasis)
+            flipped = replace(spec)
+            flipped.__dict__["subbasis"] = subbasis
+            yield flipped
 
 
-def test_upset_checks_match_per_class_reference(
-    small_semirings, catalog_semirings, monkeypatch
-):
+def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirings):
     """verify_upset_laws and check_quasi_compact, which read the cached
     ideal algebra, return the same dicts as the per-class references in
     conftest: on every spectrum of the catalog and the semirings of order
     <= 4, and, so that failing laws and witnesses are compared too, on
     the catalog and the order <= 3 semirings with one point of one up-set
-    flipped.  check_irreducible_upsets holds on every true family and
+    flipped.  check_irreducible_upsets holds on every true space and
     fails on some flipped ones."""
-    family = {}
-    monkeypatch.setattr(iseki.topology, "closed_family", lambda s, spec: family["fam"])
     failures = Counter()
     flipped_corpus = {s.id for s in catalog_semirings}
     for s in small_semirings:
         for tag in ALL_TAGS:
-            spec = spectrum(s, tag)
-            fam = closed_family(s, spec)
-            variants = [fam]
+            variants = [spectrum(s, tag)]
             if s.n <= 3 or s.id in flipped_corpus:
-                variants.extend(_one_point_flipped(fam))
-            for fam in variants:
-                family["fam"] = fam
-                where = (s.id, tag, fam.subbasis)
-                laws = reference_upset_laws(s, spec, fam)
+                variants.extend(_one_point_flipped(variants[0]))
+            for spec in variants:
+                where = (s.id, tag, spec.subbasis)
+                laws = reference_upset_laws(s, spec)
                 assert verify_upset_laws(s, spec) == laws, where
-                qc = reference_quasi_compact(s, spec, fam)
+                qc = reference_quasi_compact(s, spec)
                 assert check_quasi_compact(s, spec) == qc, where
                 irreducible = check_irreducible_upsets(s, spec)["irreducible_upsets"]
-                assert irreducible or fam is not variants[0], where
+                assert irreducible or spec is not variants[0], where
                 if laws["upset_laws"] != "pass":
                     failures[laws["upset_laws"]["law"]] += 1
                 failures["generator identity"] += not laws["generator_upset_identity"]
@@ -289,30 +283,26 @@ def test_proper_spectrum_above_twenty_points(atoms5):
 
 
 def test_closed_families(boolean, bb, c3):
-    def closed_sets(fam, spec):
-        return tuple(k for k in range(1 << spec.size) if fam.closure(k) == k)
+    def closed_sets(spec):
+        return tuple(k for k in range(1 << spec.size) if spec.closure(k) == k)
 
     one_point = spectrum(boolean, "prime")
-    fam = closed_family(boolean, one_point)
-    assert closed_sets(fam, one_point) == (0, 1)
-    assert fam.closed_set_count() == 2
-    maximal = spectrum(bb, "maximal")
-    discrete = closed_family(bb, maximal)
-    assert closed_sets(discrete, maximal) == (0, 1, 2, 3)
+    assert closed_sets(one_point) == (0, 1)
+    assert one_point.closed_set_count() == 2
+    discrete = spectrum(bb, "maximal")
+    assert closed_sets(discrete) == (0, 1, 2, 3)
     assert discrete.closed_set_count() == 4
-    prime = spectrum(c3, "prime")
-    sierpinski = closed_family(c3, prime)
-    assert closed_sets(sierpinski, prime) == (0, 2, 3)
+    sierpinski = spectrum(c3, "prime")
+    assert closed_sets(sierpinski) == (0, 2, 3)
     assert sierpinski.closed_set_count() == 3
 
 
 def test_closure_examples(c3):
     spec = spectrum(c3, "prime")
-    fam = closed_family(c3, spec)
-    assert fam.closure(0) == 0
-    assert fam.closure(spec.full_point_set) == spec.full_point_set
+    assert spec.closure(0) == 0
+    assert spec.closure(spec.full) == spec.full
     for i, p in enumerate(spec.points):
-        assert fam.closure(1 << i) == up_set(spec, p.mask)
+        assert spec.closure(1 << i) == up_set(spec, p.mask)
 
 
 def test_t0_on_catalog(catalog_semirings):
@@ -374,11 +364,10 @@ def test_quasi_compact_mechanism(bb, catalog_semirings):
     assert rep["quasi_compact"] and rep["quasi_compact_sum_identity"]
     assert set(spec.point_masks()) == set(maximal_ideal_masks(bb))
     assert rep["quasi_compact_maximal_rule"]
-    fam = closed_family(bb, spec)
     empty_families = sum(
-        reduce(and_, (fam.subbasis[a] for a in family), fam.full) == 0
+        reduce(and_, (spec.subbasis[a] for a in family), spec.full) == 0
         for size in range(1, FAMILY_SIZE_CAP + 1)
-        for family in combinations(sorted(fam.subbasis), size)
+        for family in combinations(sorted(spec.subbasis), size)
     )
     assert empty_families > 0
     for s in catalog_semirings:
@@ -468,8 +457,6 @@ def test_idempotent_hypothesis_no_witness(z4):
 def test_idempotent_hypothesis_jacobson(z4, boolean):
     """Z4 x B has two maximal ideals with nonzero intersection, so the
     maximal spectrum disconnects but the Jacobson hypothesis fails."""
-    from iseki.semiring import direct_product
-
     zb = direct_product(z4, boolean)
     spec = spectrum(zb, "maximal")
     w = strong_disconnection_witness(zb, spec)
@@ -482,12 +469,10 @@ def test_idempotent_hypothesis_jacobson(z4, boolean):
 def test_idempotent_hypothesis_maximal_containment(bb, boolean):
     """A two-maximal slice of the three maximals of B^3 still disconnects,
     but the containment hypothesis fails."""
-    from iseki.semiring import direct_product
-
     bbb = direct_product(bb, boolean)
     maximals = spectrum(bbb, "maximal").points
     assert len(maximals) == 3
-    spec = Spectrum(semiring=bbb.id, class_tag="two-maximals", points=maximals[:2])
+    spec = Spectrum(semiring=bbb, class_tag="two-maximals", points=maximals[:2])
     w = strong_disconnection_witness(bbb, spec)
     assert w is not None
     with pytest.raises(HypothesisUnmet) as err:
@@ -495,10 +480,34 @@ def test_idempotent_hypothesis_maximal_containment(bb, boolean):
     assert err.value.hypothesis == "maximal-containment"
 
 
+def test_idempotent_reduces_multi_ideal_sides(bb, boolean):
+    """A side of two ideals is reduced to their product before 1 is
+    decomposed across the sides: on the prime spectrum of B^3, from either
+    side of the witness."""
+    bbb = direct_product(bb, boolean)
+    spec = spectrum(bbb, "prime")
+    p0, p1, p2 = spec.points
+    assert [p.members for p in spec.points] == [
+        (0, 1, 2, 3),
+        (0, 1, 4, 5),
+        (0, 2, 4, 6),
+    ]
+    points = [list(p.members) for p in spec.points]
+    for left, right, expected in (([p0], [p1, p2], 3), ([p1, p2], [p0], 4)):
+        e = idempotent_from_disconnection(bbb, spec, (left, right))
+        assert e == expected
+        assert e in nontrivial_idempotents(bbb)
+        witness = {
+            "left": [list(a.members) for a in left],
+            "right": [list(b.members) for b in right],
+        }
+        assert verify_disconnection_witness(bbb, points, witness)
+
+
 def test_idempotent_bad_witness_rejected(bb):
     """A witness whose sides do not partition the given spectrum is refused."""
     spec = Spectrum(
-        semiring=bb.id, class_tag="one-maximal", points=(ideal_from_members(bb, [0, 1]),)
+        semiring=bb, class_tag="one-maximal", points=(ideal_from_members(bb, [0, 1]),)
     )
     full = spectrum(bb, "maximal")
     w = strong_disconnection_witness(bb, full)

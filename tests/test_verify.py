@@ -10,7 +10,7 @@ from iseki.ideals import classified_ideals
 from iseki.morphisms import enumerate_homomorphisms, induced_map
 from iseki.semiring import validate_semiring
 from iseki.sweep import sweep
-from iseki.topology import closed_family, spectrum, strong_disconnection_witness
+from iseki.topology import spectrum, strong_disconnection_witness
 from iseki.verify import (
     verify_axiom_witness,
     verify_classification_witnesses,
@@ -93,7 +93,6 @@ def test_closed_family_equals_up_closed_sets(catalog_semirings):
             continue
         for tag in ("proper", "prime", "maximal", "radical"):
             spec = spectrum(s, tag)
-            fam = closed_family(s, spec)
             masks = spec.point_masks()
             expected = []
             for candidate in range(1 << len(masks)):
@@ -106,9 +105,9 @@ def test_closed_family_equals_up_closed_sets(catalog_semirings):
                 )
                 if ok:
                     expected.append(candidate)
-            got = [k for k in range(1 << len(masks)) if fam.closure(k) == k]
+            got = [k for k in range(1 << len(masks)) if spec.closure(k) == k]
             assert got == expected, (s.id, tag)
-            assert fam.closed_set_count() == len(expected), (s.id, tag)
+            assert spec.closed_set_count() == len(expected), (s.id, tag)
 
 
 def test_disconnection_witnesses_via_sweep(catalog_semirings):
