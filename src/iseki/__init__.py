@@ -16,21 +16,16 @@ from .errors import (
 )
 from .semiring import (
     FiniteSemiring,
-    Homomorphism,
     bourne_quotient,
     direct_product,
-    nontrivial_idempotents,
     validate_homomorphism,
     validate_semiring,
 )
 from .enumeration import enumerate_semirings
 from .ideals import (
-    Ideal,
     IdealClassification,
-    all_ideals,
     classify,
     generated_ideal,
-    ideal_from_mask,
     ideal_from_members,
     jacobson_radical,
     min_generators,

@@ -6,7 +6,7 @@ semiring, so the catalog is reproducible from its own description.
 
 from dataclasses import dataclass
 
-from .ideals import all_ideals, ideal_from_members
+from .ideals import _proper_ideal_masks, ideal_from_members, mask_members
 from .semiring import FiniteSemiring, bourne_quotient, direct_product, validate_semiring
 
 
@@ -77,8 +77,8 @@ def builtin_catalog():
         bases.append((recipe, s))
 
     for base_recipe, base in bases:
-        for ideal in all_ideals(base, proper_only=True):
-            recipe = ("quotient", base_recipe, tuple(ideal.members))
+        for ideal in _proper_ideal_masks(base):
+            recipe = ("quotient", base_recipe, tuple(mask_members(base, ideal)))
             quotient, _ = bourne_quotient(base, ideal)
             push(recipe, quotient)
     return entries

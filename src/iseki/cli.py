@@ -13,7 +13,7 @@ import sys
 from .catalog import builtin_catalog
 from .dot import export_dot
 from .errors import AxiomViolation, IsekiError, ParseError
-from .ideals import classified_ideals
+from .ideals import classified_ideals, mask_members
 from .morphisms import enumerate_homomorphisms
 from .serialize import canonical_json, ingest, semiring_to_json
 from .sweep import (
@@ -74,7 +74,7 @@ def _cmd_ideals(args):
     s = ingest(args.file)
     rows = []
     for ideal, classification in classified_ideals(s):
-        rows.append({"members": list(ideal.members), **classification.to_json()})
+        rows.append({"members": mask_members(s, ideal), **classification.to_json()})
     _emit(args, {"semiring": s.id, "n": s.n, "ideals": rows})
     return 0
 
@@ -106,7 +106,7 @@ def _cmd_topology(args):
     # Print the report's own values, so the output and the exit code agree.
     spec = spectrum(s, cls)
     for group in wanted:
-        out.update((key, rep[key]) for key in CHECK_GROUPS[group](s, spec))
+        out.update((key, rep[key]) for key in CHECK_GROUPS[group](spec))
     _emit(args, out)
     return 0 if universal_oracles_hold(TOPOLOGY, [rep]) else 1
 

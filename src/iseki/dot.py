@@ -6,23 +6,21 @@ in between).  Node order follows the spectrum's point order, so output
 is deterministic.
 """
 
+from .ideals import mask_members
+
 
 def export_dot(spec):
     points = spec.points
     lines = ["digraph specialization {"]
     for i, p in enumerate(points):
-        label = "{" + ",".join(str(m) for m in p.members) + "}"
+        label = "{" + ",".join(map(str, mask_members(spec.semiring, p))) + "}"
         lines.append(f'  p{i} [label="{label}"];')
     for i, a in enumerate(points):
         for j, b in enumerate(points):
-            if i == j or (a.mask & b.mask) != a.mask or a.mask == b.mask:
+            if i == j or (a & b) != a:
                 continue
             covered = any(
-                k != i
-                and k != j
-                and (a.mask & c.mask) == a.mask
-                and (c.mask & b.mask) == c.mask
-                and c.mask not in (a.mask, b.mask)
+                k not in (i, j) and (a & c) == a and (c & b) == c
                 for k, c in enumerate(points)
             )
             if not covered:

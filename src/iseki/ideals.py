@@ -1,14 +1,16 @@
 """Ideals of a finite semiring: generation, the ideal algebra, classification.
 
 An ideal is a subset containing 0 that is closed under addition and under
-multiplication by arbitrary elements.  Proper means "not the whole
-semiring"; sums and products can overflow to the improper whole semiring,
-which is represented like any other ideal but flagged by ``is_proper``.
-Subsets are bitmasks (element i = bit i).
+multiplication by arbitrary elements.  Every subset, an ideal included,
+is an int bitmask (element i = bit i); ``mask_members`` lists its
+elements.  Proper means "not the whole semiring"; sums and products can
+overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 
 ``ideal_algebra(s)`` is the one implementation of ideal sum, product and
 radical: a cached table of masks per semiring.  The intersection of two
-ideals is the AND of their masks.
+ideals is the AND of their masks.  ``ideal_from_members`` and
+``generated_ideal`` are the range-checked entry points for element lists
+from outside.
 """
 
 from dataclasses import dataclass
@@ -20,38 +22,15 @@ from . import _kernels
 from .errors import ImproperIdeal, RangeError
 
 
-@dataclass(frozen=True)
-class Ideal:
-    semiring: str
-    n: int
-    mask: int
-
-    @property
-    def members(self):
-        return tuple(i for i in range(self.n) if (self.mask >> i) & 1)
-
-    def member_set(self):
-        return set(self.members)
-
-    @property
-    def is_proper(self):
-        return self.mask != (1 << self.n) - 1
-
-    def __repr__(self):
-        return f"Ideal({self.semiring}, {{{','.join(map(str, self.members))}}})"
-
-
-def ideal_from_mask(s, mask):
-    return Ideal(semiring=s.id, n=s.n, mask=int(mask))
-
-
 def ideal_from_members(s, members):
+    """The mask of an element list; an element outside 0..n-1 raises
+    RangeError."""
     mask = 0
     for m in members:
         if not 0 <= int(m) < s.n:
             raise RangeError(f"element {m} out of range 0..{s.n - 1}")
         mask |= 1 << int(m)
-    return ideal_from_mask(s, mask)
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -147,24 +126,9 @@ def _proper_ideal_masks(s):
     return tuple(m for m in _ideal_masks_all(s) if m != full)
 
 
-def all_ideals(s, proper_only=True):
-    """Every ideal of ``s`` in ascending bitset order.
-
-    With proper_only=False the improper whole semiring is included as the
-    final entry (it always satisfies the closure conditions).
-    """
-    masks = _proper_ideal_masks(s) if proper_only else _ideal_masks_all(s)
-    return [ideal_from_mask(s, m) for m in masks]
-
-
 def generated_ideal(s, seed):
-    """Least ideal containing the seed elements (and 0)."""
-    mask = 0
-    for e in seed:
-        if not 0 <= int(e) < s.n:
-            raise RangeError(f"element {e} out of range 0..{s.n - 1}")
-        mask |= 1 << int(e)
-    return ideal_from_mask(s, _close(s, mask))
+    """Mask of the least ideal containing the seed elements (and 0)."""
+    return _close(s, ideal_from_members(s, seed))
 
 
 def _radical_mask(s, mask):
@@ -201,7 +165,7 @@ def prime_ideal_masks(s):
 
 
 def radical_via_primes(s, a):
-    """Intersection of all prime ideals containing ``a``.
+    """Mask of the intersection of all prime ideals containing ``a``.
 
     Independent of ``IdealAlgebra.radicals``, which are built from
     element powers; the two must agree on every finite semiring, which
@@ -210,14 +174,10 @@ def radical_via_primes(s, a):
     improper whole semiring is returned.
     """
     mask = s.full_mask
-    found = False
     for p in prime_ideal_masks(s):
-        if (p & a.mask) == a.mask:
+        if (p & a) == a:
             mask &= p
-            found = True
-    if not found:
-        return ideal_from_mask(s, s.full_mask)
-    return ideal_from_mask(s, mask)
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -231,25 +191,23 @@ def maximal_ideal_masks(s):
 
 
 def jacobson_radical(s):
-    """Intersection of all maximal ideals; improper for the trivial semiring."""
-    maxima = maximal_ideal_masks(s)
-    if not maxima:
-        return ideal_from_mask(s, s.full_mask)
+    """Mask of the intersection of all maximal ideals; improper for the
+    trivial semiring."""
     mask = s.full_mask
-    for m in maxima:
+    for m in maximal_ideal_masks(s):
         mask &= m
-    return ideal_from_mask(s, mask)
+    return mask
 
 
 def min_generators(s, a):
-    """Smallest generating-set size and the lexicographically first witness seed."""
-    zero = generated_ideal(s, [])
-    if a.mask == zero.mask:
+    """Smallest generating-set size of the ideal mask ``a`` and the
+    lexicographically first witness seed."""
+    if a == 1:  # the zero ideal
         return 0, ()
-    nonzero = [m for m in a.members if m != 0]
+    nonzero = mask_members(s, a & ~1)
     for k in range(1, len(nonzero) + 1):
         for seed in combinations(nonzero, k):
-            if generated_ideal(s, seed).mask == a.mask:
+            if generated_ideal(s, seed) == a:
                 return k, seed
     raise AssertionError("an ideal always generates itself")
 
@@ -289,42 +247,43 @@ class IdealClassification:
 
 
 def classify(s, a):
-    """Decide every classification flag for a proper ideal by exhaustive search.
+    """Decide every classification flag for a proper ideal mask by exhaustive
+    search.
 
     Negative flags carry concrete witnesses.  The irreducibility
     quantifiers run over all ideals including the improper whole
     semiring.
     """
-    if not a.is_proper:
+    if a == s.full_mask:
         raise ImproperIdeal("classification is defined for proper ideals only")
     witnesses = {}
 
     def bits(mask):
-        return tuple(x for x in range(s.n) if (mask >> x) & 1)
+        return tuple(mask_members(s, mask))
 
-    pw = _is_prime_mask(s, a.mask)
+    pw = _is_prime_mask(s, a)
     prime = pw is None
     if not prime:
         witnesses["prime"] = pw
 
-    rad_mask = _radical_mask(s, a.mask)
-    radical_ideal = rad_mask == a.mask
+    rad_mask = _radical_mask(s, a)
+    radical_ideal = rad_mask == a
     if not radical_ideal:
-        extra = rad_mask & ~a.mask
+        extra = rad_mask & ~a
         witnesses["radical"] = ((extra & -extra).bit_length() - 1,)
 
     primary = True
     for x in range(s.n):
-        if primary and not (a.mask >> x) & 1:
+        if primary and not (a >> x) & 1:
             for y in range(s.n):
-                if (a.mask >> s.mul[x][y]) & 1 and not (rad_mask >> y) & 1:
+                if (a >> s.mul[x][y]) & 1 and not (rad_mask >> y) & 1:
                     primary = False
                     witnesses["primary"] = (x, y)
                     break
 
     maximal = True
     for m in _proper_ideal_masks(s):
-        if m != a.mask and (m & a.mask) == a.mask:
+        if m != a and (m & a) == a:
             maximal = False
             witnesses["maximal"] = bits(m)
             break
@@ -337,12 +296,12 @@ def classify(s, a):
             break
         for c in every[i:]:
             inter = b & c
-            if strongly_irreducible and (inter & a.mask) == inter:
-                if (b & a.mask) != b and (c & a.mask) != c:
+            if strongly_irreducible and (inter & a) == inter:
+                if (b & a) != b and (c & a) != c:
                     strongly_irreducible = False
                     witnesses["strongly_irreducible"] = (bits(b), bits(c))
-            if irreducible and inter == a.mask:
-                if b != a.mask and c != a.mask:
+            if irreducible and inter == a:
+                if b != a and c != a:
                     irreducible = False
                     witnesses["irreducible"] = (bits(b), bits(c))
             if not (irreducible or strongly_irreducible):
@@ -366,8 +325,5 @@ def classify(s, a):
 
 @lru_cache(maxsize=None)
 def classified_ideals(s):
-    """(Ideal, IdealClassification) for every proper ideal, ascending."""
-    return tuple(
-        (ideal_from_mask(s, m), classify(s, ideal_from_mask(s, m)))
-        for m in _proper_ideal_masks(s)
-    )
+    """(mask, IdealClassification) for every proper ideal, ascending."""
+    return tuple((m, classify(s, m)) for m in _proper_ideal_masks(s))

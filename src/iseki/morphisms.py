@@ -1,6 +1,8 @@
 """Homomorphisms between finite semirings and the maps they induce on spectra.
 
-A homomorphism s -> t pulls ideals of t back to ideals of s.  When the
+A homomorphism s -> t is its image tuple (``hom[a]`` is the image of
+element a), and ideals are masks, as everywhere in the package.  A
+homomorphism pulls ideals of t back to ideals of s.  When the
 spectrum class is stable under preimage (the contraction property), this
 gives a continuous map from the spectrum of t into the spectrum of s.
 ``induced_map`` derives that map in one pass: it raises ContractionFails
@@ -14,21 +16,16 @@ returns exactly the report fields it decides, under their report names.
 from dataclasses import dataclass
 
 from .errors import ContractionFails, SizeLimitExceeded
-from .ideals import (
-    Ideal,
-    generated_ideal,
-    ideal_algebra,
-    ideal_from_mask,
-    is_ideal_mask,
-)
-from .semiring import Homomorphism, _homomorphism_violation
+from .ideals import generated_ideal, ideal_algebra, is_ideal_mask, mask_members
+from .semiring import _homomorphism_violation
 from .topology import spectrum
 
 HOM_SEARCH_CAP = 10_000_000
 
 
 def enumerate_homomorphisms(s, t):
-    """All maps preserving +, *, 0 and 1, in lexicographic map order."""
+    """The image tuple of every map preserving +, *, 0 and 1, in
+    lexicographic order."""
     if t.n ** s.n > HOM_SEARCH_CAP:
         raise SizeLimitExceeded(
             f"{t.n}^{s.n} candidate maps exceeds the search cap"
@@ -38,10 +35,8 @@ def enumerate_homomorphisms(s, t):
     if s.one == 0:
         if t.one != 0:
             return []
-    elif image[s.one] == -1:
+    else:
         image[s.one] = t.one
-    elif image[s.one] != t.one:
-        return []
     free = [x for x in range(s.n) if image[x] == -1]
     found = []
 
@@ -58,7 +53,7 @@ def enumerate_homomorphisms(s, t):
     def dfs(pos):
         if pos == len(free):
             if _homomorphism_violation(s, t, image) is None:
-                found.append(Homomorphism(s.id, t.id, tuple(image)))
+                found.append(tuple(image))
             return
         x = free[pos]
         for v in range(t.n):
@@ -72,24 +67,25 @@ def enumerate_homomorphisms(s, t):
 
 
 def contract_ideal(s, t, hom, ideal_of_t):
-    """Preimage of an ideal of t; always an ideal of s."""
+    """Preimage of an ideal mask of t; always an ideal of s."""
     mask = 0
     for a in range(s.n):
-        if (ideal_of_t.mask >> hom.map[a]) & 1:
+        if (ideal_of_t >> hom[a]) & 1:
             mask |= 1 << a
     assert is_ideal_mask(s, mask), "contraction failed the ideal axioms"
-    return ideal_from_mask(s, mask)
+    return mask
 
 
 def kernel(s, t, hom):
     """Preimage of the zero ideal of t; an ideal of s, improper only for a
     zero-collapse."""
-    return contract_ideal(s, t, hom, ideal_from_mask(t, 1))
+    return contract_ideal(s, t, hom, 1)
 
 
 def extend_ideal(s, t, hom, ideal_of_s):
-    """Ideal of t generated by the image; may be improper."""
-    return generated_ideal(t, {hom.map[a] for a in ideal_of_s.members})
+    """Ideal of t generated by the image of an ideal mask of s; may be
+    improper."""
+    return generated_ideal(t, {hom[a] for a in mask_members(s, ideal_of_s)})
 
 
 @dataclass(frozen=True)
@@ -99,18 +95,18 @@ class InducedMap:
     ``source_spectrum`` lives over the homomorphism's target semiring and
     ``target_spectrum`` over its source; ``map[j]`` is the index in the
     target spectrum of the preimage of source point j.  ``kernel`` is the
-    homomorphism's kernel, an ideal of its source.
+    mask of the homomorphism's kernel, an ideal of its source.
     ``continuity_witness`` is None when the preimage of every subbasic
     closed set is the up-set of the extended ideal, hence closed;
     otherwise it is the first ideal of the homomorphism's source for
     which it is not.
     """
 
-    hom: Homomorphism
+    hom: tuple
     source_spectrum: object
     target_spectrum: object
     map: tuple
-    kernel: Ideal
+    kernel: int
     continuity_witness: object
 
     @property
@@ -138,16 +134,16 @@ def induced_map(s, t, hom, cls):
     """
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
-    index_of = {m: i for i, m in enumerate(spec_s.point_masks())}
+    index_of = {m: i for i, m in enumerate(spec_s.points)}
     point_map = []
     for p in spec_t.points:
         back = contract_ideal(s, t, hom, p)
-        if back.mask not in index_of:
+        if back not in index_of:
             raise ContractionFails(
                 spec_s.class_tag,
-                {"point": list(p.members), "preimage": list(back.members)},
+                {"point": mask_members(t, p), "preimage": mask_members(s, back)},
             )
-        point_map.append(index_of[back.mask])
+        point_map.append(index_of[back])
     up_t = spec_t.subbasis
     witness = None
     for m, target_up in spec_s.subbasis.items():
@@ -155,9 +151,8 @@ def induced_map(s, t, hom, cls):
         for j, i in enumerate(point_map):
             if (target_up >> i) & 1:
                 pulled |= 1 << j
-        ideal = ideal_from_mask(s, m)
-        if pulled != up_t[extend_ideal(s, t, hom, ideal).mask]:
-            witness = {"ideal": list(ideal.members)}
+        if pulled != up_t[extend_ideal(s, t, hom, m)]:
+            witness = {"ideal": mask_members(s, m)}
             break
     return InducedMap(
         hom=hom,
@@ -185,13 +180,13 @@ def check_quotient_homeomorphism(s, t, ind):
     ``homeomorphism_onto_image`` checks the preimage and continuity code,
     not a separate theorem instance.
     """
-    if not ind.hom.is_surjective_onto(t.n):
+    if len(set(ind.hom)) != t.n:
         return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
-    ker_up = spec_s.subbasis[ind.kernel.mask]
+    ker_up = spec_s.subbasis[ind.kernel]
     image = ind.image_point_set()
 
-    q, p = spec_t.point_masks(), spec_s.point_masks()
+    q, p = spec_t.points, spec_s.points
     onto_image = (
         ind.continuous
         and len(set(ind.map)) == len(ind.map)
@@ -227,18 +222,18 @@ def check_density(s, t, ind):
 
     inter = s.full_mask
     for p in spec_s.points:
-        inter &= p.mask
-    criterion = (ker.mask & inter) == ker.mask
+        inter &= p
+    criterion = (ker & inter) == ker
 
     report = {
         "dense": dense,
         "density_rhs": criterion,
         "density_biconditional": dense == criterion,
         "closure_image_equals_kernel_upset": cl_image
-        == spec_s.subbasis[ker.mask],
+        == spec_s.subbasis[ker],
     }
     if spec_s.class_tag == "prime":
         report["radical_equality_matches_density"] = (
-            ideal_algebra(s).radicals[ker.mask] == inter
+            ideal_algebra(s).radicals[ker] == inter
         ) == dense
     return report

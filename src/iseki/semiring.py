@@ -6,10 +6,15 @@ element 0, a commutative multiplicative monoid with designated identity
 ``one``, 0 absorbing, and multiplication distributing over addition.
 Element 0 is the additive identity by storage convention; ``one`` may
 equal 0 only in the one-element (trivial) semiring.
+
+A homomorphism s -> t is its image tuple: ``m[a]`` is the image of
+element a.  It preserves +, *, 0 and 1; preserving 0 is imposed on top
+of the usual multiplicative-identity requirement so that kernels are
+always defined.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index
 
 from . import _kernels
@@ -19,6 +24,7 @@ from .errors import (
     RangeError,
     SizeLimitExceeded,
 )
+from .ideals import mask_members
 
 MAX_ELEMENTS = 16
 
@@ -82,26 +88,6 @@ class FiniteSemiring:
 
     def __repr__(self):
         return f"FiniteSemiring(id={self.id!r}, n={self.n})"
-
-
-@dataclass(frozen=True)
-class Homomorphism:
-    """A structure-preserving total map between two finite semirings.
-
-    Preserves +, *, 0 and 1.  (Preserving 0 is imposed on top of the
-    usual multiplicative-identity requirement so that kernels are always
-    defined.)
-    """
-
-    source: str
-    target: str
-    map: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(v) for v in self.map))
-
-    def is_surjective_onto(self, target_n):
-        return len(set(self.map)) == target_n
 
 
 def _shape(table):
@@ -198,14 +184,14 @@ def _homomorphism_violation(source, target, m):
 def validate_homomorphism(source, target, mapping):
     """Validate that ``mapping`` preserves +, *, 0 and 1.
 
-    Returns a Homomorphism, or raises InvalidHomomorphism with the first
-    broken law and its witness.
+    Returns the map as its image tuple, or raises InvalidHomomorphism
+    with the first broken law and its witness.
     """
     m = tuple(int(v) for v in mapping)
     violation = _homomorphism_violation(source, target, m)
     if violation is not None:
         raise InvalidHomomorphism(*violation)
-    return Homomorphism(source=source.id, target=target.id, map=m)
+    return m
 
 
 def direct_product(s, t):
@@ -224,15 +210,6 @@ def direct_product(s, t):
     ]
     one = s.one * t.n + t.one
     return validate_semiring(add, mul, one, id=f"{s.id}x{t.id}")
-
-
-def nontrivial_idempotents(s):
-    """Elements x with x*x = x other than 0 and 1, ascending."""
-    return [
-        x
-        for x in range(s.n)
-        if s.mul[x][x] == x and x != 0 and x != s.one
-    ]
 
 
 class _UnionFind:
@@ -280,14 +257,14 @@ def quotient_id(semiring_id, members):
 
 
 def bourne_quotient(s, ideal):
-    """Quotient by the additive congruence generated by an ideal.
+    """Quotient by the additive congruence generated by an ideal mask.
 
-    Returns (quotient semiring, surjective quotient homomorphism).  The
-    kernel of the map is the congruence class of 0, which contains the
-    ideal and may exceed it; when the class of 0 is everything the
-    quotient is the trivial semiring.
+    Returns (quotient semiring, surjective quotient map as its image
+    tuple).  The kernel of the map is the congruence class of 0, which
+    contains the ideal and may exceed it; when the class of 0 is
+    everything the quotient is the trivial semiring.
     """
-    members = ideal.member_set()
+    members = mask_members(s, ideal)
     classes = bourne_congruence_classes(s, members)
     index_of = {}
     for ci, cls in enumerate(classes):

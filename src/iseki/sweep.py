@@ -22,8 +22,10 @@ checks depend on the two tables, the map and the class; a quotient's on
 the tables and the ideal; an ideal-lattice report's on the tables.
 ``sweep`` keeps one report body per such key in a dict local to the call
 and writes each instance's identity fields (ids and class) over a shallow
-copy of it.  The invariant: a report field that depends on an identity
-(an id or the class name) must be stamped, never memoized.
+copy of it; it enumerates the homomorphisms of each distinct pair of
+tables once, in the same way.  The invariant: a report field that
+depends on an identity (an id or the class name) must be stamped, never
+memoized.
 The tallies still count every instance.  The builtin catalog's 240
 topology instances, 318 homomorphisms and 62 quotients are 16 distinct
 spaces, 12 distinct homomorphisms and 21 distinct quotients; the stderr
@@ -39,10 +41,9 @@ from .catalog import builtin_catalog
 from .enumeration import enumerate_semirings
 from .errors import ContractionFails, EmptyFamily, ParseError
 from .ideals import (
-    all_ideals,
+    _proper_ideal_masks,
     classified_ideals,
     ideal_algebra,
-    ideal_from_mask,
     mask_members,
     radical_via_primes,
 )
@@ -81,16 +82,16 @@ def topology_instance_report(s, cls):
     return {
         "semiring": s.id,
         "class": cls,
-        "points": [list(p.members) for p in spec.points],
+        "points": [mask_members(s, p) for p in spec.points],
         "closed_set_count": spec.closed_set_count(),
-        **check_t0(s, spec),
-        **check_t1(s, spec),
-        **check_sober(s, spec),
-        **check_connected(s, spec),
-        **check_disconnection(s, spec),
-        **check_irreducible_upsets(s, spec),
-        **verify_upset_laws(s, spec),
-        **check_quasi_compact(s, spec),
+        **check_t0(spec),
+        **check_t1(spec),
+        **check_sober(spec),
+        **check_connected(spec),
+        **check_disconnection(spec),
+        **check_irreducible_upsets(spec),
+        **verify_upset_laws(spec),
+        **check_quasi_compact(spec),
     }
 
 
@@ -105,7 +106,7 @@ def ideal_lattice_report(s):
 
     rad_ok, rad_witness = True, None
     for a in masks:
-        if radicals[a] != radical_via_primes(s, ideal_from_mask(s, a)).mask:
+        if radicals[a] != radical_via_primes(s, a):
             rad_ok, rad_witness = False, mask_members(s, a)
             break
     report["radical_oracle"] = rad_ok
@@ -120,7 +121,7 @@ def ideal_lattice_report(s):
             (c.strongly_irreducible, c.irreducible),
         )
         if any(head and not tail for head, tail in chains):
-            impl_ok, impl_witness = False, list(ideal.members)
+            impl_ok, impl_witness = False, mask_members(s, ideal)
             break
     report["classification_implications"] = impl_ok
     report["classification_witness"] = impl_witness
@@ -176,7 +177,7 @@ def morphism_report(s, t, hom, cls):
     rep = {
         "source": s.id,
         "target": t.id,
-        "hom": list(hom.map),
+        "hom": list(hom),
         "class": cls,
     }
     try:
@@ -195,7 +196,7 @@ def morphism_report(s, t, hom, cls):
     rep["continuous"] = ind.continuous
     if not ind.continuous:
         rep["continuity_witness"] = ind.continuity_witness
-    rep["kernel"] = list(ind.kernel.members)
+    rep["kernel"] = mask_members(s, ind.kernel)
     return {
         **rep,
         **check_density(s, t, ind),
@@ -204,14 +205,14 @@ def morphism_report(s, t, hom, cls):
 
 
 def quotient_report(s, ideal):
-    """Quotient-map suite for one (semiring, proper ideal) pair."""
+    """Quotient-map suite for one (semiring, proper ideal mask) pair."""
     quotient, qmap = bourne_quotient(s, ideal)
     rep = {
         "semiring": s.id,
-        "ideal": list(ideal.members),
+        "ideal": mask_members(s, ideal),
         "quotient": quotient.id,
         "quotient_size": quotient.n,
-        "map_surjective": qmap.is_surjective_onto(quotient.n),
+        "map_surjective": len(set(qmap)) == quotient.n,
     }
     for cls in QUOTIENT_CLASSES:
         ind = induced_map(s, quotient, qmap, cls)
@@ -220,10 +221,10 @@ def quotient_report(s, ideal):
             "homeomorphism_onto_kernel_upset"
         ]
         rep[f"{cls}_image_equals_ideal_upset"] = (
-            ind.image_point_set() == ind.target_spectrum.subbasis[ideal.mask]
+            ind.image_point_set() == ind.target_spectrum.subbasis[ideal]
         )
     # The kernel does not depend on the class.
-    rep["kernel"] = list(ind.kernel.members)
+    rep["kernel"] = mask_members(s, ind.kernel)
     return rep
 
 
@@ -397,27 +398,27 @@ def _corpus_semirings(corpus, enumerate_n):
         )
     if not semirings:
         raise EmptyFamily("sweep corpus is empty")
-    seen = {}
-    for s, _ in semirings:
-        if s.id in seen and not seen[s.id].same_structure(s):
-            raise ParseError(f"duplicate corpus id {s.id!r} with different tables")
-        seen[s.id] = s
-    unique = []
-    emitted = set()
+    # The first occurrence of each id, in corpus order.
+    unique = {}
     for s, source in semirings:
-        if s.id not in emitted:
-            unique.append((s, source))
-            emitted.add(s.id)
-    return unique
+        first, _ = unique.setdefault(s.id, (s, source))
+        if not first.same_structure(s):
+            raise ParseError(f"duplicate corpus id {s.id!r} with different tables")
+    return list(unique.values())
+
+
+def _memoized(memo, key, build, *args):
+    """``memo[key]``, built by ``build(*args)`` on first use."""
+    if key not in memo:
+        memo[key] = build(*args)
+    return memo[key]
 
 
 def _stamped(memo, key, identity, report, *args):
     """A copy of the report body memoized under ``key`` (built by
     ``report(*args)`` on first use) with the instance's ``identity``
     fields written over it.  The body itself is never modified."""
-    if key not in memo:
-        memo[key] = report(*args)
-    return {**memo[key], **identity}
+    return {**_memoized(memo, key, report, *args), **identity}
 
 
 def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
@@ -433,13 +434,14 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     semirings = _corpus_semirings(corpus, enumerate_n)
 
     # One report body per distinct structure, stamped with each
-    # instance's identity fields (see the module docstring).
-    spaces, lattices, maps, quotients = {}, {}, {}, {}
+    # instance's identity fields, and one homomorphism list per distinct
+    # pair of tables (see the module docstring).
+    spaces, lattices, maps, quotients, homs = {}, {}, {}, {}, {}
 
     topo = [
         _stamped(
             spaces,
-            (s.structure, spectrum(s, cls).point_masks()),
+            (s.structure, spectrum(s, cls).points),
             {"semiring": s.id, "class": cls},
             topology_instance_report, s, cls,
         )
@@ -457,23 +459,25 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     morphism_reports = [
         _stamped(
             maps,
-            (s.structure, t.structure, hom.map, "prime"),
+            (s.structure, t.structure, hom, "prime"),
             {"source": s.id, "target": t.id},
             morphism_report, s, t, hom, "prime",
         )
         for s, t in pairs
-        for hom in enumerate_homomorphisms(s, t)
+        for hom in _memoized(
+            homs, (s.structure, t.structure), enumerate_homomorphisms, s, t
+        )
     ]
 
     quotient_reports = [
         _stamped(
             quotients,
-            (s.structure, ideal.mask),
-            {"semiring": s.id, "quotient": quotient_id(s.id, ideal.members)},
+            (s.structure, ideal),
+            {"semiring": s.id, "quotient": quotient_id(s.id, mask_members(s, ideal))},
             quotient_report, s, ideal,
         )
         for s, _ in semirings
-        for ideal in all_ideals(s, proper_only=True)
+        for ideal in _proper_ideal_masks(s)
     ]
 
     tallies, observations = {}, {}

@@ -1,7 +1,8 @@
 """Spectra of distinguished ideal classes and their coarse lower topology.
 
 A spectrum is the ordered set of proper ideals of one semiring that
-belong to one class (prime, maximal, radical, ...).  Its Iseki space is the
+belong to one class (prime, maximal, radical, ...); each point is an
+ideal mask (element i = bit i), as every ideal is.  Its Iseki space is the
 topology whose closed sets are generated, as a closed subbasis, by the
 up-sets
 
@@ -10,15 +11,16 @@ up-sets
 with a running over all ideals.  Every point is itself an ideal, so
 up(point) is the smallest closed set containing the point and the space
 is Alexandrov: its closed sets are exactly the point sets that are
-up-closed under inclusion.  Point sets are bitmasks over point indices,
-and every separation/connectedness property is decided exactly from the
-inclusion order; a failed T0, T1, sobriety, connectedness or up-set law
-verdict carries a witness.  Each ``check_*`` function (and
+up-closed under inclusion.  Point sets are bitmasks over point indices
+(point i = bit i), and every separation/connectedness property is
+decided exactly from the inclusion order; a failed T0, T1, sobriety,
+connectedness or up-set law verdict carries a witness.  Each ``check_*`` function (and
 ``verify_upset_laws``) returns exactly the report fields it decides,
 under their report names, so the sweep's topology report is the merge
 of their dicts.  One ``Spectrum`` object is the Iseki space: the points
 and, built on first use, the closed sets; ``spectrum(s, cls)`` caches one
-per (semiring, class).
+per (semiring, class).  A space carries its semiring, so the checks take
+the space alone.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,6 @@ from .ideals import (
     _ideal_masks_all,
     classified_ideals,
     ideal_algebra,
-    ideal_from_mask,
     is_ideal_mask,
     jacobson_radical,
     mask_members,
@@ -101,9 +102,9 @@ def parse_class(text):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The Iseki space on an ascending tuple of proper ideals of
-    ``semiring``, with its closed sets decided from the inclusion order on
-    first use.
+    """The Iseki space on ``points``, an ascending tuple of proper ideal
+    masks of ``semiring``, with its closed sets decided from the inclusion
+    order on first use.
 
     ``subbasis`` maps each ideal mask of the semiring to its up-set;
     ``up[i]`` is the up-set of point i, which is both the closure of the
@@ -126,14 +127,11 @@ class Spectrum:
     def full(self):
         return (1 << len(self.points)) - 1
 
-    def point_masks(self):
-        return tuple(p.mask for p in self.points)
-
     def to_json(self):
         return {
             "semiring": self.semiring.id,
             "class": self.class_tag,
-            "points": [list(p.members) for p in self.points],
+            "points": [mask_members(self.semiring, p) for p in self.points],
         }
 
     @cached_property
@@ -142,7 +140,7 @@ class Spectrum:
 
     @cached_property
     def up(self):
-        return tuple(self.subbasis[p.mask] for p in self.points)
+        return tuple(self.subbasis[p] for p in self.points)
 
     @cached_property
     def components(self):
@@ -232,8 +230,8 @@ def spectrum(s, cls):
 def _closed_family_cached(s, cls):
     # The one cache of spaces; perfbench/sample.py reads it by this name.
     points = tuple(
-        ideal
-        for ideal, classification in classified_ideals(s)
+        mask
+        for mask, classification in classified_ideals(s)
         if cls.accepts(classification)
     )
     return Spectrum(semiring=s, class_tag=cls.display(), points=points)
@@ -245,13 +243,22 @@ def up_set(spec, mask):
     proper point can contain it."""
     out = 0
     for i, p in enumerate(spec.points):
-        if (p.mask & mask) == mask:
+        if (p & mask) == mask:
             out |= 1 << i
     return out
 
 
 def point_set_members(spec, point_set):
-    return [list(spec.points[i].members) for i in range(spec.size) if (point_set >> i) & 1]
+    return [
+        mask_members(spec.semiring, p)
+        for i, p in enumerate(spec.points)
+        if (point_set >> i) & 1
+    ]
+
+
+def _maximals_present(spec):
+    """Whether every maximal ideal of the semiring is a point."""
+    return set(maximal_ideal_masks(spec.semiring)) <= set(spec.points)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def point_set_members(spec, point_set):
 # plain dict ready for JSON.
 # ---------------------------------------------------------------------------
 
-def check_t0(s, spec):
+def check_t0(spec):
     """T0: no two points have the same closure."""
     up = spec.up
     for i in range(spec.size):
@@ -268,15 +275,12 @@ def check_t0(s, spec):
             if up[i] == up[j]:
                 return {
                     "t0": False,
-                    "t0_witness": [
-                        list(spec.points[i].members),
-                        list(spec.points[j].members),
-                    ],
+                    "t0_witness": point_set_members(spec, 1 << i | 1 << j),
                 }
     return {"t0": True, "t0_witness": None}
 
 
-def check_t1(s, spec):
+def check_t1(spec):
     """Singleton-closure T1 test plus the "points are exactly the maximal
     ideals" test.
 
@@ -286,17 +290,21 @@ def check_t1(s, spec):
     ``tests/test_topology.py::test_t1_equivalence_fg0_c3`` pins it.
     """
     witness = next(
-        (list(p.members) for i, p in enumerate(spec.points) if spec.up[i] != 1 << i),
+        (
+            mask_members(spec.semiring, p)
+            for i, p in enumerate(spec.points)
+            if spec.up[i] != 1 << i
+        ),
         None,
     )
     return {
         "t1": witness is None,
-        "t1_predicate": set(spec.point_masks()) == set(maximal_ideal_masks(s)),
+        "t1_predicate": set(spec.points) == set(maximal_ideal_masks(spec.semiring)),
         "t1_witness": witness,
     }
 
 
-def check_sober(s, spec):
+def check_sober(spec):
     """Direct sobriety versus the generic-point criterion.
 
     Direct: every nonempty irreducible closed set is the closure of
@@ -311,14 +319,14 @@ def check_sober(s, spec):
 
     criterion = True
     irr_set = set(irr)
-    point_mask_set = set(spec.point_masks())
+    point_mask_set = set(spec.points)
     for u in spec.subbasis.values():
         if u == 0 or u not in irr_set:
             continue
-        inter = s.full_mask
-        for i in range(spec.size):
+        inter = spec.semiring.full_mask
+        for i, p in enumerate(spec.points):
             if (u >> i) & 1:
-                inter &= spec.points[i].mask
+                inter &= p
         if inter not in point_mask_set:
             criterion = False
             break
@@ -330,7 +338,7 @@ def check_sober(s, spec):
     }
 
 
-def check_quasi_compact(s, spec):
+def check_quasi_compact(spec):
     """Finite spaces are quasi-compact; the value is the proof mechanism.
 
     For every ideal family of at most ``FAMILY_SIZE_CAP`` members, the
@@ -340,16 +348,15 @@ def check_quasi_compact(s, spec):
     of ``Spectrum.sum_identity``.
     """
     failure, empty_sums_improper = spec.sum_identity
-    point_mask_set = set(spec.point_masks())
-    maximals_present = all(m in point_mask_set for m in maximal_ideal_masks(s))
     return {
         "quasi_compact": True,
         "quasi_compact_sum_identity": failure is None,
-        "quasi_compact_maximal_rule": empty_sums_improper or not maximals_present,
+        "quasi_compact_maximal_rule": empty_sums_improper
+        or not _maximals_present(spec),
     }
 
 
-def check_connected(s, spec):
+def check_connected(spec):
     """Connectivity from the connected components; the witness is the
     lowest clopen set, the lowest component.  Empty spectra are degenerate."""
     if spec.size == 0:
@@ -363,16 +370,16 @@ def check_connected(s, spec):
     return {
         "connected": witness is None,
         "connected_witness": witness,
-        "zero_ideal_in_points": any(p.mask == 1 for p in spec.points),
+        "zero_ideal_in_points": 1 in spec.points,
     }
 
 
-def check_disconnection(s, spec):
+def check_disconnection(spec):
     """The strong disconnection witness, and the idempotent extracted from
     it with the extraction's status: ``ok``, ``no-witness``,
     ``hypothesis:<name>`` for an unmet hypothesis, or
     ``mechanism-failure:<reason>``."""
-    witness = strong_disconnection_witness(s, spec)
+    witness = strong_disconnection_witness(spec)
     if witness is None:
         return {
             "disconnection_witness": None,
@@ -381,24 +388,25 @@ def check_disconnection(s, spec):
         }
     idempotent = None
     try:
-        idempotent = idempotent_from_disconnection(s, spec, witness)
+        idempotent = idempotent_from_disconnection(spec, witness)
         status = "ok"
     except HypothesisUnmet as exc:
         status = f"hypothesis:{exc.hypothesis}"
     except NoUnitDecomposition as exc:
         status = f"mechanism-failure:{exc}"
+    s = spec.semiring
     left, right = witness
     return {
         "disconnection_witness": {
-            "left": [list(a.members) for a in left],
-            "right": [list(b.members) for b in right],
+            "left": [mask_members(s, a) for a in left],
+            "right": [mask_members(s, b) for b in right],
         },
         "idempotent": idempotent,
         "idempotent_status": status,
     }
 
 
-def check_irreducible_upsets(s, spec):
+def check_irreducible_upsets(spec):
     """Each point's up-set must be the closure of the point, computed from
     its definition: the intersection of every subbasic closed set that
     contains the point.  The closure of a point is irreducible, so each
@@ -407,19 +415,19 @@ def check_irreducible_upsets(s, spec):
     return {
         "irreducible_upsets": all(
             reduce(and_, (u for u in subbasic if (u >> i) & 1), spec.full)
-            == spec.subbasis[p.mask]
+            == spec.subbasis[p]
             for i, p in enumerate(spec.points)
         )
     }
 
 
-def strong_disconnection_witness(s, spec):
+def strong_disconnection_witness(spec):
     """Two nonempty families of subbasic closed sets whose unions partition
     the space, or None.
 
     Every up-set is a union of subbasic sets, so the sides are the lowest
     component and its complement.  Each side is returned as a list of
-    ideals (the lowest-mask ideal per distinct up-set); a side collapses
+    ideal masks (the lowest per distinct up-set); a side collapses
     to a single ideal whenever the side's union is itself an up-set.
     """
     comps = spec.components
@@ -432,18 +440,15 @@ def strong_disconnection_witness(s, spec):
 
     def side(mask):
         if mask in lowest_ideal_for:
-            return [ideal_from_mask(s, lowest_ideal_for[mask])]
-        return [
-            ideal_from_mask(s, m)
-            for u, m in sorted(lowest_ideal_for.items())
-            if (u & mask) == u
-        ]
+            return [lowest_ideal_for[mask]]
+        return [m for u, m in sorted(lowest_ideal_for.items()) if (u & mask) == u]
 
     return side(comps[0]), side(spec.full ^ comps[0])
 
 
-def idempotent_from_disconnection(s, spec, witness):
-    """Extract a nontrivial idempotent from a strong disconnection.
+def idempotent_from_disconnection(spec, witness):
+    """Extract a nontrivial idempotent from a strong disconnection of the
+    space: two lists of ideal masks of its semiring.
 
     Requires the witness, the spectrum to contain every maximal ideal,
     and a zero Jacobson radical.  Reduces the witness families to a
@@ -452,20 +457,19 @@ def idempotent_from_disconnection(s, spec, witness):
     """
     if witness is None:
         raise HypothesisUnmet("witness", "no strong disconnection witness")
+    s = spec.semiring
     left, right = witness
     if not left or not right:
         raise HypothesisUnmet("witness", "a side of the witness is empty")
-    if not all(
-        a.semiring == s.id and is_ideal_mask(s, a.mask) for a in [*left, *right]
-    ):
+    if not all(is_ideal_mask(s, a) for a in [*left, *right]):
         raise HypothesisUnmet("witness", "a side holds a non-ideal of the semiring")
     up = spec.subbasis
     left_union = 0
     for a in left:
-        left_union |= up[a.mask]
+        left_union |= up[a]
     right_union = 0
     for b in right:
-        right_union |= up[b.mask]
+        right_union |= up[b]
     if (
         left_union == 0
         or right_union == 0
@@ -473,22 +477,17 @@ def idempotent_from_disconnection(s, spec, witness):
         or (left_union | right_union) != spec.full
     ):
         raise HypothesisUnmet("witness", "sides do not partition the spectrum")
-    point_mask_set = set(spec.point_masks())
-    if not all(m in point_mask_set for m in maximal_ideal_masks(s)):
+    if not _maximals_present(spec):
         raise HypothesisUnmet(
             "maximal-containment", "spectrum misses a maximal ideal"
         )
-    if jacobson_radical(s).mask != 1:
+    if jacobson_radical(s) != 1:
         raise HypothesisUnmet("jacobson", "Jacobson radical is not zero")
 
     algebra = ideal_algebra(s)
     products = algebra.products
-    x = left[0].mask
-    for a in left[1:]:
-        x = products[x][a.mask]
-    y = right[0].mask
-    for b in right[1:]:
-        y = products[y][b.mask]
+    x = reduce(lambda acc, a: products[acc][a], left)
+    y = reduce(lambda acc, b: products[acc][b], right)
     if algebra.sums[x][y] != s.full_mask:
         raise NoUnitDecomposition("reduced ideals do not sum to the whole semiring")
     if products[x][y] != 1:
@@ -504,7 +503,7 @@ def idempotent_from_disconnection(s, spec, witness):
     raise NoUnitDecomposition("no decomposition of 1 across the two sides")
 
 
-def verify_upset_laws(s, spec):
+def verify_upset_laws(spec):
     """Exhaustively verify the order/lattice laws of the up-set map, and the
     generator identity.
 
@@ -519,16 +518,17 @@ def verify_upset_laws(s, spec):
     the up-set of each ideal is the intersection of the up-sets of the
     principal ideals of its generators.
     """
+    s = spec.semiring
     up = spec.subbasis
-    law = _first_failing_upset_law(s, spec)
+    law = _first_failing_upset_law(spec)
     principals = ideal_algebra(s).principals
     generator_witness = None
     for ideal, classification in classified_ideals(s):
         pulled = spec.full
         for g in classification.witness_dict()["generators"]:
             pulled &= up[principals[g]]
-        if up[ideal.mask] != pulled:
-            generator_witness = list(ideal.members)
+        if up[ideal] != pulled:
+            generator_witness = mask_members(s, ideal)
             break
     return {
         "upset_laws": "pass" if law is None else {"holds": False, **law},
@@ -537,9 +537,10 @@ def verify_upset_laws(s, spec):
     }
 
 
-def _first_failing_upset_law(s, spec):
+def _first_failing_upset_law(spec):
     """The first up-set law of ``verify_upset_laws`` that fails, as
     ``{"law", "witness"}``, or None."""
+    s = spec.semiring
     algebra = ideal_algebra(s)
     masks = algebra.masks
     up = spec.subbasis
@@ -586,7 +587,7 @@ def _first_failing_upset_law(s, spec):
         if (up[r] & up[a]) != up[r]:
             return {"law": "radical-up-shrinks", "witness": mask_members(s, a)}
 
-    all_points_radical = all(radicals[p.mask] == p.mask for p in spec.points)
+    all_points_radical = all(radicals[p] == p for p in spec.points)
     ups_stable = all(up[radicals[a]] == up[a] for a in masks)
     if all_points_radical != ups_stable:
         return {

@@ -52,9 +52,12 @@ def isomorphism_orbit_size(s):
 
 def compose(s, t, u, first, second):
     """The composite homomorphism s -> u of first: s -> t and second: t -> u."""
-    return validate_homomorphism(
-        s, u, tuple(second.map[first.map[a]] for a in range(s.n))
-    )
+    return validate_homomorphism(s, u, tuple(second[first[a]] for a in range(s.n)))
+
+
+def nontrivial_idempotents(s):
+    """Elements x with x*x = x other than 0 and 1, ascending."""
+    return [x for x in range(s.n) if s.mul[x][x] == x and x not in (0, s.one)]
 
 
 def emit(path, s):
@@ -254,14 +257,13 @@ class ReferenceLattice:
     are generated from the up-sets of every ideal by closing under unions
     and intersections, and each property is decided by searching them."""
 
-    def __init__(self, s, spec):
+    def __init__(self, spec):
         ideal_masks = sorted(
-            sum(1 << e for e in ideal) for ideal in naive_ideal_sets(s)
+            sum(1 << e for e in ideal) for ideal in naive_ideal_sets(spec.semiring)
         )
-        points = spec.point_masks()
         self.full = spec.full
         self.subbasis = {
-            m: sum(1 << i for i, p in enumerate(points) if (p & m) == m)
+            m: sum(1 << i for i, p in enumerate(spec.points) if (p & m) == m)
             for m in ideal_masks
         }
         closed = _intersection_closure(_union_closure(self.subbasis.values()), self.full)
@@ -354,14 +356,13 @@ def reference_radical(s, a):
     )
 
 
-def reference_quasi_compact(s, spec, family_size_cap=3):
+def reference_quasi_compact(spec, family_size_cap=3):
     """The quasi-compactness mechanism check computed per class over every
     family, with the family sums from ``reference_sum``: the reference
     for ``topology.check_quasi_compact``."""
+    s = spec.semiring
     masks = _ideal_masks_all(s)
-    maximals_present = all(
-        m in set(spec.point_masks()) for m in maximal_ideal_masks(s)
-    )
+    maximals_present = all(m in spec.points for m in maximal_ideal_masks(s))
     identity_ok = True
     maximal_ok = True
     for size in range(1, family_size_cap + 1):
@@ -381,20 +382,21 @@ def reference_quasi_compact(s, spec, family_size_cap=3):
     }
 
 
-def reference_upset_laws(s, spec, family_size_cap=3):
+def reference_upset_laws(spec, family_size_cap=3):
     """The up-set laws computed per class through ``reference_sum``,
     ``reference_product`` and ``reference_radical``, with intersections as
     mask ANDs, and the generator identity through ``reference_generated``:
     the reference for ``topology.verify_upset_laws``."""
-    law = _reference_failing_upset_law(s, spec, family_size_cap)
+    s = spec.semiring
+    law = _reference_failing_upset_law(spec, family_size_cap)
     up = spec.subbasis
     generator_witness = None
     for ideal, classification in classified_ideals(s):
         pulled = spec.full
         for g in classification.witness_dict()["generators"]:
             pulled &= up[reference_generated(s, 1 << g)]
-        if up[ideal.mask] != pulled:
-            generator_witness = _members(ideal.mask)
+        if up[ideal] != pulled:
+            generator_witness = _members(ideal)
             break
     return {
         "upset_laws": "pass" if law is None else {"holds": False, **law},
@@ -403,7 +405,8 @@ def reference_upset_laws(s, spec, family_size_cap=3):
     }
 
 
-def _reference_failing_upset_law(s, spec, family_size_cap):
+def _reference_failing_upset_law(spec, family_size_cap):
+    s = spec.semiring
     masks = _ideal_masks_all(s)
     up = spec.subbasis
 
@@ -450,9 +453,7 @@ def _reference_failing_upset_law(s, spec, family_size_cap):
         if (up[r] & up[a]) != up[r]:
             return {"law": "radical-up-shrinks", "witness": _members(a)}
 
-    all_points_radical = all(
-        reference_radical(s, p.mask) == p.mask for p in spec.points
-    )
+    all_points_radical = all(reference_radical(s, p) == p for p in spec.points)
     ups_stable = all(up[radicals[a]] == up[a] for a in masks)
     if all_points_radical != ups_stable:
         return {

@@ -120,7 +120,7 @@ def test_criterion_06_connectedness(acceptance):
         s = entry.semiring
         for tag in ("proper", "principal", "fg(1)", "fg(2)"):
             spec = spectrum(s, parse_class(tag))
-            rep = check_connected(s, spec)
+            rep = check_connected(spec)
             if rep["zero_ideal_in_points"] and rep["connected"] is not True:
                 corollary_ok = False
     ok = t["failures"] == 0 and corollary_ok
@@ -138,8 +138,8 @@ def test_criterion_07_idempotent_extraction(acceptance, bb):
     report, _ = acceptance
     t = _tally(report, "idempotent_extraction")
     spec = spectrum(bb, "maximal")
-    witness = strong_disconnection_witness(bb, spec)
-    element = idempotent_from_disconnection(bb, spec, witness)
+    witness = strong_disconnection_witness(spec)
+    element = idempotent_from_disconnection(spec, witness)
     ok = t["failures"] == 0 and element in (1, 2)
     _line(
         7,

@@ -8,7 +8,8 @@ from conftest import (
     reference_sum,
 )
 from iseki.ideals import (
-    all_ideals,
+    _ideal_masks_all,
+    _proper_ideal_masks,
     generated_ideal,
     ideal_algebra,
     ideal_from_members,
@@ -18,29 +19,29 @@ from iseki.ideals import (
     min_generators,
     radical_via_primes,
 )
-def test_all_ideals_matches_naive_scan(catalog_semirings):
+def test_proper_ideal_masks_match_naive_scan(catalog_semirings):
     """Dual route: bitmask kernel scan versus an independent frozenset scan."""
     for s in catalog_semirings:
         if s.n > 6:
             continue
         expected = [ss for ss in naive_ideal_sets(s) if len(ss) < s.n]
-        got = [set(i.members) for i in all_ideals(s, proper_only=True)]
+        got = [mask_members(s, m) for m in _proper_ideal_masks(s)]
         assert sorted(map(sorted, got)) == sorted(map(sorted, expected)), s.id
 
 
 def test_ideals_are_ascending_and_deduplicated(catalog_semirings):
     for s in catalog_semirings:
-        masks = [i.mask for i in all_ideals(s, proper_only=False)]
+        masks = list(_ideal_masks_all(s))
         assert masks == sorted(set(masks))
         assert masks[-1] == s.full_mask  # improper top included
 
 
 def test_generated_ideal_examples(boolean, c3, z4):
-    assert generated_ideal(boolean, [0]).members == (0,)
-    assert generated_ideal(c3, [1]).members == (0, 1)
-    assert generated_ideal(z4, [2]).members == (0, 2)
-    assert generated_ideal(z4, []).members == (0,)
-    assert not generated_ideal(z4, [1]).is_proper  # 1 generates everything
+    assert mask_members(boolean, generated_ideal(boolean, [0])) == [0]
+    assert mask_members(c3, generated_ideal(c3, [1])) == [0, 1]
+    assert mask_members(z4, generated_ideal(z4, [2])) == [0, 2]
+    assert mask_members(z4, generated_ideal(z4, [])) == [0]
+    assert generated_ideal(z4, [1]) == z4.full_mask  # 1 generates everything
 
 
 def _addition_closure(s, mask):
@@ -60,12 +61,12 @@ def _addition_closure(s, mask):
 
 def test_sum_examples(c3, bb):
     sums = ideal_algebra(c3).sums
-    zero = ideal_from_members(c3, [0]).mask
-    low = ideal_from_members(c3, [0, 1]).mask
+    zero = ideal_from_members(c3, [0])
+    low = ideal_from_members(c3, [0, 1])
     assert sums[zero][low] == low
     assert sums[zero][zero] == zero
-    left = ideal_from_members(bb, [0, 2]).mask
-    right = ideal_from_members(bb, [0, 1]).mask
+    left = ideal_from_members(bb, [0, 2])
+    right = ideal_from_members(bb, [0, 1])
     assert ideal_algebra(bb).sums[left][right] == bb.full_mask
 
 
@@ -80,15 +81,15 @@ def test_sum_equals_addition_closure_of_union(catalog_semirings):
 
 
 def test_product_examples(bb, z4, c3):
-    left = ideal_from_members(bb, [0, 2]).mask
-    right = ideal_from_members(bb, [0, 1]).mask
+    left = ideal_from_members(bb, [0, 2])
+    right = ideal_from_members(bb, [0, 1])
     assert ideal_algebra(bb).products[left][right] == 0b1
     products = ideal_algebra(z4).products
-    zero = ideal_from_members(z4, [0]).mask
-    m = ideal_from_members(z4, [0, 2]).mask
+    zero = ideal_from_members(z4, [0])
+    m = ideal_from_members(z4, [0, 2])
     assert products[m][zero] == zero
     assert products[m][m] == zero  # 2*2 = 0 in Z4
-    low = ideal_from_members(c3, [0, 1]).mask
+    low = ideal_from_members(c3, [0, 1])
     assert ideal_algebra(c3).products[low][low] == low
 
 
@@ -114,7 +115,7 @@ def test_closure_matches_independent_fixpoint(small_semirings):
         for seed in range(1 << s.n):
             members = [e for e in range(s.n) if (seed >> e) & 1]
             expected = reference_generated(s, seed)
-            assert generated_ideal(s, members).mask == expected, (s.id, seed)
+            assert generated_ideal(s, members) == expected, (s.id, seed)
 
 
 def test_ideal_algebra_matches_ideal_operations(small_semirings):
@@ -145,11 +146,11 @@ def test_ideal_algebra_matches_ideal_operations(small_semirings):
 def test_intersection_examples(c3, bb, catalog_semirings):
     """The intersection of two ideals is the AND of their masks, and it is
     an ideal: the premise of the closure in iseki.ideals."""
-    low = ideal_from_members(c3, [0, 1]).mask
-    zero = ideal_from_members(c3, [0]).mask
+    low = ideal_from_members(c3, [0, 1])
+    zero = ideal_from_members(c3, [0])
     assert low & zero == zero
-    left = ideal_from_members(bb, [0, 2]).mask
-    right = ideal_from_members(bb, [0, 1]).mask
+    left = ideal_from_members(bb, [0, 2])
+    right = ideal_from_members(bb, [0, 1])
     assert left & right == 0b1
     for s in catalog_semirings:
         masks = ideal_algebra(s).masks
@@ -159,8 +160,8 @@ def test_intersection_examples(c3, bb, catalog_semirings):
 
 
 def test_radical_examples(z4, boolean):
-    zero = ideal_from_members(z4, [0]).mask
-    assert ideal_algebra(z4).radicals[zero] == ideal_from_members(z4, [0, 2]).mask
+    zero = ideal_from_members(z4, [0])
+    assert ideal_algebra(z4).radicals[zero] == ideal_from_members(z4, [0, 2])
     assert ideal_algebra(boolean).radicals[0b1] == 0b1
 
 
@@ -178,23 +179,22 @@ def test_radical_is_idempotent_and_monotone(catalog_semirings):
 def test_radical_agrees_with_prime_intersection(catalog_semirings):
     for s in catalog_semirings:
         radicals = ideal_algebra(s).radicals
-        for a in all_ideals(s, proper_only=False):
-            assert radicals[a.mask] == radical_via_primes(s, a).mask, (
-                s.id,
-                a.members,
-            )
+        for a in _ideal_masks_all(s):
+            assert radicals[a] == radical_via_primes(s, a), (s.id, mask_members(s, a))
 
 
 def test_radical_via_primes_examples(z4, bb):
-    assert radical_via_primes(z4, ideal_from_members(z4, [0])).members == (0, 2)
-    assert radical_via_primes(bb, ideal_from_members(bb, [0])).members == (0,)
+    zero = ideal_from_members(z4, [0])
+    assert mask_members(z4, radical_via_primes(z4, zero)) == [0, 2]
+    zero = ideal_from_members(bb, [0])
+    assert mask_members(bb, radical_via_primes(bb, zero)) == [0]
 
 
 def test_jacobson_examples(bb, z4, c3, trivial):
-    assert jacobson_radical(bb).members == (0,)
-    assert jacobson_radical(z4).members == (0, 2)
-    assert jacobson_radical(c3).members == (0, 1)
-    assert not jacobson_radical(trivial).is_proper
+    assert mask_members(bb, jacobson_radical(bb)) == [0]
+    assert mask_members(z4, jacobson_radical(z4)) == [0, 2]
+    assert mask_members(c3, jacobson_radical(c3)) == [0, 1]
+    assert jacobson_radical(trivial) == trivial.full_mask
 
 
 def test_min_generators(z4, bb):

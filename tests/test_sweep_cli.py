@@ -15,7 +15,7 @@ from iseki.catalog import build_recipe, builtin_catalog
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import EmptyFamily
-from iseki.ideals import all_ideals
+from iseki.ideals import _proper_ideal_masks
 from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import validate_semiring
 from iseki.serialize import canonical_json
@@ -103,8 +103,29 @@ def test_memoized_reports_equal_per_instance_reports():
     assert report["quotients"]["reports"] == [
         quotient_report(s, ideal)
         for s in semirings
-        for ideal in all_ideals(s, proper_only=True)
+        for ideal in _proper_ideal_masks(s)
     ]
+
+
+def test_sweep_enumerates_homomorphisms_once_per_table_pair(monkeypatch):
+    """The catalog sweep enumerates the homomorphisms of each distinct pair
+    of tables once, not once per ordered pair of ids."""
+    real = iseki.sweep.enumerate_homomorphisms
+    calls = []
+
+    def counting(s, t):
+        calls.append((s.structure, t.structure))
+        return real(s, t)
+
+    monkeypatch.setattr(iseki.sweep, "enumerate_homomorphisms", counting)
+    report = sweep(log=io.StringIO())
+    small = {
+        e.semiring.structure
+        for e in builtin_catalog()
+        if e.semiring.n <= iseki.sweep.MORPHISM_ORDER_CAP
+    }
+    assert len(calls) == len(set(calls)) == len(small) ** 2
+    assert report["morphisms"]["pairs"] > len(calls)
 
 
 def test_sweep_summary_counts_distinct_instances():
@@ -343,8 +364,8 @@ def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monke
     classes the corollary covers."""
     real = iseki.sweep.check_sober
 
-    def not_sober(s, spec):
-        return {**real(s, spec), "sober": False, "sober_criterion": False}
+    def not_sober(spec):
+        return {**real(spec), "sober": False, "sober_criterion": False}
 
     monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
     report = sweep(corpus=[build_recipe(("named", "C3"))], log=io.StringIO())
@@ -387,8 +408,8 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     with its failure count and first witness; the report is unchanged."""
     real = iseki.sweep.check_sober
 
-    def not_sober(s, spec):
-        return {**real(s, spec), "sober": False}
+    def not_sober(spec):
+        return {**real(spec), "sober": False}
 
     monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
     out_path = tmp_path / "report.json"

@@ -9,6 +9,7 @@ from conftest import (
     ReferenceLattice,
     canonical_key,
     emit,
+    nontrivial_idempotents,
     reference_quasi_compact,
     reference_upset_laws,
 )
@@ -18,10 +19,11 @@ from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
 from iseki.ideals import (
-    all_ideals,
+    _proper_ideal_masks,
     classified_ideals,
     ideal_algebra,
     ideal_from_members,
+    mask_members,
     maximal_ideal_masks,
 )
 from iseki.morphisms import (
@@ -29,7 +31,7 @@ from iseki.morphisms import (
     enumerate_homomorphisms,
     induced_map,
 )
-from iseki.semiring import bourne_quotient, direct_product, nontrivial_idempotents
+from iseki.semiring import bourne_quotient, direct_product
 from iseki.sweep import ideal_lattice_report, topology_instance_report
 from iseki.topology import (
     FAMILY_SIZE_CAP,
@@ -71,26 +73,26 @@ def test_parse_class():
 
 
 def test_spectrum_examples(boolean, bb, z4):
-    assert [p.members for p in spectrum(boolean, "prime").points] == [(0,)]
-    assert [p.members for p in spectrum(bb, "maximal").points] == [(0, 1), (0, 2)]
-    assert [p.members for p in spectrum(z4, "radical").points] == [(0, 2)]
+    assert spectrum(boolean, "prime").to_json()["points"] == [[0]]
+    assert spectrum(bb, "maximal").to_json()["points"] == [[0, 1], [0, 2]]
+    assert spectrum(z4, "radical").to_json()["points"] == [[0, 2]]
 
 
 def test_spectrum_never_contains_whole_semiring(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
             for p in spectrum(s, tag).points:
-                assert p.is_proper
+                assert p != s.full_mask
 
 
 def test_up_set_examples(bb, c3):
     spec = spectrum(bb, "maximal")
-    assert up_set(spec, ideal_from_members(bb, [0]).mask) == 0b11  # zero ideal: all
-    assert up_set(spec, ideal_from_members(bb, [0, 2]).mask) == 0b10  # Bx{0} only
-    assert up_set(spec, ideal_from_members(bb, [0, 1, 2, 3]).mask) == 0  # improper
+    assert up_set(spec, ideal_from_members(bb, [0])) == 0b11  # zero ideal: all
+    assert up_set(spec, ideal_from_members(bb, [0, 2])) == 0b10  # Bx{0} only
+    assert up_set(spec, ideal_from_members(bb, [0, 1, 2, 3])) == 0  # improper
     cspec = spectrum(c3, "prime")
     for i, p in enumerate(cspec.points):
-        assert (up_set(cspec, p.mask) >> i) & 1  # reflexivity
+        assert (up_set(cspec, p) >> i) & 1  # reflexivity
 
 
 def _up_closed(masks, point_set):
@@ -129,11 +131,10 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
     for s in small_semirings:
         for tag in ALL_TAGS:
             spec = spectrum(s, tag)
-            ref = _reference(s, spec)
+            ref = _reference(spec)
             where = (s.id, tag)
-            masks = spec.point_masks()
             assert ref.closed == [
-                k for k in range(1 << spec.size) if _up_closed(masks, k)
+                k for k in range(1 << spec.size) if _up_closed(spec.points, k)
             ], where
             for k in range(1 << spec.size):
                 assert (spec.closure(k) == k) == (k in ref.closed_set), (where, k)
@@ -143,10 +144,8 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
             if spec.size:
                 clopen = ref.clopen_witness()
                 expected = None if clopen is None else point_set_members(spec, clopen)
-                assert check_connected(s, spec)["connected_witness"] == expected, where
-            sides = strong_disconnection_witness(s, spec)
-            if sides is not None:
-                sides = tuple([a.mask for a in side] for side in sides)
+                assert check_connected(spec)["connected_witness"] == expected, where
+            sides = strong_disconnection_witness(spec)
             assert sides == ref.disconnection_sides(), where
 
 
@@ -180,11 +179,11 @@ def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirin
                 variants.extend(_one_point_flipped(variants[0]))
             for spec in variants:
                 where = (s.id, tag, spec.subbasis)
-                laws = reference_upset_laws(s, spec)
-                assert verify_upset_laws(s, spec) == laws, where
-                qc = reference_quasi_compact(s, spec)
-                assert check_quasi_compact(s, spec) == qc, where
-                irreducible = check_irreducible_upsets(s, spec)["irreducible_upsets"]
+                laws = reference_upset_laws(spec)
+                assert verify_upset_laws(spec) == laws, where
+                qc = reference_quasi_compact(spec)
+                assert check_quasi_compact(spec) == qc, where
+                irreducible = check_irreducible_upsets(spec)["irreducible_upsets"]
                 assert irreducible or spec is not variants[0], where
                 if laws["upset_laws"] != "pass":
                     failures[laws["upset_laws"]["law"]] += 1
@@ -248,14 +247,14 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
         targets.setdefault(canonical_key(t.add, t.mul), t)
     maps = []
     for s in small_semirings:
-        for ideal in all_ideals(s, proper_only=True):
+        for ideal in _proper_ideal_masks(s):
             maps.append((s, *bourne_quotient(s, ideal)))
         for t in targets.values():
             if t.n <= s.n:
                 maps.extend(
                     (s, t, hom)
                     for hom in enumerate_homomorphisms(s, t)
-                    if hom.is_surjective_onto(t.n)
+                    if len(set(hom)) == t.n
                 )
     for s, t, hom in maps:
         for tag in ALL_TAGS:
@@ -265,9 +264,9 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
                 continue
             rep = check_quotient_homeomorphism(s, t, ind)
             expected = _reference_onto_image(
-                _reference(s, ind.target_spectrum), _reference(t, ind.source_spectrum), ind
+                _reference(ind.target_spectrum), _reference(ind.source_spectrum), ind
             )
-            assert rep["homeomorphism_onto_image"] == expected, (s.id, t.id, hom.map, tag)
+            assert rep["homeomorphism_onto_image"] == expected, (s.id, t.id, hom, tag)
 
 
 def test_proper_spectrum_above_twenty_points(atoms5):
@@ -302,22 +301,22 @@ def test_closure_examples(c3):
     assert spec.closure(0) == 0
     assert spec.closure(spec.full) == spec.full
     for i, p in enumerate(spec.points):
-        assert spec.closure(1 << i) == up_set(spec, p.mask)
+        assert spec.closure(1 << i) == up_set(spec, p)
 
 
 def test_t0_on_catalog(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            assert check_t0(s, spectrum(s, tag))["t0"], (s.id, tag)
+            assert check_t0(spectrum(s, tag))["t0"], (s.id, tag)
 
 
 def test_t1_examples(bb, c3, trivial):
-    r = check_t1(bb, spectrum(bb, "maximal"))
+    r = check_t1(spectrum(bb, "maximal"))
     assert r["t1"] and r["t1_predicate"]
-    r = check_t1(c3, spectrum(c3, "prime"))
+    r = check_t1(spectrum(c3, "prime"))
     assert not r["t1"] and not r["t1_predicate"]
     spec = spectrum(trivial, "prime")
-    r = check_t1(trivial, spec)
+    r = check_t1(spec)
     assert r["t1"] and r["t1_predicate"] and spec.size == 0
 
 
@@ -339,19 +338,19 @@ def test_t1_equivalence_fg0_c3(c3, tmp_path):
 
 
 def test_sober_examples(bb, c3, z4, catalog_semirings):
-    assert check_sober(bb, spectrum(bb, "maximal"))["sober"]
-    assert check_sober(c3, spectrum(c3, "prime"))["sober"]
-    assert check_sober(z4, spectrum(z4, "prime"))["sober"]
+    assert check_sober(spectrum(bb, "maximal"))["sober"]
+    assert check_sober(spectrum(c3, "prime"))["sober"]
+    assert check_sober(spectrum(z4, "prime"))["sober"]
     for s in catalog_semirings:
         for tag in ("proper", "prime", "strongly-irreducible"):
-            rep = check_sober(s, spectrum(s, tag))
+            rep = check_sober(spectrum(s, tag))
             assert rep["sober"] and rep["sober_criterion"], (s.id, tag)
 
 
 def test_sober_agreement_everywhere(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            rep = check_sober(s, spectrum(s, tag))
+            rep = check_sober(spectrum(s, tag))
             assert rep["sober"] == rep["sober_criterion"], (s.id, tag)
 
 
@@ -360,9 +359,9 @@ def test_quasi_compact_mechanism(bb, catalog_semirings):
     ideal families have an empty up-set intersection, so the maximal rule
     is exercised there."""
     spec = spectrum(bb, "maximal")
-    rep = check_quasi_compact(bb, spec)
+    rep = check_quasi_compact(spec)
     assert rep["quasi_compact"] and rep["quasi_compact_sum_identity"]
-    assert set(spec.point_masks()) == set(maximal_ideal_masks(bb))
+    assert set(spec.points) == set(maximal_ideal_masks(bb))
     assert rep["quasi_compact_maximal_rule"]
     empty_families = sum(
         reduce(and_, (spec.subbasis[a] for a in family), spec.full) == 0
@@ -374,22 +373,22 @@ def test_quasi_compact_mechanism(bb, catalog_semirings):
         if s.n > 4:
             continue
         for tag in ALL_TAGS:
-            rep = check_quasi_compact(s, spectrum(s, tag))
+            rep = check_quasi_compact(spectrum(s, tag))
             assert rep["quasi_compact_sum_identity"], (s.id, tag)
             assert rep["quasi_compact_maximal_rule"], (s.id, tag)
 
 
 def test_connected_examples(bb, c3, boolean):
-    assert check_connected(bb, spectrum(bb, "maximal"))["connected"] is False
-    assert check_connected(c3, spectrum(c3, "prime"))["connected"] is True
-    assert check_connected(boolean, spectrum(boolean, "prime"))["connected"] is True
+    assert check_connected(spectrum(bb, "maximal"))["connected"] is False
+    assert check_connected(spectrum(c3, "prime"))["connected"] is True
+    assert check_connected(spectrum(boolean, "prime"))["connected"] is True
 
 
 def test_connected_when_zero_ideal_present(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS + ("fg(1)", "fg(2)"):
             spec = spectrum(s, parse_class(tag) if tag.startswith("fg") else tag)
-            rep = check_connected(s, spec)
+            rep = check_connected(spec)
             if rep["zero_ideal_in_points"]:
                 assert rep["connected"] is True, (s.id, tag)
 
@@ -397,15 +396,15 @@ def test_connected_when_zero_ideal_present(catalog_semirings):
 def test_degenerate_empty_spectrum(trivial):
     spec = spectrum(trivial, "prime")
     assert spec.size == 0
-    assert check_connected(trivial, spec)["connected"] == "degenerate"
-    assert check_t0(trivial, spec)["t0"]
-    assert check_sober(trivial, spec)["sober"]
+    assert check_connected(spec)["connected"] == "degenerate"
+    assert check_t0(spec)["t0"]
+    assert check_sober(spec)["sober"]
 
 
 def test_irreducible_upsets_everywhere(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            assert check_irreducible_upsets(s, spectrum(s, tag))["irreducible_upsets"], (
+            assert check_irreducible_upsets(spectrum(s, tag))["irreducible_upsets"], (
                 s.id,
                 tag,
             )
@@ -416,7 +415,7 @@ def test_upset_laws_everywhere(catalog_semirings):
         if s.n > 4:
             continue
         for tag in ALL_TAGS:
-            rep = verify_upset_laws(s, spectrum(s, tag))
+            rep = verify_upset_laws(spectrum(s, tag))
             assert rep["upset_laws"] == "pass", (s.id, tag, rep)
             assert rep["generator_upset_identity"], (s.id, tag, rep)
 
@@ -425,24 +424,24 @@ def test_upset_laws_item5_forward(z4):
     """In the Z4 prime spectrum every point is radical, so up-sets must be
     radical-stable; the zero ideal and its radical {0,2} share an up-set."""
     spec = spectrum(z4, "prime")
-    assert up_set(spec, ideal_from_members(z4, [0]).mask) == up_set(
-        spec, ideal_from_members(z4, [0, 2]).mask
+    assert up_set(spec, ideal_from_members(z4, [0])) == up_set(
+        spec, ideal_from_members(z4, [0, 2])
     )
 
 
 def test_disconnection_witness_examples(bb, c3, boolean):
-    w = strong_disconnection_witness(bb, spectrum(bb, "maximal"))
+    w = strong_disconnection_witness(spectrum(bb, "maximal"))
     assert w is not None
-    sides = {tuple(i.members) for side in w for i in side}
+    sides = {tuple(mask_members(bb, i)) for side in w for i in side}
     assert sides == {(0, 1), (0, 2)}
-    assert strong_disconnection_witness(c3, spectrum(c3, "prime")) is None
-    assert strong_disconnection_witness(boolean, spectrum(boolean, "prime")) is None
+    assert strong_disconnection_witness(spectrum(c3, "prime")) is None
+    assert strong_disconnection_witness(spectrum(boolean, "prime")) is None
 
 
 def test_idempotent_extraction_bb(bb):
     spec = spectrum(bb, "maximal")
-    w = strong_disconnection_witness(bb, spec)
-    e = idempotent_from_disconnection(bb, spec, w)
+    w = strong_disconnection_witness(spec)
+    e = idempotent_from_disconnection(spec, w)
     assert e in (1, 2)  # the pairs (0,1) and (1,0)
     assert bb.mul[e][e] == e
 
@@ -450,7 +449,7 @@ def test_idempotent_extraction_bb(bb):
 def test_idempotent_hypothesis_no_witness(z4):
     spec = spectrum(z4, "prime")
     with pytest.raises(HypothesisUnmet) as err:
-        idempotent_from_disconnection(z4, spec, None)
+        idempotent_from_disconnection(spec, None)
     assert err.value.hypothesis == "witness"
 
 
@@ -459,10 +458,10 @@ def test_idempotent_hypothesis_jacobson(z4, boolean):
     maximal spectrum disconnects but the Jacobson hypothesis fails."""
     zb = direct_product(z4, boolean)
     spec = spectrum(zb, "maximal")
-    w = strong_disconnection_witness(zb, spec)
+    w = strong_disconnection_witness(spec)
     assert w is not None
     with pytest.raises(HypothesisUnmet) as err:
-        idempotent_from_disconnection(zb, spec, w)
+        idempotent_from_disconnection(spec, w)
     assert err.value.hypothesis == "jacobson"
 
 
@@ -473,10 +472,10 @@ def test_idempotent_hypothesis_maximal_containment(bb, boolean):
     maximals = spectrum(bbb, "maximal").points
     assert len(maximals) == 3
     spec = Spectrum(semiring=bbb, class_tag="two-maximals", points=maximals[:2])
-    w = strong_disconnection_witness(bbb, spec)
+    w = strong_disconnection_witness(spec)
     assert w is not None
     with pytest.raises(HypothesisUnmet) as err:
-        idempotent_from_disconnection(bbb, spec, w)
+        idempotent_from_disconnection(spec, w)
     assert err.value.hypothesis == "maximal-containment"
 
 
@@ -487,19 +486,15 @@ def test_idempotent_reduces_multi_ideal_sides(bb, boolean):
     bbb = direct_product(bb, boolean)
     spec = spectrum(bbb, "prime")
     p0, p1, p2 = spec.points
-    assert [p.members for p in spec.points] == [
-        (0, 1, 2, 3),
-        (0, 1, 4, 5),
-        (0, 2, 4, 6),
-    ]
-    points = [list(p.members) for p in spec.points]
+    points = [mask_members(bbb, p) for p in spec.points]
+    assert points == [[0, 1, 2, 3], [0, 1, 4, 5], [0, 2, 4, 6]]
     for left, right, expected in (([p0], [p1, p2], 3), ([p1, p2], [p0], 4)):
-        e = idempotent_from_disconnection(bbb, spec, (left, right))
+        e = idempotent_from_disconnection(spec, (left, right))
         assert e == expected
         assert e in nontrivial_idempotents(bbb)
         witness = {
-            "left": [list(a.members) for a in left],
-            "right": [list(b.members) for b in right],
+            "left": [mask_members(bbb, a) for a in left],
+            "right": [mask_members(bbb, b) for b in right],
         }
         assert verify_disconnection_witness(bbb, points, witness)
 
@@ -510,14 +505,27 @@ def test_idempotent_bad_witness_rejected(bb):
         semiring=bb, class_tag="one-maximal", points=(ideal_from_members(bb, [0, 1]),)
     )
     full = spectrum(bb, "maximal")
-    w = strong_disconnection_witness(bb, full)
+    w = strong_disconnection_witness(full)
     with pytest.raises(HypothesisUnmet) as err:
-        idempotent_from_disconnection(bb, spec, w)
+        idempotent_from_disconnection(spec, w)
     assert err.value.hypothesis == "witness"
+
+
+def test_idempotent_non_ideal_witness_rejected(bb):
+    """A side holding a mask that is not an ideal of the space's semiring is
+    refused before any up-set is looked up: {0, 3} holds the unit of B x B
+    but not all of it, and bit 4 is not an element."""
+    spec = spectrum(bb, "maximal")
+    left, right = strong_disconnection_witness(spec)
+    for bad in (ideal_from_members(bb, [0, 3]), 1 | 1 << bb.n):
+        for witness in (([bad], right), (left, right + [bad])):
+            with pytest.raises(HypothesisUnmet, match="non-ideal") as err:
+                idempotent_from_disconnection(spec, witness)
+            assert err.value.hypothesis == "witness"
 
 
 def test_fg1_equals_principal(catalog_semirings):
     for s in catalog_semirings:
         fg1 = spectrum(s, parse_class("fg(1)"))
         principal = spectrum(s, "principal")
-        assert fg1.point_masks() == principal.point_masks()
+        assert fg1.points == principal.points

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from iseki.errors import AxiomViolation, ContractionFails
-from iseki.ideals import classified_ideals
+from iseki.ideals import classified_ideals, mask_members
 from iseki.morphisms import enumerate_homomorphisms, induced_map
 from iseki.semiring import validate_semiring
 from iseki.sweep import sweep
@@ -42,31 +42,26 @@ def test_axiom_witnesses_are_pluggable(z4):
 def test_classification_witnesses_on_catalog(catalog_semirings):
     for s in catalog_semirings:
         for ideal, c in classified_ideals(s):
-            bad = verify_classification_witnesses(
-                s, list(ideal.members), c.to_json()
-            )
-            assert bad == [], (s.id, ideal.members, bad)
+            members = mask_members(s, ideal)
+            bad = verify_classification_witnesses(s, members, c.to_json())
+            assert bad == [], (s.id, members, bad)
 
 
 def test_t1_witnesses(c3, bb):
     spec = spectrum(c3, "prime")
     from iseki.topology import check_t1
 
-    rep = check_t1(c3, spec)
+    rep = check_t1(spec)
     assert not rep["t1"]
-    assert verify_t1_witness(
-        c3, [list(p.members) for p in spec.points], rep["t1_witness"]
-    )
+    assert verify_t1_witness(c3, spec.to_json()["points"], rep["t1_witness"])
     # A fabricated witness is refuted.
     mspec = spectrum(bb, "maximal")
-    assert not verify_t1_witness(
-        bb, [list(p.members) for p in mspec.points], [0, 1]
-    )
+    assert not verify_t1_witness(bb, mspec.to_json()["points"], [0, 1])
 
 
 def test_t0_fabricated_witness_refuted(bb):
     spec = spectrum(bb, "maximal")
-    points = [list(p.members) for p in spec.points]
+    points = spec.to_json()["points"]
     assert not verify_t0_witness(bb, points, [[0, 1], [0, 2]])
 
 
@@ -74,13 +69,13 @@ def test_connected_witnesses(bb, c3):
     from iseki.topology import check_connected
 
     spec = spectrum(bb, "maximal")
-    rep = check_connected(bb, spec)
+    rep = check_connected(spec)
     assert rep["connected"] is False
-    points = [list(p.members) for p in spec.points]
+    points = spec.to_json()["points"]
     assert verify_connected_false_witness(bb, points, rep["connected_witness"])
     # The Sierpinski space has no valid clopen split.
     cspec = spectrum(c3, "prime")
-    cpoints = [list(p.members) for p in cspec.points]
+    cpoints = cspec.to_json()["points"]
     assert not verify_connected_false_witness(bb, cpoints, [[0]])
 
 
@@ -93,7 +88,7 @@ def test_closed_family_equals_up_closed_sets(catalog_semirings):
             continue
         for tag in ("proper", "prime", "maximal", "radical"):
             spec = spectrum(s, tag)
-            masks = spec.point_masks()
+            masks = spec.points
             expected = []
             for candidate in range(1 << len(masks)):
                 ok = all(
@@ -114,15 +109,15 @@ def test_disconnection_witnesses_via_sweep(catalog_semirings):
     for s in catalog_semirings:
         for tag in ("maximal", "prime"):
             spec = spectrum(s, tag)
-            w = strong_disconnection_witness(s, spec)
+            w = strong_disconnection_witness(spec)
             if w is None:
                 continue
             left, right = w
             witness_json = {
-                "left": [list(a.members) for a in left],
-                "right": [list(b.members) for b in right],
+                "left": [mask_members(s, a) for a in left],
+                "right": [mask_members(s, b) for b in right],
             }
-            points = [list(p.members) for p in spec.points]
+            points = spec.to_json()["points"]
             assert verify_disconnection_witness(s, points, witness_json), (
                 s.id,
                 tag,
@@ -130,23 +125,25 @@ def test_disconnection_witnesses_via_sweep(catalog_semirings):
 
 
 def test_contraction_witnesses(c3, c4):
-    jump = [h for h in enumerate_homomorphisms(c3, c4) if h.map == (0, 3, 3)][0]
+    jump = (0, 3, 3)
+    assert jump in enumerate_homomorphisms(c3, c4)
     with pytest.raises(ContractionFails) as err:
         induced_map(c3, c4, jump, "maximal")
     witness = err.value.witness
     assert verify_contraction_witness(
-        c3, c4, jump.map, witness["point"], witness["preimage"]
+        c3, c4, jump, witness["point"], witness["preimage"]
     )
 
 
 def test_kernel_upset_gap_witnesses(c3, boolean):
-    collapse = [h for h in enumerate_homomorphisms(c3, boolean) if h.map == (0, 1, 1)][0]
-    s_points = [list(p.members) for p in spectrum(c3, "prime").points]
-    t_points = [list(p.members) for p in spectrum(boolean, "prime").points]
-    assert verify_kernel_upset_gap(c3, boolean, collapse.map, s_points, t_points)
-    ident = [h for h in enumerate_homomorphisms(boolean, boolean)][0]
-    b_points = [list(p.members) for p in spectrum(boolean, "prime").points]
-    assert not verify_kernel_upset_gap(boolean, boolean, ident.map, b_points, b_points)
+    collapse = (0, 1, 1)
+    assert collapse in enumerate_homomorphisms(c3, boolean)
+    s_points = spectrum(c3, "prime").to_json()["points"]
+    t_points = spectrum(boolean, "prime").to_json()["points"]
+    assert verify_kernel_upset_gap(c3, boolean, collapse, s_points, t_points)
+    [ident] = enumerate_homomorphisms(boolean, boolean)
+    b_points = spectrum(boolean, "prime").to_json()["points"]
+    assert not verify_kernel_upset_gap(boolean, boolean, ident, b_points, b_points)
 
 
 def test_sweep_observation_witnesses_revalidate(catalog_semirings):
@@ -159,8 +156,8 @@ def test_sweep_observation_witnesses_revalidate(catalog_semirings):
     for witness in obs["witnesses"]:
         s = by_id[witness["source"]]
         t = by_id[witness["target"]]
-        s_points = [list(p.members) for p in spectrum(s, "prime").points]
-        t_points = [list(p.members) for p in spectrum(t, "prime").points]
+        s_points = spectrum(s, "prime").to_json()["points"]
+        t_points = spectrum(t, "prime").to_json()["points"]
         assert verify_kernel_upset_gap(
             s, t, witness["hom"], s_points, t_points
         ), witness
