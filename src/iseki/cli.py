@@ -25,30 +25,7 @@ from .sweep import (
     topology_instance_report,
     universal_oracles_hold,
 )
-from .topology import (
-    check_connected,
-    check_disconnection,
-    check_irreducible_upsets,
-    check_quasi_compact,
-    check_sober,
-    check_t0,
-    check_t1,
-    parse_class,
-    spectrum,
-    verify_upset_laws,
-)
-
-# Each --checks group and the topology check whose report fields it prints.
-CHECK_GROUPS = {
-    "t0": check_t0,
-    "t1": check_t1,
-    "sober": check_sober,
-    "compact": check_quasi_compact,
-    "connected": check_connected,
-    "upset-laws": verify_upset_laws,
-    "irreducible-upsets": check_irreducible_upsets,
-    "disconnection": check_disconnection,
-}
+from .topology import CHECKS, parse_class, spectrum
 
 
 def _emit(args, payload):
@@ -90,9 +67,9 @@ def _cmd_topology(args):
     wanted = (
         [c.strip() for c in args.checks.split(",") if c.strip()]
         if args.checks
-        else list(CHECK_GROUPS)
+        else list(CHECKS)
     )
-    unknown = [c for c in wanted if c not in CHECK_GROUPS]
+    unknown = [c for c in wanted if c not in CHECKS]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -106,7 +83,7 @@ def _cmd_topology(args):
     # Print the report's own values, so the output and the exit code agree.
     spec = spectrum(s, cls)
     for group in wanted:
-        out.update((key, rep[key]) for key in CHECK_GROUPS[group](spec))
+        out.update((key, rep[key]) for key in CHECKS[group](spec))
     _emit(args, out)
     return 0 if universal_oracles_hold(TOPOLOGY, [rep]) else 1
 
@@ -202,7 +179,7 @@ def build_parser():
     p.add_argument(
         "--checks",
         default="",
-        help="comma list: " + ",".join(CHECK_GROUPS),
+        help="comma list: " + ",".join(CHECKS),
     )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_topology)

@@ -6,11 +6,18 @@ is an int bitmask (element i = bit i); ``mask_members`` lists its
 elements.  Proper means "not the whole semiring"; sums and products can
 overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 
-``ideal_algebra(s)`` is the one implementation of ideal sum, product and
-radical: a cached table of masks per semiring.  The intersection of two
-ideals is the AND of their masks.  ``ideal_from_members`` and
-``generated_ideal`` are the range-checked entry points for element lists
-from outside.
+``ideal_algebra(s)`` is the one implementation of principal ideals and
+of ideal sum, product and radical: a cached table of masks per semiring.
+The intersection of two ideals is the AND of their masks, and the ideal
+generated by a set of elements is the sum of their principal ideals.
+``ideal_from_members`` and ``generated_ideal`` are the range-checked
+entry points for element lists from outside.
+
+``classify`` is the one place that decides whether an ideal is prime,
+maximal, radical and so on; ``prime_ideal_masks``, ``maximal_ideal_masks``
+and everything built on them read its verdicts through
+``classified_ideals``.  ``radical_via_primes`` is the independent second
+route to the radical that the sweep compares against the algebra.
 """
 
 from dataclasses import dataclass
@@ -70,7 +77,8 @@ class IdealAlgebra:
     """The ideal algebra of one semiring, as masks over its ideal lattice.
 
     ``masks`` are the ideal masks, ascending, the improper one last.
-    ``principals[g]`` is the ideal generated by element g;
+    ``principals[g]`` is the ideal generated by element g, which is
+    Rg = {rg} (see ``_kernels.ideal_masks``);
     ``sums[a][b]`` and ``products[a][b]`` are the sum and the product
     (the ideal generated by the element products) of ideals a and b, and
     ``radicals[a]`` the radical of a (the elements with some positive
@@ -82,36 +90,24 @@ class IdealAlgebra:
     """
 
     def __init__(self, s):
-        self._semiring = s
         self.masks = _ideal_masks_all(s)
         mul = s.mul
         members = {a: mask_members(s, a) for a in self.masks}
-        self.principals = tuple(_close(s, 1 << g) for g in range(s.n))
-        self.sums = {
-            a: {b: _close(s, a | b) for b in self.masks} for a in self.masks
-        }
-        self.products = {}
-        for a in self.masks:
-            row = {}
-            for b in self.masks:
+        self.principals = tuple(
+            reduce(or_, (1 << row[g] for row in mul)) for g in range(s.n)
+        )
+        # Both operations commute, so each pair is computed once.
+        self.sums = {a: {} for a in self.masks}
+        self.products = {a: {} for a in self.masks}
+        for i, a in enumerate(self.masks):
+            for b in self.masks[i:]:
                 pairs = 0
                 for x in members[a]:
                     for y in members[b]:
                         pairs |= 1 << mul[x][y]
-                row[b] = _close(s, pairs)
-            self.products[a] = row
+                self.sums[a][b] = self.sums[b][a] = _close(s, a | b)
+                self.products[a][b] = self.products[b][a] = _close(s, pairs)
         self.radicals = {a: _radical_mask(s, a) for a in self.masks}
-        self._family_sums = {}
-
-    def family_sums(self, size):
-        """Sum mask of every family of ``size`` ideals, in the order that
-        ``combinations(self.masks, size)`` gives the families."""
-        if size not in self._family_sums:
-            self._family_sums[size] = tuple(
-                _close(self._semiring, reduce(or_, family))
-                for family in combinations(self.masks, size)
-            )
-        return self._family_sums[size]
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +118,8 @@ def ideal_algebra(s):
 
 @lru_cache(maxsize=None)
 def _proper_ideal_masks(s):
-    full = s.full_mask
-    return tuple(m for m in _ideal_masks_all(s) if m != full)
+    # The full mask is the largest ideal mask, so it comes last.
+    return _ideal_masks_all(s)[:-1]
 
 
 def generated_ideal(s, seed):
@@ -159,16 +155,15 @@ def _is_prime_mask(s, mask):
 
 @lru_cache(maxsize=None)
 def prime_ideal_masks(s):
-    return tuple(
-        m for m in _proper_ideal_masks(s) if _is_prime_mask(s, m) is None
-    )
+    return tuple(m for m, c in classified_ideals(s) if c.prime)
 
 
 def radical_via_primes(s, a):
     """Mask of the intersection of all prime ideals containing ``a``.
 
     Independent of ``IdealAlgebra.radicals``, which are built from
-    element powers; the two must agree on every finite semiring, which
+    element powers: the primes come from the ``_is_prime_mask`` test in
+    ``classify``.  The two must agree on every finite semiring, which
     the sweep asserts.  If no prime contains ``a`` (only
     possible when ``a`` is improper or the semiring is trivial) the
     improper whole semiring is returned.
@@ -182,12 +177,7 @@ def radical_via_primes(s, a):
 
 @lru_cache(maxsize=None)
 def maximal_ideal_masks(s):
-    proper = _proper_ideal_masks(s)
-    out = []
-    for m in proper:
-        if not any(b != m and (b & m) == m for b in proper):
-            out.append(m)
-    return tuple(out)
+    return tuple(m for m, c in classified_ideals(s) if c.maximal)
 
 
 def jacobson_radical(s):
@@ -201,13 +191,16 @@ def jacobson_radical(s):
 
 def min_generators(s, a):
     """Smallest generating-set size of the ideal mask ``a`` and the
-    lexicographically first witness seed."""
+    lexicographically first witness seed.  A seed generates the sum of
+    its elements' principal ideals."""
     if a == 1:  # the zero ideal
         return 0, ()
+    algebra = ideal_algebra(s)
+    sums, principals = algebra.sums, algebra.principals
     nonzero = mask_members(s, a & ~1)
     for k in range(1, len(nonzero) + 1):
         for seed in combinations(nonzero, k):
-            if generated_ideal(s, seed) == a:
+            if reduce(lambda acc, g: sums[acc][principals[g]], seed, 1) == a:
                 return k, seed
     raise AssertionError("an ideal always generates itself")
 
@@ -266,7 +259,7 @@ def classify(s, a):
     if not prime:
         witnesses["prime"] = pw
 
-    rad_mask = _radical_mask(s, a)
+    rad_mask = ideal_algebra(s).radicals[a]
     radical_ideal = rad_mask == a
     if not radical_ideal:
         extra = rad_mask & ~a

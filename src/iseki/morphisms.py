@@ -164,10 +164,11 @@ def induced_map(s, t, hom, cls):
     )
 
 
-def check_quotient_homeomorphism(s, t, ind):
+def check_quotient_homeomorphism(ind):
     """Is the map induced by a homomorphism s -> t a homeomorphism of the
     spectrum of t onto the up-set of the kernel?  Decided only for a
     surjection; otherwise ``homeomorphism_onto_kernel_upset`` is "n/a".
+    The map carries both spaces, and each space its semiring.
 
     Reports the image/kernel-up-set comparison and the subspace
     homeomorphism onto the actual image separately, so a gap between the
@@ -180,9 +181,9 @@ def check_quotient_homeomorphism(s, t, ind):
     ``homeomorphism_onto_image`` checks the preimage and continuity code,
     not a separate theorem instance.
     """
-    if len(set(ind.hom)) != t.n:
-        return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
+    if len(set(ind.hom)) != spec_t.semiring.n:
+        return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     ker_up = spec_s.subbasis[ind.kernel]
     image = ind.image_point_set()
 
@@ -205,7 +206,7 @@ def check_quotient_homeomorphism(s, t, ind):
     }
 
 
-def check_density(s, t, ind):
+def check_density(ind):
     """Density of the induced image versus the kernel-inclusion criterion.
 
     dense: the closure of the image of the induced map is the whole
@@ -216,6 +217,7 @@ def check_density(s, t, ind):
     criterion (the kernel's radical is that intersection) matches density.
     """
     spec_s = ind.target_spectrum
+    s = spec_s.semiring
     ker = ind.kernel
     cl_image = spec_s.closure(ind.image_point_set())
     dense = cl_image == spec_s.full

@@ -50,7 +50,6 @@ class FiniteSemiring:
     add: tuple
     mul: tuple
     one: int
-    zero: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "add", _freeze(self.add))
@@ -61,20 +60,9 @@ class FiniteSemiring:
         object.__setattr__(self, "structure", key)
         object.__setattr__(self, "_hash", hash((self.id,) + key))
 
-    def __reduce__(self):
-        # str hashes are salted per process: rebuild the cached hash on
-        # unpickling instead of carrying the sender's.
-        return (
-            type(self),
-            (self.id, self.n, self.add, self.mul, self.one, self.zero),
-        )
-
     @property
     def full_mask(self):
         return (1 << self.n) - 1
-
-    def same_structure(self, other):
-        return self.structure == other.structure
 
     def __eq__(self, other):
         if self is other:

@@ -54,18 +54,7 @@ from .morphisms import (
     induced_map,
 )
 from .semiring import bourne_quotient, quotient_id
-from .topology import (
-    CLASS_TAGS,
-    check_connected,
-    check_disconnection,
-    check_irreducible_upsets,
-    check_quasi_compact,
-    check_sober,
-    check_t0,
-    check_t1,
-    spectrum,
-    verify_upset_laws,
-)
+from .topology import CHECKS, CLASS_TAGS, spectrum
 
 DEFAULT_CLASSES = list(CLASS_TAGS)
 WITNESS_CAP = 10
@@ -77,22 +66,17 @@ MORPHISM_ORDER_CAP = 3
 
 def topology_instance_report(s, cls):
     """The per-(semiring, class) topology report: the space's points and
-    closed-set count, and the fields of every topology check."""
+    closed-set count, and the fields of every check in ``topology.CHECKS``."""
     spec = spectrum(s, cls)
-    return {
+    report = {
         "semiring": s.id,
         "class": cls,
         "points": [mask_members(s, p) for p in spec.points],
         "closed_set_count": spec.closed_set_count(),
-        **check_t0(spec),
-        **check_t1(spec),
-        **check_sober(spec),
-        **check_connected(spec),
-        **check_disconnection(spec),
-        **check_irreducible_upsets(spec),
-        **verify_upset_laws(spec),
-        **check_quasi_compact(spec),
     }
+    for check in CHECKS.values():
+        report.update(check(spec))
+    return report
 
 
 def ideal_lattice_report(s):
@@ -199,8 +183,8 @@ def morphism_report(s, t, hom, cls):
     rep["kernel"] = mask_members(s, ind.kernel)
     return {
         **rep,
-        **check_density(s, t, ind),
-        **check_quotient_homeomorphism(s, t, ind),
+        **check_density(ind),
+        **check_quotient_homeomorphism(ind),
     }
 
 
@@ -216,7 +200,7 @@ def quotient_report(s, ideal):
     }
     for cls in QUOTIENT_CLASSES:
         ind = induced_map(s, quotient, qmap, cls)
-        q = check_quotient_homeomorphism(s, quotient, ind)
+        q = check_quotient_homeomorphism(ind)
         rep[f"{cls}_homeomorphism_onto_kernel_upset"] = q[
             "homeomorphism_onto_kernel_upset"
         ]
@@ -402,7 +386,7 @@ def _corpus_semirings(corpus, enumerate_n):
     unique = {}
     for s, source in semirings:
         first, _ = unique.setdefault(s.id, (s, source))
-        if not first.same_structure(s):
+        if first.structure != s.structure:
             raise ParseError(f"duplicate corpus id {s.id!r} with different tables")
     return list(unique.values())
 

@@ -14,13 +14,14 @@ is Alexandrov: its closed sets are exactly the point sets that are
 up-closed under inclusion.  Point sets are bitmasks over point indices
 (point i = bit i), and every separation/connectedness property is
 decided exactly from the inclusion order; a failed T0, T1, sobriety,
-connectedness or up-set law verdict carries a witness.  Each ``check_*`` function (and
-``verify_upset_laws``) returns exactly the report fields it decides,
-under their report names, so the sweep's topology report is the merge
-of their dicts.  One ``Spectrum`` object is the Iseki space: the points
-and, built on first use, the closed sets; ``spectrum(s, cls)`` caches one
-per (semiring, class).  A space carries its semiring, so the checks take
-the space alone.
+connectedness or up-set law verdict carries a witness.  Each ``check_*``
+function (and ``verify_upset_laws``) returns exactly the report fields
+it decides, under their report names, and ``CHECKS`` lists them all, so
+the sweep's topology report is the merge of their dicts.  One
+``Spectrum`` object is the Iseki space: the points and, built on first
+use, the closed sets; ``spectrum(s, cls)`` caches one per (semiring,
+class).  A space carries its semiring, so the checks take the space
+alone.
 """
 
 from dataclasses import dataclass
@@ -160,22 +161,24 @@ class Spectrum:
     def sum_identity(self):
         """One walk over every family of at most ``FAMILY_SIZE_CAP`` ideals
         of the semiring, in the order that ``combinations`` gives the
-        families of the ascending ideal masks, as
-        ``IdealAlgebra.family_sums`` does.  The first family whose up-set
+        families of the ascending ideal masks.  Each family's sum folds
+        ``IdealAlgebra.sums`` from the zero ideal; the sum is the lattice
+        join, so the fold is associative.  The first family whose up-set
         intersection is not the up-set of its sum (None when the identity
         holds), and whether every family with an empty up-set intersection
         has the improper sum.  Memoized, so the up-set laws and the
         quasi-compactness check read the one walk."""
         s = self.semiring
         algebra = ideal_algebra(s)
+        sums = algebra.sums
         full = self.full
         failure = None
         empty_sums_improper = True
         for size in range(1, FAMILY_SIZE_CAP + 1):
-            families = combinations(algebra.masks, size)
-            for family, total in zip(families, algebra.family_sums(size)):
-                inter = full
+            for family in combinations(algebra.masks, size):
+                total, inter = 1, full
                 for a in family:
+                    total = sums[total][a]
                     inter &= self.subbasis[a]
                 if failure is None and self.subbasis[total] != inter:
                     failure = family
@@ -598,3 +601,17 @@ def _first_failing_upset_law(spec):
             },
         }
     return None
+
+
+# Each ``iseki topology --checks`` group and the check whose report fields
+# it prints; the sweep's topology report merges every one of them.
+CHECKS = {
+    "t0": check_t0,
+    "t1": check_t1,
+    "sober": check_sober,
+    "compact": check_quasi_compact,
+    "connected": check_connected,
+    "upset-laws": verify_upset_laws,
+    "irreducible-upsets": check_irreducible_upsets,
+    "disconnection": check_disconnection,
+}

@@ -38,3 +38,47 @@ def test_no_unused_imports():
         for p in MODULES
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def definitions(source):
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, as (qualified name, name) pairs in source order."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def names_read(source):
+    """Every name the module reads, as a variable or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_unreferenced_definitions():
+    """Every module-level function or class of ``src/iseki``, and every
+    non-dunder method of one, is read by name or as an attribute in some
+    module of ``src/iseki`` other than ``__init__.py``, whose re-exports
+    do not count as a use.  ``verify.py`` is exempt: the tests and
+    perfbench call its checkers."""
+    sample = "def f():\n    pass\nclass C:\n    def m(self):\n        pass\n"
+    assert list(definitions(sample)) == [("f", "f"), ("C", "C"), ("C.m", "m")]
+    assert names_read("f(C().m)\nx = 1\n") == {"f", "C", "m"}
+    package = [p for p in MODULES if p.parent.name == "iseki"]
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in package))
+    unreferenced = [
+        f"{p.name}:{qualified}"
+        for p in package
+        if p.name != "verify.py"
+        for qualified, name in definitions(p.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unreferenced == []

@@ -102,11 +102,11 @@ def test_quotient_homeomorphism_examples(bb, z4, z2, catalog_semirings):
     ideal = ideal_from_members(bb, [0, 2])
     quotient, qmap = bourne_quotient(bb, ideal)
     ind = induced_map(bb, quotient, qmap, "prime")
-    rep = check_quotient_homeomorphism(bb, quotient, ind)
+    rep = check_quotient_homeomorphism(ind)
     assert rep["homeomorphism_onto_kernel_upset"]
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
     ind = induced_map(z4, z2, mod2, "prime")
-    rep = check_quotient_homeomorphism(z4, z2, ind)
+    rep = check_quotient_homeomorphism(ind)
     assert rep["homeomorphism_onto_kernel_upset"]
     assert mask_members(z4, ind.kernel) == [0, 2]
 
@@ -114,9 +114,7 @@ def test_quotient_homeomorphism_examples(bb, z4, z2, catalog_semirings):
 def test_quotient_homeomorphism_requires_surjective(boolean, bb):
     """A map that is not onto decides nothing about the kernel up-set."""
     diag = hom_by_map(boolean, bb, (0, 3))
-    rep = check_quotient_homeomorphism(
-        boolean, bb, induced_map(boolean, bb, diag, "prime")
-    )
+    rep = check_quotient_homeomorphism(induced_map(boolean, bb, diag, "prime"))
     assert rep == {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
 
 
@@ -129,12 +127,12 @@ def test_known_gap_surjection_image_smaller_than_kernel_upset(c3, boolean):
     up-set.)"""
     collapse = hom_by_map(c3, boolean, (0, 1, 1))
     ind = induced_map(c3, boolean, collapse, "prime")
-    rep = check_quotient_homeomorphism(c3, boolean, ind)
+    rep = check_quotient_homeomorphism(ind)
     assert len(set(ind.map)) == len(ind.map)
     assert rep["homeomorphism_onto_image"]
     assert not rep["image_equals_kernel_upset"]
     assert not rep["homeomorphism_onto_kernel_upset"]
-    density = check_density(c3, boolean, ind)
+    density = check_density(ind)
     assert density["closure_image_equals_kernel_upset"]
     assert density["density_biconditional"]
 
@@ -147,7 +145,7 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
     quotient, qmap = bourne_quotient(collapsing3, x)
     assert quotient.n == 1
     ind = induced_map(collapsing3, quotient, qmap, "prime")
-    rep = check_quotient_homeomorphism(collapsing3, quotient, ind)
+    rep = check_quotient_homeomorphism(ind)
     assert rep["homeomorphism_onto_kernel_upset"]  # both sides empty
     assert ind.kernel == collapsing3.full_mask
     assert ind.image_point_set() == 0
@@ -156,10 +154,10 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
 
 def test_density_examples(z4, z2, c3, boolean):
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
-    rep = check_density(z4, z2, induced_map(z4, z2, mod2, "prime"))
+    rep = check_density(induced_map(z4, z2, mod2, "prime"))
     assert rep["dense"] and rep["density_rhs"] and rep["density_biconditional"]
     ident = hom_by_map(c3, c3, (0, 1, 2))
-    rep = check_density(c3, c3, induced_map(c3, c3, ident, "prime"))
+    rep = check_density(induced_map(c3, c3, ident, "prime"))
     assert rep["dense"] and rep["density_biconditional"]
 
 
@@ -168,7 +166,7 @@ def test_density_biconditional_on_small_corpus(catalog_semirings):
     for s in small:
         for t in small:
             for hom in enumerate_homomorphisms(s, t):
-                rep = check_density(s, t, induced_map(s, t, hom, "prime"))
+                rep = check_density(induced_map(s, t, hom, "prime"))
                 assert rep["density_biconditional"], (s.id, t.id, hom)
                 assert rep["closure_image_equals_kernel_upset"]
                 assert rep["radical_equality_matches_density"]
@@ -199,7 +197,7 @@ def test_quotient_corollary_kernel_form_on_catalog(catalog_semirings):
             quotient, qmap = bourne_quotient(s, ideal)
             for cls in ("prime", "proper"):
                 ind = induced_map(s, quotient, qmap, cls)
-                rep = check_quotient_homeomorphism(s, quotient, ind)
+                rep = check_quotient_homeomorphism(ind)
                 assert rep["homeomorphism_onto_kernel_upset"], (
                     s.id,
                     mask_members(s, ideal),

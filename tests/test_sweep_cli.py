@@ -11,6 +11,7 @@ import pytest
 from conftest import emit
 
 import iseki.sweep
+import iseki.topology
 from iseki.catalog import build_recipe, builtin_catalog
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
@@ -362,12 +363,12 @@ def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monke
     a spectrum that is neither sober nor meets the generic-point criterion
     passes sober_agreement, and fails sober_corollary only for the
     classes the corollary covers."""
-    real = iseki.sweep.check_sober
+    real = iseki.topology.CHECKS["sober"]
 
     def not_sober(spec):
         return {**real(spec), "sober": False, "sober_criterion": False}
 
-    monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
+    monkeypatch.setitem(iseki.topology.CHECKS, "sober", not_sober)
     report = sweep(corpus=[build_recipe(("named", "C3"))], log=io.StringIO())
     assert report["tallies"]["sober_agreement"]["failures"] == 0
     assert report["tallies"]["sober_corollary"]["witnesses"] == [
@@ -385,8 +386,8 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
     failure the sweep tallies, and only for the prime class."""
     real = iseki.sweep.check_density
 
-    def mismatched(*args):
-        rep = real(*args)
+    def mismatched(ind):
+        rep = real(ind)
         if "radical_equality_matches_density" in rep:
             rep["radical_equality_matches_density"] = False
         return rep
@@ -406,12 +407,12 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
 def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     """A failing sweep prints one stderr line per failing universal oracle,
     with its failure count and first witness; the report is unchanged."""
-    real = iseki.sweep.check_sober
+    real = iseki.topology.CHECKS["sober"]
 
     def not_sober(spec):
         return {**real(spec), "sober": False}
 
-    monkeypatch.setattr(iseki.sweep, "check_sober", not_sober)
+    monkeypatch.setitem(iseki.topology.CHECKS, "sober", not_sober)
     out_path = tmp_path / "report.json"
     path = _write(tmp_path, "C3")
     assert main(["sweep", path, "--out", str(out_path)]) == 1

@@ -262,7 +262,7 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
                 ind = induced_map(s, t, hom, tag)
             except ContractionFails:
                 continue
-            rep = check_quotient_homeomorphism(s, t, ind)
+            rep = check_quotient_homeomorphism(ind)
             expected = _reference_onto_image(
                 _reference(ind.target_spectrum), _reference(ind.source_spectrum), ind
             )
