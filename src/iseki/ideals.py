@@ -8,8 +8,8 @@ overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 
 ``ideal_algebra(s)`` is the one implementation of principal ideals and
 of ideal sum, product and radical: a cached table of masks per semiring.
-The intersection of two ideals is the AND of their masks, and the ideal
-generated by a set of elements is the sum of their principal ideals.
+The intersection of two ideals is the AND of their masks.  ``_close`` is
+the one way to build the ideal generated by a set of elements;
 ``ideal_from_members`` and ``generated_ideal`` are the range-checked
 entry points for element lists from outside.
 
@@ -96,17 +96,19 @@ class IdealAlgebra:
         self.principals = tuple(
             reduce(or_, (1 << row[g] for row in mul)) for g in range(s.n)
         )
-        # Both operations commute, so each pair is computed once.
-        self.sums = {a: {} for a in self.masks}
-        self.products = {a: {} for a in self.masks}
-        for i, a in enumerate(self.masks):
-            for b in self.masks[i:]:
+        self.sums = {
+            a: {b: _close(s, a | b) for b in self.masks} for a in self.masks
+        }
+        self.products = {}
+        for a in self.masks:
+            row = {}
+            for b in self.masks:
                 pairs = 0
                 for x in members[a]:
                     for y in members[b]:
                         pairs |= 1 << mul[x][y]
-                self.sums[a][b] = self.sums[b][a] = _close(s, a | b)
-                self.products[a][b] = self.products[b][a] = _close(s, pairs)
+                row[b] = _close(s, pairs)
+            self.products[a] = row
         self.radicals = {a: _radical_mask(s, a) for a in self.masks}
 
 
@@ -191,16 +193,13 @@ def jacobson_radical(s):
 
 def min_generators(s, a):
     """Smallest generating-set size of the ideal mask ``a`` and the
-    lexicographically first witness seed.  A seed generates the sum of
-    its elements' principal ideals."""
+    lexicographically first witness seed."""
     if a == 1:  # the zero ideal
         return 0, ()
-    algebra = ideal_algebra(s)
-    sums, principals = algebra.sums, algebra.principals
     nonzero = mask_members(s, a & ~1)
     for k in range(1, len(nonzero) + 1):
         for seed in combinations(nonzero, k):
-            if reduce(lambda acc, g: sums[acc][principals[g]], seed, 1) == a:
+            if _close(s, sum(1 << g for g in seed)) == a:
                 return k, seed
     raise AssertionError("an ideal always generates itself")
 
@@ -259,7 +258,7 @@ def classify(s, a):
     if not prime:
         witnesses["prime"] = pw
 
-    rad_mask = ideal_algebra(s).radicals[a]
+    rad_mask = _radical_mask(s, a)
     radical_ideal = rad_mask == a
     if not radical_ideal:
         extra = rad_mask & ~a
