@@ -22,7 +22,7 @@ from .sweep import (
     TOPOLOGY,
     morphism_report,
     sweep,
-    topology_instance_report,
+    topology_report_by_check,
     universal_oracles_hold,
 )
 from .topology import CHECKS, parse_class, spectrum
@@ -76,14 +76,13 @@ def _cmd_topology(args):
     s = ingest(args.file)
     # The oracle table gates rows on the class name, so pass its canonical form.
     cls = parse_class(args.cls).display()
-    rep = topology_instance_report(s, cls)
+    rep, groups = topology_report_by_check(s, cls)
     out = {
         key: rep[key] for key in ("semiring", "class", "points", "closed_set_count")
     }
     # Print the report's own values, so the output and the exit code agree.
-    spec = spectrum(s, cls)
     for group in wanted:
-        out.update((key, rep[key]) for key in CHECKS[group](spec))
+        out.update((key, rep[key]) for key in groups[group])
     _emit(args, out)
     return 0 if universal_oracles_hold(TOPOLOGY, [rep]) else 1
 

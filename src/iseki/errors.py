@@ -6,7 +6,8 @@ class IsekiError(Exception):
 
 
 class RangeError(IsekiError):
-    """A table is malformed: wrong shape, or an entry out of range."""
+    """An input is malformed: a table of the wrong shape, an entry or an
+    element out of range, or a mask that is not an ideal."""
 
 
 class AxiomViolation(IsekiError):

@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
     SizeLimitExceeded,
 )
-from .ideals import mask_members
+from .ideals import is_ideal_mask, mask_members
 
 MAX_ELEMENTS = 16
 
@@ -200,44 +200,6 @@ def direct_product(s, t):
     return validate_semiring(add, mul, one, id=f"{s.id}x{t.id}")
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
-def bourne_congruence_classes(s, members):
-    """Partition of the elements under a ~ b iff a+i = b+j for i, j in the ideal.
-
-    The relation is symmetric and reflexive by construction; transitivity
-    is forced by a union-find pass.  Returns classes sorted by least
-    element (so the class of 0 comes first).
-    """
-    member_list = sorted(members)
-    uf = _UnionFind(s.n)
-    for a in range(s.n):
-        reach_a = {s.add[a][i] for i in member_list}
-        for b in range(a + 1, s.n):
-            if any(s.add[b][j] in reach_a for j in member_list):
-                uf.union(a, b)
-    roots = {}
-    for x in range(s.n):
-        roots.setdefault(uf.find(x), []).append(x)
-    return sorted(roots.values(), key=lambda cls: cls[0])
-
-
 def quotient_id(semiring_id, members):
     """The id of the quotient of a semiring by an ideal, e.g.
     ``C3/{0,1}``."""
@@ -245,36 +207,33 @@ def quotient_id(semiring_id, members):
 
 
 def bourne_quotient(s, ideal):
-    """Quotient by the additive congruence generated by an ideal mask.
+    """Quotient of ``s`` by the Bourne congruence of an ideal mask I:
+    a ~ b iff a + i = b + j for some i, j in I.
 
     Returns (quotient semiring, surjective quotient map as its image
-    tuple).  The kernel of the map is the congruence class of 0, which
-    contains the ideal and may exceed it; when the class of 0 is
-    everything the quotient is the trivial semiring.
+    tuple).  The relation is reflexive (0 is in I), symmetric, and
+    transitive because I is closed under +: a + i = b + j and
+    b + k = c + l give a + (i + k) = c + (j + l).  So the least b <= a
+    with b ~ a is the least element of a's class; these, ascending,
+    represent the classes, the class of 0 first.  ``validate_homomorphism``
+    checks that the tables built on them are well defined on the classes.
+    The kernel is the class of 0: it contains I and may exceed it, and
+    when it is everything the quotient is trivial.  A mask that is not an
+    ideal of ``s`` raises RangeError.
     """
+    if not is_ideal_mask(s, ideal):
+        raise RangeError(f"mask {ideal} is not an ideal of {s.id}")
     members = mask_members(s, ideal)
-    classes = bourne_congruence_classes(s, members)
-    index_of = {}
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            index_of[x] = ci
-    reps = [cls[0] for cls in classes]
+    reach = [{s.add[a][i] for i in members} for a in range(s.n)]
+    least = [
+        next(b for b in range(a + 1) if not reach[a].isdisjoint(reach[b]))
+        for a in range(s.n)
+    ]
+    reps = sorted(set(least))
+    index_of = [reps.index(b) for b in least]
     add = [[index_of[s.add[a][b]] for b in reps] for a in reps]
     mul = [[index_of[s.mul[a][b]] for b in reps] for a in reps]
-    # Well-definedness of the tables on classes; the congruence property
-    # guarantees it, so a failure here is an internal bug.
-    for a in range(s.n):
-        for b in range(s.n):
-            if add[index_of[a]][index_of[b]] != index_of[s.add[a][b]]:
-                raise AssertionError("congruence not compatible with +")
-            if mul[index_of[a]][index_of[b]] != index_of[s.mul[a][b]]:
-                raise AssertionError("congruence not compatible with *")
-    if any(index_of[x] != 0 for x in members):
-        raise AssertionError("ideal escaped the zero class")
     quotient = validate_semiring(
         add, mul, index_of[s.one], id=quotient_id(s.id, members)
     )
-    hom = validate_homomorphism(
-        s, quotient, [index_of[x] for x in range(s.n)]
-    )
-    return quotient, hom
+    return quotient, validate_homomorphism(s, quotient, index_of)

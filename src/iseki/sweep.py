@@ -65,8 +65,14 @@ MORPHISM_ORDER_CAP = 3
 
 
 def topology_instance_report(s, cls):
-    """The per-(semiring, class) topology report: the space's points and
-    closed-set count, and the fields of every check in ``topology.CHECKS``."""
+    """The per-(semiring, class) topology report that the sweep tallies."""
+    return topology_report_by_check(s, cls)[0]
+
+
+def topology_report_by_check(s, cls):
+    """The per-(semiring, class) topology report (the space's points and
+    closed-set count, and the fields of every check in ``topology.CHECKS``),
+    and each check's fields by group name; each check runs once."""
     spec = spectrum(s, cls)
     report = {
         "semiring": s.id,
@@ -74,9 +80,10 @@ def topology_instance_report(s, cls):
         "points": [mask_members(s, p) for p in spec.points],
         "closed_set_count": spec.closed_set_count(),
     }
-    for check in CHECKS.values():
-        report.update(check(spec))
-    return report
+    groups = {group: check(spec) for group, check in CHECKS.items()}
+    for fields in groups.values():
+        report.update(fields)
+    return report, groups
 
 
 def ideal_lattice_report(s):

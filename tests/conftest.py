@@ -162,6 +162,19 @@ def collapsing3():
 
 
 @pytest.fixture(scope="session")
+def enum4_10():
+    """The order-4 enumerator's ``enum4-10``, the first witness of the
+    kernel-up-set gap: 3 * 3 = 0, and its Bourne quotient by {0, 3} is B
+    because 1 ~ 2 (1 + 0 = 2 + 3), while the prime ideal {0, 1, 3} omits 2."""
+    return validate_semiring(
+        [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 1, 1], [3, 1, 1, 3]],
+        [[0, 0, 0, 0], [0, 1, 1, 3], [0, 1, 2, 3], [0, 3, 3, 0]],
+        2,
+        id="enum4-10",
+    )
+
+
+@pytest.fixture(scope="session")
 def catalog():
     return builtin_catalog()
 

@@ -5,13 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iseki.errors import AxiomViolation, InvalidHomomorphism, RangeError, SizeLimitExceeded
-from iseki.ideals import _proper_ideal_masks, ideal_from_members, mask_members
+from iseki import enumeration
+from iseki.enumeration import enumerate_semirings
+from iseki.ideals import (
+    _ideal_masks_all,
+    _proper_ideal_masks,
+    ideal_from_members,
+    mask_members,
+)
 from iseki.semiring import (
     bourne_quotient,
     direct_product,
     validate_homomorphism,
     validate_semiring,
 )
+from iseki.topology import spectrum
+from iseki.verify import verify_kernel_upset_gap
 
 
 def test_boolean_semiring_validates():
@@ -219,6 +228,66 @@ def test_quotient_maps_are_surjective_homomorphisms(catalog_semirings):
             assert validate_homomorphism(s, q, hom) == hom
             assert set(hom) == set(range(q.n))
             assert all(hom[m] == 0 for m in mask_members(s, ideal))
+
+
+def test_bourne_quotient_rejects_non_ideal_masks(c3, bb):
+    """The Bourne relation is a congruence only for an ideal: the empty
+    mask, a mask without 0, and a mask closed under * but not under +
+    ({0,1,2} in BxB, where 1 + 2 = 3) are refused; the improper ideal is
+    accepted."""
+    for s, members in ((c3, []), (c3, [1]), (bb, [0, 1, 2])):
+        mask = ideal_from_members(s, members)
+        with pytest.raises(RangeError, match=rf"^mask {mask} is not an ideal of {s.id}$"):
+            bourne_quotient(s, mask)
+    q, hom = bourne_quotient(c3, c3.full_mask)
+    assert (q.id, q.n, hom) == ("C3/{0,1,2}", 1, (0, 0, 0))
+
+
+def test_bourne_quotient_fibres_are_the_bourne_classes(monkeypatch, catalog_semirings):
+    """On the catalog and every semiring of orders 1-5, for every ideal
+    mask I (the improper one included): the relation a + i = b + j for
+    some i, j in I, by brute force, is transitive, which is what lets
+    bourne_quotient find the classes in one pass; and the quotient map's
+    fibres are exactly its classes."""
+    monkeypatch.setattr(enumeration, "ENUMERATION_CAP", 5)
+    corpus = list(catalog_semirings)
+    for n in range(1, 6):
+        corpus.extend(enumerate_semirings(n, up_to_iso=True))
+    pairs = 0
+    for s in corpus:
+        elements = range(s.n)
+        for ideal in _ideal_masks_all(s):
+            members = mask_members(s, ideal)
+            related = {
+                a: {
+                    b for b in elements
+                    if any(s.add[a][i] == s.add[b][j] for i in members for j in members)
+                }
+                for a in elements
+            }
+            for a in elements:
+                for b in related[a]:
+                    assert related[b] <= related[a], (s.id, members, a, b)
+            _, hom = bourne_quotient(s, ideal)
+            for a in elements:
+                assert related[a] == {b for b in elements if hom[b] == hom[a]}
+            pairs += 1
+    assert pairs > 1349
+
+
+def test_enum4_10_quotient_and_kernel_upset_gap(enum4_10):
+    """enum4-10 mod {0,3} is B, and the quotient's prime spectrum pulls
+    back to {0,3} alone, short of the kernel's up-set {0,3}, {0,1,3}."""
+    [enumerated] = [
+        s for s in enumerate_semirings(4, up_to_iso=True) if s.id == "enum4-10"
+    ]
+    assert enumerated == enum4_10
+    q, hom = bourne_quotient(enum4_10, ideal_from_members(enum4_10, [0, 3]))
+    assert (q.id, q.n, hom) == ("enum4-10/{0,3}", 2, (0, 1, 1, 0))
+    s_points = spectrum(enum4_10, "prime").to_json()["points"]
+    q_points = spectrum(q, "prime").to_json()["points"]
+    assert (s_points, q_points) == ([[0, 3], [0, 1, 3]], [[0]])
+    assert verify_kernel_upset_gap(enum4_10, q, hom, s_points, q_points)
 
 
 def test_homomorphism_validation_rejects_bad_maps(boolean, z2):

@@ -381,6 +381,26 @@ def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monke
     assert main(["topology", path, "--class", "maximal"]) == 0
 
 
+def test_cli_topology_runs_each_check_once(tmp_path, capsys, monkeypatch):
+    """One ``iseki topology`` call runs every check in topology.CHECKS
+    exactly once, whether it prints all of them or a --checks subset."""
+    runs = dict.fromkeys(iseki.topology.CHECKS, 0)
+
+    def counting(group, real):
+        def check(spec):
+            runs[group] += 1
+            return real(spec)
+        return check
+
+    for group, real in list(iseki.topology.CHECKS.items()):
+        monkeypatch.setitem(iseki.topology.CHECKS, group, counting(group, real))
+    path = _write(tmp_path, "C3")
+    for extra in ([], ["--checks", "t0,t1,sober"]):
+        runs.update(dict.fromkeys(runs, 0))
+        assert main(["topology", path, "--class", "prime", *extra]) == 0
+        assert runs == dict.fromkeys(iseki.topology.CHECKS, 1), extra
+
+
 def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monkeypatch):
     """The morphisms verb exits 1 on the same morphism_prime_radical_equality
     failure the sweep tallies, and only for the prime class."""
