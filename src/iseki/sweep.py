@@ -418,10 +418,14 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     Returns the report dict; ``report["failures"]`` counts universal
     oracle failures (the exit signal).  Wall time is written to ``log``
     (default stderr), never into the report.  ``jobs`` is ignored; it is
-    kept only because ``perfbench/sample.py`` still passes it.
+    kept only because ``perfbench/sample.py`` still passes it.  A class
+    named twice raises ParseError: its instances would be counted twice.
     """
     start = time.perf_counter()
     classes = list(classes) if classes is not None else list(DEFAULT_CLASSES)
+    for i, cls in enumerate(classes):
+        if cls in classes[:i]:
+            raise ParseError(f"duplicate class {cls!r}")
     semirings = _corpus_semirings(corpus, enumerate_n)
 
     # One report body per distinct structure, stamped with each

@@ -1,7 +1,10 @@
+import io
 import json
 
 import pytest
 from conftest import emit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iseki.catalog import build_recipe
 from iseki.dot import export_dot
@@ -12,7 +15,75 @@ from iseki.serialize import (
     semiring_from_json,
     semiring_to_json,
 )
+from iseki.sweep import sweep
 from iseki.topology import spectrum
+
+
+def _dumps(value):
+    """The definition canonical_json must match byte for byte."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# Text with non-ASCII characters, quotes, backslashes and control characters.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f/\u00e9\u2028\U0001d11e')
+    ),
+    max_size=8,
+)
+_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_canonical_json_matches_json_dumps(value):
+    assert canonical_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        [[], {}, (), [[]], {"x": [{}]}],
+        ((), ((),)),
+        [True, 1, False, 0, None, -1],
+        {"one": 1, "true": True, "1": [1, True]},
+        "",
+        2**64 + 1,
+    ],
+)
+def test_canonical_json_edge_cases(value):
+    assert canonical_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "enumerate_n", [(), (3,), (4,)], ids=["catalog", "enumerate3", "enumerate4"]
+)
+def test_canonical_json_matches_json_dumps_on_sweep_reports(enumerate_n):
+    report = sweep(enumerate_n=list(enumerate_n), log=io.StringIO())
+    assert canonical_json(report) == _dumps(report)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, {1: "a"}, [{"a": [0.0]}]],
+    ids=["float", "set", "int-key", "nested-float"],
+)
+def test_canonical_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 def test_catalog_contents(catalog):

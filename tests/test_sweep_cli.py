@@ -258,6 +258,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["ideals", "{missing}"], "No such file or directory"),
         (["topology", "{missing}"], "No such file or directory"),
         (["sweep", "{B}", "{fake_B}"], "duplicate corpus id 'B'"),
+        (["sweep", "--classes", "prime", "prime"], "duplicate class 'prime'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
         (["sweep", "{B}", "--enumerate", "5"], "enumeration capped at n <= 4 (asked for 5)"),
@@ -273,6 +274,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "ideals-missing-file",
         "topology-missing-file",
         "sweep-duplicate-id",
+        "sweep-duplicate-class",
         "checks-before-input",
         "sweep-enumerate-zero",
         "sweep-enumerate-above-cap",
