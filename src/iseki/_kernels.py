@@ -10,6 +10,8 @@ witness is still the lexicographically least failing tuple.
 compares every kernel against it, first witnesses included.
 """
 
+from functools import lru_cache
+
 AXIOM_NAMES = {
     1: "add-commutative",
     2: "add-identity",
@@ -79,13 +81,16 @@ def _right_distributivity_witness(add, mul):
     return None
 
 
+@lru_cache(maxsize=None)
 def axiom_witness(add, mul, one):
     """First failing semiring axiom for the table pair, or code 0.
 
     Returns ``(code, a, b, c)`` with unused witness slots set to -1; see
     AXIOM_NAMES / AXIOM_ARITY for decoding.  Axioms are scanned in the
     order of AXIOM_NAMES; within one axiom the witness is the
-    lexicographically least failing tuple.
+    lexicographically least failing tuple.  Cached: a sweep validates
+    the same tables under many ids (Bourne quotients repeat corpus
+    tables), and the verdict depends on the tables alone.
     """
     w = _commutativity_witness(add)
     if w:

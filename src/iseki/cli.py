@@ -58,8 +58,7 @@ def _cmd_ideals(args):
 
 def _cmd_spectrum(args):
     s = ingest(args.file)
-    spec = spectrum(s, args.cls)
-    _emit(args, spec.to_json())
+    _emit(args, {"semiring": s.id, **spectrum(s, args.cls).to_json()})
     return 0
 
 

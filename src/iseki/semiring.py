@@ -40,9 +40,12 @@ class FiniteSemiring:
     Instances are immutable.  Construct through :func:`validate_semiring`;
     the constructor itself does not re-check the axioms.  ``add`` and
     ``mul`` are tuples of n int tuples, read as ``add[a][b]``.
-    ``structure`` is ``(n, one, add, mul)``: everything but the id, so
-    two semirings with equal ``structure`` have the same ideals, spectra
-    and homomorphisms.
+    ``structure`` is ``(n, one, add, mul)``: everything but the id.
+    Equality and the hash are those of ``structure``, because the ideals,
+    spectra and homomorphisms of a semiring depend on its tables alone;
+    so every per-semiring ``lru_cache`` holds one entry per table pair,
+    shared by every id that names it.  The id is a label that reports
+    stamp on their instances: nothing cached may read it.
     """
 
     id: str
@@ -58,7 +61,7 @@ class FiniteSemiring:
         # key and the hash are computed once here.
         key = (self.n, self.one, self.add, self.mul)
         object.__setattr__(self, "structure", key)
-        object.__setattr__(self, "_hash", hash((self.id,) + key))
+        object.__setattr__(self, "_hash", hash(key))
 
     @property
     def full_mask(self):
@@ -69,7 +72,7 @@ class FiniteSemiring:
             return True
         if not isinstance(other, FiniteSemiring):
             return NotImplemented
-        return self.id == other.id and self.structure == other.structure
+        return self.structure == other.structure
 
     def __hash__(self):
         return self._hash
@@ -80,10 +83,13 @@ class FiniteSemiring:
 
 def _shape(table):
     """Shape of a nested sequence as (), (rows,) or (rows, columns); None
-    when the rows differ in length or mix sequences with scalars."""
+    when the rows differ in length or mix sequences with scalars.  An
+    empty sequence is the 0 x 0 table."""
     if not isinstance(table, Iterable):
         return ()
     rows = list(table)
+    if not rows:
+        return (0, 0)
     nested = [isinstance(row, Iterable) and not isinstance(row, str) for row in rows]
     if not any(nested):
         return (len(rows),)
@@ -140,7 +146,9 @@ def validate_semiring(add, mul, one, id="anonymous"):
     """Check every semiring axiom and return the validated value.
 
     Raises RangeError for malformed tables and AxiomViolation (with the
-    first failing axiom and a concrete witness) otherwise.
+    first failing axiom and a concrete witness) otherwise.  Every call
+    sanitises its tables; the axiom scan runs once per distinct
+    ``(add, mul, one)``, which ``_kernels.axiom_witness`` caches.
     """
     n, add, mul = _check_tables_shape(add, mul, one)
     code, a, b, c = _kernels.axiom_witness(add, mul, int(one))

@@ -25,7 +25,16 @@ and writes each instance's identity fields (ids and class) over a shallow
 copy of it; it enumerates the homomorphisms of each distinct pair of
 tables once, in the same way.  The invariant: a report field that
 depends on an identity (an id or the class name) must be stamped, never
-memoized.
+memoized.  The analyses below the sweep are cached per table pair too
+(a semiring's equality is its tables), so a Bourne quotient whose tables
+are a corpus semiring's reuses that semiring's ideals and spaces.
+
+Verdicts are decided once per distinct body as well: ``verdicts`` runs
+each oracle on one instance of a (kind, body key, class), and the tally
+replays that outcome for every instance in corpus order, taking each
+failure witness's ``INSTANCE_KEY`` fields from the instance itself.  The
+invariant: an oracle (its ``applies``, ``holds`` and ``witness``) may
+read body fields and the class, never an id.
 The tallies still count every instance.  The builtin catalog's 240
 topology instances, 318 homomorphisms and 62 quotients are 16 distinct
 spaces, 12 distinct homomorphisms and 21 distinct quotients; the stderr
@@ -236,9 +245,10 @@ UNIVERSAL, OBSERVATION = True, False
 class Oracle:
     """One theorem oracle, evaluated on every report of one kind.
 
-    ``holds``, ``applies`` and ``witness`` take the report dict.  A
-    failing instance is recorded as the report's ``INSTANCE_KEY`` fields
-    plus ``witness(rep)``.  A universal oracle must hold wherever it
+    ``holds``, ``applies`` and ``witness`` take the report dict and read
+    no id field (see the module docstring).  A failing instance is
+    recorded as the report's ``INSTANCE_KEY`` fields plus
+    ``witness(rep)``.  A universal oracle must hold wherever it
     applies: a failure fails the sweep and the CLI verb.  An observation
     is a claim known to fail on honest instances; its failures are
     recorded with witnesses but fail nothing.
@@ -339,17 +349,18 @@ ORACLES = {
 }
 
 
-def evaluate(kind, rep):
-    """Yield ``(oracle, holds, witness)`` for every oracle of ``kind`` that
-    applies to ``rep``; the witness is None when the oracle holds."""
+def verdicts(kind, rep):
+    """``(oracle, holds, detail)`` for every oracle of ``kind`` that
+    applies to ``rep``; ``detail`` is ``oracle.witness(rep)`` when the
+    oracle fails and None when it holds.  A function of the report body
+    and its class alone (see the module docstring), so the sweep
+    computes it once per distinct body."""
+    out = []
     for oracle in ORACLES[kind]:
         if oracle.applies(rep):
             ok = bool(oracle.holds(rep))
-            witness = None
-            if not ok:
-                witness = {field: rep[field] for field in INSTANCE_KEY[kind]}
-                witness.update(oracle.witness(rep))
-            yield oracle, ok, witness
+            out.append((oracle, ok, None if ok else oracle.witness(rep)))
+    return out
 
 
 def universal_oracles_hold(kind, reports):
@@ -358,14 +369,15 @@ def universal_oracles_hold(kind, reports):
     return all(
         ok
         for rep in reports
-        for oracle, ok, _ in evaluate(kind, rep)
+        for oracle, ok, _ in verdicts(kind, rep)
         if oracle.universal
     )
 
 
-def _record(tally, name, ok, witness):
+def _record(tally, name, kind, rep, ok, detail):
     """Count one instance of an oracle; keep the first WITNESS_CAP failure
-    witnesses."""
+    witnesses, each the instance's ``INSTANCE_KEY`` fields plus the
+    oracle's ``detail``."""
     entry = tally.setdefault(
         name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
     )
@@ -375,6 +387,8 @@ def _record(tally, name, ok, witness):
     else:
         entry["failures"] += 1
         if len(entry["witnesses"]) < WITNESS_CAP:
+            witness = {field: rep[field] for field in INSTANCE_KEY[kind]}
+            witness.update(detail)
             entry["witnesses"].append(witness)
 
 
@@ -406,10 +420,11 @@ def _memoized(memo, key, build, *args):
 
 
 def _stamped(memo, key, identity, report, *args):
-    """A copy of the report body memoized under ``key`` (built by
-    ``report(*args)`` on first use) with the instance's ``identity``
-    fields written over it.  The body itself is never modified."""
-    return {**_memoized(memo, key, report, *args), **identity}
+    """``(key, copy)``: the copy is of the report body memoized under
+    ``key`` (built by ``report(*args)`` on first use), with the
+    instance's ``identity`` fields written over it.  The body itself is
+    never modified."""
+    return key, {**_memoized(memo, key, report, *args), **identity}
 
 
 def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
@@ -429,8 +444,9 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     semirings = _corpus_semirings(corpus, enumerate_n)
 
     # One report body per distinct structure, stamped with each
-    # instance's identity fields, and one homomorphism list per distinct
-    # pair of tables (see the module docstring).
+    # instance's identity fields and kept with its body key, and one
+    # homomorphism list per distinct pair of tables (see the module
+    # docstring).
     spaces, lattices, maps, quotients, homs = {}, {}, {}, {}, {}
 
     topo = [
@@ -475,17 +491,20 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
         for ideal in _proper_ideal_masks(s)
     ]
 
-    tallies, observations = {}, {}
-    for kind, reports in (
+    # One verdict list per distinct (body, class), replayed for every
+    # instance in corpus order.
+    tallies, observations, decided = {}, {}, {}
+    for kind, instances in (
         (TOPOLOGY, topo),
         (IDEAL_LATTICE, ideal_reports),
         (MORPHISM, morphism_reports),
         (QUOTIENT, quotient_reports),
     ):
-        for rep in reports:
-            for oracle, ok, witness in evaluate(kind, rep):
+        for key, rep in instances:
+            verdict_key = (kind, key, rep.get("class"))
+            for oracle, ok, detail in _memoized(decided, verdict_key, verdicts, kind, rep):
                 tally = tallies if oracle.universal else observations
-                _record(tally, oracle.name, ok, witness)
+                _record(tally, oracle.name, kind, rep, ok, detail)
 
     report = {
         "corpus": {
@@ -496,17 +515,17 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
             ],
         },
         "classes": classes,
-        "topology": topo,
-        "ideal_checks": ideal_reports,
+        "topology": [rep for _, rep in topo],
+        "ideal_checks": [rep for _, rep in ideal_reports],
         "morphisms": {
             "order_cap": MORPHISM_ORDER_CAP,
             "pairs": len(pairs),
             "homs": len(morphism_reports),
-            "reports": morphism_reports,
+            "reports": [rep for _, rep in morphism_reports],
         },
         "quotients": {
             "instances": len(quotient_reports),
-            "reports": quotient_reports,
+            "reports": [rep for _, rep in quotient_reports],
         },
         "tallies": dict(sorted(tallies.items())),
         "observations": dict(sorted(observations.items())),

@@ -19,9 +19,10 @@ function (and ``verify_upset_laws``) returns exactly the report fields
 it decides, under their report names, and ``CHECKS`` lists them all, so
 the sweep's topology report is the merge of their dicts.  One
 ``Spectrum`` object is the Iseki space: the points and, built on first
-use, the closed sets; ``spectrum(s, cls)`` caches one per (semiring,
+use, the closed sets; ``spectrum(s, cls)`` caches one per (table pair,
 class).  A space carries its semiring, so the checks take the space
-alone.
+alone; that semiring is the first one with these tables that asked, so
+nothing here reads its id.
 """
 
 from dataclasses import dataclass
@@ -129,8 +130,10 @@ class Spectrum:
         return (1 << len(self.points)) - 1
 
     def to_json(self):
+        """The class and the points.  No semiring id: the space is cached
+        per table pair, so its ``semiring`` may carry another id that
+        names the same tables."""
         return {
-            "semiring": self.semiring.id,
             "class": self.class_tag,
             "points": [mask_members(self.semiring, p) for p in self.points],
         }

@@ -21,11 +21,16 @@ from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import validate_semiring
 from iseki.serialize import canonical_json
 from iseki.sweep import (
+    IDEAL_LATTICE,
+    MORPHISM,
+    QUOTIENT,
+    TOPOLOGY,
     ideal_lattice_report,
     morphism_report,
     quotient_report,
     sweep,
     topology_instance_report,
+    verdicts,
 )
 
 
@@ -141,6 +146,70 @@ def test_sweep_summary_counts_distinct_instances():
         "16 distinct spaces, 12 distinct homomorphisms, 21 distinct quotients"
         in log.getvalue()
     )
+
+
+def _sections(report):
+    """Each report kind and the sweep's reports of that kind, in order."""
+    return {
+        TOPOLOGY: report["topology"],
+        IDEAL_LATTICE: report["ideal_checks"],
+        MORPHISM: report["morphisms"]["reports"],
+        QUOTIENT: report["quotients"]["reports"],
+    }
+
+
+def test_oracle_verdicts_read_no_identity_field():
+    """The sweep decides each oracle once per distinct report body and
+    replays the verdict for every instance, so an oracle may read body
+    fields and the class but no id.  On every report of the
+    ``--enumerate 3`` sweep, replacing the identity fields with sentinels
+    leaves every oracle's applies/holds outcome and failure detail
+    unchanged."""
+    identity = ("semiring", "source", "target", "quotient", "hom")
+    report = sweep(enumerate_n=[3], log=io.StringIO())
+    for kind, reports in _sections(report).items():
+        assert reports, kind
+        for rep in reports:
+            masked = {**rep, **{field: object() for field in identity if field in rep}}
+            assert verdicts(kind, masked) == verdicts(kind, rep), (kind, rep)
+
+
+def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
+    """Two documents with the same tables share every cached analysis (a
+    semiring's equality is its tables), yet ``iseki spectrum`` prints each
+    one's own id, and the sweep's reports for the pair differ only in
+    their id fields."""
+    b = build_recipe(("named", "B"))
+    twin = validate_semiring(b.add, b.mul, b.one, id="twin")
+    assert twin == b and hash(twin) == hash(b)
+    for s in (b, twin):
+        path = tmp_path / f"{s.id}.json"
+        emit(path, s)
+        assert main(["spectrum", str(path), "--class", "prime"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "semiring": s.id, "class": "prime", "points": [[0]],
+        }
+
+    report = sweep(corpus=[b, twin], log=io.StringIO())
+    ids = ("semiring", "source", "target", "quotient")
+    for kind, reports in _sections(report).items():
+        # Topology, lattice and quotient reports run over B then twin;
+        # morphism reports over (B, B), (B, twin), (twin, B), (twin, twin).
+        parts = 4 if kind == MORPHISM else 2
+        size = len(reports) // parts
+        assert size > 0 and size * parts == len(reports), kind
+        bodies = [
+            [{k: v for k, v in rep.items() if k not in ids} for rep in reports[i:i + size]]
+            for i in range(0, len(reports), size)
+        ]
+        assert all(body == bodies[0] for body in bodies), kind
+    assert {rep["semiring"] for rep in report["topology"][8:]} == {"twin"}
+    assert [rep["quotient"] for rep in report["quotients"]["reports"]] == [
+        "B/{0}", "twin/{0}",
+    ]
+    assert [(rep["source"], rep["target"]) for rep in report["morphisms"]["reports"]] == [
+        ("B", "B"), ("B", "twin"), ("twin", "B"), ("twin", "twin"),
+    ]
 
 
 # SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
@@ -264,6 +333,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["sweep", "{B}", "--enumerate", "5"], "enumeration capped at n <= 4 (asked for 5)"),
         (["validate", "{not_utf8}"], "not valid UTF-8 at byte 0"),
         (["validate", "{bool_one}"], "field 'one' must be int"),
+        (["validate", "{empty_tables}"], "element count must be at least 1"),
         (["topology", "{B}", "--class", "fg(-1)"], "generator bound of at least 0"),
     ],
     ids=[
@@ -280,6 +350,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "sweep-enumerate-above-cap",
         "validate-not-utf8",
         "validate-bool-one",
+        "validate-empty-tables",
         "topology-negative-fg",
     ],
 )
@@ -291,11 +362,15 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
         "fake_B": str(tmp_path / "fake_B.json"),
         "not_utf8": tmp_path / "not_utf8.json",
         "bool_one": tmp_path / "bool_one.json",
+        "empty_tables": tmp_path / "empty_tables.json",
     }
     emit(paths["fake_B"], validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 1, id="B"))
     paths["not_utf8"].write_bytes(b"\xff\xfe")
     paths["bool_one"].write_text(
         json.dumps({"id": "B", "n": 2, "one": True, "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]]})
+    )
+    paths["empty_tables"].write_text(
+        json.dumps({"id": "E", "n": 0, "one": 0, "add": [], "mul": []})
     )
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
