@@ -25,7 +25,6 @@ from .enumeration import enumerate_semirings
 from .ideals import (
     IdealClassification,
     classify,
-    generated_ideal,
     ideal_from_members,
     jacobson_radical,
     min_generators,
@@ -33,7 +32,6 @@ from .ideals import (
 )
 from .topology import (
     Spectrum,
-    SpectrumClass,
     check_connected,
     check_disconnection,
     check_irreducible_upsets,

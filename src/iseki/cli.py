@@ -58,7 +58,8 @@ def _cmd_ideals(args):
 
 def _cmd_spectrum(args):
     s = ingest(args.file)
-    _emit(args, {"semiring": s.id, **spectrum(s, args.cls).to_json()})
+    spec = spectrum(s, args.cls)
+    _emit(args, {"semiring": s.id, "class": args.cls, **spec.to_json()})
     return 0
 
 
@@ -73,9 +74,7 @@ def _cmd_topology(args):
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
     s = ingest(args.file)
-    # The oracle table gates rows on the class name, so pass its canonical form.
-    cls = parse_class(args.cls).display()
-    rep, groups = topology_report_by_check(s, cls)
+    rep, groups = topology_report_by_check(s, args.cls)
     out = {
         key: rep[key] for key in ("semiring", "class", "points", "closed_set_count")
     }
@@ -89,12 +88,13 @@ def _cmd_topology(args):
 def _cmd_morphisms(args):
     src = ingest(args.src)
     dst = ingest(args.dst)
-    cls = parse_class(args.cls).display()
     reports = [
-        morphism_report(src, dst, hom, cls)
+        morphism_report(src, dst, hom, args.cls)
         for hom in enumerate_homomorphisms(src, dst)
     ]
-    _emit(args, {"source": src.id, "target": dst.id, "class": cls, "homs": reports})
+    _emit(
+        args, {"source": src.id, "target": dst.id, "class": args.cls, "homs": reports}
+    )
     return 0 if universal_oracles_hold(MORPHISM, reports) else 1
 
 
@@ -123,8 +123,7 @@ def _cmd_sweep(args):
 
 def _cmd_export_dot(args):
     s = ingest(args.file)
-    spec = spectrum(s, args.cls)
-    text = export_dot(spec)
+    text = export_dot(spectrum(s, args.cls))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -213,6 +212,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "cls"):
+            # Reports carry, and the oracle rows gate on, the canonical name.
+            args.cls = parse_class(args.cls)
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

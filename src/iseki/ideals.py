@@ -10,8 +10,8 @@ overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 of ideal sum, product and radical: a cached table of masks per semiring.
 The intersection of two ideals is the AND of their masks.  ``_close`` is
 the one way to build the ideal generated by a set of elements;
-``ideal_from_members`` and ``generated_ideal`` are the range-checked
-entry points for element lists from outside.
+``ideal_from_members`` is the range-checked entry point for element
+lists from outside.
 
 ``classify`` is the one place that decides whether an ideal is prime,
 maximal, radical and so on; ``prime_ideal_masks``, ``maximal_ideal_masks``
@@ -122,11 +122,6 @@ def ideal_algebra(s):
 def _proper_ideal_masks(s):
     # The full mask is the largest ideal mask, so it comes last.
     return _ideal_masks_all(s)[:-1]
-
-
-def generated_ideal(s, seed):
-    """Mask of the least ideal containing the seed elements (and 0)."""
-    return _close(s, ideal_from_members(s, seed))
 
 
 def _radical_mask(s, mask):

@@ -16,7 +16,7 @@ returns exactly the report fields it decides, under their report names.
 from dataclasses import dataclass
 
 from .errors import ContractionFails, SizeLimitExceeded
-from .ideals import generated_ideal, ideal_algebra, is_ideal_mask, mask_members
+from .ideals import _close, ideal_algebra, is_ideal_mask, mask_members
 from .semiring import _homomorphism_violation
 from .topology import spectrum
 
@@ -85,17 +85,22 @@ def kernel(s, t, hom):
 def extend_ideal(s, t, hom, ideal_of_s):
     """Ideal of t generated by the image of an ideal mask of s; may be
     improper."""
-    return generated_ideal(t, {hom[a] for a in mask_members(s, ideal_of_s)})
+    image = 0
+    for a in range(s.n):
+        if (ideal_of_s >> a) & 1:
+            image |= 1 << hom[a]
+    return _close(t, image)
 
 
 @dataclass(frozen=True)
 class InducedMap:
-    """The spectrum map induced by a homomorphism, acting by preimage.
+    """The spectrum map induced by a homomorphism s -> t, acting by
+    preimage, for the class named ``cls``.
 
-    ``source_spectrum`` lives over the homomorphism's target semiring and
-    ``target_spectrum`` over its source; ``map[j]`` is the index in the
-    target spectrum of the preimage of source point j.  ``kernel`` is the
-    mask of the homomorphism's kernel, an ideal of its source.
+    ``spec_s`` is the space over s and ``spec_t`` the space over t;
+    ``map[j]`` is the index in ``spec_s`` of the preimage of point j of
+    ``spec_t``.  ``kernel`` is the mask of the homomorphism's kernel, an
+    ideal of s.
     ``continuity_witness`` is None when the preimage of every subbasic
     closed set is the up-set of the extended ideal, hence closed;
     otherwise it is the first ideal of the homomorphism's source for
@@ -103,8 +108,9 @@ class InducedMap:
     """
 
     hom: tuple
-    source_spectrum: object
-    target_spectrum: object
+    cls: str
+    spec_s: object
+    spec_t: object
     map: tuple
     kernel: int
     continuity_witness: object
@@ -140,7 +146,7 @@ def induced_map(s, t, hom, cls):
         back = contract_ideal(s, t, hom, p)
         if back not in index_of:
             raise ContractionFails(
-                spec_s.class_tag,
+                cls,
                 {"point": mask_members(t, p), "preimage": mask_members(s, back)},
             )
         point_map.append(index_of[back])
@@ -156,8 +162,9 @@ def induced_map(s, t, hom, cls):
             break
     return InducedMap(
         hom=hom,
-        source_spectrum=spec_t,
-        target_spectrum=spec_s,
+        cls=cls,
+        spec_s=spec_s,
+        spec_t=spec_t,
         map=tuple(point_map),
         kernel=kernel(s, t, hom),
         continuity_witness=witness,
@@ -181,13 +188,12 @@ def check_quotient_homeomorphism(ind):
     ``homeomorphism_onto_image`` checks the preimage and continuity code,
     not a separate theorem instance.
     """
-    spec_s, spec_t = ind.target_spectrum, ind.source_spectrum
-    if len(set(ind.hom)) != spec_t.semiring.n:
+    if len(set(ind.hom)) != ind.spec_t.semiring.n:
         return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
-    ker_up = spec_s.subbasis[ind.kernel]
+    ker_up = ind.spec_s.subbasis[ind.kernel]
     image = ind.image_point_set()
 
-    q, p = spec_t.points, spec_s.points
+    q, p = ind.spec_t.points, ind.spec_s.points
     onto_image = (
         ind.continuous
         and len(set(ind.map)) == len(ind.map)
@@ -216,14 +222,13 @@ def check_density(ind):
     for the prime class, whether the radical-equality form of the
     criterion (the kernel's radical is that intersection) matches density.
     """
-    spec_s = ind.target_spectrum
-    s = spec_s.semiring
+    s = ind.spec_s.semiring
     ker = ind.kernel
-    cl_image = spec_s.closure(ind.image_point_set())
-    dense = cl_image == spec_s.full
+    cl_image = ind.spec_s.closure(ind.image_point_set())
+    dense = cl_image == ind.spec_s.full
 
     inter = s.full_mask
-    for p in spec_s.points:
+    for p in ind.spec_s.points:
         inter &= p
     criterion = (ker & inter) == ker
 
@@ -231,10 +236,9 @@ def check_density(ind):
         "dense": dense,
         "density_rhs": criterion,
         "density_biconditional": dense == criterion,
-        "closure_image_equals_kernel_upset": cl_image
-        == spec_s.subbasis[ker],
+        "closure_image_equals_kernel_upset": cl_image == ind.spec_s.subbasis[ker],
     }
-    if spec_s.class_tag == "prime":
+    if ind.cls == "prime":
         report["radical_equality_matches_density"] = (
             ideal_algebra(s).radicals[ker] == inter
         ) == dense

@@ -119,4 +119,6 @@ def ingest(path):
             ) from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"{path}: JSON nested too deeply") from exc
     return semiring_from_json(doc)

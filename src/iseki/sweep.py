@@ -15,19 +15,21 @@ Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
 runs produce byte-identical JSON.
 
-Each distinct instance is evaluated once per sweep.  An Iseki space
-depends only on the semiring's tables and its point set, not on the
-semiring's id or on the class that picked the points; a homomorphism's
-checks depend on the two tables, the map and the class; a quotient's on
-the tables and the ideal; an ideal-lattice report's on the tables.
-``sweep`` keeps one report body per such key in a dict local to the call
-and writes each instance's identity fields (ids and class) over a shallow
+Each distinct instance is evaluated once per sweep.  An Iseki space is
+the semiring's tables plus its point set, and ``spectrum`` returns one
+space object per (tables, point set).  A homomorphism's checks depend on
+the two tables, the map and the class; a quotient's on the tables and
+the ideal; an ideal-lattice report's on the tables.  ``sweep`` keeps one
+report body per such key (the space and semiring objects themselves: a
+semiring's equality is its tables) in a dict local to the call and
+writes each instance's identity fields (ids and class) over a shallow
 copy of it; it enumerates the homomorphisms of each distinct pair of
 tables once, in the same way.  The invariant: a report field that
 depends on an identity (an id or the class name) must be stamped, never
-memoized.  The analyses below the sweep are cached per table pair too
-(a semiring's equality is its tables), so a Bourne quotient whose tables
-are a corpus semiring's reuses that semiring's ideals and spaces.
+memoized.  The analyses below the sweep are cached per table pair too,
+so a Bourne quotient whose tables are a corpus semiring's reuses that
+semiring's ideals and spaces.  Class names are canonicalised before any
+work, so rows and oracles read the canonical name.
 
 Verdicts are decided once per distinct body as well: ``verdicts`` runs
 each oracle on one instance of a (kind, body key, class), and the tally
@@ -63,9 +65,9 @@ from .morphisms import (
     induced_map,
 )
 from .semiring import bourne_quotient, quotient_id
-from .topology import CHECKS, CLASS_TAGS, spectrum
+from .topology import CHECKS, CLASS_FLAGS, parse_class, spectrum
 
-DEFAULT_CLASSES = list(CLASS_TAGS)
+DEFAULT_CLASSES = list(CLASS_FLAGS)
 WITNESS_CAP = 10
 QUOTIENT_CLASSES = ("prime", "proper")
 # The morphism suite runs over every ordered pair of corpus semirings of
@@ -86,7 +88,7 @@ def topology_report_by_check(s, cls):
     report = {
         "semiring": s.id,
         "class": cls,
-        "points": [mask_members(s, p) for p in spec.points],
+        **spec.to_json(),
         "closed_set_count": spec.closed_set_count(),
     }
     groups = {group: check(spec) for group, check in CHECKS.items()}
@@ -221,7 +223,7 @@ def quotient_report(s, ideal):
             "homeomorphism_onto_kernel_upset"
         ]
         rep[f"{cls}_image_equals_ideal_upset"] = (
-            ind.image_point_set() == ind.target_spectrum.subbasis[ideal]
+            ind.image_point_set() == ind.spec_s.subbasis[ideal]
         )
     # The kernel does not depend on the class.
     rep["kernel"] = mask_members(s, ind.kernel)
@@ -407,7 +409,7 @@ def _corpus_semirings(corpus, enumerate_n):
     unique = {}
     for s, source in semirings:
         first, _ = unique.setdefault(s.id, (s, source))
-        if first.structure != s.structure:
+        if first != s:
             raise ParseError(f"duplicate corpus id {s.id!r} with different tables")
     return list(unique.values())
 
@@ -433,17 +435,22 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     Returns the report dict; ``report["failures"]`` counts universal
     oracle failures (the exit signal).  Wall time is written to ``log``
     (default stderr), never into the report.  ``jobs`` is ignored; it is
-    kept only because ``perfbench/sample.py`` still passes it.  A class
-    named twice raises ParseError: its instances would be counted twice.
+    kept only because ``perfbench/sample.py`` still passes it.  Class
+    names are canonicalised before any work, and a class named twice
+    (``fg(1)`` and ``fg:1``, say) raises ParseError: its instances would
+    be counted twice.
     """
     start = time.perf_counter()
-    classes = list(classes) if classes is not None else list(DEFAULT_CLASSES)
+    classes = [
+        parse_class(cls)
+        for cls in (classes if classes is not None else DEFAULT_CLASSES)
+    ]
     for i, cls in enumerate(classes):
         if cls in classes[:i]:
             raise ParseError(f"duplicate class {cls!r}")
     semirings = _corpus_semirings(corpus, enumerate_n)
 
-    # One report body per distinct structure, stamped with each
+    # One report body per distinct space or tables, stamped with each
     # instance's identity fields and kept with its body key, and one
     # homomorphism list per distinct pair of tables (see the module
     # docstring).
@@ -452,7 +459,7 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     topo = [
         _stamped(
             spaces,
-            (s.structure, spectrum(s, cls).points),
+            spectrum(s, cls),
             {"semiring": s.id, "class": cls},
             topology_instance_report, s, cls,
         )
@@ -461,7 +468,7 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     ]
 
     ideal_reports = [
-        _stamped(lattices, s.structure, {"semiring": s.id}, ideal_lattice_report, s)
+        _stamped(lattices, s, {"semiring": s.id}, ideal_lattice_report, s)
         for s, _ in semirings
     ]
 
@@ -470,20 +477,18 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     morphism_reports = [
         _stamped(
             maps,
-            (s.structure, t.structure, hom, "prime"),
+            (s, t, hom),
             {"source": s.id, "target": t.id},
             morphism_report, s, t, hom, "prime",
         )
         for s, t in pairs
-        for hom in _memoized(
-            homs, (s.structure, t.structure), enumerate_homomorphisms, s, t
-        )
+        for hom in _memoized(homs, (s, t), enumerate_homomorphisms, s, t)
     ]
 
     quotient_reports = [
         _stamped(
             quotients,
-            (s.structure, ideal),
+            (s, ideal),
             {"semiring": s.id, "quotient": quotient_id(s.id, mask_members(s, ideal))},
             quotient_report, s, ideal,
         )

@@ -17,12 +17,17 @@ decided exactly from the inclusion order; a failed T0, T1, sobriety,
 connectedness or up-set law verdict carries a witness.  Each ``check_*``
 function (and ``verify_upset_laws``) returns exactly the report fields
 it decides, under their report names, and ``CHECKS`` lists them all, so
-the sweep's topology report is the merge of their dicts.  One
-``Spectrum`` object is the Iseki space: the points and, built on first
-use, the closed sets; ``spectrum(s, cls)`` caches one per (table pair,
-class).  A space carries its semiring, so the checks take the space
-alone; that semiring is the first one with these tables that asked, so
-nothing here reads its id.
+the sweep's topology report is the merge of their dicts.
+
+A class only picks the points: its name (``parse_class`` gives the
+canonical one) maps to a predicate on an ideal's classification.  One
+``Spectrum`` object is the Iseki space, its semiring's tables plus its
+points, with the closed sets built on first use.  ``spectrum(s, cls)``
+caches one space per (tables, point set), so classes that pick the same
+ideals share one space and its closed sets; a space holds no class.
+A space carries its semiring, so the checks take the space alone; that
+semiring is the first one with these tables that asked, so nothing here
+reads its id.
 """
 
 from dataclasses import dataclass
@@ -54,39 +59,18 @@ CLASS_FLAGS = {
     "radical": "radical_ideal",
     "principal": "principal",
 }
-CLASS_TAGS = tuple(CLASS_FLAGS)
 # The ideal families of the sum identity (quasi-compactness and up-set
 # law 3) have at most this many members.
 FAMILY_SIZE_CAP = 3
 
 
-@dataclass(frozen=True)
-class SpectrumClass:
-    """A class of proper ideals: a tag of ``CLASS_FLAGS``, or ``fg`` with
-    the generator bound ``k`` (the ideals with at most k generators)."""
-
-    tag: str
-    k: int = -1
-
-    def display(self):
-        if self.tag == "fg":
-            return f"fg({self.k})"
-        return self.tag
-
-    def accepts(self, classification):
-        if self.tag == "fg":
-            return classification.min_generators <= self.k
-        if self.tag not in CLASS_FLAGS:
-            raise ValueError(f"unknown spectrum class tag {self.tag!r}")
-        flag = CLASS_FLAGS[self.tag]
-        return flag is None or getattr(classification, flag)
-
-
-def parse_class(text):
-    """Parse a class tag like 'prime' or 'fg(2)' / 'fg:2'."""
+def _parse_class(text):
+    """The canonical name of a class and its point predicate, which
+    reads an ideal's classification."""
     text = text.strip()
-    if text in CLASS_TAGS:
-        return SpectrumClass(tag=text)
+    if text in CLASS_FLAGS:
+        flag = CLASS_FLAGS[text]
+        return text, lambda c: flag is None or getattr(c, flag)
     for open_, close in (("(", ")"), (":", "")):
         if text.startswith("fg" + open_) and text.endswith(close):
             body = text[3:-1] if open_ == "(" else text[3:]
@@ -98,15 +82,23 @@ def parse_class(text):
                 raise ParseError(
                     f"spectrum class {text!r} needs a generator bound of at least 0"
                 )
-            return SpectrumClass(tag="fg", k=k)
+            return f"fg({k})", lambda c: c.min_generators <= k
     raise ParseError(f"unknown spectrum class {text!r}")
+
+
+def parse_class(text):
+    """The canonical name of a class: a tag of ``CLASS_FLAGS``, or
+    'fg(k)' (written 'fg(k)' or 'fg:k') for the ideals with at most k
+    generators."""
+    return _parse_class(text)[0]
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """The Iseki space on ``points``, an ascending tuple of proper ideal
     masks of ``semiring``, with its closed sets decided from the inclusion
-    order on first use.
+    order on first use.  Equality and hash compare the tables (a
+    semiring's equality) and the points.
 
     ``subbasis`` maps each ideal mask of the semiring to its up-set;
     ``up[i]`` is the up-set of point i, which is both the closure of the
@@ -118,7 +110,6 @@ class Spectrum:
     """
 
     semiring: FiniteSemiring
-    class_tag: str
     points: tuple
 
     @property
@@ -130,13 +121,10 @@ class Spectrum:
         return (1 << len(self.points)) - 1
 
     def to_json(self):
-        """The class and the points.  No semiring id: the space is cached
-        per table pair, so its ``semiring`` may carry another id that
-        names the same tables."""
-        return {
-            "class": self.class_tag,
-            "points": [mask_members(self.semiring, p) for p in self.points],
-        }
+        """The points.  No semiring id or class: the space is cached per
+        (tables, point set), so its ``semiring`` may carry another id
+        that names the same tables."""
+        return {"points": [mask_members(self.semiring, p) for p in self.points]}
 
     @cached_property
     def subbasis(self):
@@ -225,22 +213,24 @@ class Spectrum:
 
 
 def spectrum(s, cls):
-    """The cached space of a class (a ``SpectrumClass`` or its name): its
-    points ascend by ideal bitset, and the whole semiring is never one."""
-    if isinstance(cls, str):
-        cls = parse_class(cls)
-    return _closed_family_cached(s, cls)
+    """The cached space of the points of the class named ``cls``: its
+    points ascend by ideal bitset, and the whole semiring is never one.
+    Two classes that pick the same points of the same tables get the
+    same space object."""
+    return _closed_family_cached(s, _class_points(s, cls))
 
 
 @lru_cache(maxsize=None)
-def _closed_family_cached(s, cls):
+def _class_points(s, cls):
+    """The points of a class; the name is parsed once per (tables, name)."""
+    _, accepts = _parse_class(cls)
+    return tuple(mask for mask, c in classified_ideals(s) if accepts(c))
+
+
+@lru_cache(maxsize=None)
+def _closed_family_cached(s, points):
     # The one cache of spaces; perfbench/sample.py reads it by this name.
-    points = tuple(
-        mask
-        for mask, classification in classified_ideals(s)
-        if cls.accepts(classification)
-    )
-    return Spectrum(semiring=s, class_tag=cls.display(), points=points)
+    return Spectrum(semiring=s, points=points)
 
 
 def up_set(spec, mask):

@@ -24,7 +24,6 @@ from iseki.serialize import canonical_json
 from iseki.sweep import sweep
 from iseki.topology import (
     check_connected,
-    parse_class,
     spectrum,
     strong_disconnection_witness,
     idempotent_from_disconnection,
@@ -119,7 +118,7 @@ def test_criterion_06_connectedness(acceptance):
     for entry in builtin_catalog():
         s = entry.semiring
         for tag in ("proper", "principal", "fg(1)", "fg(2)"):
-            spec = spectrum(s, parse_class(tag))
+            spec = spectrum(s, tag)
             rep = check_connected(spec)
             if rep["zero_ideal_in_points"] and rep["connected"] is not True:
                 corollary_ok = False

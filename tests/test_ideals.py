@@ -10,9 +10,9 @@ from conftest import (
 )
 from iseki.enumeration import enumerate_semirings
 from iseki.ideals import (
+    _close,
     _ideal_masks_all,
     _proper_ideal_masks,
-    generated_ideal,
     ideal_algebra,
     ideal_from_members,
     is_ideal_mask,
@@ -39,11 +39,14 @@ def test_ideals_are_ascending_and_deduplicated(catalog_semirings):
 
 
 def test_generated_ideal_examples(boolean, c3, z4):
-    assert mask_members(boolean, generated_ideal(boolean, [0])) == [0]
-    assert mask_members(c3, generated_ideal(c3, [1])) == [0, 1]
-    assert mask_members(z4, generated_ideal(z4, [2])) == [0, 2]
-    assert mask_members(z4, generated_ideal(z4, [])) == [0]
-    assert generated_ideal(z4, [1]) == z4.full_mask  # 1 generates everything
+    def generated(s, seed):
+        return mask_members(s, _close(s, ideal_from_members(s, seed)))
+
+    assert generated(boolean, [0]) == [0]
+    assert generated(c3, [1]) == [0, 1]
+    assert generated(z4, [2]) == [0, 2]
+    assert generated(z4, []) == [0]
+    assert generated(z4, [1]) == [0, 1, 2, 3]  # 1 generates everything
 
 
 def _addition_closure(s, mask):
@@ -115,9 +118,7 @@ def test_closure_matches_independent_fixpoint(small_semirings):
     iseki.verify, for every seed mask."""
     for s in small_semirings:
         for seed in range(1 << s.n):
-            members = [e for e in range(s.n) if (seed >> e) & 1]
-            expected = reference_generated(s, seed)
-            assert generated_ideal(s, members) == expected, (s.id, seed)
+            assert _close(s, seed) == reference_generated(s, seed), (s.id, seed)
 
 
 def test_ideal_algebra_matches_ideal_operations(small_semirings):

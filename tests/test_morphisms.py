@@ -85,11 +85,11 @@ def test_maximal_contraction_can_fail(c3, c4):
 def test_induced_map_examples(z4, z2, bb, boolean):
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
     ind = induced_map(z4, z2, mod2, "prime")
-    assert [mask_members(z2, p) for p in ind.source_spectrum.points] == [[0]]
-    assert mask_members(z4, ind.target_spectrum.points[ind.map[0]]) == [0, 2]
+    assert [mask_members(z2, p) for p in ind.spec_t.points] == [[0]]
+    assert mask_members(z4, ind.spec_s.points[ind.map[0]]) == [0, 2]
     proj = hom_by_map(bb, boolean, (0, 0, 1, 1))  # first-coordinate projection
     ind = induced_map(bb, boolean, proj, "prime")
-    assert mask_members(bb, ind.target_spectrum.points[ind.map[0]]) == [0, 1]  # {0} x B
+    assert mask_members(bb, ind.spec_s.points[ind.map[0]]) == [0, 1]  # {0} x B
 
 
 def test_induced_map_requires_contraction(c3, c4):
@@ -149,7 +149,7 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
     assert rep["homeomorphism_onto_kernel_upset"]  # both sides empty
     assert ind.kernel == collapsing3.full_mask
     assert ind.image_point_set() == 0
-    assert up_set(ind.target_spectrum, x) != 0
+    assert up_set(ind.spec_s, x) != 0
 
 
 def test_density_examples(z4, z2, c3, boolean):
@@ -185,7 +185,7 @@ def test_functoriality_of_induced_maps(z4, z2, boolean, c3):
         ind_first = induced_map(s, t, first, "prime")
         ind_second = induced_map(t, u, second, "prime")
         ind_comp = induced_map(s, u, comp, "prime")
-        for j in range(ind_comp.source_spectrum.size):
+        for j in range(ind_comp.spec_t.size):
             assert ind_comp.map[j] == ind_first.map[ind_second.map[j]]
 
 

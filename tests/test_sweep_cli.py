@@ -15,15 +15,16 @@ import iseki.topology
 from iseki.catalog import build_recipe, builtin_catalog
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
-from iseki.errors import EmptyFamily
+from iseki.errors import EmptyFamily, ParseError
 from iseki.ideals import _proper_ideal_masks
 from iseki.morphisms import enumerate_homomorphisms
-from iseki.semiring import validate_semiring
+from iseki.semiring import bourne_quotient, validate_semiring
 from iseki.serialize import canonical_json
 from iseki.sweep import (
     IDEAL_LATTICE,
     MORPHISM,
     QUOTIENT,
+    QUOTIENT_CLASSES,
     TOPOLOGY,
     ideal_lattice_report,
     morphism_report,
@@ -49,6 +50,72 @@ def test_small_sweep_is_clean(small_report):
 def test_sweep_rejects_empty_corpus():
     with pytest.raises(EmptyFamily):
         sweep(corpus=[], log=io.StringIO())
+
+
+def test_sweep_rejects_one_class_in_two_spellings():
+    """``fg(1)`` and ``fg:1`` name one class, whose instances would
+    otherwise be swept and tallied twice."""
+    with pytest.raises(ParseError, match=r"duplicate class 'fg\(1\)'"):
+        sweep(
+            corpus=[build_recipe(("named", "B"))],
+            classes=["fg(1)", "fg:1"],
+            log=io.StringIO(),
+        )
+
+
+def test_sweep_reports_canonical_class_names():
+    """A class is reported, and the oracle gates read it, by its canonical
+    name: ``" prime"`` is the prime class, so sober_corollary applies."""
+    report = sweep(
+        corpus=[build_recipe(("named", "C3"))], classes=[" prime"], log=io.StringIO()
+    )
+    assert report["classes"] == ["prime"]
+    assert [rep["class"] for rep in report["topology"]] == ["prime"]
+    assert report["tallies"]["sober_corollary"]["instances"] == 1
+
+
+def test_sweep_rejects_unknown_class_before_any_work(monkeypatch):
+    """An unknown class name raises before the corpus is enumerated."""
+
+    def forbidden(n, up_to_iso):
+        raise AssertionError("enumerated before the class names were parsed")
+
+    monkeypatch.setattr(iseki.sweep, "enumerate_semirings", forbidden)
+    with pytest.raises(ParseError, match="unknown spectrum class 'bogus'"):
+        sweep(classes=["bogus"], enumerate_n=[4], log=io.StringIO())
+
+
+def test_sweep_builds_one_space_per_tables_and_point_set(monkeypatch):
+    """On the ``--enumerate 3`` sweep the space cache misses once per
+    distinct (tables, point set) that the topology, morphism and quotient
+    reports ask for, fewer than the distinct (tables, class) pairs, and a
+    class name is parsed once at the sweep's entry and once per distinct
+    (tables, class)."""
+    real = iseki.topology._parse_class
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(iseki.topology, "_parse_class", counting)
+    iseki.topology._class_points.cache_clear()
+    iseki.topology._closed_family_cached.cache_clear()
+    report = sweep(enumerate_n=[3], log=io.StringIO())
+    misses = iseki.topology._closed_family_cached.cache_info().misses
+
+    semirings = [e.semiring for e in builtin_catalog()]
+    semirings += enumerate_semirings(3, up_to_iso=True)
+    asked = {(s, cls) for s in semirings for cls in report["classes"]}
+    asked |= {
+        (bourne_quotient(s, ideal)[0], cls)
+        for s in semirings
+        for ideal in _proper_ideal_masks(s)
+        for cls in QUOTIENT_CLASSES
+    }
+    spaces = {(s, iseki.topology.spectrum(s, cls).points) for s, cls in asked}
+    assert misses == len(spaces) < len(asked)
+    assert len(parsed) == len(report["classes"]) + len(asked)
 
 
 def test_sweep_deterministic_across_runs():
@@ -335,6 +402,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["validate", "{bool_one}"], "field 'one' must be int"),
         (["validate", "{empty_tables}"], "element count must be at least 1"),
         (["topology", "{B}", "--class", "fg(-1)"], "generator bound of at least 0"),
+        (["validate", "{deep}"], "JSON nested too deeply"),
     ],
     ids=[
         "topology-class",
@@ -352,6 +420,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "validate-bool-one",
         "validate-empty-tables",
         "topology-negative-fg",
+        "validate-deep-nesting",
     ],
 )
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -363,6 +432,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
         "not_utf8": tmp_path / "not_utf8.json",
         "bool_one": tmp_path / "bool_one.json",
         "empty_tables": tmp_path / "empty_tables.json",
+        "deep": tmp_path / "deep.json",
     }
     emit(paths["fake_B"], validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 1, id="B"))
     paths["not_utf8"].write_bytes(b"\xff\xfe")
@@ -372,6 +442,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
     paths["empty_tables"].write_text(
         json.dumps({"id": "E", "n": 0, "one": 0, "add": [], "mul": []})
     )
+    paths["deep"].write_text("[" * 200_000)
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -427,6 +498,18 @@ def test_cli_sweep_files_and_out(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["failures"] == 0
     assert report["corpus"]["size"] == 2
+
+
+def test_cli_fg_spellings_print_the_same_bytes(tmp_path, capsys):
+    """``fg:1`` and ``fg(1)`` name one class: each verb that takes
+    ``--class`` prints the same bytes and exit code for both."""
+    c3, b = _write(tmp_path, "C3"), _write(tmp_path, "B")
+    for verb in (["spectrum", c3], ["topology", c3], ["morphisms", c3, b], ["export-dot", c3]):
+        runs = []
+        for cls in ("fg:1", "fg(1)"):
+            code = main([*verb, "--class", cls])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1] and runs[0][1], verb
 
 
 def test_cli_catalog(capsys):

@@ -66,11 +66,18 @@ ALL_TAGS = (
 
 
 def test_parse_class():
-    assert parse_class("prime").tag == "prime"
-    assert parse_class("fg(2)").k == 2
-    assert parse_class("fg:3").k == 3
+    """A class is its canonical name."""
+    assert parse_class("prime") == parse_class(" prime ") == "prime"
+    assert parse_class("fg(2)") == parse_class("fg:2") == "fg(2)"
     with pytest.raises(ValueError):
         parse_class("weird")
+
+
+def test_classes_with_the_same_points_share_one_space(z2):
+    """A space is its tables plus its points: on Z2 the one prime ideal is
+    the one maximal ideal and the one proper ideal."""
+    assert spectrum(z2, "prime") is spectrum(z2, "maximal") is spectrum(z2, "proper")
+    assert spectrum(z2, "fg:1") is spectrum(z2, "fg(1)")
 
 
 def test_spectrum_examples(boolean, bb, z4):
@@ -269,7 +276,7 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
                 continue
             rep = check_quotient_homeomorphism(ind)
             expected = _reference_onto_image(
-                _reference(ind.target_spectrum), _reference(ind.source_spectrum), ind
+                _reference(ind.spec_s), _reference(ind.spec_t), ind
             )
             assert rep["homeomorphism_onto_image"] == expected, (s.id, t.id, hom, tag)
 
@@ -392,7 +399,7 @@ def test_connected_examples(bb, c3, boolean):
 def test_connected_when_zero_ideal_present(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS + ("fg(1)", "fg(2)"):
-            spec = spectrum(s, parse_class(tag) if tag.startswith("fg") else tag)
+            spec = spectrum(s, tag)
             rep = check_connected(spec)
             if rep["zero_ideal_in_points"]:
                 assert rep["connected"] is True, (s.id, tag)
@@ -476,7 +483,7 @@ def test_idempotent_hypothesis_maximal_containment(bb, boolean):
     bbb = direct_product(bb, boolean)
     maximals = spectrum(bbb, "maximal").points
     assert len(maximals) == 3
-    spec = Spectrum(semiring=bbb, class_tag="two-maximals", points=maximals[:2])
+    spec = Spectrum(semiring=bbb, points=maximals[:2])
     w = strong_disconnection_witness(spec)
     assert w is not None
     with pytest.raises(HypothesisUnmet) as err:
@@ -506,9 +513,7 @@ def test_idempotent_reduces_multi_ideal_sides(bb, boolean):
 
 def test_idempotent_bad_witness_rejected(bb):
     """A witness whose sides do not partition the given spectrum is refused."""
-    spec = Spectrum(
-        semiring=bb, class_tag="one-maximal", points=(ideal_from_members(bb, [0, 1]),)
-    )
+    spec = Spectrum(semiring=bb, points=(ideal_from_members(bb, [0, 1]),))
     full = spectrum(bb, "maximal")
     w = strong_disconnection_witness(full)
     with pytest.raises(HypothesisUnmet) as err:
@@ -531,6 +536,6 @@ def test_idempotent_non_ideal_witness_rejected(bb):
 
 def test_fg1_equals_principal(catalog_semirings):
     for s in catalog_semirings:
-        fg1 = spectrum(s, parse_class("fg(1)"))
+        fg1 = spectrum(s, "fg(1)")
         principal = spectrum(s, "principal")
         assert fg1.points == principal.points
