@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ContractionFails, SizeLimitExceeded
 from .ideals import _close, ideal_algebra, is_ideal_mask, mask_members
 from .semiring import _homomorphism_violation
-from .topology import spectrum
+from .topology import CLASS_FLAGS, parse_class, spectrum
 
 HOM_SEARCH_CAP = 10_000_000
 
@@ -136,8 +136,10 @@ def induced_map(s, t, hom, cls):
     returned as a verdict on the map (``continuous``,
     ``continuity_witness``): the preimage of the up-set of each ideal a of
     s must be the up-set of the ideal of t generated by the image of a.
-    Both up-sets are read from the spectra's subbases.
+    Both up-sets are read from the spectra's subbases.  The map and the
+    witness carry the canonical class name.
     """
+    cls = cls if cls in CLASS_FLAGS else parse_class(cls)
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
     index_of = {m: i for i, m in enumerate(spec_s.points)}

@@ -17,25 +17,41 @@ str keys, lists, tuples (written as lists), str, int, bool and None.
 Anything else, such as a float, a set or an int key, raises TypeError.
 ``tests/test_catalog_io.py`` pins the text to ``json.dumps`` on random
 values and on the sweep reports.
+
+A sweep row is a ``Row``: a dict that remembers the report body and the
+identity fields stamped over it.  A body is encoded once per call and
+depth, for every row whose fields are still exactly the body's with the
+identity's over them (by key and object); any other row is a plain dict.
 """
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import is_
 
 from .errors import ParseError
 from .semiring import validate_semiring
 
 
+class Row(dict):
+    """``body``'s fields with ``identity``'s written over them."""
+
+    __slots__ = ("body", "identity")
+
+    def __init__(self, body, identity):
+        super().__init__(body, **identity)
+        self.body, self.identity = body, identity
+
+
 def canonical_json(obj):
     chunks = []
-    _encode(obj, "\n", chunks.append)
+    _encode(obj, "\n", chunks.append, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _encode(obj, newline, emit):
-    """Append the canonical text of ``obj`` to ``emit``; ``newline`` is
-    the line break plus the indent of the line ``obj`` starts on."""
+def _encode(obj, newline, emit, rows):
+    """Append the canonical text of ``obj`` to ``emit``; ``newline`` is the
+    line break plus the indent of its first line; ``rows`` caches Rows."""
     kind = type(obj)
     if kind is str:
         emit(_quote(obj))
@@ -47,7 +63,12 @@ def _encode(obj, newline, emit):
         emit("false")
     elif obj is None:
         emit("null")
-    elif kind is dict:
+    elif kind is Row and obj and (pieces := _row_pieces(obj, newline, rows)):
+        emit(pieces[0])
+        for i in range(1, len(pieces), 2):
+            _encode(obj[pieces[i]], newline + "  ", emit, rows)
+            emit(pieces[i + 1])
+    elif kind is dict or kind is Row:
         if not obj:
             emit("{}")
             return
@@ -57,7 +78,7 @@ def _encode(obj, newline, emit):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             emit(sep + _quote(key) + ": ")
-            _encode(obj[key], inner, emit)
+            _encode(obj[key], inner, emit, rows)
             sep = "," + inner
         emit(newline + "}")
     elif kind is list or kind is tuple:
@@ -68,11 +89,37 @@ def _encode(obj, newline, emit):
         sep = "[" + inner
         for item in obj:
             emit(sep)
-            _encode(item, inner, emit)
+            _encode(item, inner, emit, rows)
             sep = "," + inner
         emit(newline + "]")
     else:
         raise TypeError(f"{kind.__name__} has no canonical JSON form")
+
+
+def _row_pieces(row, newline, rows):
+    """A row's text as fixed pieces around its identity fields' names, built
+    once per (body, depth, identity keys); None if the row has changed."""
+    body, identity = row.body, row.identity
+    fields = {**body, **identity}
+    if row.keys() != fields.keys() or not all(
+        map(is_, map(row.__getitem__, fields), fields.values())
+    ):
+        return None
+    key = (id(body), newline, tuple(identity))
+    if key not in rows:
+        inner = newline + "  "
+        chunks, pieces = ["{" + inner], []
+        for field in sorted(fields):
+            chunks.append(_quote(field) + ": ")
+            if field in identity:
+                pieces += ("".join(chunks), field)
+                chunks = []
+            else:
+                _encode(body[field], inner, chunks.append, rows)
+            chunks.append("," + inner)
+        chunks[-1] = newline + "}"
+        rows[key] = pieces + ["".join(chunks)]
+    return rows[key]
 
 
 def semiring_to_json(s):

@@ -21,22 +21,23 @@ space object per (tables, point set).  A homomorphism's checks depend on
 the two tables, the map and the class; a quotient's on the tables and
 the ideal; an ideal-lattice report's on the tables.  ``sweep`` keeps one
 report body per such key (the space and semiring objects themselves: a
-semiring's equality is its tables) in a dict local to the call and
-writes each instance's identity fields (ids and class) over a shallow
-copy of it; it enumerates the homomorphisms of each distinct pair of
+semiring's equality is its tables) in a dict local to the call, and an
+instance's row is a ``serialize.Row`` of that body with the instance's
+identity fields (ids and class) written over it, so the body's text is
+encoded once; it enumerates the homomorphisms of each distinct pair of
 tables once, in the same way.  The invariant: a report field that
 depends on an identity (an id or the class name) must be stamped, never
 memoized.  The analyses below the sweep are cached per table pair too,
 so a Bourne quotient whose tables are a corpus semiring's reuses that
 semiring's ideals and spaces.  Class names are canonicalised before any
-work, so rows and oracles read the canonical name.
+work, and by the report builders, so rows and oracles read them.
 
-Verdicts are decided once per distinct body as well: ``verdicts`` runs
-each oracle on one instance of a (kind, body key, class), and the tally
-replays that outcome for every instance in corpus order, taking each
-failure witness's ``INSTANCE_KEY`` fields from the instance itself.  The
-invariant: an oracle (its ``applies``, ``holds`` and ``witness``) may
-read body fields and the class, never an id.
+Verdicts are decided once per distinct body as well: the tally runs
+``verdicts`` once per (kind, body, class) group and counts the group's
+size; witnesses come from failing groups, each with its own instance's
+``INSTANCE_KEY`` fields.  The invariant: an oracle (its ``applies``,
+``holds`` and ``witness``) may read body fields and the class, never an
+id.
 The tallies still count every instance.  The builtin catalog's 240
 topology instances, 318 homomorphisms and 62 quotients are 16 distinct
 spaces, 12 distinct homomorphisms and 21 distinct quotients; the stderr
@@ -65,6 +66,7 @@ from .morphisms import (
     induced_map,
 )
 from .semiring import bourne_quotient, quotient_id
+from .serialize import Row
 from .topology import CHECKS, CLASS_FLAGS, parse_class, spectrum
 
 DEFAULT_CLASSES = list(CLASS_FLAGS)
@@ -84,6 +86,7 @@ def topology_report_by_check(s, cls):
     """The per-(semiring, class) topology report (the space's points and
     closed-set count, and the fields of every check in ``topology.CHECKS``),
     and each check's fields by group name; each check runs once."""
+    cls = cls if cls in CLASS_FLAGS else parse_class(cls)
     spec = spectrum(s, cls)
     report = {
         "semiring": s.id,
@@ -176,6 +179,7 @@ def ideal_lattice_report(s):
 
 def morphism_report(s, t, hom, cls):
     """The morphism suite for one homomorphism under one class."""
+    cls = cls if cls in CLASS_FLAGS else parse_class(cls)
     rep = {
         "source": s.id,
         "target": t.id,
@@ -376,22 +380,30 @@ def universal_oracles_hold(kind, reports):
     )
 
 
-def _record(tally, name, kind, rep, ok, detail):
-    """Count one instance of an oracle; keep the first WITNESS_CAP failure
-    witnesses, each the instance's ``INSTANCE_KEY`` fields plus the
-    oracle's ``detail``."""
-    entry = tally.setdefault(
-        name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
-    )
-    entry["instances"] += 1
-    if ok:
-        entry["passes"] += 1
-    else:
-        entry["failures"] += 1
-        if len(entry["witnesses"]) < WITNESS_CAP:
-            witness = {field: rep[field] for field in INSTANCE_KEY[kind]}
-            witness.update(detail)
-            entry["witnesses"].append(witness)
+def _tally(kind, rows, tallies, observations):
+    """Count every oracle of ``kind`` over ``rows`` into ``tallies``
+    (universal) or ``observations``, once per (body, class) group, and
+    keep its first WITNESS_CAP failing rows in corpus order as witnesses."""
+    groups, failing = {}, {}
+    for index, rep in enumerate(rows):
+        groups.setdefault((id(rep.body), rep.get("class")), []).append(index)
+    for members in groups.values():
+        for oracle, ok, detail in verdicts(kind, rows[members[0]]):
+            entry = (tallies if oracle.universal else observations).setdefault(
+                oracle.name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
+            )
+            entry["instances"] += len(members)
+            entry["passes" if ok else "failures"] += len(members)
+            if not ok:
+                failing.setdefault(oracle.name, (entry, []))[1].extend(
+                    (index, detail) for index in members[:WITNESS_CAP]
+                )
+    for entry, found in failing.values():
+        # Stable, so an instance's prime quotient row precedes its proper one.
+        for index, detail in sorted(found, key=lambda item: item[0])[:WITNESS_CAP]:
+            entry["witnesses"].append(
+                {**{field: rows[index][field] for field in INSTANCE_KEY[kind]}, **detail}
+            )
 
 
 def _corpus_semirings(corpus, enumerate_n):
@@ -421,14 +433,6 @@ def _memoized(memo, key, build, *args):
     return memo[key]
 
 
-def _stamped(memo, key, identity, report, *args):
-    """``(key, copy)``: the copy is of the report body memoized under
-    ``key`` (built by ``report(*args)`` on first use), with the
-    instance's ``identity`` fields written over it.  The body itself is
-    never modified."""
-    return key, {**_memoized(memo, key, report, *args), **identity}
-
-
 def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     """Run every oracle over the corpus x class grid and aggregate.
 
@@ -451,65 +455,52 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
     semirings = _corpus_semirings(corpus, enumerate_n)
 
     # One report body per distinct space or tables, stamped with each
-    # instance's identity fields and kept with its body key, and one
-    # homomorphism list per distinct pair of tables (see the module
-    # docstring).
+    # instance's identity fields as a Row, and one homomorphism list per
+    # distinct pair of tables (see the module docstring).
     spaces, lattices, maps, quotients, homs = {}, {}, {}, {}, {}
 
     topo = [
-        _stamped(
-            spaces,
-            spectrum(s, cls),
+        Row(
+            _memoized(spaces, spectrum(s, cls), topology_instance_report, s, cls),
             {"semiring": s.id, "class": cls},
-            topology_instance_report, s, cls,
         )
         for s, _ in semirings
         for cls in classes
     ]
 
     ideal_reports = [
-        _stamped(lattices, s, {"semiring": s.id}, ideal_lattice_report, s)
+        Row(_memoized(lattices, s, ideal_lattice_report, s), {"semiring": s.id})
         for s, _ in semirings
     ]
 
     small = [s for s, _ in semirings if s.n <= MORPHISM_ORDER_CAP]
     pairs = [(s, t) for s in small for t in small]
     morphism_reports = [
-        _stamped(
-            maps,
-            (s, t, hom),
+        Row(
+            _memoized(maps, (s, t, hom), morphism_report, s, t, hom, "prime"),
             {"source": s.id, "target": t.id},
-            morphism_report, s, t, hom, "prime",
         )
         for s, t in pairs
         for hom in _memoized(homs, (s, t), enumerate_homomorphisms, s, t)
     ]
 
     quotient_reports = [
-        _stamped(
-            quotients,
-            (s, ideal),
+        Row(
+            _memoized(quotients, (s, ideal), quotient_report, s, ideal),
             {"semiring": s.id, "quotient": quotient_id(s.id, mask_members(s, ideal))},
-            quotient_report, s, ideal,
         )
         for s, _ in semirings
         for ideal in _proper_ideal_masks(s)
     ]
 
-    # One verdict list per distinct (body, class), replayed for every
-    # instance in corpus order.
-    tallies, observations, decided = {}, {}, {}
-    for kind, instances in (
+    tallies, observations = {}, {}
+    for kind, rows in (
         (TOPOLOGY, topo),
         (IDEAL_LATTICE, ideal_reports),
         (MORPHISM, morphism_reports),
         (QUOTIENT, quotient_reports),
     ):
-        for key, rep in instances:
-            verdict_key = (kind, key, rep.get("class"))
-            for oracle, ok, detail in _memoized(decided, verdict_key, verdicts, kind, rep):
-                tally = tallies if oracle.universal else observations
-                _record(tally, oracle.name, kind, rep, ok, detail)
+        _tally(kind, rows, tallies, observations)
 
     report = {
         "corpus": {
@@ -520,17 +511,17 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
             ],
         },
         "classes": classes,
-        "topology": [rep for _, rep in topo],
-        "ideal_checks": [rep for _, rep in ideal_reports],
+        "topology": topo,
+        "ideal_checks": ideal_reports,
         "morphisms": {
             "order_cap": MORPHISM_ORDER_CAP,
             "pairs": len(pairs),
             "homs": len(morphism_reports),
-            "reports": [rep for _, rep in morphism_reports],
+            "reports": morphism_reports,
         },
         "quotients": {
             "instances": len(quotient_reports),
-            "reports": [rep for _, rep in quotient_reports],
+            "reports": quotient_reports,
         },
         "tallies": dict(sorted(tallies.items())),
         "observations": dict(sorted(observations.items())),

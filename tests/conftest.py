@@ -8,6 +8,15 @@ from iseki.enumeration import enumerate_semirings
 from iseki.ideals import _ideal_masks_all, classified_ideals, maximal_ideal_masks
 from iseki.semiring import direct_product, validate_homomorphism, validate_semiring
 from iseki.serialize import canonical_json, semiring_to_json
+from iseki.sweep import (
+    IDEAL_LATTICE,
+    INSTANCE_KEY,
+    MORPHISM,
+    QUOTIENT,
+    TOPOLOGY,
+    WITNESS_CAP,
+    verdicts,
+)
 from iseki.topology import up_set
 from iseki.verify import _generated_set, _powers
 
@@ -66,6 +75,47 @@ def emit(path, s):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
+
+
+def report_sections(report):
+    """Each report kind and the sweep's reports of that kind, in order."""
+    return {
+        TOPOLOGY: report["topology"],
+        IDEAL_LATTICE: report["ideal_checks"],
+        MORPHISM: report["morphisms"]["reports"],
+        QUOTIENT: report["quotients"]["reports"],
+    }
+
+
+def _record(tally, name, kind, rep, ok, detail):
+    """Count one instance of an oracle; keep the first WITNESS_CAP failure
+    witnesses, each the instance's ``INSTANCE_KEY`` fields plus the
+    oracle's ``detail``."""
+    entry = tally.setdefault(
+        name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
+    )
+    entry["instances"] += 1
+    if ok:
+        entry["passes"] += 1
+    else:
+        entry["failures"] += 1
+        if len(entry["witnesses"]) < WITNESS_CAP:
+            witness = {field: rep[field] for field in INSTANCE_KEY[kind]}
+            witness.update(detail)
+            entry["witnesses"].append(witness)
+
+
+def reference_tallies(report):
+    """``(tallies, observations)`` of a sweep report, replayed instance by
+    instance in corpus order with every oracle's verdict decided on the
+    instance itself: the reference for the sweep's tally by multiplicity."""
+    tallies, observations = {}, {}
+    for kind, reports in report_sections(report).items():
+        for rep in reports:
+            for oracle, ok, detail in verdicts(kind, rep):
+                tally = tallies if oracle.universal else observations
+                _record(tally, oracle.name, kind, rep, ok, detail)
+    return tallies, observations
 
 
 def table_pair_key(add, mul):

@@ -10,6 +10,7 @@ from iseki.catalog import build_recipe
 from iseki.dot import export_dot
 from iseki.errors import AxiomViolation, ParseError
 from iseki.serialize import (
+    Row,
     canonical_json,
     ingest,
     semiring_from_json,
@@ -74,6 +75,103 @@ def test_canonical_json_edge_cases(value):
 def test_canonical_json_matches_json_dumps_on_sweep_reports(enumerate_n):
     report = sweep(enumerate_n=list(enumerate_n), log=io.StringIO())
     assert canonical_json(report) == _dumps(report)
+
+
+# Short keys, so that identity keys often override body keys and sort
+# before, between and after them; small values, since the rows nest.
+_KEYS = st.text(alphabet="abcd", max_size=2)
+_FIELDS = st.dictionaries(
+    _KEYS,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | _TEXT,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_FIELDS, min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(min_value=0), _FIELDS), min_size=1, max_size=5),
+)
+def test_canonical_json_of_rows_matches_json_dumps(bodies, stamps):
+    """Rows that share bodies, stamped with identities that override body
+    keys or add keys of their own, encode like plain dicts: alone, in
+    lists and in dicts, with one body's rows at several depths."""
+    rows = [Row(bodies[i % len(bodies)], identity) for i, identity in stamps]
+    value = {
+        "rows": rows,
+        "deeper": [{"rows": rows, "first": rows[0]}],
+        **{f"row{i}": row for i, row in enumerate(rows)},
+    }
+    assert canonical_json(value) == _dumps(value)
+    assert canonical_json(rows[0]) == _dumps(rows[0])
+
+
+def _set_body_field(row):
+    row["n"] = 5
+
+
+def _set_identity_field(row):
+    row["id"] = "other"
+
+
+def _equal_but_not_identical(row):
+    row["n"] = True  # == 1, but json.dumps writes true
+
+
+def _delete_field(row):
+    del row["n"]
+
+
+def _add_field(row):
+    row["extra"] = []
+
+
+def _rename_identity_field(row):
+    row["other"] = row.pop("id")
+
+
+def _swap_values(row):
+    # The fields keep their values' order, but "n" and "hom" trade values.
+    n, hom, identity = row.pop("n"), row.pop("hom"), row.pop("id")
+    row.update(hom=n, n=hom, id=identity)
+
+
+def _change_body(row):
+    row.body["n"] = 7
+
+
+def _change_identity(row):
+    row.identity["id"] = "other"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _set_body_field,
+        _set_identity_field,
+        _equal_but_not_identical,
+        _delete_field,
+        _add_field,
+        _rename_identity_field,
+        _swap_values,
+        _change_body,
+        _change_identity,
+    ],
+)
+@pytest.mark.parametrize("first", [True, False], ids=["changed-first", "changed-last"])
+def test_row_changed_after_stamping_encodes_like_json_dumps(change, first):
+    """A row whose fields, body or identity changed after stamping is never
+    written from its body's cached text, whether or not an unchanged row
+    of the same body was encoded before it."""
+    body = {"n": 1, "hom": [0, 1], "id": "body"}
+    changed, unchanged = Row(body, {"id": "a"}), Row(body, {"id": "b"})
+    change(changed)
+    value = [changed, unchanged] if first else [unchanged, changed]
+    assert canonical_json(value) == _dumps(value)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import emit
+from conftest import emit, reference_tallies, report_sections
 
 import iseki.sweep
 import iseki.topology
@@ -17,20 +17,22 @@ from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import EmptyFamily, ParseError
 from iseki.ideals import _proper_ideal_masks
-from iseki.morphisms import enumerate_homomorphisms
+from iseki.morphisms import enumerate_homomorphisms, induced_map
 from iseki.semiring import bourne_quotient, validate_semiring
 from iseki.serialize import canonical_json
 from iseki.sweep import (
-    IDEAL_LATTICE,
+    INSTANCE_KEY,
     MORPHISM,
     QUOTIENT,
     QUOTIENT_CLASSES,
     TOPOLOGY,
+    WITNESS_CAP,
     ideal_lattice_report,
     morphism_report,
     quotient_report,
     sweep,
     topology_instance_report,
+    topology_report_by_check,
     verdicts,
 )
 
@@ -215,16 +217,6 @@ def test_sweep_summary_counts_distinct_instances():
     )
 
 
-def _sections(report):
-    """Each report kind and the sweep's reports of that kind, in order."""
-    return {
-        TOPOLOGY: report["topology"],
-        IDEAL_LATTICE: report["ideal_checks"],
-        MORPHISM: report["morphisms"]["reports"],
-        QUOTIENT: report["quotients"]["reports"],
-    }
-
-
 def test_oracle_verdicts_read_no_identity_field():
     """The sweep decides each oracle once per distinct report body and
     replays the verdict for every instance, so an oracle may read body
@@ -234,11 +226,68 @@ def test_oracle_verdicts_read_no_identity_field():
     unchanged."""
     identity = ("semiring", "source", "target", "quotient", "hom")
     report = sweep(enumerate_n=[3], log=io.StringIO())
-    for kind, reports in _sections(report).items():
+    for kind, reports in report_sections(report).items():
         assert reports, kind
         for rep in reports:
             masked = {**rep, **{field: object() for field in identity if field in rep}}
             assert verdicts(kind, masked) == verdicts(kind, rep), (kind, rep)
+
+
+def _not_sober(monkeypatch):
+    real = iseki.topology.CHECKS["sober"]
+    monkeypatch.setitem(
+        iseki.topology.CHECKS, "sober", lambda spec: {**real(spec), "sober": False}
+    )
+    return TOPOLOGY, "sober_corollary"
+
+
+def _no_quotient_homeomorphism(monkeypatch):
+    real = iseki.sweep.check_quotient_homeomorphism
+    monkeypatch.setattr(
+        iseki.sweep,
+        "check_quotient_homeomorphism",
+        lambda ind: {**real(ind), "homeomorphism_onto_kernel_upset": False},
+    )
+    return QUOTIENT, "quotient_kernel_homeomorphism"
+
+
+@pytest.mark.parametrize("force", [_not_sober, _no_quotient_homeomorphism])
+def test_tally_by_multiplicity_equals_per_instance_replay(monkeypatch, force):
+    """The sweep decides each oracle once per (body key, class) and counts
+    the group's size; replaying every oracle on every instance gives the
+    same tallies and observations.  The forced failure hits more than
+    WITNESS_CAP instances, and the witnesses come from several distinct
+    bodies of the ``--enumerate 3`` sweep.  Without a quotient
+    homeomorphism the prime and proper rows of
+    quotient_kernel_homeomorphism both fail on every instance, so each
+    instance gives its prime witness and then its proper one."""
+    kind, name = force(monkeypatch)
+    report = sweep(enumerate_n=[3], log=io.StringIO())
+    assert (report["tallies"], report["observations"]) == reference_tallies(report)
+    entry = report["tallies"][name]
+    assert entry["failures"] > WITNESS_CAP == len(entry["witnesses"])
+
+    def instance(rep):
+        return json.dumps([rep[field] for field in INSTANCE_KEY[kind]])
+
+    rows = {instance(rep): rep for rep in report_sections(report)[kind]}
+    assert len({id(rows[instance(w)].body) for w in entry["witnesses"]}) > 1
+    if kind == QUOTIENT:
+        assert [w["class"] for w in entry["witnesses"]] == ["prime", "proper"] * 5
+        assert entry["witnesses"][0]["ideal"] == entry["witnesses"][1]["ideal"]
+
+
+def test_report_builders_canonicalise_the_class_name(c3, boolean):
+    """``morphism_report``, ``topology_report_by_check`` and
+    ``induced_map`` stamp and gate on the canonical class name, however
+    it is spelled: `` prime`` keeps the prime-only radical field."""
+    hom = (0, 1, 1)
+    prime = morphism_report(c3, boolean, hom, "prime")
+    assert "radical_equality_matches_density" in prime
+    assert morphism_report(c3, boolean, hom, " prime") == prime
+    assert topology_report_by_check(c3, "fg:1") == topology_report_by_check(c3, "fg(1)")
+    assert topology_report_by_check(c3, "fg:1")[0]["class"] == "fg(1)"
+    assert induced_map(c3, boolean, hom, " prime").cls == "prime"
 
 
 def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
@@ -259,7 +308,7 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
 
     report = sweep(corpus=[b, twin], log=io.StringIO())
     ids = ("semiring", "source", "target", "quotient")
-    for kind, reports in _sections(report).items():
+    for kind, reports in report_sections(report).items():
         # Topology, lattice and quotient reports run over B then twin;
         # morphism reports over (B, B), (B, twin), (twin, B), (twin, twin).
         parts = 4 if kind == MORPHISM else 2
