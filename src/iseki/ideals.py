@@ -7,11 +7,11 @@ elements.  Proper means "not the whole semiring"; sums and products can
 overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 
 ``ideal_algebra(s)`` is the one implementation of principal ideals and
-of ideal sum, product and radical: a cached table of masks per semiring.
-The intersection of two ideals is the AND of their masks.  ``_close`` is
-the one way to build the ideal generated by a set of elements;
-``ideal_from_members`` is the range-checked entry point for element
-lists from outside.
+of ideal sum, product, radical and generation: a cached table of masks
+per semiring.  The intersection of two ideals is the AND of their
+masks.  ``IdealAlgebra.generated`` is the one way to build the ideal
+generated by a set of elements; ``ideal_from_members`` is the
+range-checked entry point for element lists from outside.
 
 ``classify`` is the one place that decides whether an ideal is prime,
 maximal, radical and so on; ``prime_ideal_masks``, ``maximal_ideal_masks``
@@ -21,9 +21,9 @@ route to the radical that the sweep compares against the algebra.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 
 from . import _kernels
 from .errors import ImproperIdeal, RangeError
@@ -56,18 +56,6 @@ def is_ideal_mask(s, mask):
     return mask in _ideal_mask_set(s)
 
 
-def _close(s, seed):
-    """Least ideal mask containing ``seed`` (and 0).
-
-    The ideals (the improper one included) are closed under intersection,
-    so the least one containing the seed is the AND of all that contain
-    it.  Being a subset of each of them, it is also the numerically
-    smallest, hence the first match in the ascending list; the full mask
-    comes last and always matches.
-    """
-    return next(m for m in _ideal_masks_all(s) if m & seed == seed)
-
-
 def mask_members(s, mask):
     """The elements of a subset mask of ``s``, ascending."""
     return [i for i in range(s.n) if (mask >> i) & 1]
@@ -78,38 +66,59 @@ class IdealAlgebra:
 
     ``masks`` are the ideal masks, ascending, the improper one last.
     ``principals[g]`` is the ideal generated by element g, which is
-    Rg = {rg} (see ``_kernels.ideal_masks``);
-    ``sums[a][b]`` and ``products[a][b]`` are the sum and the product
-    (the ideal generated by the element products) of ideals a and b, and
-    ``radicals[a]`` the radical of a (the elements with some positive
-    power in a), all keyed by mask.  This is the package's only
-    implementation of these operations.  None of it depends on a spectrum
-    class, so every class's checks read the one table that
-    ``ideal_algebra`` caches.  ``tests/test_ideals.py`` checks every
-    field against the element-wise fixpoints of ``iseki.verify``.
+    Rg = {rg} (see ``_kernels.ideal_masks``).  ``sums[a][b]`` is the sum
+    of ideals a and b, {x + y : x in a, y in b}: an ideal that holds a and
+    b and lies in every ideal that holds both.  ``generated(seed)`` folds
+    the sums over the principal ideals of the seed's elements.
+    ``products[a][b]``, built on first use, is the ideal generated by the
+    element products, and ``radicals[a]`` the radical of a (the elements
+    with some positive power in a), all keyed by mask.  This is the
+    package's only implementation of these operations.  None of it
+    depends on a spectrum class, so every class's checks read the one
+    table that ``ideal_algebra`` caches.  ``tests/test_ideals.py`` checks
+    every field against the element-wise fixpoints of ``iseki.verify``.
     """
 
     def __init__(self, s):
+        self.semiring = s
         self.masks = _ideal_masks_all(s)
-        mul = s.mul
-        members = {a: mask_members(s, a) for a in self.masks}
         self.principals = tuple(
-            reduce(or_, (1 << row[g] for row in mul)) for g in range(s.n)
+            reduce(or_, (1 << row[g] for row in s.mul)) for g in range(s.n)
         )
-        self.sums = {
-            a: {b: _close(s, a | b) for b in self.masks} for a in self.masks
-        }
-        self.products = {}
-        for a in self.masks:
-            row = {}
-            for b in self.masks:
-                pairs = 0
-                for x in members[a]:
-                    for y in members[b]:
-                        pairs |= 1 << mul[x][y]
-                row[b] = _close(s, pairs)
-            self.products[a] = row
+        self.sums = _pair_masks(s, s.add, self.masks)
         self.radicals = {a: _radical_mask(s, a) for a in self.masks}
+
+    def generated(self, seed):
+        """The least ideal mask holding the elements of the mask ``seed``:
+        the sum of their principal ideals."""
+        total = 1
+        while seed:
+            low = seed & -seed
+            total = self.sums[total][self.principals[low.bit_length() - 1]]
+            seed ^= low
+        return total
+
+    @cached_property
+    def products(self):
+        s = self.semiring
+        return {
+            a: {b: self.generated(pairs) for b, pairs in row.items()}
+            for a, row in _pair_masks(s, s.mul, self.masks).items()
+        }
+
+
+def _pair_masks(s, table, masks):
+    """``{a: {b: mask of table[x][y] over x in a, y in b}}``, from one
+    row per b of the masks of table[x][y] over y in b."""
+    members = {a: mask_members(s, a) for a in masks}
+    rows = {
+        b: [reduce(or_, (1 << row[y] for y in members[b])) for row in table]
+        for b in masks
+    }
+    return {
+        a: {b: reduce(or_, map(rows[b].__getitem__, members[a])) for b in masks}
+        for a in masks
+    }
 
 
 @lru_cache(maxsize=None)
@@ -191,10 +200,11 @@ def min_generators(s, a):
     lexicographically first witness seed."""
     if a == 1:  # the zero ideal
         return 0, ()
+    generated = ideal_algebra(s).generated
     nonzero = mask_members(s, a & ~1)
     for k in range(1, len(nonzero) + 1):
         for seed in combinations(nonzero, k):
-            if _close(s, sum(1 << g for g in seed)) == a:
+            if generated(sum(1 << g for g in seed)) == a:
                 return k, seed
     raise AssertionError("an ideal always generates itself")
 
@@ -234,12 +244,17 @@ class IdealClassification:
 
 
 def classify(s, a):
-    """Decide every classification flag for a proper ideal mask by exhaustive
-    search.
+    """Decide every classification flag for a proper ideal mask.
 
-    Negative flags carry concrete witnesses.  The irreducibility
-    quantifiers run over all ideals including the improper whole
-    semiring.
+    Negative flags carry concrete witnesses, each the first in mask
+    order.  Maximality and irreducibility range over all ideals, the
+    improper one included, and read the lattice.  The least ideal above
+    a is an upper cover of a, and a is maximal when it is the whole
+    semiring.  a is the meet of two ideals above it exactly when it has
+    two upper covers, which then meet in a (with one cover u, every ideal
+    above a holds u), so exactly when its least cover meets an ideal
+    above a in a.  The ideals not inside a are closed under meets exactly
+    when their whole meet is not inside a: that is strong irreducibility.
     """
     if a == s.full_mask:
         raise ImproperIdeal("classification is defined for proper ideals only")
@@ -268,31 +283,23 @@ def classify(s, a):
                     witnesses["primary"] = (x, y)
                     break
 
-    maximal = True
-    for m in _proper_ideal_masks(s):
-        if m != a and (m & a) == a:
-            maximal = False
-            witnesses["maximal"] = bits(m)
-            break
-
     every = _ideal_masks_all(s)
-    irreducible = True
-    strongly_irreducible = True
-    for i, b in enumerate(every):
-        if not (irreducible or strongly_irreducible):
-            break
-        for c in every[i:]:
-            inter = b & c
-            if strongly_irreducible and (inter & a) == inter:
-                if (b & a) != b and (c & a) != c:
-                    strongly_irreducible = False
-                    witnesses["strongly_irreducible"] = (bits(b), bits(c))
-            if irreducible and inter == a:
-                if b != a and c != a:
-                    irreducible = False
-                    witnesses["irreducible"] = (bits(b), bits(c))
-            if not (irreducible or strongly_irreducible):
-                break
+    above = [b for b in every if b != a and (b & a) == a]
+    cover = above[0]
+    maximal = cover == s.full_mask
+    if not maximal:
+        witnesses["maximal"] = bits(cover)
+    partner = next((c for c in above if (c & cover) == a), None)
+    irreducible = partner is None
+    if not irreducible:
+        witnesses["irreducible"] = (bits(cover), bits(partner))
+
+    outside = [b for b in every if (b & a) != b]
+    strongly_irreducible = (reduce(and_, outside) & ~a) != 0
+    if not strongly_irreducible:
+        witnesses["strongly_irreducible"] = next(
+            (bits(b), bits(c)) for b in outside for c in outside if (b & c & ~a) == 0
+        )
 
     gen_count, seed = min_generators(s, a)
     witnesses["generators"] = tuple(seed)

@@ -16,7 +16,7 @@ returns exactly the report fields it decides, under their report names.
 from dataclasses import dataclass
 
 from .errors import ContractionFails, SizeLimitExceeded
-from .ideals import _close, ideal_algebra, is_ideal_mask, mask_members
+from .ideals import ideal_algebra, is_ideal_mask, mask_members
 from .semiring import _homomorphism_violation
 from .topology import CLASS_FLAGS, parse_class, spectrum
 
@@ -89,7 +89,7 @@ def extend_ideal(s, t, hom, ideal_of_s):
     for a in range(s.n):
         if (ideal_of_s >> a) & 1:
             image |= 1 << hom[a]
-    return _close(t, image)
+    return ideal_algebra(t).generated(image)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ identity on canonical documents.  It is written in one direct pass: with
 ``indent`` set the stdlib skips its C encoder and runs a chain of
 pure-Python generators, about twice as slow on a sweep report.  The
 encoder accepts only what reports and semiring documents hold: dicts with
-str keys, lists, tuples (written as lists), str, int, bool and None.
-Anything else, such as a float, a set or an int key, raises TypeError.
+str keys (a subclass of str too, as ``json.dumps`` takes, on plain dicts
+and rows alike), lists, tuples (written as lists), str, int, bool and
+None.  Anything else, such as a float, a set or an int key, raises
+TypeError.
 ``tests/test_catalog_io.py`` pins the text to ``json.dumps`` on random
 values and on the sweep reports.
 
@@ -75,9 +77,7 @@ def _encode(obj, newline, emit, rows):
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(sep + _quote(key) + ": ")
+            emit(sep + _quote_key(key) + ": ")
             _encode(obj[key], inner, emit, rows)
             sep = "," + inner
         emit(newline + "}")
@@ -96,6 +96,12 @@ def _encode(obj, newline, emit, rows):
         raise TypeError(f"{kind.__name__} has no canonical JSON form")
 
 
+def _quote_key(key):
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _quote(key)
+
+
 def _row_pieces(row, newline, rows):
     """A row's text as fixed pieces around its identity fields' names, built
     once per (body, depth, identity keys); None if the row has changed."""
@@ -110,7 +116,7 @@ def _row_pieces(row, newline, rows):
         inner = newline + "  "
         chunks, pieces = ["{" + inner], []
         for field in sorted(fields):
-            chunks.append(_quote(field) + ": ")
+            chunks.append(_quote_key(field) + ": ")
             if field in identity:
                 pieces += ("".join(chunks), field)
                 chunks = []

@@ -19,6 +19,9 @@ function (and ``verify_upset_laws``) returns exactly the report fields
 it decides, under their report names, and ``CHECKS`` lists them all, so
 the sweep's topology report is the merge of their dicts.
 
+No check lists the closed sets: counting the up-sets of a poset is
+#P-complete (Provan and Ball, SIAM J. Comput. 12, 1983).
+
 A class only picks the points: its name (``parse_class`` gives the
 canonical one) maps to a predicate on an ideal's classification.  One
 ``Spectrum`` object is the Iseki space, its semiring's tables plus its
@@ -59,9 +62,6 @@ CLASS_FLAGS = {
     "radical": "radical_ideal",
     "principal": "principal",
 }
-# The ideal families of the sum identity (quasi-compactness and up-set
-# law 3) have at most this many members.
-FAMILY_SIZE_CAP = 3
 
 
 def _parse_class(text):
@@ -150,32 +150,24 @@ class Spectrum:
 
     @cached_property
     def sum_identity(self):
-        """One walk over every family of at most ``FAMILY_SIZE_CAP`` ideals
-        of the semiring, in the order that ``combinations`` gives the
-        families of the ascending ideal masks.  Each family's sum folds
-        ``IdealAlgebra.sums`` from the zero ideal; the sum is the lattice
-        join, so the fold is associative.  The first family whose up-set
-        intersection is not the up-set of its sum (None when the identity
-        holds), and whether every family with an empty up-set intersection
-        has the improper sum.  Memoized, so the up-set laws and the
-        quasi-compactness check read the one walk."""
-        s = self.semiring
-        algebra = ideal_algebra(s)
-        sums = algebra.sums
-        full = self.full
-        failure = None
-        empty_sums_improper = True
-        for size in range(1, FAMILY_SIZE_CAP + 1):
-            for family in combinations(algebra.masks, size):
-                total, inter = 1, full
-                for a in family:
-                    total = sums[total][a]
-                    inter &= self.subbasis[a]
-                if failure is None and self.subbasis[total] != inter:
-                    failure = family
-                if inter == 0 and total != s.full_mask:
-                    empty_sums_improper = False
-        return failure, empty_sums_improper
+        """The first pair of distinct ideals a, b (ascending masks, in
+        ``combinations`` order) with up(a + b) != up(a) & up(b), or None.
+        A point holds a + b exactly when it holds a and b, so the pairs
+        decide every finite family: up(a1 + ... + ak) =
+        up(a1 + ... + a(k-1)) & up(ak), by induction on k.  One ideal never
+        fails, so this pair is also the first failing family of a walk
+        by family size.  Memoized for the up-set laws and
+        quasi-compactness."""
+        up = self.subbasis
+        algebra = ideal_algebra(self.semiring)
+        return next(
+            (
+                (a, b)
+                for a, b in combinations(algebra.masks, 2)
+                if up[algebra.sums[a][b]] != (up[a] & up[b])
+            ),
+            None,
+        )
 
     def closure(self, point_set):
         out = 0
@@ -188,28 +180,6 @@ class Spectrum:
         """Nonempty closed sets that are not unions of two proper closed
         subsets: in an Alexandrov space, the principal up-sets."""
         return tuple(sorted(set(self.up)))
-
-    def closed_set_count(self):
-        """Number of up-sets.  The lowest point x of a remaining set R is
-        minimal in R (points ascend by ideal bitset), so an up-set of R
-        either omits x or contains up[x]:
-        count(R) = count(R - {x}) + count(R - up[x])."""
-        count = {0: 1}
-        stack = [self.full]
-        while stack:
-            r = stack[-1]
-            if r in count:
-                stack.pop()
-                continue
-            low = r & -r
-            rests = (r ^ low, r & ~self.up[low.bit_length() - 1])
-            todo = [q for q in rests if q not in count]
-            if todo:
-                stack.extend(todo)
-            else:
-                count[r] = count[rests[0]] + count[rests[1]]
-                stack.pop()
-        return count[self.full]
 
 
 def spectrum(s, cls):
@@ -337,18 +307,19 @@ def check_sober(spec):
 def check_quasi_compact(spec):
     """Finite spaces are quasi-compact; the value is the proof mechanism.
 
-    For every ideal family of at most ``FAMILY_SIZE_CAP`` members, the
-    intersection of the up-sets must equal the up-set of the ideal sum;
-    and when the spectrum contains every maximal ideal, an empty up-set
-    intersection forces the sum to be improper.  Both read the one walk
-    of ``Spectrum.sum_identity``.
+    The sum identity: every finite family's up-sets meet in the up-set
+    of its sum, which the pairs decide (``Spectrum.sum_identity``).  The
+    maximal rule, when every maximal ideal is a point: up-sets that meet
+    in the empty set have the improper sum.  A family's sum is one ideal
+    with that up-set, so the rule is "up(a) empty forces a = S" over
+    single ideals; each proper ideal lies in a maximal one, a point.
     """
-    failure, empty_sums_improper = spec.sum_identity
+    full_mask = spec.semiring.full_mask
     return {
         "quasi_compact": True,
-        "quasi_compact_sum_identity": failure is None,
-        "quasi_compact_maximal_rule": empty_sums_improper
-        or not _maximals_present(spec),
+        "quasi_compact_sum_identity": spec.sum_identity is None,
+        "quasi_compact_maximal_rule": not _maximals_present(spec)
+        or all(u or a == full_mask for a, u in spec.subbasis.items()),
     }
 
 
@@ -506,8 +477,9 @@ def verify_upset_laws(spec):
     Laws: (1) antitone, with the zero ideal mapping to the full space and
     the whole semiring to the empty set; (2) up(a) | up(b) inside
     up(a&b) inside up(ab); (3) intersections of up-sets equal the up-set
-    of the ideal sum, for families of at most ``FAMILY_SIZE_CAP``, read
-    from ``Spectrum.sum_identity``; (4) up(a) contains
+    of the ideal sum, for every finite family, which the pairs of
+    ``Spectrum.sum_identity`` decide, its witness the first failing
+    pair; (4) up(a) contains
     up(radical(a)); (5) every point is a radical ideal if and only if
     up(a) = up(radical(a)) for every ideal a.  ``upset_laws`` is "pass"
     or the first failing law with its witness.  The generator identity:
@@ -570,7 +542,7 @@ def _first_failing_upset_law(spec):
                     "witness": [mask_members(s, a), mask_members(s, b)],
                 }
 
-    failure, _ = spec.sum_identity
+    failure = spec.sum_identity
     if failure is not None:
         return {
             "law": "sum-identity",

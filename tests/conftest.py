@@ -268,11 +268,13 @@ def chain6():
     return validate_semiring(add, mul, 5, id="C6")
 
 
-@pytest.fixture(scope="session")
-def atoms5():
-    """Eight elements: 0, five atoms 1..5 that join pairwise to t = 6, a
-    top one = 7, and a product that is zero except by the unit."""
-    n, t, one = 8, 6, 7
+@lru_cache(maxsize=None)
+def atoms(k):
+    """``atoms{k}``: k + 3 elements, 0, k atoms 1..k that join pairwise to
+    t = k + 1, a top one = k + 2, and a product that is zero except by
+    the unit.  Every join-closed subset of {0, atoms, t} that holds 0 is
+    an ideal, so there are 2^k + k + 2 ideals, the improper one included."""
+    n, t, one = k + 3, k + 1, k + 2
 
     def join(a, b):
         if a == 0 or b == 0:
@@ -289,8 +291,57 @@ def atoms5():
         [[join(a, b) for b in rows] for a in rows],
         [[times(a, b) for b in rows] for a in rows],
         one,
-        id="atoms5",
+        id=f"atoms{k}",
     )
+
+
+def closed_set_count(spec):
+    """Number of closed sets of a space, counted through
+    ``Spectrum.closure``.  The lowest point x of a remaining set R is
+    minimal in R (points ascend by ideal mask), so a closed set inside R
+    either omits x or holds the closure of x:
+    count(R) = count(R - {x}) + count(R - closure({x}))."""
+    count = {0: 1}
+    stack = [spec.full]
+    while stack:
+        r = stack[-1]
+        if r in count:
+            stack.pop()
+            continue
+        low = r & -r
+        rests = (r ^ low, r & ~spec.closure(low))
+        todo = [q for q in rests if q not in count]
+        if todo:
+            stack.extend(todo)
+        else:
+            count[r] = count[rests[0]] + count[rests[1]]
+            stack.pop()
+    return count[spec.full]
+
+
+def reference_irreducibility(s, a):
+    """``(irreducible, strongly_irreducible, witnesses)`` of a proper ideal
+    mask by the pair search over every ideal, the improper one included:
+    a is irreducible unless two ideals other than a meet in a, and
+    strongly irreducible unless two ideals not inside a meet inside a.
+    Each witness is the first such pair (b, c), b <= c in mask order, as
+    member tuples: the reference for ``ideals.classify``."""
+    every = _ideal_masks_all(s)
+    irreducible = strongly_irreducible = True
+    witnesses = {}
+    for i, b in enumerate(every):
+        for c in every[i:]:
+            inter = b & c
+            if strongly_irreducible and (inter & a) == inter:
+                if (b & a) != b and (c & a) != c:
+                    strongly_irreducible = False
+                    witnesses["strongly_irreducible"] = (
+                        tuple(_members(b)), tuple(_members(c))
+                    )
+            if irreducible and inter == a and b != a and c != a:
+                irreducible = False
+                witnesses["irreducible"] = (tuple(_members(b)), tuple(_members(c)))
+    return irreducible, strongly_irreducible, witnesses
 
 
 def _union_closure(seeds):
@@ -420,24 +471,26 @@ def reference_radical(s, a):
 
 
 def reference_quasi_compact(spec, family_size_cap=3):
-    """The quasi-compactness mechanism check computed per class over every
-    family, with the family sums from ``reference_sum``: the reference
-    for ``topology.check_quasi_compact``."""
+    """The quasi-compactness mechanism check computed per class: the sum
+    identity over every family of at most ``family_size_cap`` ideals, with
+    the family sums from ``reference_sum``, so it checks that the pairs
+    of ``topology.check_quasi_compact`` decide the families; and the
+    maximal rule over single ideals.  The reference for
+    ``topology.check_quasi_compact``."""
     s = spec.semiring
     masks = _ideal_masks_all(s)
     maximals_present = all(m in spec.points for m in maximal_ideal_masks(s))
     identity_ok = True
-    maximal_ok = True
     for size in range(1, family_size_cap + 1):
         for family in combinations(masks, size):
             inter = spec.full
             for a in family:
                 inter &= spec.subbasis[a]
-            total = reference_sum(s, family)
-            if spec.subbasis[total] != inter:
+            if spec.subbasis[reference_sum(s, family)] != inter:
                 identity_ok = False
-            if inter == 0 and maximals_present and total != s.full_mask:
-                maximal_ok = False
+    maximal_ok = not maximals_present or all(
+        spec.subbasis[a] or a == s.full_mask for a in masks
+    )
     return {
         "quasi_compact": True,
         "quasi_compact_sum_identity": identity_ok,

@@ -275,3 +275,17 @@ def test_export_dot_transitive_reduction(c4):
     text = export_dot(spectrum(c4, "prime"))
     assert text.count("->") == 2
     assert "p0 -> p2" not in text
+
+
+class _Key(str):
+    pass
+
+
+@pytest.mark.parametrize("wrap", [dict, lambda d: Row(d, {})], ids=["dict", "row"])
+def test_canonical_json_key_rule_is_the_same_for_dicts_and_rows(wrap):
+    """A key of a str subclass is written as ``json.dumps`` writes it, and
+    an int key raises, whether the dict is plain or a sweep row."""
+    value = wrap({_Key("b"): 1, "a": [2]})
+    assert canonical_json(value) == _dumps(value)
+    with pytest.raises(TypeError):
+        canonical_json(wrap({1: "a"}))

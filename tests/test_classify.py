@@ -1,3 +1,5 @@
+from conftest import atoms, reference_irreducibility
+
 from iseki.errors import ImproperIdeal
 from iseki.ideals import (
     _proper_ideal_masks,
@@ -80,3 +82,18 @@ def test_naive_maximal_check_agrees(catalog_semirings):
                 ideal != other and (ideal & other) == ideal for other in proper
             )
             assert naive == c.maximal
+
+
+def test_irreducibility_matches_pair_search(small_semirings):
+    """The lattice decisions of ``classify`` (upper cover, meet of the
+    ideals outside a) against the pair search over every two ideals in
+    conftest: flags and witnesses, on the catalog, every labeled
+    semiring of order <= 4 and atoms1-atoms6."""
+    for s in [*small_semirings, *map(atoms, range(1, 7))]:
+        for ideal, c in classified_ideals(s):
+            irreducible, strongly, witnesses = reference_irreducibility(s, ideal)
+            where = (s.id, mask_members(s, ideal))
+            assert (c.irreducible, c.strongly_irreducible) == (irreducible, strongly), where
+            got = c.witness_dict()
+            for key in ("irreducible", "strongly_irreducible"):
+                assert got.get(key) == witnesses.get(key), (where, key)

@@ -2,6 +2,7 @@ from functools import reduce
 from itertools import combinations
 
 from conftest import (
+    atoms,
     naive_ideal_sets,
     reference_generated,
     reference_product,
@@ -10,7 +11,6 @@ from conftest import (
 )
 from iseki.enumeration import enumerate_semirings
 from iseki.ideals import (
-    _close,
     _ideal_masks_all,
     _proper_ideal_masks,
     ideal_algebra,
@@ -40,7 +40,7 @@ def test_ideals_are_ascending_and_deduplicated(catalog_semirings):
 
 def test_generated_ideal_examples(boolean, c3, z4):
     def generated(s, seed):
-        return mask_members(s, _close(s, ideal_from_members(s, seed)))
+        return mask_members(s, ideal_algebra(s).generated(ideal_from_members(s, seed)))
 
     assert generated(boolean, [0]) == [0]
     assert generated(c3, [1]) == [0, 1]
@@ -114,11 +114,13 @@ def test_product_variants_agree(catalog_semirings):
 
 
 def test_closure_matches_independent_fixpoint(small_semirings):
-    """Lattice-intersection closure versus the element-wise fixpoint in
-    iseki.verify, for every seed mask."""
+    """The closure ``IdealAlgebra.generated``, a fold of pair sums over
+    principal ideals, versus the element-wise fixpoint in iseki.verify,
+    for every seed mask."""
     for s in small_semirings:
+        generated = ideal_algebra(s).generated
         for seed in range(1 << s.n):
-            assert _close(s, seed) == reference_generated(s, seed), (s.id, seed)
+            assert generated(seed) == reference_generated(s, seed), (s.id, seed)
 
 
 def test_ideal_algebra_matches_ideal_operations(small_semirings):
@@ -221,3 +223,10 @@ def test_min_generators_matches_brute_force(catalog_semirings):
                 if reference_generated(s, sum(1 << g for g in seed)) == a
             )
             assert min_generators(s, a) == expected, (s.id, a)
+
+
+def test_atoms_ideal_count():
+    """Every join-closed subset of {0, atoms, t} that holds 0 is an ideal
+    of ``atoms(k)``, so it has 2^k + k + 2 ideals with the improper one."""
+    for k in range(10):
+        assert len(_ideal_masks_all(atoms(k))) == 2**k + k + 2, k

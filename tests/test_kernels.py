@@ -3,7 +3,7 @@ vectorized numpy reference, first-witness tuples included.  numpy is a
 test-only dependency; the package itself never imports it."""
 
 import numpy as np
-from conftest import naive_ideal_sets
+from conftest import atoms, naive_ideal_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,12 +131,12 @@ def test_ideal_masks_match_naive_scan(small_semirings):
         assert list(_kernels.ideal_masks(s.add, s.mul)) == expected, s.id
 
 
-def test_ideal_masks_match_reference_scan_up_to_sixteen(atoms5):
+def test_ideal_masks_match_reference_scan_up_to_sixteen():
     """Against the 2^n scan on semirings with many elements or many
     ideals: B^4, the 16-chain, Z16 and the 38-ideal ``atoms5``."""
     n = 16
     corpus = [
-        atoms5,
+        atoms(5),
         validate_semiring(
             [[a | b for b in range(n)] for a in range(n)],
             [[a & b for b in range(n)] for a in range(n)],

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import emit, reference_tallies, report_sections
+from conftest import atoms, emit, reference_tallies, report_sections
 
 import iseki.sweep
 import iseki.topology
@@ -331,9 +331,9 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
 # SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
 # to the report must update the digest here and say why.
 REPORT_DIGESTS = {
-    (): "d816d0ed6929b20b017aebad038630ea5a43cbb07c7b3589ba51be1a5fe997b3",
-    (3,): "ff02c3642d317e17bdf3db6d03010c8edbf30d3541320b0d6d2474d17c87b471",
-    (4,): "8889b35961cd7a4a9521fcadd4e676228202ed060341cd6d8cd3a42863f08586",
+    (): "a575b2c7445979099b92054d81517fc2f0af04df75cee9bf399e4ee729a283b8",
+    (3,): "7a6cb19007b7e20f9778120ad9888994442413e0fb390bf732bd512e4d0e4dc4",
+    (4,): "aff2302979e27c61bb5721ee17eb2afe1e03aa8556fb1ff3d2bfb495e4e7e231",
 }
 
 
@@ -383,7 +383,6 @@ def test_sweep_report_shape(small_report):
     instance = small_report["topology"][0]
     for key in (
         "points",
-        "closed_set_count",
         "t0",
         "t1",
         "t1_predicate",
@@ -687,3 +686,18 @@ def test_runs_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["failures"] == 0
+
+
+def test_atoms7_fails_only_on_its_atom_quotients():
+    """The only universal failures of ``atoms7`` (10 elements, 137
+    ideals) are the as-stated quotient claim on each atom ideal {0, a_i}
+    under ``proper``: mod {0, a_i} the point {0, a_i, t} holds the
+    kernel but is not a union of Bourne classes."""
+    report = sweep(corpus=[atoms(7)], log=io.StringIO())
+    failing = {name: e for name, e in report["tallies"].items() if e["failures"]}
+    assert report["failures"] == 7
+    assert list(failing) == ["quotient_kernel_homeomorphism"]
+    assert [
+        (w["semiring"], w["ideal"], w["class"])
+        for w in failing["quotient_kernel_homeomorphism"]["witnesses"]
+    ] == [("atoms7", [0, i], "proper") for i in range(1, 8)]

@@ -1,13 +1,14 @@
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import and_
 
 import pytest
 from conftest import (
     ReferenceLattice,
+    atoms,
     canonical_key,
+    closed_set_count,
     emit,
     nontrivial_idempotents,
     reference_quasi_compact,
@@ -34,7 +35,6 @@ from iseki.morphisms import (
 from iseki.semiring import bourne_quotient, direct_product
 from iseki.sweep import ideal_lattice_report, topology_instance_report
 from iseki.topology import (
-    FAMILY_SIZE_CAP,
     Spectrum,
     _closed_family_cached,
     check_connected,
@@ -147,7 +147,7 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
             for k in range(1 << spec.size):
                 assert (spec.closure(k) == k) == (k in ref.closed_set), (where, k)
                 assert spec.closure(k) == ref.closure(k), (where, k)
-            assert spec.closed_set_count() == len(ref.closed), where
+            assert closed_set_count(spec) == len(ref.closed), where
             assert list(spec.irreducible_closed_sets()) == ref.irreducible_closed_sets(), where
             if spec.size:
                 clopen = ref.clopen_witness()
@@ -217,18 +217,19 @@ def test_topology_reports_build_ideal_algebra_once(catalog_semirings, monkeypatc
     """Over the catalog plus orders 1-3, a semiring's topology reports
     under all eight classes and its ideal-lattice report build its ideal
     algebra once, and the topology reports make no more ideal closures
-    (``ideals._close`` calls) for eight classes than for one.  The caches
-    are keyed on the tables, and a cached space may carry another
-    semiring with the same tables (``B/{0}`` has ``B``'s), so closures
-    are counted per table pair and the spaces are built afresh."""
+    (``IdealAlgebra.generated`` calls, which build the product table) for
+    eight classes than for one.  The caches are keyed on the tables, and
+    a cached space may carry another semiring with the same tables
+    (``B/{0}`` has ``B``'s), so closures are counted per table pair and
+    the spaces are built afresh."""
     calls = Counter()
-    real = iseki.ideals._close
+    real = iseki.ideals.IdealAlgebra.generated
 
-    def counting(s, seed):
-        calls[s.structure] += 1
-        return real(s, seed)
+    def counting(algebra, seed):
+        calls[algebra.semiring.structure] += 1
+        return real(algebra, seed)
 
-    monkeypatch.setattr(iseki.ideals, "_close", counting)
+    monkeypatch.setattr(iseki.ideals.IdealAlgebra, "generated", counting)
     corpus = list(catalog_semirings)
     for n in range(1, 4):
         corpus.extend(enumerate_semirings(n, up_to_iso=True))
@@ -281,14 +282,14 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
             assert rep["homeomorphism_onto_image"] == expected, (s.id, t.id, hom, tag)
 
 
-def test_proper_spectrum_above_twenty_points(atoms5):
+def test_proper_spectrum_above_twenty_points():
     """38 points: the proper ideals of ``atoms5`` are {0}, {0, atom} and
     {0, t} with any set of atoms; the 8699 up-sets are 1 + the sum of
     2^(number of atoms whose singleton up-set lies in V) over the 7581
     up-sets V of the atom subsets."""
-    rep = topology_instance_report(atoms5, "proper")
+    rep = topology_instance_report(atoms(5), "proper")
     assert len(rep["points"]) == 38
-    assert rep["closed_set_count"] == 8699
+    assert closed_set_count(spectrum(atoms(5), "proper")) == 8699
     assert rep["t0"] and rep["sober"] and rep["connected"] is True
     assert rep["upset_laws"] == "pass"
 
@@ -299,13 +300,13 @@ def test_closed_families(boolean, bb, c3):
 
     one_point = spectrum(boolean, "prime")
     assert closed_sets(one_point) == (0, 1)
-    assert one_point.closed_set_count() == 2
+    assert closed_set_count(one_point) == 2
     discrete = spectrum(bb, "maximal")
     assert closed_sets(discrete) == (0, 1, 2, 3)
-    assert discrete.closed_set_count() == 4
+    assert closed_set_count(discrete) == 4
     sierpinski = spectrum(c3, "prime")
     assert closed_sets(sierpinski) == (0, 2, 3)
-    assert sierpinski.closed_set_count() == 3
+    assert closed_set_count(sierpinski) == 3
 
 
 def test_closure_examples(c3):
@@ -368,19 +369,22 @@ def test_sober_agreement_everywhere(catalog_semirings):
 
 def test_quasi_compact_mechanism(bb, catalog_semirings):
     """On B x B's maximal spectrum, which holds every maximal ideal, some
-    ideal families have an empty up-set intersection, so the maximal rule
-    is exercised there."""
+    pairs of proper ideals have an empty up-set intersection, and their
+    sum is improper, as the maximal rule over single ideals and the pair
+    lemma say."""
     spec = spectrum(bb, "maximal")
     rep = check_quasi_compact(spec)
     assert rep["quasi_compact"] and rep["quasi_compact_sum_identity"]
     assert set(spec.points) == set(maximal_ideal_masks(bb))
     assert rep["quasi_compact_maximal_rule"]
-    empty_families = sum(
-        reduce(and_, (spec.subbasis[a] for a in family), spec.full) == 0
-        for size in range(1, FAMILY_SIZE_CAP + 1)
-        for family in combinations(sorted(spec.subbasis), size)
-    )
-    assert empty_families > 0
+    sums = ideal_algebra(bb).sums
+    empty_pairs = [
+        (a, b)
+        for a, b in combinations(_proper_ideal_masks(bb), 2)
+        if spec.subbasis[a] & spec.subbasis[b] == 0
+    ]
+    assert empty_pairs
+    assert all(sums[a][b] == bb.full_mask for a, b in empty_pairs)
     for s in catalog_semirings:
         if s.n > 4:
             continue

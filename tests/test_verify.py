@@ -4,6 +4,7 @@ the package emits (and refute fabricated ones)."""
 import io
 
 import pytest
+from conftest import closed_set_count
 
 from iseki.errors import AxiomViolation, ContractionFails
 from iseki.ideals import classified_ideals, mask_members
@@ -102,7 +103,7 @@ def test_closed_family_equals_up_closed_sets(catalog_semirings):
                     expected.append(candidate)
             got = [k for k in range(1 << len(masks)) if spec.closure(k) == k]
             assert got == expected, (s.id, tag)
-            assert spec.closed_set_count() == len(expected), (s.id, tag)
+            assert closed_set_count(spec) == len(expected), (s.id, tag)
 
 
 def test_disconnection_witnesses_via_sweep(catalog_semirings):
