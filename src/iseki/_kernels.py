@@ -123,31 +123,32 @@ def axiom_witness(add, mul, one):
 
 
 def ideal_masks(add, mul):
-    """Masks of all ideals, the improper one included, ascending.
+    """``{a: (a + R0, ..., a + R(n-1))}`` over all ideal masks, ascending.
 
     Exact on semirings.  The principal ideal of g is Rg = {rg}: it holds
     0 = 0g and g = 1g, and rg + sg = (r + s)g and s(rg) = (sr)g keep it
     closed.  The sum of two ideals is {i + j}, and every ideal is the sum
     of the principal ideals of its members, so closing the zero ideal
-    under "add one principal ideal" reaches every ideal and nothing else.
+    under "add one principal ideal" reaches every ideal (the improper one
+    too) and nothing else, through the joins a + Rg (a when g is in a).
     """
     elements = range(len(add))
     principal = [{row[g] for row in mul} for g in elements]
     # shifted[g][x] is the mask of x + Rg.
     shifted = [[sum({1 << add[x][p] for p in rg}) for x in elements] for rg in principal]
-    seen = {1}
-    todo = [1]
+    joins = {}
+    todo = {1}
     while todo:
         ideal = todo.pop()
         members = [x for x in elements if (ideal >> x) & 1]
-        for g in elements:
-            if (ideal >> g) & 1:
-                continue
-            row = shifted[g]
-            bigger = 0
-            for x in members:
-                bigger |= row[x]
-            if bigger not in seen:
-                seen.add(bigger)
-                todo.append(bigger)
-    return tuple(sorted(seen))
+        row = []
+        for g, shift in enumerate(shifted):
+            bigger = ideal
+            if not (ideal >> g) & 1:
+                for x in members:
+                    bigger |= shift[x]
+                if bigger not in joins:
+                    todo.add(bigger)
+            row.append(bigger)
+        joins[ideal] = tuple(row)
+    return dict(sorted(joins.items()))

@@ -7,11 +7,12 @@ elements.  Proper means "not the whole semiring"; sums and products can
 overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 
 ``ideal_algebra(s)`` is the one implementation of principal ideals and
-of ideal sum, product, radical and generation: a cached table of masks
-per semiring.  The intersection of two ideals is the AND of their
-masks.  ``IdealAlgebra.generated`` is the one way to build the ideal
-generated by a set of elements; ``ideal_from_members`` is the
-range-checked entry point for element lists from outside.
+of ideal sum, product, radical and generation: cached tables of masks
+per semiring, its one table of sums the ideal search's a + Rg.  The
+intersection of two ideals is the AND of their masks.
+``IdealAlgebra.generated`` is the one way to build the ideal generated
+by a set of elements; ``ideal_from_members`` is the range-checked entry
+point for element lists from outside.
 
 ``classify`` is the one place that decides whether an ideal is prime,
 maximal, radical and so on; ``prime_ideal_masks``, ``maximal_ideal_masks``
@@ -43,17 +44,12 @@ def ideal_from_members(s, members):
 @lru_cache(maxsize=None)
 def _ideal_masks_all(s):
     """All ideal masks of ``s`` including the improper full mask, ascending."""
-    return _kernels.ideal_masks(s.add, s.mul)
-
-
-@lru_cache(maxsize=None)
-def _ideal_mask_set(s):
-    return frozenset(_ideal_masks_all(s))
+    return ideal_algebra(s).masks
 
 
 def is_ideal_mask(s, mask):
     """Whether a mask is a (possibly improper) ideal of ``s``."""
-    return mask in _ideal_mask_set(s)
+    return mask in ideal_algebra(s).joins
 
 
 def mask_members(s, mask):
@@ -64,12 +60,13 @@ def mask_members(s, mask):
 class IdealAlgebra:
     """The ideal algebra of one semiring, as masks over its ideal lattice.
 
-    ``masks`` are the ideal masks, ascending, the improper one last.
-    ``principals[g]`` is the ideal generated by element g, which is
-    Rg = {rg} (see ``_kernels.ideal_masks``).  ``sums[a][b]`` is the sum
-    of ideals a and b, {x + y : x in a, y in b}: an ideal that holds a and
-    b and lies in every ideal that holds both.  ``generated(seed)`` folds
-    the sums over the principal ideals of the seed's elements.
+    ``joins[a][g]`` is a + Rg, the sum of the ideal a and the principal
+    ideal Rg = {rg} of element g, as the ideal search found it (see
+    ``_kernels.ideal_masks``); it is the package's one table of ideal
+    sums.  ``masks`` are its keys, the ideal masks, ascending, the
+    improper one last, and ``principals[g]`` is Rg, the row of the zero
+    ideal.  ``generated(seed)`` folds the joins over the seed's elements,
+    so the sum of ideals a and b is ``generated(a | b)``.
     ``products[a][b]``, built on first use, is the ideal generated by the
     element products, and ``radicals[a]`` the radical of a (the elements
     with some positive power in a), all keyed by mask.  This is the
@@ -81,20 +78,18 @@ class IdealAlgebra:
 
     def __init__(self, s):
         self.semiring = s
-        self.masks = _ideal_masks_all(s)
-        self.principals = tuple(
-            reduce(or_, (1 << row[g] for row in s.mul)) for g in range(s.n)
-        )
-        self.sums = _pair_masks(s, s.add, self.masks)
+        self.joins = _kernels.ideal_masks(s.add, s.mul)
+        self.masks = tuple(self.joins)
+        self.principals = self.joins[1]
         self.radicals = {a: _radical_mask(s, a) for a in self.masks}
 
     def generated(self, seed):
         """The least ideal mask holding the elements of the mask ``seed``:
-        the sum of their principal ideals."""
+        the sum of their principal ideals, added one at a time."""
         total = 1
         while seed:
             low = seed & -seed
-            total = self.sums[total][self.principals[low.bit_length() - 1]]
+            total = self.joins[total][low.bit_length() - 1]
             seed ^= low
         return total
 
@@ -103,16 +98,16 @@ class IdealAlgebra:
         s = self.semiring
         return {
             a: {b: self.generated(pairs) for b, pairs in row.items()}
-            for a, row in _pair_masks(s, s.mul, self.masks).items()
+            for a, row in _pair_masks(s, self.masks).items()
         }
 
 
-def _pair_masks(s, table, masks):
-    """``{a: {b: mask of table[x][y] over x in a, y in b}}``, from one
-    row per b of the masks of table[x][y] over y in b."""
+def _pair_masks(s, masks):
+    """``{a: {b: mask of xy over x in a, y in b}}``, from one row per b
+    of the masks of xy over y in b."""
     members = {a: mask_members(s, a) for a in masks}
     rows = {
-        b: [reduce(or_, (1 << row[y] for y in members[b])) for row in table]
+        b: [reduce(or_, (1 << row[y] for y in members[b])) for row in s.mul]
         for b in masks
     }
     return {

@@ -72,7 +72,8 @@ def contract_ideal(s, t, hom, ideal_of_t):
     for a in range(s.n):
         if (ideal_of_t >> hom[a]) & 1:
             mask |= 1 << a
-    assert is_ideal_mask(s, mask), "contraction failed the ideal axioms"
+    if not is_ideal_mask(s, mask):
+        raise AssertionError("contraction failed the ideal axioms")
     return mask
 
 
@@ -80,16 +81,6 @@ def kernel(s, t, hom):
     """Preimage of the zero ideal of t; an ideal of s, improper only for a
     zero-collapse."""
     return contract_ideal(s, t, hom, 1)
-
-
-def extend_ideal(s, t, hom, ideal_of_s):
-    """Ideal of t generated by the image of an ideal mask of s; may be
-    improper."""
-    image = 0
-    for a in range(s.n):
-        if (ideal_of_s >> a) & 1:
-            image |= 1 << hom[a]
-    return ideal_algebra(t).generated(image)
 
 
 @dataclass(frozen=True)
@@ -101,10 +92,10 @@ class InducedMap:
     ``map[j]`` is the index in ``spec_s`` of the preimage of point j of
     ``spec_t``.  ``kernel`` is the mask of the homomorphism's kernel, an
     ideal of s.
-    ``continuity_witness`` is None when the preimage of every subbasic
-    closed set is the up-set of the extended ideal, hence closed;
-    otherwise it is the first ideal of the homomorphism's source for
-    which it is not.
+    ``continuity_witness`` is None when the preimage of the up-set of
+    every principal ideal Rg of s is the up-set of the principal ideal
+    of its image, hence closed; otherwise it is ``{"ideal": Rg}`` for
+    the first element g of s for which it is not.
     """
 
     hom: tuple
@@ -134,10 +125,15 @@ def induced_map(s, t, hom, cls):
     ContractionFails with the witness ``{"point", "preimage"}`` of the
     first point of t whose preimage is not a point.  Continuity is
     returned as a verdict on the map (``continuous``,
-    ``continuity_witness``): the preimage of the up-set of each ideal a of
-    s must be the up-set of the ideal of t generated by the image of a.
-    Both up-sets are read from the spectra's subbases.  The map and the
-    witness carry the canonical class name.
+    ``continuity_witness``): for each element g of s, the preimage of
+    up(Rg) must be up(R f(g)), both read from the spectra's subbases.
+    The map and the witness carry the canonical class name.
+
+    These n checks decide every ideal a of s: the preimage of up(a) must
+    be the up-set of the ideal generated by f(a).  For a = Rg that ideal
+    is R f(g), since f(1) = 1 puts f(g) in f(Rg).  A point holds a
+    exactly when it holds every Rg with g in a, and preimages keep
+    meets, so both sides are the meets over g in a of the principal case.
     """
     cls = cls if cls in CLASS_FLAGS else parse_class(cls)
     spec_s = spectrum(s, cls)
@@ -152,15 +148,17 @@ def induced_map(s, t, hom, cls):
                 {"point": mask_members(t, p), "preimage": mask_members(s, back)},
             )
         point_map.append(index_of[back])
-    up_t = spec_t.subbasis
+    up_s, up_t = spec_s.subbasis, spec_t.subbasis
+    principals_t = ideal_algebra(t).principals
     witness = None
-    for m, target_up in spec_s.subbasis.items():
+    for g, rg in enumerate(ideal_algebra(s).principals):
+        source_up = up_s[rg]
         pulled = 0
         for j, i in enumerate(point_map):
-            if (target_up >> i) & 1:
+            if (source_up >> i) & 1:
                 pulled |= 1 << j
-        if pulled != up_t[extend_ideal(s, t, hom, m)]:
-            witness = {"ideal": mask_members(s, m)}
+        if pulled != up_t[principals_t[hom[g]]]:
+            witness = {"ideal": mask_members(s, rg)}
             break
     return InducedMap(
         hom=hom,

@@ -47,8 +47,6 @@ summary line gives these counts.
 import sys
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Callable
 
 from .catalog import builtin_catalog
@@ -145,35 +143,39 @@ def ideal_lattice_report(s):
     report["radical_monotone"] = mono_ok
     report["radical_monotone_witness"] = mono_witness
 
-    # The sum of a and b is their least upper bound when it is an ideal
-    # holding a | b and lies inside {x + y : x in a, y in b}, which every
-    # ideal holding a | b contains; the pair sums are read off the tables.
-    members = {a: mask_members(s, a) for a in masks}
-    plus = {
-        b: [reduce(or_, (1 << s.add[x][y] for y in members[b])) for x in range(s.n)]
-        for b in masks
-    }
-    lat_ok, lat_witness = True, None
+    # a + Rg, every sum that ``generated`` reads, is the least upper bound
+    # of a and Rg when it is an ideal holding a | Rg and lies inside
+    # {x + y : x in a, y in Rg}, recomputed here from the addition table.
+    def join_fails(a, rg, total):
+        addends = mask_members(s, rg)
+        pair_sums = 0
+        for x in mask_members(s, a):
+            for y in addends:
+                pair_sums |= 1 << s.add[x][y]
+        union = a | rg
+        return total not in algebra.joins or (total & union) != union or total & ~pair_sums
+
+    lat_witness = next(
+        (
+            [mask_members(s, a), mask_members(s, rg)]
+            for a, row in algebra.joins.items()
+            for rg, total in zip(algebra.principals, row)
+            if join_fails(a, rg, total)
+        ),
+        None,
+    )
+    lat_ok = lat_witness is None
     prod_ok, prod_witness = True, None
-    ideal_masks = set(masks)
     for a in masks:
-        sums, products = algebra.sums[a], algebra.products[a]
+        products = algebra.products[a]
         for b in masks:
-            total = sums[b]
             inter = a & b
             prod = products[b]
             if prod_ok and (prod & inter) != prod:
                 prod_ok, prod_witness = False, [mask_members(s, a), mask_members(s, b)]
-            union = a | b
-            pair_sums = reduce(or_, map(plus[b].__getitem__, members[a]))
-            if (
-                total not in ideal_masks
-                or (total & union) != union
-                or (total & pair_sums) != total
-                or inter not in ideal_masks
-            ):
+            if lat_ok and inter not in algebra.joins:
                 lat_ok, lat_witness = False, [mask_members(s, a), mask_members(s, b)]
-        if not (lat_ok and prod_ok):
+        if not (lat_ok or prod_ok):
             break
     report["product_in_intersection"] = prod_ok
     report["product_witness"] = prod_witness

@@ -35,7 +35,6 @@ reads its id.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
 from operator import and_
 
 from .errors import HypothesisUnmet, NoUnitDecomposition, ParseError
@@ -150,21 +149,23 @@ class Spectrum:
 
     @cached_property
     def sum_identity(self):
-        """The first pair of distinct ideals a, b (ascending masks, in
-        ``combinations`` order) with up(a + b) != up(a) & up(b), or None.
-        A point holds a + b exactly when it holds a and b, so the pairs
-        decide every finite family: up(a1 + ... + ak) =
-        up(a1 + ... + a(k-1)) & up(ak), by induction on k.  One ideal never
-        fails, so this pair is also the first failing family of a walk
-        by family size.  Memoized for the up-set laws and
+        """The first (a, Rg), ideals a ascending and then elements g, with
+        up(a + Rg) != up(a) & up(Rg), or None; a point holds a + Rg exactly
+        when it holds a and g.  These pairs decide every finite family: for
+        an ideal b with members g1, ..., gk, a + b = a + Rg1 + ... + Rgk,
+        each partial sum an ideal, so up(a + b) = up(a) & U, U the meet of
+        the up(Rgi).  For a = {0} that is up(b) = up({0}) & U, and up(a)
+        lies in up({0}), so up(a + b) = up(a) & up(b); induction on the
+        family's size does the rest.  Memoized for the up-set laws and
         quasi-compactness."""
         up = self.subbasis
         algebra = ideal_algebra(self.semiring)
         return next(
             (
-                (a, b)
-                for a, b in combinations(algebra.masks, 2)
-                if up[algebra.sums[a][b]] != (up[a] & up[b])
+                (a, rg)
+                for a, row in algebra.joins.items()
+                for rg, total in zip(algebra.principals, row)
+                if up[total] != (up[a] & up[rg])
             ),
             None,
         )
@@ -308,11 +309,12 @@ def check_quasi_compact(spec):
     """Finite spaces are quasi-compact; the value is the proof mechanism.
 
     The sum identity: every finite family's up-sets meet in the up-set
-    of its sum, which the pairs decide (``Spectrum.sum_identity``).  The
-    maximal rule, when every maximal ideal is a point: up-sets that meet
-    in the empty set have the improper sum.  A family's sum is one ideal
-    with that up-set, so the rule is "up(a) empty forces a = S" over
-    single ideals; each proper ideal lies in a maximal one, a point.
+    of its sum, which the (ideal, principal ideal) pairs decide
+    (``Spectrum.sum_identity``).  The maximal rule, when every maximal
+    ideal is a point: up-sets that meet in the empty set have the
+    improper sum.  A family's sum is one ideal with that up-set, so the
+    rule is "up(a) empty forces a = S" over single ideals; each proper
+    ideal lies in a maximal one, a point.
     """
     full_mask = spec.semiring.full_mask
     return {
@@ -455,7 +457,7 @@ def idempotent_from_disconnection(spec, witness):
     products = algebra.products
     x = reduce(lambda acc, a: products[acc][a], left)
     y = reduce(lambda acc, b: products[acc][b], right)
-    if algebra.sums[x][y] != s.full_mask:
+    if algebra.generated(x | y) != s.full_mask:
         raise NoUnitDecomposition("reduced ideals do not sum to the whole semiring")
     if products[x][y] != 1:
         raise NoUnitDecomposition("reduced ideal product is not the zero ideal")
@@ -477,12 +479,12 @@ def verify_upset_laws(spec):
     Laws: (1) antitone, with the zero ideal mapping to the full space and
     the whole semiring to the empty set; (2) up(a) | up(b) inside
     up(a&b) inside up(ab); (3) intersections of up-sets equal the up-set
-    of the ideal sum, for every finite family, which the pairs of
-    ``Spectrum.sum_identity`` decide, its witness the first failing
-    pair; (4) up(a) contains
-    up(radical(a)); (5) every point is a radical ideal if and only if
-    up(a) = up(radical(a)) for every ideal a.  ``upset_laws`` is "pass"
-    or the first failing law with its witness.  The generator identity:
+    of the ideal sum, for every finite family, which the (ideal,
+    principal ideal) pairs of ``Spectrum.sum_identity`` decide, its
+    witness the first failing pair; (4) up(a) contains up(radical(a));
+    (5) every point is a radical ideal if and only if up(a) =
+    up(radical(a)) for every ideal a.  ``upset_laws`` is "pass" or the
+    first failing law with its witness.  The generator identity:
     the up-set of each ideal is the intersection of the up-sets of the
     principal ideals of its generators.
     """

@@ -1,5 +1,6 @@
 from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from conftest import (
     atoms,
@@ -65,24 +66,30 @@ def _addition_closure(s, mask):
 
 
 def test_sum_examples(c3, bb):
-    sums = ideal_algebra(c3).sums
+    """The sum of two ideals is the ideal generated by their union."""
+    generated = ideal_algebra(c3).generated
     zero = ideal_from_members(c3, [0])
     low = ideal_from_members(c3, [0, 1])
-    assert sums[zero][low] == low
-    assert sums[zero][zero] == zero
+    assert generated(zero | low) == low
+    assert generated(zero | zero) == zero
+    assert ideal_algebra(c3).joins[zero][1] == low  # {0} + R1
     left = ideal_from_members(bb, [0, 2])
     right = ideal_from_members(bb, [0, 1])
-    assert ideal_algebra(bb).sums[left][right] == bb.full_mask
+    assert ideal_algebra(bb).generated(left | right) == bb.full_mask
 
 
 def test_sum_equals_addition_closure_of_union(catalog_semirings):
-    """The sum table agrees with the finite-sums definition: the sums of
-    an element of one ideal and an element of the other."""
+    """Sums agree with the finite-sums definition: the sums of an element
+    of one ideal and an element of the other.  That holds for every join
+    a + Rg of the table and for the sum of every pair of ideals."""
     for s in catalog_semirings:
         algebra = ideal_algebra(s)
         for a in algebra.masks:
+            for g, total in enumerate(algebra.joins[a]):
+                union = a | algebra.principals[g]
+                assert total == _addition_closure(s, union), (s.id, a, g)
             for b in algebra.masks:
-                assert algebra.sums[a][b] == _addition_closure(s, a | b), (s.id, a, b)
+                assert algebra.generated(a | b) == _addition_closure(s, a | b), (s.id, a, b)
 
 
 def test_product_examples(bb, z4, c3):
@@ -114,9 +121,9 @@ def test_product_variants_agree(catalog_semirings):
 
 
 def test_closure_matches_independent_fixpoint(small_semirings):
-    """The closure ``IdealAlgebra.generated``, a fold of pair sums over
-    principal ideals, versus the element-wise fixpoint in iseki.verify,
-    for every seed mask."""
+    """The closure ``IdealAlgebra.generated``, a fold of the joins a + Rg
+    over the seed's elements, versus the element-wise fixpoint in
+    iseki.verify, for every seed mask."""
     for s in small_semirings:
         generated = ideal_algebra(s).generated
         for seed in range(1 << s.n):
@@ -127,8 +134,9 @@ def test_ideal_algebra_matches_ideal_operations(small_semirings):
     """Every field of the cached ideal algebra against the references in
     conftest, which build on the element-wise fixpoint ``_generated_set``
     and the power lists ``_powers`` of iseki.verify: the ideal masks,
-    principal ideals, pair sums, products, the sums of every family of one
-    to three ideals, and radicals."""
+    principal ideals, the joins a + Rg, the sums of every pair and of
+    every family of one to three ideals through ``generated``, products
+    and radicals."""
     for s in small_semirings:
         algebra = ideal_algebra(s)
         masks = tuple(sorted(sum(1 << e for e in ss) for ss in naive_ideal_sets(s)))
@@ -138,13 +146,16 @@ def test_ideal_algebra_matches_ideal_operations(small_semirings):
         ), s.id
         for a in masks:
             assert algebra.radicals[a] == reference_radical(s, a), (s.id, a)
+            assert algebra.joins[a] == tuple(
+                reference_generated(s, a | 1 << g) for g in range(s.n)
+            ), (s.id, a)
             for b in masks:
                 where = (s.id, a, b)
-                assert algebra.sums[a][b] == reference_sum(s, (a, b)), where
+                assert algebra.generated(a | b) == reference_sum(s, (a, b)), where
                 assert algebra.products[a][b] == reference_product(s, a, b), where
         for size in range(1, 4):
             for family in combinations(masks, size):
-                total = reduce(lambda acc, b: algebra.sums[acc][b], family)
+                total = algebra.generated(reduce(or_, family))
                 assert total == reference_sum(s, family), (s.id, family)
 
 

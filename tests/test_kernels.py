@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from iseki import _kernels
 from iseki.semiring import validate_semiring
+from iseki.verify import _generated_set
 
 # ---------------------------------------------------------------------------
 # numpy reference kernels on (n, n) int64 arrays
@@ -74,6 +75,18 @@ def reference_ideal_masks(add, mul):
     return tuple(int(m) for m in masks[ok])
 
 
+def assert_joins_exact(s, joins):
+    """Every entry ``joins[a][g]`` of the ideal search is a + Rg, the
+    ideal generated by the members of a and g, as the element-wise
+    fixpoint of ``iseki.verify`` computes it."""
+    for a, row in joins.items():
+        members = [e for e in range(s.n) if (a >> e) & 1]
+        assert len(row) == s.n, (s.id, a)
+        for g, total in enumerate(row):
+            expected = sum(1 << e for e in _generated_set(s, [*members, g]))
+            assert total == expected, (s.id, a, g)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -118,22 +131,28 @@ def test_backends_agree_on_small_semirings(small_semirings):
     for s in small_semirings:
         add, mul = np.array(s.add), np.array(s.mul)
         assert assert_tables_agree(add, mul, s.one)[0] == 0, s.id
-        masks = _kernels.ideal_masks(s.add, s.mul)
+        joins = _kernels.ideal_masks(s.add, s.mul)
+        masks = tuple(joins)
         assert masks == reference_ideal_masks(add, mul), s.id
         assert masks[-1] == s.full_mask
+        assert_joins_exact(s, joins)
 
 
 def test_ideal_masks_match_naive_scan(small_semirings):
     """The principal-ideal search is exact on semirings: it finds the same
-    ideals as an independent frozenset scan over every subset."""
+    ideals as an independent frozenset scan over every subset, and its
+    joins are the generated ideals."""
     for s in small_semirings:
         expected = sorted(sum(1 << e for e in ideal) for ideal in naive_ideal_sets(s))
-        assert list(_kernels.ideal_masks(s.add, s.mul)) == expected, s.id
+        joins = _kernels.ideal_masks(s.add, s.mul)
+        assert list(joins) == expected, s.id
+        assert_joins_exact(s, joins)
 
 
 def test_ideal_masks_match_reference_scan_up_to_sixteen():
     """Against the 2^n scan on semirings with many elements or many
-    ideals: B^4, the 16-chain, Z16 and the 38-ideal ``atoms5``."""
+    ideals: B^4, the 16-chain, Z16 and the 38-ideal ``atoms5``; the joins
+    against the element-wise fixpoint."""
     n = 16
     corpus = [
         atoms(5),
@@ -158,7 +177,9 @@ def test_ideal_masks_match_reference_scan_up_to_sixteen():
     ]
     for s in corpus:
         expected = reference_ideal_masks(np.array(s.add), np.array(s.mul))
-        assert _kernels.ideal_masks(s.add, s.mul) == expected, s.id
+        joins = _kernels.ideal_masks(s.add, s.mul)
+        assert tuple(joins) == expected, s.id
+        assert_joins_exact(s, joins)
 
 
 def test_valid_tables_scan_clean(catalog_semirings):

@@ -104,3 +104,21 @@ def test_no_unreferenced_definitions():
     }
     found = unreferenced(package)
     assert [f for f in found if not f.startswith("verify.py:")] == []
+
+
+def assert_statements(source):
+    """Line numbers of the ``assert`` statements of a module."""
+    tree = ast.parse(source)
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements_in_the_package():
+    """No module of ``src/iseki`` holds an ``assert`` statement:
+    ``python -O`` strips them, so a check the package relies on raises
+    its error explicitly."""
+    assert assert_statements("x = 1\nassert x\nif x:\n    assert x, 'm'\n") == [2, 4]
+    found = {
+        p.name: assert_statements(p.read_text(encoding="utf-8"))
+        for p in (ROOT / "src" / "iseki").glob("*.py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

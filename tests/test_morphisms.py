@@ -1,24 +1,28 @@
 from collections import Counter
 
 import pytest
-from conftest import compose
+from conftest import compose, reference_generated
 
 import iseki.morphisms
 import iseki.sweep
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails
-from iseki.ideals import _proper_ideal_masks, ideal_from_members, mask_members
+from iseki.ideals import (
+    _proper_ideal_masks,
+    ideal_algebra,
+    ideal_from_members,
+    mask_members,
+)
 from iseki.morphisms import (
     check_density,
     check_quotient_homeomorphism,
     contract_ideal,
     enumerate_homomorphisms,
-    extend_ideal,
     induced_map,
     kernel,
 )
 from iseki.semiring import bourne_quotient, validate_homomorphism
-from iseki.topology import up_set
+from iseki.topology import _closed_family_cached, spectrum, up_set
 
 
 def hom_by_map(s, t, mapping):
@@ -50,20 +54,45 @@ def test_kernel_examples(bb, boolean, z4, z2):
     assert mask_members(z4, kernel(z4, z2, mod2)) == [0, 2]
 
 
+def extended(s, t, hom, ideal_of_s):
+    """The ideal of t generated by the image of an ideal mask of s, by
+    the element-wise fixpoint of ``iseki.verify``; may be improper."""
+    image = {hom[a] for a in mask_members(s, ideal_of_s)}
+    return reference_generated(t, sum(1 << b for b in image))
+
+
 def test_contract_and_extend(z4, z2):
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
     zero_t = ideal_from_members(z2, [0])
     assert mask_members(z4, contract_ideal(z4, z2, mod2, zero_t)) == [0, 2]
     m = ideal_from_members(z4, [0, 2])
-    assert mask_members(z2, extend_ideal(z4, z2, mod2, m)) == [0]
+    assert mask_members(z2, extended(z4, z2, mod2, m)) == [0]
     zero_s = ideal_from_members(z4, [0])
-    assert mask_members(z2, extend_ideal(z4, z2, mod2, zero_s)) == [0]
+    assert mask_members(z2, extended(z4, z2, mod2, zero_s)) == [0]
 
 
 def test_extend_can_be_improper(c3, boolean):
     collapse = hom_by_map(c3, boolean, (0, 1, 1))
     low = ideal_from_members(c3, [0, 1])
-    assert extend_ideal(c3, boolean, collapse, low) == boolean.full_mask
+    assert extended(c3, boolean, collapse, low) == boolean.full_mask
+
+
+def test_principal_ideals_extend_to_principal_ideals(catalog_semirings):
+    """The lemma that lets ``induced_map`` decide continuity on the
+    principal ideals: a homomorphism f maps Rg into R f(g), and the ideal
+    generated by the image is R f(g), for every g of every homomorphism
+    between catalog semirings of order at most 4."""
+    small = [s for s in catalog_semirings if s.n <= 4]
+    checked = 0
+    for s in small:
+        for t in small:
+            principals_t = ideal_algebra(t).principals
+            for hom in enumerate_homomorphisms(s, t):
+                for g, rg in enumerate(ideal_algebra(s).principals):
+                    where = (s.id, t.id, hom, g)
+                    assert extended(s, t, hom, rg) == principals_t[hom[g]], where
+                    checked += 1
+    assert checked > 0
 
 
 def test_prime_contraction_universal(catalog_semirings):
@@ -80,6 +109,31 @@ def test_maximal_contraction_can_fail(c3, c4):
         induced_map(c3, c4, jump, "maximal")
     # The maximal ideal {0,1,2} of C4 pulls back to {0}, not maximal in C3.
     assert err.value.witness == {"point": [0, 1, 2], "preimage": [0]}
+
+
+def test_continuity_fails_on_a_flipped_target_space(c4, c3, monkeypatch):
+    """The continuity oracle can fail.  Under ``prime``, C3's points are
+    {0} and {0, 1}, and up(R1) = up({0, 1}) holds the second only.  With
+    the first point flipped into that up-set of the cached space, the
+    pullback of up(R1) along C4 -> C3 via (0, 1, 1, 2) (which holds the
+    image of R1 = {0, 1} of C4) misses it, so the first failing principal
+    ideal is R1 of C4; R0 still passes."""
+    squash = hom_by_map(c4, c3, (0, 1, 1, 2))
+    assert induced_map(c4, c3, squash, "prime").continuous
+    target = spectrum(c3, "prime")
+    r1 = ideal_algebra(c3).principals[1]
+    assert target.points == (0b001, 0b011) and target.subbasis[r1] == 0b10
+    flipped = {**target.subbasis, r1: 0b11}
+    try:
+        monkeypatch.setitem(target.__dict__, "subbasis", flipped)
+        ind = induced_map(c4, c3, squash, "prime")
+        assert not ind.continuous
+        assert ind.continuity_witness == {"ideal": [0, 1]}
+        report = iseki.sweep.morphism_report(c4, c3, squash, "prime")
+        assert report["continuity_witness"] == {"ideal": [0, 1]}
+        assert not iseki.sweep.universal_oracles_hold(iseki.sweep.MORPHISM, [report])
+    finally:
+        _closed_family_cached.cache_clear()
 
 
 def test_induced_map_examples(z4, z2, bb, boolean):

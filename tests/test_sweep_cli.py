@@ -16,7 +16,7 @@ from iseki.catalog import build_recipe, builtin_catalog
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import EmptyFamily, ParseError
-from iseki.ideals import _proper_ideal_masks
+from iseki.ideals import _proper_ideal_masks, ideal_algebra
 from iseki.morphisms import enumerate_homomorphisms, induced_map
 from iseki.semiring import bourne_quotient, validate_semiring
 from iseki.serialize import canonical_json
@@ -180,6 +180,27 @@ def test_memoized_reports_equal_per_instance_reports():
         for s in semirings
         for ideal in _proper_ideal_masks(s)
     ]
+
+
+@pytest.mark.parametrize("wrong", [0b0101, 0b1111], ids=["non-ideal", "too-big"])
+def test_lattice_oracle_reads_every_join(c4, monkeypatch, wrong):
+    """``sum_lub_intersection_glb`` checks each join a + Rg of the ideal
+    search.  In C4, {0} + R2 is {0, 1, 2}; replaced by {0, 2} (not an
+    ideal) or by C4 (outside the pair sums), the row fails with the
+    witness ({0}, R2).  The first report fills every cache that reads the
+    joins, so only the lattice check sees the wrong entry."""
+    algebra = ideal_algebra(c4)
+    assert ideal_lattice_report(c4)["sum_lub_intersection_glb"]
+    row = list(algebra.joins[1])
+    assert row[2] == 0b0111
+    row[2] = wrong
+    try:
+        monkeypatch.setitem(algebra.joins, 1, tuple(row))
+        report = ideal_lattice_report(c4)
+    finally:
+        ideal_algebra.cache_clear()
+    assert report["sum_lub_intersection_glb"] is False
+    assert report["lattice_witness"] == [[0], [0, 1, 2]]
 
 
 def test_sweep_enumerates_homomorphisms_once_per_table_pair(monkeypatch):
@@ -688,16 +709,18 @@ def test_runs_without_numpy(tmp_path):
     assert json.loads(out.read_text())["failures"] == 0
 
 
-def test_atoms7_fails_only_on_its_atom_quotients():
+@pytest.mark.parametrize("k", [7, 9])
+def test_atoms_fail_only_on_their_atom_quotients(k):
     """The only universal failures of ``atoms7`` (10 elements, 137
-    ideals) are the as-stated quotient claim on each atom ideal {0, a_i}
-    under ``proper``: mod {0, a_i} the point {0, a_i, t} holds the
-    kernel but is not a union of Bourne classes."""
-    report = sweep(corpus=[atoms(7)], log=io.StringIO())
+    ideals) and ``atoms9`` (12 elements, 523 ideals) are the as-stated
+    quotient claim on each atom ideal {0, a_i} under ``proper``: mod
+    {0, a_i} the point {0, a_i, t} holds the kernel but is not a union of
+    Bourne classes."""
+    report = sweep(corpus=[atoms(k)], log=io.StringIO())
     failing = {name: e for name, e in report["tallies"].items() if e["failures"]}
-    assert report["failures"] == 7
+    assert report["failures"] == k
     assert list(failing) == ["quotient_kernel_homeomorphism"]
     assert [
         (w["semiring"], w["ideal"], w["class"])
         for w in failing["quotient_kernel_homeomorphism"]["witnesses"]
-    ] == [("atoms7", [0, i], "proper") for i in range(1, 8)]
+    ] == [(f"atoms{k}", [0, i], "proper") for i in range(1, k + 1)]
