@@ -8,8 +8,9 @@ overflow to the improper whole semiring, whose mask is ``s.full_mask``.
 
 ``ideal_algebra(s)`` is the one implementation of principal ideals and
 of ideal sum, product, radical and generation: cached tables of masks
-per semiring, its one table of sums the ideal search's a + Rg.  The
-intersection of two ideals is the AND of their masks.
+per semiring, its one table of sums the ideal search's a + Rg, which
+generation, and so sums and products, fold.  The intersection of two
+ideals is the AND of their masks.
 ``IdealAlgebra.generated`` is the one way to build the ideal generated
 by a set of elements; ``ideal_from_members`` is the range-checked entry
 point for element lists from outside.
@@ -22,9 +23,9 @@ route to the radical that the sweep compares against the algebra.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_
 
 from . import _kernels
 from .errors import ImproperIdeal, RangeError
@@ -66,10 +67,11 @@ class IdealAlgebra:
     sums.  ``masks`` are its keys, the ideal masks, ascending, the
     improper one last, and ``principals[g]`` is Rg, the row of the zero
     ideal.  ``generated(seed)`` folds the joins over the seed's elements,
-    so the sum of ideals a and b is ``generated(a | b)``.
-    ``products[a][b]``, built on first use, is the ideal generated by the
-    element products, and ``radicals[a]`` the radical of a (the elements
-    with some positive power in a), all keyed by mask.  This is the
+    so the sum of ideals a and b is ``generated(a | b)``, and
+    ``product(a, b)`` is ``generated`` of the element products.
+    ``radicals[a]`` is the radical of a (the elements with some positive
+    power in a), keyed by mask.  No table is indexed by pairs of ideals:
+    the laws over such pairs read the joins or the principals.  This is the
     package's only implementation of these operations.  None of it
     depends on a spectrum class, so every class's checks read the one
     table that ``ideal_algebra`` caches.  ``tests/test_ideals.py`` checks
@@ -93,27 +95,13 @@ class IdealAlgebra:
             seed ^= low
         return total
 
-    @cached_property
-    def products(self):
+    def product(self, a, b):
+        """The ideal generated by the products xy, x in a, y in b: the sum
+        of the principal ideals R(xy), since Rx * Ry = R(xy)."""
         s = self.semiring
-        return {
-            a: {b: self.generated(pairs) for b, pairs in row.items()}
-            for a, row in _pair_masks(s, self.masks).items()
-        }
-
-
-def _pair_masks(s, masks):
-    """``{a: {b: mask of xy over x in a, y in b}}``, from one row per b
-    of the masks of xy over y in b."""
-    members = {a: mask_members(s, a) for a in masks}
-    rows = {
-        b: [reduce(or_, (1 << row[y] for y in members[b])) for row in s.mul]
-        for b in masks
-    }
-    return {
-        a: {b: reduce(or_, map(rows[b].__getitem__, members[a])) for b in masks}
-        for a in masks
-    }
+        right = mask_members(s, b)
+        pairs = {s.mul[x][y] for x in mask_members(s, a) for y in right}
+        return self.generated(sum(1 << xy for xy in pairs))
 
 
 @lru_cache(maxsize=None)

@@ -95,7 +95,8 @@ class InducedMap:
     ``continuity_witness`` is None when the preimage of the up-set of
     every principal ideal Rg of s is the up-set of the principal ideal
     of its image, hence closed; otherwise it is ``{"ideal": Rg}`` for
-    the first element g of s for which it is not.
+    the first element g of s for which it is not.  ``_pull`` takes
+    preimages of point sets under ``map``.
     """
 
     hom: tuple
@@ -152,12 +153,7 @@ def induced_map(s, t, hom, cls):
     principals_t = ideal_algebra(t).principals
     witness = None
     for g, rg in enumerate(ideal_algebra(s).principals):
-        source_up = up_s[rg]
-        pulled = 0
-        for j, i in enumerate(point_map):
-            if (source_up >> i) & 1:
-                pulled |= 1 << j
-        if pulled != up_t[principals_t[hom[g]]]:
+        if _pull(point_map, up_s[rg]) != up_t[principals_t[hom[g]]]:
             witness = {"ideal": mask_members(s, rg)}
             break
     return InducedMap(
@@ -169,6 +165,15 @@ def induced_map(s, t, hom, cls):
         kernel=kernel(s, t, hom),
         continuity_witness=witness,
     )
+
+
+def _pull(point_map, point_set):
+    """The preimage of a point set: the points j with point_map[j] in it."""
+    out = 0
+    for j, i in enumerate(point_map):
+        if (point_set >> i) & 1:
+            out |= 1 << j
+    return out
 
 
 def check_quotient_homeomorphism(ind):
@@ -183,25 +188,23 @@ def check_quotient_homeomorphism(ind):
 
     Both spaces are Alexandrov, so a continuous injective map is a
     homeomorphism onto its image exactly when it is an embedding of the
-    inclusion orders.  For a surjection f, f(f^-1(q)) = q for every ideal
-    q of t, so that conjunct follows from correct preimages:
-    ``homeomorphism_onto_image`` checks the preimage and continuity code,
-    not a separate theorem instance.
+    inclusion orders: for each point q of t, the points above q are the
+    pull-back of the points above its image, one mask comparison per
+    point.  For a surjection f, f(f^-1(q)) = q for every ideal q of t,
+    so that conjunct follows from correct preimages:
+    ``homeomorphism_onto_image`` checks the preimage and continuity
+    code, not a separate theorem instance.
     """
     if len(set(ind.hom)) != ind.spec_t.semiring.n:
         return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     ker_up = ind.spec_s.subbasis[ind.kernel]
     image = ind.image_point_set()
 
-    q, p = ind.spec_t.points, ind.spec_s.points
+    up_s, up_t = ind.spec_s.up, ind.spec_t.up
     onto_image = (
         ind.continuous
         and len(set(ind.map)) == len(ind.map)
-        and all(
-            ((q[i] & q[j]) == q[i]) == ((p[a] & p[b]) == p[a])
-            for i, a in enumerate(ind.map)
-            for j, b in enumerate(ind.map)
-        )
+        and all(_pull(ind.map, up_s[a]) == up_t[i] for i, a in enumerate(ind.map))
     )
 
     return {

@@ -97,20 +97,24 @@ def topology_report_by_check(s, cls):
 
 def ideal_lattice_report(s):
     """Per-semiring ideal-lattice oracles (radical equality, implications,
-    lattice laws)."""
+    lattice laws).  The monotone radical and the sums are decided on the
+    join pairs (a, a + Rg) and the product on the principal pairs
+    (Rg, Rh), each with its proof at the check; only the meet closure
+    walks all pairs of ideals."""
     report = {"semiring": s.id, "n": s.n}
     algebra = ideal_algebra(s)
-    masks = algebra.masks
+    masks, joins, principals = algebra.masks, algebra.joins, algebra.principals
     radicals = algebra.radicals
     report["proper_ideals"] = sum(1 for a in masks if a != s.full_mask)
 
-    rad_ok, rad_witness = True, None
-    for a in masks:
-        if radicals[a] != radical_via_primes(s, a):
-            rad_ok, rad_witness = False, mask_members(s, a)
-            break
-    report["radical_oracle"] = rad_ok
-    report["radical_oracle_witness"] = rad_witness
+    def members(witness):  # a mask or a list of masks as element lists
+        if isinstance(witness, list):
+            return [mask_members(s, m) for m in witness]
+        return None if witness is None else mask_members(s, witness)
+
+    rad_witness = next((a for a in masks if radicals[a] != radical_via_primes(s, a)), None)
+    report["radical_oracle"] = rad_witness is None
+    report["radical_oracle_witness"] = members(rad_witness)
 
     impl_ok, impl_witness = True, None
     for ideal, c in classified_ideals(s):
@@ -126,22 +130,33 @@ def ideal_lattice_report(s):
     report["classification_implications"] = impl_ok
     report["classification_witness"] = impl_witness
 
-    mono_ok, mono_witness = True, None
-    for a in masks:
+    # a lies in rad(a), and rad(a) in rad(a + Rg): adding the members of an
+    # ideal b above a one at a time is a chain of joins from a to b, so the
+    # join pairs decide monotonicity.  A join entry that is not an ideal
+    # has no radical; ``sum_lub_intersection_glb`` reports it.
+    mono_witness = None
+    for a, row in joins.items():
         ra = radicals[a]
-        if (a & ra) != a:
-            mono_ok, mono_witness = False, mask_members(s, a)
+        above = [t for t in row if t in radicals and ra & ~radicals[t]]
+        if a & ~ra or above:
+            mono_witness = a if a & ~ra else [a, above[0]]
             break
-        for b in masks:
-            if (a & b) == a:
-                rb = radicals[b]
-                if (ra & rb) != ra:
-                    mono_ok, mono_witness = False, [mask_members(s, a), mask_members(s, b)]
-                    break
-        if not mono_ok:
-            break
-    report["radical_monotone"] = mono_ok
-    report["radical_monotone_witness"] = mono_witness
+    report["radical_monotone"] = mono_witness is None
+    report["radical_monotone_witness"] = members(mono_witness)
+
+    # ab is the sum of the R(gh), g in a and h in b, each inside Rg & Rh
+    # and so inside a & b, an ideal (the meet check below).
+    prod_witness = next(
+        (
+            [rg, rh]
+            for g, rg in enumerate(principals)
+            for h, rh in enumerate(principals)
+            if principals[s.mul[g][h]] & ~(rg & rh)
+        ),
+        None,
+    )
+    report["product_in_intersection"] = prod_witness is None
+    report["product_witness"] = members(prod_witness)
 
     # a + Rg, every sum that ``generated`` reads, is the least upper bound
     # of a and Rg when it is an ideal holding a | Rg and lies inside
@@ -153,34 +168,19 @@ def ideal_lattice_report(s):
             for y in addends:
                 pair_sums |= 1 << s.add[x][y]
         union = a | rg
-        return total not in algebra.joins or (total & union) != union or total & ~pair_sums
+        return total not in joins or (total & union) != union or total & ~pair_sums
 
     lat_witness = next(
         (
-            [mask_members(s, a), mask_members(s, rg)]
-            for a, row in algebra.joins.items()
-            for rg, total in zip(algebra.principals, row)
+            [a, rg]
+            for a, row in joins.items()
+            for rg, total in zip(principals, row)
             if join_fails(a, rg, total)
         ),
         None,
-    )
-    lat_ok = lat_witness is None
-    prod_ok, prod_witness = True, None
-    for a in masks:
-        products = algebra.products[a]
-        for b in masks:
-            inter = a & b
-            prod = products[b]
-            if prod_ok and (prod & inter) != prod:
-                prod_ok, prod_witness = False, [mask_members(s, a), mask_members(s, b)]
-            if lat_ok and inter not in algebra.joins:
-                lat_ok, lat_witness = False, [mask_members(s, a), mask_members(s, b)]
-        if not (lat_ok or prod_ok):
-            break
-    report["product_in_intersection"] = prod_ok
-    report["product_witness"] = prod_witness
-    report["sum_lub_intersection_glb"] = lat_ok
-    report["lattice_witness"] = lat_witness
+    ) or next(([a, b] for a in masks for b in masks if a & b not in joins), None)
+    report["sum_lub_intersection_glb"] = lat_witness is None
+    report["lattice_witness"] = members(lat_witness)
     return report
 
 

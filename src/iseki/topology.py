@@ -421,8 +421,9 @@ def idempotent_from_disconnection(spec, witness):
 
     Requires the witness, the spectrum to contain every maximal ideal,
     and a zero Jacobson radical.  Reduces the witness families to a
-    single ideal per side by taking ideal products, decomposes 1 = u + v
-    across the two sides, and returns the verified idempotent u.
+    single ideal per side by taking ideal products (``IdealAlgebra.product``,
+    one per reduction step), decomposes 1 = u + v across the two sides,
+    and returns the verified idempotent u.
     """
     if witness is None:
         raise HypothesisUnmet("witness", "no strong disconnection witness")
@@ -454,12 +455,11 @@ def idempotent_from_disconnection(spec, witness):
         raise HypothesisUnmet("jacobson", "Jacobson radical is not zero")
 
     algebra = ideal_algebra(s)
-    products = algebra.products
-    x = reduce(lambda acc, a: products[acc][a], left)
-    y = reduce(lambda acc, b: products[acc][b], right)
+    x = reduce(algebra.product, left)
+    y = reduce(algebra.product, right)
     if algebra.generated(x | y) != s.full_mask:
         raise NoUnitDecomposition("reduced ideals do not sum to the whole semiring")
-    if products[x][y] != 1:
+    if algebra.product(x, y) != 1:
         raise NoUnitDecomposition("reduced ideal product is not the zero ideal")
     for u in mask_members(s, x):
         for v in mask_members(s, y):
@@ -483,9 +483,11 @@ def verify_upset_laws(spec):
     principal ideal) pairs of ``Spectrum.sum_identity`` decide, its
     witness the first failing pair; (4) up(a) contains up(radical(a));
     (5) every point is a radical ideal if and only if up(a) =
-    up(radical(a)) for every ideal a.  ``upset_laws`` is "pass" or the
-    first failing law with its witness.  The generator identity:
-    the up-set of each ideal is the intersection of the up-sets of the
+    up(radical(a)) for every ideal a.  The join pairs (a, a + Rg) decide
+    (1) and the principal pairs (Rg, Rh) decide (2), as
+    ``_first_failing_upset_law`` proves.  ``upset_laws`` is "pass" or the
+    first failing law with its witness.  The generator identity: the
+    up-set of each ideal is the intersection of the up-sets of the
     principal ideals of its generators.
     """
     s = spec.semiring
@@ -509,10 +511,22 @@ def verify_upset_laws(spec):
 
 def _first_failing_upset_law(spec):
     """The first up-set law of ``verify_upset_laws`` that fails, as
-    ``{"law", "witness"}``, or None."""
+    ``{"law", "witness"}``, or None.
+
+    Antitone is checked as up(a + Rg) inside up(a), witness [a, a + Rg].
+    For ideals a inside b, adding the members of b to a one at a time is
+    a chain of joins from a to b, so transitivity gives up(b) in up(a).
+
+    Law (2) is checked as up(Rg) | up(Rh) inside up(Rg & Rh) inside
+    up(R(gh)), witness [Rg, Rh].  For ideals a and b, the union half
+    follows from (1), a & b being an ideal inside a and inside b.  And ab
+    is the sum of the R(gh), g in a and h in b, so up(ab) is the meet of
+    their up-sets by (3) on the joins that ``generated`` folds, and
+    up(a & b) lies in each up(Rg & Rh) by (1).
+    """
     s = spec.semiring
     algebra = ideal_algebra(s)
-    masks = algebra.masks
+    principals = algebra.principals
     up = spec.subbasis
 
     if up[1] != spec.full:
@@ -520,29 +534,24 @@ def _first_failing_upset_law(spec):
     if up[s.full_mask] != 0 and s.n > 1:
         return {"law": "improper-empty", "witness": None}
 
-    for a in masks:
-        for b in masks:
-            if (a & b) == a and (up[a] & up[b]) != up[b]:
+    for a, row in algebra.joins.items():
+        for total in row:
+            if up[total] & ~up[a]:
                 return {
                     "law": "antitone",
-                    "witness": [mask_members(s, a), mask_members(s, b)],
+                    "witness": [mask_members(s, a), mask_members(s, total)],
                 }
 
-    for a in masks:
-        products = algebra.products[a]
-        for b in masks:
-            inter_up = up[a & b]
-            union = up[a] | up[b]
-            if (union & inter_up) != union:
-                return {
-                    "law": "union-inside-intersection",
-                    "witness": [mask_members(s, a), mask_members(s, b)],
-                }
-            if (inter_up & up[products[b]]) != inter_up:
-                return {
-                    "law": "intersection-inside-product",
-                    "witness": [mask_members(s, a), mask_members(s, b)],
-                }
+    for g, rg in enumerate(principals):
+        for h, rh in enumerate(principals):
+            inter_up = up[rg & rh]
+            if (up[rg] | up[rh]) & ~inter_up:
+                law = "union-inside-intersection"
+            elif inter_up & ~up[principals[s.mul[g][h]]]:
+                law = "intersection-inside-product"
+            else:
+                continue
+            return {"law": law, "witness": [mask_members(s, rg), mask_members(s, rh)]}
 
     failure = spec.sum_identity
     if failure is not None:
@@ -552,13 +561,12 @@ def _first_failing_upset_law(spec):
         }
 
     radicals = algebra.radicals
-    for a in masks:
-        r = radicals[a]
+    for a, r in radicals.items():
         if (up[r] & up[a]) != up[r]:
             return {"law": "radical-up-shrinks", "witness": mask_members(s, a)}
 
     all_points_radical = all(radicals[p] == p for p in spec.points)
-    ups_stable = all(up[radicals[a]] == up[a] for a in masks)
+    ups_stable = all(up[r] == up[a] for a, r in radicals.items())
     if all_points_radical != ups_stable:
         return {
             "law": "radical-spectrum-equivalence",

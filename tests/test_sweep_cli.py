@@ -203,6 +203,48 @@ def test_lattice_oracle_reads_every_join(c4, monkeypatch, wrong):
     assert report["lattice_witness"] == [[0], [0, 1, 2]]
 
 
+def _wrong_r3(algebra):
+    principals = list(algebra.principals)
+    principals[3] = 0b1001
+    return "principals", tuple(principals)
+
+
+def _wrong_radical_of_z4(algebra):
+    return "radicals", {**algebra.radicals, 0b1111: 0b0001}
+
+
+@pytest.mark.parametrize(
+    ("wrong", "field", "witness_field", "witness"),
+    [
+        (_wrong_r3, "product_in_intersection", "product_witness", [[0, 2], [0, 3]]),
+        (
+            _wrong_radical_of_z4,
+            "radical_monotone",
+            "radical_monotone_witness",
+            [[0], [0, 1, 2, 3]],
+        ),
+    ],
+    ids=["product", "radical"],
+)
+def test_ideal_lattice_rows_fail_on_a_wrong_algebra(
+    z4, monkeypatch, wrong, field, witness_field, witness
+):
+    """``product_in_intersection`` reads the principal ideals and
+    ``radical_monotone`` the radicals along the joins.  In Z4 with R3
+    replaced by {0, 3}, R(2 * 3) = R2 is not inside R2 & {0, 3}; with the
+    radical of Z4 replaced by {0}, rad({0}) = {0, 2} is not inside the
+    radical of its join {0} + R1 = Z4."""
+    algebra = ideal_algebra(z4)
+    assert ideal_lattice_report(z4)[field]
+    try:
+        monkeypatch.setattr(algebra, *wrong(algebra))
+        report = ideal_lattice_report(z4)
+    finally:
+        ideal_algebra.cache_clear()
+    assert report[field] is False
+    assert report[witness_field] == witness
+
+
 def test_sweep_enumerates_homomorphisms_once_per_table_pair(monkeypatch):
     """The catalog sweep enumerates the homomorphisms of each distinct pair
     of tables once, not once per ordered pair of ids."""
@@ -709,10 +751,11 @@ def test_runs_without_numpy(tmp_path):
     assert json.loads(out.read_text())["failures"] == 0
 
 
-@pytest.mark.parametrize("k", [7, 9])
+@pytest.mark.parametrize("k", [7, 9, 10])
 def test_atoms_fail_only_on_their_atom_quotients(k):
     """The only universal failures of ``atoms7`` (10 elements, 137
-    ideals) and ``atoms9`` (12 elements, 523 ideals) are the as-stated
+    ideals), ``atoms9`` (12 elements, 523 ideals) and ``atoms10`` (13
+    elements, 1,036 ideals) are the as-stated
     quotient claim on each atom ideal {0, a_i} under ``proper``: mod
     {0, a_i} the point {0, a_i, t} holds the kernel but is not a union of
     Bourne classes."""

@@ -15,7 +15,7 @@ from conftest import (
     reference_upset_laws,
 )
 
-import iseki.ideals
+import iseki._kernels
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
@@ -216,24 +216,24 @@ def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirin
 def test_topology_reports_build_ideal_algebra_once(catalog_semirings, monkeypatch):
     """Over the catalog plus orders 1-3, a semiring's topology reports
     under all eight classes and its ideal-lattice report build its ideal
-    algebra once, and the topology reports build its product table (the
-    one ``_pair_masks`` call) once, for one class as for eight.  The
-    caches are keyed on the tables, and a cached space may carry another
-    semiring with the same tables (``B/{0}`` has ``B``'s), so builds are
-    counted per table pair and the spaces are built afresh."""
+    algebra (the one ``_kernels.ideal_masks`` call) once, for one class as
+    for eight.  The caches are keyed on the tables, and a cached space may
+    carry another semiring with the same tables (``B/{0}`` has ``B``'s),
+    so builds are counted per table pair and the spaces are built
+    afresh."""
     calls = Counter()
-    real = iseki.ideals._pair_masks
+    real = iseki._kernels.ideal_masks
 
-    def counting(s, masks):
-        calls[s.structure] += 1
-        return real(s, masks)
+    def counting(add, mul):
+        calls[add, mul] += 1
+        return real(add, mul)
 
-    monkeypatch.setattr(iseki.ideals, "_pair_masks", counting)
+    monkeypatch.setattr(iseki._kernels, "ideal_masks", counting)
     corpus = list(catalog_semirings)
     for n in range(1, 4):
         corpus.extend(enumerate_semirings(n, up_to_iso=True))
     for s in corpus:
-        classified_ideals(s)  # classification closes seeds once, uncounted below
+        classified_ideals(s)  # classification is cached apart from the algebra
         per_classes = []
         for classes in (ALL_TAGS[:1], ALL_TAGS):
             ideal_algebra.cache_clear()
@@ -241,10 +241,11 @@ def test_topology_reports_build_ideal_algebra_once(catalog_semirings, monkeypatc
             calls.clear()
             for cls in classes:
                 topology_instance_report(s, cls)
-            per_classes.append(calls[s.structure])
+            per_classes.append(calls[s.add, s.mul])
         assert per_classes == [1, 1], (s.id, per_classes)
         ideal_lattice_report(s)
         assert ideal_algebra.cache_info().misses == 1, s.id
+        assert calls[s.add, s.mul] == 1, s.id
 
 
 def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
