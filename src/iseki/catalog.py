@@ -4,10 +4,8 @@ Every entry carries a structured recipe that re-evaluates to the same
 semiring, so the catalog is reproducible from its own description.
 """
 
-from dataclasses import dataclass
-
 from .ideals import _proper_ideal_masks, ideal_from_members, mask_members
-from .semiring import FiniteSemiring, bourne_quotient, direct_product, validate_semiring
+from .semiring import bourne_quotient, direct_product, validate_semiring
 
 
 def _chain(k, name):
@@ -34,11 +32,14 @@ _NAMED = {
 }
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    recipe: tuple
-    semiring: FiniteSemiring
+    """A catalog semiring and the recipe that rebuilds it; a plain record
+    that nothing hashes, so no field is read-only."""
+
+    __slots__ = ("id", "recipe", "semiring")
+
+    def __init__(self, id, recipe, semiring):
+        self.id, self.recipe, self.semiring = id, recipe, semiring
 
 
 def build_recipe(recipe):

@@ -22,7 +22,7 @@ and everything built on them read its verdicts through
 route to the radical that the sweep compares against the algebra.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
@@ -192,27 +192,18 @@ def min_generators(s, a):
     raise AssertionError("an ideal always generates itself")
 
 
-@dataclass(frozen=True)
-class IdealClassification:
-    prime: bool
-    maximal: bool
-    primary: bool
-    radical_ideal: bool
-    irreducible: bool
-    strongly_irreducible: bool
-    principal: bool
-    min_generators: int
-    witnesses: tuple
+class IdealClassification(namedtuple("IdealClassification", "prime maximal primary "
+        "radical_ideal irreducible strongly_irreducible principal min_generators witnesses")):
+    """The verdicts of :func:`classify` on one proper ideal.  A named
+    tuple, so it compares and hashes by its fields, and every field is
+    read-only: ``classified_ideals`` shares one cached value."""
+
+    __slots__ = ()
 
     def witness_dict(self):
         return dict(self.witnesses)
 
     def to_json(self):
-        def unfreeze(v):
-            if isinstance(v, tuple):
-                return [unfreeze(x) for x in v]
-            return v
-
         return {
             "prime": self.prime,
             "maximal": self.maximal,
@@ -222,7 +213,7 @@ class IdealClassification:
             "strongly_irreducible": self.strongly_irreducible,
             "principal": self.principal,
             "min_generators": self.min_generators,
-            "witnesses": {k: unfreeze(v) for k, v in self.witnesses},
+            "witnesses": self.witness_dict(),
         }
 
 

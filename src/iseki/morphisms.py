@@ -13,8 +13,6 @@ surjections and the density criterion; like the topology checks, each
 returns exactly the report fields it decides, under their report names.
 """
 
-from dataclasses import dataclass
-
 from .errors import ContractionFails, SizeLimitExceeded
 from .ideals import ideal_algebra, is_ideal_mask, mask_members
 from .semiring import _homomorphism_violation
@@ -83,7 +81,6 @@ def kernel(s, t, hom):
     return contract_ideal(s, t, hom, 1)
 
 
-@dataclass(frozen=True)
 class InducedMap:
     """The spectrum map induced by a homomorphism s -> t, acting by
     preimage, for the class named ``cls``.
@@ -96,16 +93,16 @@ class InducedMap:
     every principal ideal Rg of s is the up-set of the principal ideal
     of its image, hence closed; otherwise it is ``{"ideal": Rg}`` for
     the first element g of s for which it is not.  ``_pull`` takes
-    preimages of point sets under ``map``.
+    preimages of point sets under ``map``.  A plain record that nothing
+    caches or hashes, so no field is read-only.
     """
 
-    hom: tuple
-    cls: str
-    spec_s: object
-    spec_t: object
-    map: tuple
-    kernel: int
-    continuity_witness: object
+    __slots__ = ("hom", "cls", "spec_s", "spec_t", "map", "kernel", "continuity_witness")
+
+    def __init__(self, hom, cls, spec_s, spec_t, map, kernel, continuity_witness):
+        self.hom, self.cls, self.map, self.kernel = hom, cls, map, kernel
+        self.spec_s, self.spec_t = spec_s, spec_t
+        self.continuity_witness = continuity_witness
 
     @property
     def continuous(self):
@@ -139,7 +136,7 @@ def induced_map(s, t, hom, cls):
     cls = cls if cls in CLASS_FLAGS else parse_class(cls)
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
-    index_of = {m: i for i, m in enumerate(spec_s.points)}
+    index_of = spec_s.index_of
     point_map = []
     for p in spec_t.points:
         back = contract_ideal(s, t, hom, p)

@@ -14,7 +14,6 @@ always defined.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import index
 
 from . import _kernels
@@ -29,39 +28,36 @@ from .ideals import is_ideal_mask, mask_members
 MAX_ELEMENTS = 16
 
 
-def _freeze(table):
-    return tuple(tuple(int(v) for v in row) for row in table)
-
-
-@dataclass(frozen=True, eq=False)
 class FiniteSemiring:
     """A validated finite commutative semiring.
 
-    Instances are immutable.  Construct through :func:`validate_semiring`;
-    the constructor itself does not re-check the axioms.  ``add`` and
-    ``mul`` are tuples of n int tuples, read as ``add[a][b]``.
+    Construct through :func:`validate_semiring`; the constructor itself
+    does not re-check the axioms or copy the tables.  ``add`` and ``mul``
+    are tuples of n int tuples, read as ``add[a][b]``.
     ``structure`` is ``(n, one, add, mul)``: everything but the id.
     Equality and the hash are those of ``structure``, because the ideals,
     spectra and homomorphisms of a semiring depend on its tables alone;
     so every per-semiring ``lru_cache`` holds one entry per table pair,
     shared by every id that names it.  The id is a label that reports
-    stamp on their instances: nothing cached may read it.
+    stamp on their instances: nothing cached may read it.  Every field
+    is read-only, because every cache keys on the value, whose hash is
+    computed once.
     """
 
-    id: str
-    n: int
-    add: tuple
-    mul: tuple
-    one: int
+    __slots__ = ("id", "n", "add", "mul", "one", "structure", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "add", _freeze(self.add))
-        object.__setattr__(self, "mul", _freeze(self.mul))
-        # Every lru_cache lookup hashes the semiring, so the structural
-        # key and the hash are computed once here.
-        key = (self.n, self.one, self.add, self.mul)
-        object.__setattr__(self, "structure", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, id, n, add, mul, one):
+        key = (n, one, add, mul)
+        for name, value in zip(self.__slots__, (id, n, add, mul, one, key, hash(key))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FiniteSemiring.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return FiniteSemiring, (self.id, self.n, self.add, self.mul, self.one)
 
     @property
     def full_mask(self):

@@ -46,10 +46,7 @@ summary line gives these counts.
 
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
 
-from .catalog import builtin_catalog
 from .enumeration import enumerate_semirings
 from .errors import ContractionFails, EmptyFamily, ParseError
 from .ideals import (
@@ -254,7 +251,6 @@ INSTANCE_KEY = {
 UNIVERSAL, OBSERVATION = True, False
 
 
-@dataclass(frozen=True)
 class Oracle:
     """One theorem oracle, evaluated on every report of one kind.
 
@@ -264,14 +260,15 @@ class Oracle:
     ``witness(rep)``.  A universal oracle must hold wherever it
     applies: a failure fails the sweep and the CLI verb.  An observation
     is a claim known to fail on honest instances; its failures are
-    recorded with witnesses but fail nothing.
+    recorded with witnesses but fail nothing.  A plain record that
+    nothing hashes, so no field is read-only.
     """
 
-    name: str
-    universal: bool
-    holds: Callable[[dict], bool]
-    applies: Callable[[dict], bool] = lambda rep: True
-    witness: Callable[[dict], dict] = lambda rep: {}
+    __slots__ = ("name", "universal", "holds", "applies", "witness")
+
+    def __init__(self, name, universal, holds, applies=lambda rep: True, witness=lambda rep: {}):
+        self.name, self.universal, self.holds = name, universal, holds
+        self.applies, self.witness = applies, witness
 
 
 def _prime_contraction(rep):
@@ -415,6 +412,8 @@ def _tally(kind, rows, tallies, observations):
 
 def _corpus_semirings(corpus, enumerate_n):
     if corpus is None:
+        # Imported here: a supplied corpus never builds the catalog.
+        from .catalog import builtin_catalog
         semirings = [(e.semiring, "builtin") for e in builtin_catalog()]
     else:
         semirings = [(s, "supplied") for s in corpus]

@@ -33,7 +33,6 @@ semiring is the first one with these tables that asked, so nothing here
 reads its id.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_
 
@@ -47,7 +46,6 @@ from .ideals import (
     mask_members,
     maximal_ideal_masks,
 )
-from .semiring import FiniteSemiring
 
 # Each built-in class tag and the classification flag that selects its
 # points; every proper ideal is a point of "proper".
@@ -92,24 +90,38 @@ def parse_class(text):
     return _parse_class(text)[0]
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """The Iseki space on ``points``, an ascending tuple of proper ideal
     masks of ``semiring``, with its closed sets decided from the inclusion
     order on first use.  Equality and hash compare the tables (a
-    semiring's equality) and the points.
+    semiring's equality) and the points, which are read-only because
+    ``spectrum`` caches the space by them and derives the rest once.
 
-    ``subbasis`` maps each ideal mask of the semiring to its up-set;
-    ``up[i]`` is the up-set of point i, which is both the closure of the
-    point and its principal up-set.  A point set is closed exactly when
-    it is up-closed, so its closure is the union of its points' up-sets.
+    ``index_of`` maps each point mask to its index.  ``subbasis`` maps
+    each ideal mask of the semiring to its up-set; ``up[i]`` is the
+    up-set of point i, which is both the closure of the point and its
+    principal up-set.  A point set is closed exactly when it is
+    up-closed, so its closure is the union of its points' up-sets.
     ``components`` are the connected components, ascending: the classes
     of points linked by a chain of overlapping up-sets (the comparability
     graph).
     """
 
-    semiring: FiniteSemiring
-    points: tuple
+    def __init__(self, semiring, points):
+        self.__dict__.update(semiring=semiring, points=points)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Spectrum.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Spectrum:
+            return NotImplemented
+        return (self.semiring, self.points) == (other.semiring, other.points)
+
+    def __hash__(self):
+        return hash((self.semiring, self.points))
 
     @property
     def size(self):
@@ -124,6 +136,10 @@ class Spectrum:
         (tables, point set), so its ``semiring`` may carry another id
         that names the same tables."""
         return {"points": [mask_members(self.semiring, p) for p in self.points]}
+
+    @cached_property
+    def index_of(self):
+        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def subbasis(self):

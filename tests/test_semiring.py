@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from conftest import nontrivial_idempotents
@@ -10,6 +12,7 @@ from iseki.enumeration import enumerate_semirings
 from iseki.ideals import (
     _ideal_masks_all,
     _proper_ideal_masks,
+    classify,
     ideal_from_members,
     mask_members,
 )
@@ -19,7 +22,7 @@ from iseki.semiring import (
     validate_homomorphism,
     validate_semiring,
 )
-from iseki.topology import spectrum
+from iseki.topology import Spectrum, spectrum
 from iseki.verify import verify_kernel_upset_gap
 
 
@@ -190,6 +193,31 @@ def test_nontrivial_idempotents_examples(boolean, z2, bb):
     assert nontrivial_idempotents(boolean) == []
     assert nontrivial_idempotents(z2) == []
     assert nontrivial_idempotents(bb) == [1, 2]
+
+
+def test_values_are_read_only_and_compare_by_tables(bb):
+    """A semiring, a space and a classification are read-only values,
+    because every cache keys on them: twins (equal tables, other ids) give
+    equal spaces over the same points and equal classifications, with
+    equal hashes, and each keeps its own id."""
+    twin = validate_semiring(bb.add, bb.mul, bb.one, id="twin")
+    points = spectrum(bb, "prime").points
+    spaces = [Spectrum(bb, points), Spectrum(twin, points)]
+    assert spaces[0] == spaces[1] and hash(spaces[0]) == hash(spaces[1])
+    assert spaces[1].semiring.id == "twin" and spaces[1].up == spectrum(bb, "prime").up
+    assert Spectrum(bb, points[:1]) != spaces[0]
+    verdicts = [classify(s, 1) for s in (bb, twin)]
+    assert verdicts[0] == verdicts[1] and hash(verdicts[0]) == hash(verdicts[1])
+    assert verdicts[0] is not verdicts[1] and verdicts[0] != classify(bb, points[0])
+    for value, field in (
+        (twin, "id"), (twin, "add"), (twin, "structure"),
+        (spaces[0], "semiring"), (spaces[0], "points"),
+        (verdicts[0], "prime"), (verdicts[0], "witnesses"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    copy = pickle.loads(pickle.dumps(twin))
+    assert copy == bb and hash(copy) == hash(bb) and copy.id == "twin"
 
 
 def test_bourne_quotient_by_zero_is_identity(boolean):

@@ -751,6 +751,40 @@ def test_runs_without_numpy(tmp_path):
     assert json.loads(out.read_text())["failures"] == 0
 
 
+_COLD_IMPORT = """
+import io, json, sys
+before = set(sys.modules)
+import iseki, iseki.serialize, iseki.sweep
+loaded = sorted(set(sys.modules) - before)
+report = iseki.sweep.sweep(log=io.StringIO())
+print(json.dumps([loaded, "iseki.catalog" in sys.modules, report["corpus"]["size"],
+                  report["failures"]]))
+"""
+
+
+def test_cold_import_loads_no_code_generator(tmp_path):
+    """A fresh process that imports the sweep path loads neither
+    ``dataclasses`` nor the modules it pulls in, nor ``typing``, nor the
+    catalog; a sweep without a corpus then imports the catalog and runs
+    clean.  The difference of ``sys.modules`` ignores what ``site``
+    loaded before."""
+    src = str(Path(iseki.sweep.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT],
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, catalog_loaded, size, failures = json.loads(proc.stdout)
+    assert "iseki.sweep" in loaded
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "iseki.catalog"}
+    assert unwanted.intersection(loaded) == set()
+    assert catalog_loaded and size == len(builtin_catalog()) and failures == 0
+
+
 @pytest.mark.parametrize("k", [7, 9, 10])
 def test_atoms_fail_only_on_their_atom_quotients(k):
     """The only universal failures of ``atoms7`` (10 elements, 137

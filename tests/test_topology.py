@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -165,7 +164,7 @@ def _one_point_flipped(spec):
         for i in range(spec.size):
             subbasis = dict(spec.subbasis)
             subbasis[m] ^= 1 << i
-            flipped = replace(spec)
+            flipped = Spectrum(spec.semiring, spec.points)
             flipped.__dict__["subbasis"] = subbasis
             yield flipped
 
