@@ -12,21 +12,6 @@ compares every kernel against it, first witnesses included.
 
 from functools import lru_cache
 
-AXIOM_NAMES = {
-    1: "add-commutative",
-    2: "add-identity",
-    3: "add-associative",
-    4: "mul-commutative",
-    5: "mul-identity",
-    6: "mul-associative",
-    7: "absorption",
-    8: "distributive-left",
-    9: "distributive-right",
-}
-
-# Witness arity per axiom code (how many of (a, b, c) are meaningful).
-AXIOM_ARITY = {1: 2, 2: 1, 3: 3, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 9: 3}
-
 
 def _first_difference(left, right):
     return next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
@@ -83,43 +68,42 @@ def _right_distributivity_witness(add, mul):
 
 @lru_cache(maxsize=None)
 def axiom_witness(add, mul, one):
-    """First failing semiring axiom for the table pair, or code 0.
+    """The first failing semiring axiom of the table pair, as ``(axiom
+    name, witness tuple)``, or None.
 
-    Returns ``(code, a, b, c)`` with unused witness slots set to -1; see
-    AXIOM_NAMES / AXIOM_ARITY for decoding.  Axioms are scanned in the
-    order of AXIOM_NAMES; within one axiom the witness is the
-    lexicographically least failing tuple.  Cached: a sweep validates
-    the same tables under many ids (Bourne quotients repeat corpus
-    tables), and the verdict depends on the tables alone.
+    Axioms are scanned in the order below; within one axiom the witness
+    is the lexicographically least failing tuple.  Cached: a sweep
+    validates the same tables under many ids (Bourne quotients repeat
+    corpus tables), and the verdict depends on the tables alone.
     """
     w = _commutativity_witness(add)
     if w:
-        return (1, *w, -1)
+        return "add-commutative", w
     w = _identity_witness(add[0])
     if w is not None:
-        return (2, w, -1, -1)
+        return "add-identity", (w,)
     w = _associativity_witness(add)
     if w:
-        return (3, *w)
+        return "add-associative", w
     w = _commutativity_witness(mul)
     if w:
-        return (4, *w, -1)
+        return "mul-commutative", w
     w = _identity_witness(mul[one])
     if w is not None:
-        return (5, w, -1, -1)
+        return "mul-identity", (w,)
     w = _associativity_witness(mul)
     if w:
-        return (6, *w)
+        return "mul-associative", w
     for a, row in enumerate(mul):
         if row[0] != 0 or mul[0][a] != 0:
-            return (7, a, -1, -1)
+            return "absorption", (a,)
     w = _left_distributivity_witness(add, mul)
     if w:
-        return (8, *w)
+        return "distributive-left", w
     w = _right_distributivity_witness(add, mul)
     if w:
-        return (9, *w)
-    return (0, -1, -1, -1)
+        return "distributive-right", w
+    return None
 
 
 def ideal_masks(add, mul):

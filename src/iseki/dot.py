@@ -10,20 +10,23 @@ from .ideals import mask_members
 
 
 def export_dot(spec):
-    points = spec.points
+    """The upper covers of point i are the minimal points of up[i] - {i}:
+    the j in it whose down-set (column j of ``up``, transposed) meets it
+    in j alone.  A proper superset has a larger mask, so j > i."""
+    up = spec.up
+    down = [
+        sum(1 << k for k, u in enumerate(up) if (u >> j) & 1) for j in range(len(up))
+    ]
     lines = ["digraph specialization {"]
-    for i, p in enumerate(points):
+    for i, p in enumerate(spec.points):
         label = "{" + ",".join(map(str, mask_members(spec.semiring, p))) + "}"
         lines.append(f'  p{i} [label="{label}"];')
-    for i, a in enumerate(points):
-        for j, b in enumerate(points):
-            if i == j or (a & b) != a:
-                continue
-            covered = any(
-                k not in (i, j) and (a & c) == a and (c & b) == c
-                for k, c in enumerate(points)
-            )
-            if not covered:
-                lines.append(f"  p{i} -> p{j};")
+    for i, u in enumerate(up):
+        above = u & ~(1 << i)
+        lines.extend(
+            f"  p{i} -> p{j};"
+            for j in range(i + 1, len(up))
+            if (down[j] & above) == 1 << j
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

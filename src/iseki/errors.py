@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that
+turns integer input into an int or a RangeError."""
+
+from operator import index
 
 
 class IsekiError(Exception):
@@ -72,3 +75,16 @@ class HypothesisUnmet(IsekiError):
 
 class NoUnitDecomposition(IsekiError):
     """Internal inconsistency: 1 = x + y decomposition promised but absent."""
+
+
+def as_int(value, what):
+    """``value`` as an int, by the one rule for integer input (table
+    entries, ``one``, map images, ideal members): ``operator.index``, so
+    ints and numpy integers pass, and bool is rejected.  Anything else
+    raises RangeError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise RangeError(f"{what} {value!r} is not an integer")

@@ -28,17 +28,18 @@ from itertools import combinations
 from operator import and_
 
 from . import _kernels
-from .errors import ImproperIdeal, RangeError
+from .errors import ImproperIdeal, RangeError, as_int
 
 
 def ideal_from_members(s, members):
-    """The mask of an element list; an element outside 0..n-1 raises
-    RangeError."""
+    """The mask of an element list; an element that is not an integer
+    (``errors.as_int``) or lies outside 0..n-1 raises RangeError."""
     mask = 0
     for m in members:
-        if not 0 <= int(m) < s.n:
+        m = as_int(m, "element")
+        if not 0 <= m < s.n:
             raise RangeError(f"element {m} out of range 0..{s.n - 1}")
-        mask |= 1 << int(m)
+        mask |= 1 << m
     return mask
 
 
@@ -229,9 +230,20 @@ def classify(s, a):
     above a holds u), so exactly when its least cover meets an ideal
     above a in a.  The ideals not inside a are closed under meets exactly
     when their whole meet is not inside a: that is strong irreducibility.
+
+    Each scan reads a's join row or the principal ideals, and finds what
+    a scan of every ideal would.  An ideal b above a holds some g not in
+    a, so a < a + Rg <= b (as masks too): the least cover, and the least
+    c above a with c & cover = a, are entries of the row.  An ideal b not
+    inside a holds some g not in a, so Rg <= b lies outside a too: the
+    meet of the ideals outside a is the meet of those Rg, and the first
+    pair b, c outside a with b & c inside a (by mask, b first) is a pair
+    of them, since shrinking b or c to such an Rg keeps the pair.  The
+    radical is the algebra's.
     """
     if a == s.full_mask:
         raise ImproperIdeal("classification is defined for proper ideals only")
+    algebra = ideal_algebra(s)
     witnesses = {}
 
     def bits(mask):
@@ -242,7 +254,7 @@ def classify(s, a):
     if not prime:
         witnesses["prime"] = pw
 
-    rad_mask = _radical_mask(s, a)
+    rad_mask = algebra.radicals[a]
     radical_ideal = rad_mask == a
     if not radical_ideal:
         extra = rad_mask & ~a
@@ -257,8 +269,7 @@ def classify(s, a):
                     witnesses["primary"] = (x, y)
                     break
 
-    every = _ideal_masks_all(s)
-    above = [b for b in every if b != a and (b & a) == a]
+    above = sorted(set(algebra.joins[a]) - {a})
     cover = above[0]
     maximal = cover == s.full_mask
     if not maximal:
@@ -268,7 +279,7 @@ def classify(s, a):
     if not irreducible:
         witnesses["irreducible"] = (bits(cover), bits(partner))
 
-    outside = [b for b in every if (b & a) != b]
+    outside = sorted({algebra.principals[g] for g in range(s.n) if not (a >> g) & 1})
     strongly_irreducible = (reduce(and_, outside) & ~a) != 0
     if not strongly_irreducible:
         witnesses["strongly_irreducible"] = next(

@@ -14,7 +14,7 @@ always defined.
 """
 
 from collections.abc import Iterable
-from operator import index
+from itertools import repeat
 
 from . import _kernels
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     InvalidHomomorphism,
     RangeError,
     SizeLimitExceeded,
+    as_int,
 )
 from .ideals import is_ideal_mask, mask_members
 
@@ -95,18 +96,13 @@ def _shape(table):
     return (len(rows), widths.pop()) if len(widths) == 1 else None
 
 
-def _entry(v):
-    if isinstance(v, bool):
-        raise TypeError("bool is not a table entry")
-    return index(v)
-
-
 def _int_table(name, table, n):
     """The table as a tuple of int tuples; non-integer entries (bool and
-    float included) and entries outside 0..n-1 raise RangeError."""
+    float included, by ``errors.as_int``) and entries outside 0..n-1
+    raise RangeError."""
     try:
-        out = tuple(tuple(map(_entry, row)) for row in table)
-    except TypeError:
+        out = tuple(tuple(map(as_int, row, repeat(name))) for row in table)
+    except RangeError:
         raise RangeError(f"{name} table has non-integer entries") from None
     for i, row in enumerate(out):
         for j, v in enumerate(row):
@@ -133,25 +129,26 @@ def _check_tables_shape(add, mul, one):
         raise SizeLimitExceeded(f"n={n} exceeds the {MAX_ELEMENTS}-element cap")
     add = _int_table("add", add, n)
     mul = _int_table("mul", mul, n)
-    if not 0 <= int(one) < n:
+    one = as_int(one, "one")
+    if not 0 <= one < n:
         raise RangeError(f"one={one} out of range 0..{n - 1}")
-    return n, add, mul
+    return n, add, mul, one
 
 
 def validate_semiring(add, mul, one, id="anonymous"):
     """Check every semiring axiom and return the validated value.
 
-    Raises RangeError for malformed tables and AxiomViolation (with the
-    first failing axiom and a concrete witness) otherwise.  Every call
-    sanitises its tables; the axiom scan runs once per distinct
-    ``(add, mul, one)``, which ``_kernels.axiom_witness`` caches.
+    Raises RangeError for malformed tables or a ``one`` that is not an
+    integer in range, and AxiomViolation (with the first failing axiom
+    and a concrete witness) otherwise.  Every call sanitises its tables;
+    the axiom scan runs once per distinct ``(add, mul, one)``, which
+    ``_kernels.axiom_witness`` caches.
     """
-    n, add, mul = _check_tables_shape(add, mul, one)
-    code, a, b, c = _kernels.axiom_witness(add, mul, int(one))
-    if code != 0:
-        arity = _kernels.AXIOM_ARITY[code]
-        raise AxiomViolation(_kernels.AXIOM_NAMES[code], (a, b, c)[:arity])
-    return FiniteSemiring(id=id, n=n, add=add, mul=mul, one=int(one))
+    n, add, mul, one = _check_tables_shape(add, mul, one)
+    violation = _kernels.axiom_witness(add, mul, one)
+    if violation is not None:
+        raise AxiomViolation(*violation)
+    return FiniteSemiring(id=id, n=n, add=add, mul=mul, one=one)
 
 
 def _homomorphism_violation(source, target, m):
@@ -177,9 +174,10 @@ def validate_homomorphism(source, target, mapping):
     """Validate that ``mapping`` preserves +, *, 0 and 1.
 
     Returns the map as its image tuple, or raises InvalidHomomorphism
-    with the first broken law and its witness.
+    with the first broken law and its witness; an image that is not an
+    integer (``errors.as_int``) raises RangeError.
     """
-    m = tuple(int(v) for v in mapping)
+    m = tuple(as_int(v, "image") for v in mapping)
     violation = _homomorphism_violation(source, target, m)
     if violation is not None:
         raise InvalidHomomorphism(*violation)

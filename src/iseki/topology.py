@@ -97,11 +97,14 @@ class Spectrum:
     semiring's equality) and the points, which are read-only because
     ``spectrum`` caches the space by them and derives the rest once.
 
-    ``index_of`` maps each point mask to its index.  ``subbasis`` maps
-    each ideal mask of the semiring to its up-set; ``up[i]`` is the
-    up-set of point i, which is both the closure of the point and its
-    principal up-set.  A point set is closed exactly when it is
-    up-closed, so its closure is the union of its points' up-sets.
+    ``index_of`` maps each point mask to its index.  ``columns[x]`` is
+    the point set of the points holding element x, the space's one
+    incidence of points and elements.  ``subbasis`` maps each ideal mask
+    of the semiring to its up-set, the AND of the columns of its members
+    (``up_set``); ``up[i]`` is the up-set of point i, which is both the
+    closure of the point and its principal up-set.  A point set is
+    closed exactly when it is up-closed, so its closure is the union of
+    its points' up-sets.
     ``components`` are the connected components, ascending: the classes
     of points linked by a chain of overlapping up-sets (the comparability
     graph).
@@ -140,6 +143,13 @@ class Spectrum:
     @cached_property
     def index_of(self):
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def columns(self):
+        return tuple(
+            sum(1 << i for i, p in enumerate(self.points) if (p >> x) & 1)
+            for x in range(self.semiring.n)
+        )
 
     @cached_property
     def subbasis(self):
@@ -222,12 +232,15 @@ def _closed_family_cached(s, points):
 
 def up_set(spec, mask):
     """Point-set bitmask of the points containing the ideal with element
-    bitmask ``mask``; the improper ideal gives the empty set since no
-    proper point can contain it."""
-    out = 0
-    for i, p in enumerate(spec.points):
-        if (p & mask) == mask:
-            out |= 1 << i
+    bitmask ``mask``: a point holds the ideal exactly when it holds each
+    member, so this is the AND of the members' columns (the derivation
+    operator of formal concept analysis), the whole space for the empty
+    mask.  The improper ideal gives the empty set since no proper point
+    can contain it."""
+    out = spec.full
+    for x, column in enumerate(spec.columns):
+        if (mask >> x) & 1:
+            out &= column
     return out
 
 
@@ -250,17 +263,25 @@ def _maximals_present(spec):
 # plain dict ready for JSON.
 # ---------------------------------------------------------------------------
 
+def _shared_upsets(spec):
+    """Each up-set that two or more points share, with their indices
+    ascending, in order of the first index: the points grouped by up-set
+    in one pass."""
+    groups = {}
+    for i, u in enumerate(spec.up):
+        groups.setdefault(u, []).append(i)
+    return {u: group for u, group in groups.items() if len(group) > 1}
+
+
 def check_t0(spec):
-    """T0: no two points have the same closure."""
-    up = spec.up
-    for i in range(spec.size):
-        for j in range(i + 1, spec.size):
-            if up[i] == up[j]:
-                return {
-                    "t0": False,
-                    "t0_witness": point_set_members(spec, 1 << i | 1 << j),
-                }
-    return {"t0": True, "t0_witness": None}
+    """T0: no two points have the same closure.  The witness is the first
+    pair (i, j) in index order with up[i] = up[j]: the first two members
+    of the first group of ``_shared_upsets``."""
+    shared = list(_shared_upsets(spec).values())
+    if not shared:
+        return {"t0": True, "t0_witness": None}
+    i, j = shared[0][:2]
+    return {"t0": False, "t0_witness": point_set_members(spec, 1 << i | 1 << j)}
 
 
 def check_t1(spec):
@@ -290,34 +311,25 @@ def check_t1(spec):
 def check_sober(spec):
     """Direct sobriety versus the generic-point criterion.
 
-    Direct: every nonempty irreducible closed set is the closure of
-    exactly one point.  Criterion: whenever an ideal has a nonempty
-    irreducible up-set, the intersection of all points containing the
-    ideal is itself a point.  The theorem says the two agree.
+    Direct: every nonempty irreducible closed set (a principal up-set,
+    ``Spectrum.irreducible_closed_sets``) is the closure of exactly one
+    point; the witness is the least one that two points share.
+    Criterion: whenever an ideal has a nonempty irreducible up-set u, the
+    intersection of all points containing the ideal is itself a point.
+    That intersection is the set of elements x with u inside
+    ``columns[x]``, and the irreducible up-sets are the principal ones,
+    each the up-set of its point.  The theorem says the two agree.
     """
-    irr = spec.irreducible_closed_sets()
-    witness = next(
-        (point_set_members(spec, k) for k in irr if spec.up.count(k) != 1), None
+    shared = _shared_upsets(spec)
+    columns = spec.columns
+    criterion = all(
+        sum(1 << x for x, c in enumerate(columns) if (c & u) == u) in spec.index_of
+        for u in spec.irreducible_closed_sets()
     )
-
-    criterion = True
-    irr_set = set(irr)
-    point_mask_set = set(spec.points)
-    for u in spec.subbasis.values():
-        if u == 0 or u not in irr_set:
-            continue
-        inter = spec.semiring.full_mask
-        for i, p in enumerate(spec.points):
-            if (u >> i) & 1:
-                inter &= p
-        if inter not in point_mask_set:
-            criterion = False
-            break
-
     return {
-        "sober": witness is None,
+        "sober": not shared,
         "sober_criterion": criterion,
-        "sober_witness": witness,
+        "sober_witness": point_set_members(spec, min(shared)) if shared else None,
     }
 
 

@@ -295,6 +295,23 @@ def atoms(k):
     )
 
 
+@lru_cache(maxsize=None)
+def nullchain(k):
+    """``nullchain{k}``: the chain 0 < a1 < ... < ak < 1 as the elements
+    0 < 1 < ... < k < one = k + 1, with + as max and every product of
+    two non-units 0.  Max keeps every subset of {0, a1, ..., ak} that
+    holds 0, and a non-unit times anything is 0, so each is an ideal:
+    2^k + 1 ideals with the improper one, on k + 2 elements."""
+    n, one = k + 2, k + 1
+    rows = range(n)
+    return validate_semiring(
+        [[max(a, b) for b in rows] for a in rows],
+        [[b if a == one else a if b == one else 0 for b in rows] for a in rows],
+        one,
+        id=f"nullchain{k}",
+    )
+
+
 def closed_set_count(spec):
     """Number of closed sets of a space, counted through
     ``Spectrum.closure``.  The lowest point x of a remaining set R is

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from iseki.catalog import build_recipe
 from iseki.dot import export_dot
+from iseki.enumeration import enumerate_semirings
 from iseki.errors import AxiomViolation, ParseError
 from iseki.serialize import (
     Row,
@@ -17,7 +18,7 @@ from iseki.serialize import (
     semiring_to_json,
 )
 from iseki.sweep import sweep
-from iseki.topology import spectrum
+from iseki.topology import CLASS_FLAGS, spectrum
 
 
 def _dumps(value):
@@ -275,6 +276,35 @@ def test_export_dot_transitive_reduction(c4):
     text = export_dot(spectrum(c4, "prime"))
     assert text.count("->") == 2
     assert "p0 -> p2" not in text
+
+
+def _hasse_edges(spec):
+    """The covers of the inclusion order by definition: i -> j when point
+    i lies properly inside point j and no third point lies between."""
+    points = spec.points
+    edges = []
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            if i == j or (a & b) != a:
+                continue
+            covered = any(
+                k not in (i, j) and (a & c) == a and (c & b) == c
+                for k, c in enumerate(points)
+            )
+            if not covered:
+                edges.append(f"  p{i} -> p{j};")
+    return edges
+
+
+def test_export_dot_edges_are_the_hasse_covers(catalog_semirings):
+    """On the catalog and every labeled semiring of order <= 3, under every
+    class, the edges are the covers by definition, in the same order."""
+    enumerated = [s for n in range(1, 4) for s in enumerate_semirings(n)]
+    for s in [*catalog_semirings, *enumerated]:
+        for cls in CLASS_FLAGS:
+            spec = spectrum(s, cls)
+            edges = [line for line in export_dot(spec).splitlines() if "->" in line]
+            assert edges == _hasse_edges(spec), (s.id, cls)
 
 
 class _Key(str):

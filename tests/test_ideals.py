@@ -1,3 +1,4 @@
+import io
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -5,12 +6,14 @@ from operator import or_
 from conftest import (
     atoms,
     naive_ideal_sets,
+    nullchain,
     reference_generated,
     reference_product,
     reference_radical,
     reference_sum,
 )
 from iseki.enumeration import enumerate_semirings
+from iseki.sweep import sweep
 from iseki.ideals import (
     _ideal_masks_all,
     _proper_ideal_masks,
@@ -241,3 +244,17 @@ def test_atoms_ideal_count():
     of ``atoms(k)``, so it has 2^k + k + 2 ideals with the improper one."""
     for k in range(10):
         assert len(_ideal_masks_all(atoms(k))) == 2**k + k + 2, k
+
+
+def test_nullchain_has_the_most_ideals():
+    """``nullchain(k)`` has 2^k + 1 ideals on k + 2 elements, the most a
+    semiring of order n = k + 2 >= 2 can have: a proper ideal holds 0 and
+    omits the unit, so there are at most 2^(n - 2) + 1, as every labeled
+    semiring of order 2..4 confirms.  Its sweep has no universal
+    failure."""
+    for k in range(9):
+        assert len(_ideal_masks_all(nullchain(k))) == 2**k + 1, k
+    for n in range(2, 5):
+        for s in enumerate_semirings(n):
+            assert len(_ideal_masks_all(s)) <= 2 ** (n - 2) + 1, s.id
+    assert sweep(corpus=[nullchain(6)], log=io.StringIO())["failures"] == 0

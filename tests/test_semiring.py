@@ -76,20 +76,24 @@ def test_tables_accepted_as_nested_integer_sequences(add, mul):
 
 
 @pytest.mark.parametrize(
-    "add, mul, message",
+    "add, mul, one, message",
     [
-        ([[0, 1]], B_MUL, "addition table is not square: shape (1, 2)"),
-        ([0, 1], B_MUL, "addition table is not square: shape (2,)"),
-        (0, B_MUL, "addition table is not square: shape ()"),
-        (B_ADD, [[0, 0, 0]] * 3, "table shapes differ: add (2, 2) vs mul (3, 3)"),
-        ([[False, True], [True, True]], B_MUL, "add table has non-integer entries"),
-        (B_ADD, np.array(B_MUL, dtype=bool), "mul table has non-integer entries"),
-        ([[0.0, 1.0], [1.0, 1.0]], B_MUL, "add table has non-integer entries"),
-        ([[0, 5], [1, 1.0]], B_MUL, "add table has non-integer entries"),
-        ([[0, 5], [5, 5]], B_MUL, "add[0,1] = 5 out of range 0..1"),
-        (B_ADD, [[0, 0], [0, -1]], "mul[1,1] = -1 out of range 0..1"),
-        ([[0, 1], [1]], B_MUL, "addition table has rows of different lengths"),
-        (B_ADD, [[0, 0], [0]], "multiplication table has rows of different lengths"),
+        ([[0, 1]], B_MUL, 1, "addition table is not square: shape (1, 2)"),
+        ([0, 1], B_MUL, 1, "addition table is not square: shape (2,)"),
+        (0, B_MUL, 1, "addition table is not square: shape ()"),
+        (B_ADD, [[0, 0, 0]] * 3, 1, "table shapes differ: add (2, 2) vs mul (3, 3)"),
+        ([[False, True], [True, True]], B_MUL, 1, "add table has non-integer entries"),
+        (B_ADD, np.array(B_MUL, dtype=bool), 1, "mul table has non-integer entries"),
+        ([[0.0, 1.0], [1.0, 1.0]], B_MUL, 1, "add table has non-integer entries"),
+        ([[0, 5], [1, 1.0]], B_MUL, 1, "add table has non-integer entries"),
+        ([[0, 5], [5, 5]], B_MUL, 1, "add[0,1] = 5 out of range 0..1"),
+        (B_ADD, [[0, 0], [0, -1]], 1, "mul[1,1] = -1 out of range 0..1"),
+        ([[0, 1], [1]], B_MUL, 1, "addition table has rows of different lengths"),
+        (B_ADD, [[0, 0], [0]], 1, "multiplication table has rows of different lengths"),
+        (B_ADD, B_MUL, 1.9, "one 1.9 is not an integer"),
+        (B_ADD, B_MUL, True, "one True is not an integer"),
+        (B_ADD, B_MUL, "1", "one '1' is not an integer"),
+        (B_ADD, B_MUL, None, "one None is not an integer"),
     ],
     ids=[
         "not-square",
@@ -104,11 +108,15 @@ def test_tables_accepted_as_nested_integer_sequences(add, mul):
         "negative",
         "ragged-add",
         "ragged-mul",
+        "float-one",
+        "bool-one",
+        "str-one",
+        "none-one",
     ],
 )
-def test_malformed_table_messages(add, mul, message):
+def test_malformed_table_messages(add, mul, one, message):
     with pytest.raises(RangeError) as err:
-        validate_semiring(add, mul, 1)
+        validate_semiring(add, mul, one)
     assert str(err.value) == message
 
 
@@ -329,3 +337,41 @@ def test_homomorphism_validation_rejects_bad_maps(boolean, z2):
     with pytest.raises(InvalidHomomorphism) as err:
         validate_homomorphism(boolean, boolean, (0, 2))
     assert err.value.law == "total-map"
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ([0, 1.9], "image 1.9 is not an integer"),
+        (["0", "1"], "image '0' is not an integer"),
+        ([0, True], "image True is not an integer"),
+        ([0, None], "image None is not an integer"),
+    ],
+    ids=["float", "str", "bool", "none"],
+)
+def test_homomorphism_images_must_be_integers(boolean, images, message):
+    """Map images follow the table-entry rule (``errors.as_int``), as
+    numpy integers do: no float, string, bool or None is rounded or
+    parsed into an image."""
+    assert validate_homomorphism(boolean, boolean, np.array([0, 1])) == (0, 1)
+    with pytest.raises(RangeError) as err:
+        validate_homomorphism(boolean, boolean, images)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([0, 1.9], "element 1.9 is not an integer"),
+        (["1"], "element '1' is not an integer"),
+        ([True], "element True is not an integer"),
+        ([None], "element None is not an integer"),
+    ],
+    ids=["float", "str", "bool", "none"],
+)
+def test_ideal_members_must_be_integers(boolean, members, message):
+    """Ideal members follow the same rule as table entries."""
+    assert ideal_from_members(boolean, [np.int64(0), 1]) == 3
+    with pytest.raises(RangeError) as err:
+        ideal_from_members(boolean, members)
+    assert str(err.value) == message

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,46 @@ def test_ideal_lattice_rows_fail_on_a_wrong_algebra(
         ideal_algebra.cache_clear()
     assert report[field] is False
     assert report[witness_field] == witness
+
+
+def test_sweep_rows_fail_on_a_wrong_column(monkeypatch):
+    """Every closed set is read through ``Spectrum.columns``.  With the
+    last point dropped from the column of element 0, which every point
+    holds, no ideal's up-set holds that point, and these rows of
+    ``sweep(enumerate_n=[3])`` report universal failures."""
+    real = iseki.topology.Spectrum.columns.func
+
+    def dropped(spec):
+        columns = list(real(spec))
+        if spec.size:
+            columns[0] &= ~(1 << (spec.size - 1))
+        return tuple(columns)
+
+    wrong = cached_property(dropped)
+    wrong.__set_name__(iseki.topology.Spectrum, "columns")
+    iseki.topology._closed_family_cached.cache_clear()
+    try:
+        monkeypatch.setattr(iseki.topology.Spectrum, "columns", wrong)
+        report = sweep(enumerate_n=[3], log=io.StringIO())
+    finally:
+        monkeypatch.undo()
+        iseki.topology._closed_family_cached.cache_clear()
+    failing = [name for name, e in report["tallies"].items() if e["failures"]]
+    assert report["failures"] > 0
+    assert sorted(failing) == [
+        "connected_when_zero_present",
+        "generator_upset_identity",
+        "irreducible_upsets",
+        "morphism_continuity",
+        "morphism_density_biconditional",
+        "morphism_homeomorphism_onto_image",
+        "morphism_prime_radical_equality",
+        "quasi_compact_mechanism",
+        "quotient_kernel_homeomorphism",
+        "sober_agreement",
+        "t1_equivalence",
+        "upset_laws",
+    ]
 
 
 def test_sweep_enumerates_homomorphisms_once_per_table_pair(monkeypatch):
