@@ -73,6 +73,11 @@ def _cmd_topology(args):
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    if not wanted:
+        # The exit code judges every check, so the output must show one.
+        choices = ", ".join(CHECKS)
+        print(f"no checks named in {args.checks!r}; choose from {choices}", file=sys.stderr)
+        return 2
     s = ingest(args.file)
     rep, groups = topology_report_by_check(s, args.cls)
     out = {key: rep[key] for key in ("semiring", "class", "points")}

@@ -20,10 +20,13 @@ TypeError.
 ``tests/test_catalog_io.py`` pins the text to ``json.dumps`` on random
 values and on the sweep reports.
 
-A sweep row is a ``Row``: a dict that remembers the report body and the
-identity fields stamped over it.  A body is encoded once per call and
-depth, for every row whose fields are still exactly the body's with the
-identity's over them (by key and object); any other row is a plain dict.
+A sweep row is a ``Row``: a dict that remembers its report body and the
+names of its identity fields.  A Row made from a dict is its own body; a
+Row made from a Row shares that row's body, with its own identity values
+written over it.  A body is encoded once per call, depth and identity
+names, for every row whose keys are still the body's and whose other
+fields still hold the body's very objects; any other row is a plain
+dict.  Each identity string is quoted once per call.
 """
 
 import json
@@ -35,25 +38,30 @@ from .semiring import validate_semiring
 
 
 class Row(dict):
-    """``body``'s fields with ``identity``'s written over them."""
+    """``fields`` with ``values`` written over its identity fields
+    ``names``, a tuple.  A Row made from a dict is its own ``body``; a Row
+    made from a Row shares that row's body."""
 
-    __slots__ = ("body", "identity")
+    __slots__ = ("body", "names")
 
-    def __init__(self, body, identity):
-        super().__init__(body, **identity)
-        self.body, self.identity = body, identity
+    def __init__(self, fields, values, names):
+        super().__init__(fields)
+        self.update(zip(names, values, strict=True))
+        self.body = fields.body if type(fields) is Row else self
+        self.names = names
 
 
 def canonical_json(obj):
     chunks = []
-    _encode(obj, "\n", chunks.append, {})
+    _encode(obj, "\n", chunks.append, {}, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _encode(obj, newline, emit, rows):
+def _encode(obj, newline, emit, rows, quoted):
     """Append the canonical text of ``obj`` to ``emit``; ``newline`` is the
-    line break plus the indent of its first line; ``rows`` caches Rows."""
+    line break plus the indent of its first line; ``rows`` caches Rows'
+    bodies and ``quoted`` their identity strings."""
     kind = type(obj)
     if kind is str:
         emit(_quote(obj))
@@ -65,10 +73,17 @@ def _encode(obj, newline, emit, rows):
         emit("false")
     elif obj is None:
         emit("null")
-    elif kind is Row and obj and (pieces := _row_pieces(obj, newline, rows)):
+    elif kind is Row and obj and (pieces := _row_pieces(obj, newline, rows, quoted)):
         emit(pieces[0])
         for i in range(1, len(pieces), 2):
-            _encode(obj[pieces[i]], newline + "  ", emit, rows)
+            value = obj[pieces[i]]
+            if type(value) is str:
+                text = quoted.get(value)
+                if text is None:
+                    text = quoted[value] = _quote(value)
+                emit(text)
+            else:
+                _encode(value, newline + "  ", emit, rows, quoted)
             emit(pieces[i + 1])
     elif kind is dict or kind is Row:
         if not obj:
@@ -78,7 +93,7 @@ def _encode(obj, newline, emit, rows):
         sep = "{" + inner
         for key in sorted(obj):
             emit(sep + _quote_key(key) + ": ")
-            _encode(obj[key], inner, emit, rows)
+            _encode(obj[key], inner, emit, rows, quoted)
             sep = "," + inner
         emit(newline + "}")
     elif kind is list or kind is tuple:
@@ -89,7 +104,7 @@ def _encode(obj, newline, emit, rows):
         sep = "[" + inner
         for item in obj:
             emit(sep)
-            _encode(item, inner, emit, rows)
+            _encode(item, inner, emit, rows, quoted)
             sep = "," + inner
         emit(newline + "]")
     else:
@@ -102,30 +117,44 @@ def _quote_key(key):
     return _quote(key)
 
 
-def _row_pieces(row, newline, rows):
+def _row_pieces(row, newline, rows, quoted):
     """A row's text as fixed pieces around its identity fields' names, built
-    once per (body, depth, identity keys); None if the row has changed."""
-    body, identity = row.body, row.identity
-    fields = {**body, **identity}
-    if row.keys() != fields.keys() or not all(
-        map(is_, map(row.__getitem__, fields), fields.values())
-    ):
+    from its body once per (body, depth, names); None if a name is not a
+    field of the body, or the row is not its body and its keys are not the
+    body's or a field other than its names no longer holds the body's
+    object."""
+    body, names = row.body, row.names
+    key = (id(body), newline, names)
+    pieces = rows.get(key)
+    if pieces is None:
+        pieces = rows[key] = _body_pieces(body, names, newline, rows, quoted)
+    if not pieces or row is body:
+        return pieces or None
+    if row.keys() != body.keys():
         return None
-    key = (id(body), newline, tuple(identity))
-    if key not in rows:
-        inner = newline + "  "
-        chunks, pieces = ["{" + inner], []
-        for field in sorted(fields):
-            chunks.append(_quote_key(field) + ": ")
-            if field in identity:
-                pieces += ("".join(chunks), field)
-                chunks = []
-            else:
-                _encode(body[field], inner, chunks.append, rows)
-            chunks.append("," + inner)
-        chunks[-1] = newline + "}"
-        rows[key] = pieces + ["".join(chunks)]
-    return rows[key]
+    # The body's fields with the row's identity values over them.
+    fields = body.copy()
+    fields.update(zip(names, map(row.__getitem__, names)))
+    return pieces if all(map(is_, map(row.__getitem__, fields), fields.values())) else None
+
+
+def _body_pieces(body, names, newline, rows, quoted):
+    """The body's text cut at its fields ``names``, which alternate with
+    the text between them; () if a name is not a field."""
+    if not all(map(body.__contains__, names)):
+        return ()
+    inner = newline + "  "
+    chunks, pieces = ["{" + inner], []
+    for field in sorted(body):
+        chunks.append(_quote_key(field) + ": ")
+        if field in names:
+            pieces += ("".join(chunks), field)
+            chunks = []
+        else:
+            _encode(body[field], inner, chunks.append, rows, quoted)
+        chunks.append("," + inner)
+    chunks[-1] = newline + "}"
+    return pieces + ["".join(chunks)]
 
 
 def semiring_to_json(s):

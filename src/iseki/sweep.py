@@ -19,18 +19,21 @@ Each distinct instance is evaluated once per sweep.  An Iseki space is
 the semiring's tables plus its point set, and ``spectrum`` returns one
 space object per (tables, point set).  A homomorphism's checks depend on
 the two tables, the map and the class; a quotient's on the tables and
-the ideal; an ideal-lattice report's on the tables.  ``sweep`` keeps one
-report body per such key (the space and semiring objects themselves: a
-semiring's equality is its tables) in a dict local to the call, and an
-instance's row is a ``serialize.Row`` of that body with the instance's
-identity fields (ids and class) written over it, so the body's text is
-encoded once; it enumerates the homomorphisms of each distinct pair of
-tables once, in the same way.  The invariant: a report field that
-depends on an identity (an id or the class name) must be stamped, never
-memoized.  The analyses below the sweep are cached per table pair too,
-so a Bourne quotient whose tables are a corpus semiring's reuses that
-semiring's ideals and spaces.  Class names are canonicalised before any
-work, and by the report builders, so rows and oracles read them.
+the ideal; an ideal-lattice report's on the tables.  ``sweep`` keeps the
+row of the first instance of each such key (the space and semiring
+objects themselves: a semiring's equality is its tables) in a dict local
+to the call.  That row is a ``serialize.Row`` built from the report and
+is its own body; every later instance's row is a Row made from it, with
+the instance's identity fields (ids and class) stamped over it, so no
+body is kept apart from the rows, the rows of one kind share one tuple
+of identity names, and a body's text is encoded once.  It enumerates the
+homomorphisms of each distinct pair of tables once, in a dict as well.
+The invariant: a report field that depends on an identity (an id or the
+class name) must be stamped, never memoized.  The analyses below the
+sweep are cached per table pair too, so a Bourne quotient whose tables
+are a corpus semiring's reuses that semiring's ideals and spaces.  Class
+names are canonicalised before any work, and by the report builders, so
+rows and oracles read them.
 
 Verdicts are decided once per distinct body as well: the tally runs
 ``verdicts`` once per (kind, body, class) group and counts the group's
@@ -69,6 +72,11 @@ from .topology import CHECKS, CLASS_FLAGS, parse_class, spectrum
 DEFAULT_CLASSES = list(CLASS_FLAGS)
 WITNESS_CAP = 10
 QUOTIENT_CLASSES = ("prime", "proper")
+# Each quotient class's two report fields, named once for every report.
+QUOTIENT_FIELDS = {
+    cls: (f"{cls}_homeomorphism_onto_kernel_upset", f"{cls}_image_equals_ideal_upset")
+    for cls in QUOTIENT_CLASSES
+}
 # The morphism suite runs over every ordered pair of corpus semirings of
 # at most this order.
 MORPHISM_ORDER_CAP = 3
@@ -224,15 +232,12 @@ def quotient_report(s, ideal):
         "quotient_size": quotient.n,
         "map_surjective": len(set(qmap)) == quotient.n,
     }
-    for cls in QUOTIENT_CLASSES:
+    for cls, (homeomorphism, image) in QUOTIENT_FIELDS.items():
         ind = induced_map(s, quotient, qmap, cls)
-        q = check_quotient_homeomorphism(ind)
-        rep[f"{cls}_homeomorphism_onto_kernel_upset"] = q[
+        rep[homeomorphism] = check_quotient_homeomorphism(ind)[
             "homeomorphism_onto_kernel_upset"
         ]
-        rep[f"{cls}_image_equals_ideal_upset"] = (
-            ind.image_point_set() == ind.spec_s.subbasis[ideal]
-        )
+        rep[image] = ind.image_point_set() == ind.spec_s.subbasis[ideal]
     # The kernel does not depend on the class.
     rep["kernel"] = mask_members(s, ind.kernel)
     return rep
@@ -247,6 +252,13 @@ INSTANCE_KEY = {
     IDEAL_LATTICE: ("semiring",),
     MORPHISM: ("source", "target", "hom"),
     QUOTIENT: ("semiring", "ideal"),
+}
+# The identity fields that the sweep stamps over a shared report body.
+IDENTITY_FIELDS = {
+    TOPOLOGY: ("semiring", "class"),
+    IDEAL_LATTICE: ("semiring",),
+    MORPHISM: ("source", "target"),
+    QUOTIENT: ("semiring", "quotient"),
 }
 UNIVERSAL, OBSERVATION = True, False
 
@@ -283,12 +295,13 @@ def _prime_surjection(rep):
 
 def _quotient_class_oracles(cls):
     """The quotient-map oracles for the induced map under one class."""
+    homeomorphism, image = QUOTIENT_FIELDS[cls]
     return (
         Oracle("quotient_kernel_homeomorphism", UNIVERSAL,
-               lambda r: r[f"{cls}_homeomorphism_onto_kernel_upset"],
+               lambda r: r[homeomorphism],
                witness=lambda r: {"class": cls}),
         Oracle("quotient_image_equals_ideal_upset", OBSERVATION,
-               lambda r: r[f"{cls}_image_equals_ideal_upset"],
+               lambda r: r[image],
                witness=lambda r: {"class": cls}),
     )
 
@@ -432,11 +445,15 @@ def _corpus_semirings(corpus, enumerate_n):
     return list(unique.values())
 
 
-def _memoized(memo, key, build, *args):
-    """``memo[key]``, built by ``build(*args)`` on first use."""
-    if key not in memo:
-        memo[key] = build(*args)
-    return memo[key]
+def _stamped(memo, key, kind, values, build, *args):
+    """The row of an instance of ``kind`` whose identity fields hold
+    ``values``.  The first instance of ``key`` makes ``build(*args)`` a
+    Row, its own body, kept in ``memo``; a later one is a Row of that."""
+    first = memo.get(key)
+    if first is None:
+        first = memo[key] = Row(build(*args), values, IDENTITY_FIELDS[kind])
+        return first
+    return Row(first, values, first.names)
 
 
 def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
@@ -460,40 +477,41 @@ def sweep(corpus=None, classes=None, enumerate_n=(), jobs=None, log=None):
             raise ParseError(f"duplicate class {cls!r}")
     semirings = _corpus_semirings(corpus, enumerate_n)
 
-    # One report body per distinct space or tables, stamped with each
-    # instance's identity fields as a Row, and one homomorphism list per
+    # The first instance's row per distinct space or tables, from which
+    # every later instance's row is stamped, and one homomorphism list per
     # distinct pair of tables (see the module docstring).
-    spaces, lattices, maps, quotients, homs = {}, {}, {}, {}, {}
+    spaces, lattices, maps, quotients = {}, {}, {}, {}
 
     topo = [
-        Row(
-            _memoized(spaces, spectrum(s, cls), topology_instance_report, s, cls),
-            {"semiring": s.id, "class": cls},
+        _stamped(
+            spaces, spectrum(s, cls), TOPOLOGY, (s.id, cls), topology_instance_report, s, cls
         )
         for s, _ in semirings
         for cls in classes
     ]
 
     ideal_reports = [
-        Row(_memoized(lattices, s, ideal_lattice_report, s), {"semiring": s.id})
+        _stamped(lattices, s, IDEAL_LATTICE, (s.id,), ideal_lattice_report, s)
         for s, _ in semirings
     ]
 
     small = [s for s, _ in semirings if s.n <= MORPHISM_ORDER_CAP]
     pairs = [(s, t) for s in small for t in small]
+    homs = dict.fromkeys(pairs)
+    for s, t in homs:
+        homs[s, t] = enumerate_homomorphisms(s, t)
     morphism_reports = [
-        Row(
-            _memoized(maps, (s, t, hom), morphism_report, s, t, hom, "prime"),
-            {"source": s.id, "target": t.id},
+        _stamped(
+            maps, (s, t, hom), MORPHISM, (s.id, t.id), morphism_report, s, t, hom, "prime"
         )
         for s, t in pairs
-        for hom in _memoized(homs, (s, t), enumerate_homomorphisms, s, t)
+        for hom in homs[s, t]
     ]
 
     quotient_reports = [
-        Row(
-            _memoized(quotients, (s, ideal), quotient_report, s, ideal),
-            {"semiring": s.id, "quotient": quotient_id(s.id, mask_members(s, ideal))},
+        _stamped(
+            quotients, (s, ideal), QUOTIENT, (s.id, quotient_id(s.id, mask_members(s, ideal))),
+            quotient_report, s, ideal,
         )
         for s, _ in semirings
         for ideal in _proper_ideal_masks(s)

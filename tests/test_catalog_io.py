@@ -98,10 +98,21 @@ _FIELDS = st.dictionaries(
     st.lists(st.tuples(st.integers(min_value=0), _FIELDS), min_size=1, max_size=5),
 )
 def test_canonical_json_of_rows_matches_json_dumps(bodies, stamps):
-    """Rows that share bodies, stamped with identities that override body
-    keys or add keys of their own, encode like plain dicts: alone, in
-    lists and in dicts, with one body's rows at several depths."""
-    rows = [Row(bodies[i % len(bodies)], identity) for i, identity in stamps]
+    """Rows that share bodies encode like plain dicts: alone, in lists and
+    in dicts, with one body's rows at several depths.  As in the sweep,
+    the first stamp of a body makes a Row of it, its own body, with
+    identity fields that override body keys or add keys of their own;
+    each later stamp makes a Row of an earlier row of that body, writing
+    its identity's values, or its own index, over that row's names."""
+    rows, of_body = [], {}
+    for j, (i, identity) in enumerate(stamps):
+        earlier = of_body.setdefault(i % len(bodies), [])
+        if earlier:
+            row = earlier[i // len(bodies) % len(earlier)]
+            earlier.append(Row(row, [identity.get(name, j) for name in row.names], row.names))
+        else:
+            earlier.append(Row(bodies[i % len(bodies)], identity.values(), tuple(identity)))
+        rows.append(earlier[-1])
     value = {
         "rows": rows,
         "deeper": [{"rows": rows, "first": rows[0]}],
@@ -127,6 +138,12 @@ def _delete_field(row):
     del row["n"]
 
 
+def _delete_identity_field(row):
+    # From the body too, so that a row of the body keeps the body's keys.
+    del row["id"]
+    row.body.pop("id", None)
+
+
 def _add_field(row):
     row["extra"] = []
 
@@ -145,10 +162,7 @@ def _change_body(row):
     row.body["n"] = 7
 
 
-def _change_identity(row):
-    row.identity["id"] = "other"
-
-
+@pytest.mark.parametrize("changed_is_body", [True, False], ids=["body", "of-body"])
 @pytest.mark.parametrize(
     "change",
     [
@@ -156,20 +170,26 @@ def _change_identity(row):
         _set_identity_field,
         _equal_but_not_identical,
         _delete_field,
+        _delete_identity_field,
         _add_field,
         _rename_identity_field,
         _swap_values,
         _change_body,
-        _change_identity,
     ],
 )
 @pytest.mark.parametrize("first", [True, False], ids=["changed-first", "changed-last"])
-def test_row_changed_after_stamping_encodes_like_json_dumps(change, first):
-    """A row whose fields, body or identity changed after stamping is never
-    written from its body's cached text, whether or not an unchanged row
-    of the same body was encoded before it."""
-    body = {"n": 1, "hom": [0, 1], "id": "body"}
-    changed, unchanged = Row(body, {"id": "a"}), Row(body, {"id": "b"})
+def test_row_changed_after_stamping_encodes_like_json_dumps(change, first, changed_is_body):
+    """A row whose fields or body changed after stamping is never written
+    from its body's cached text, whether or not an unchanged row of the
+    same body was encoded before it, and whether the changed row is the
+    body (made from a dict) or a Row made from the body."""
+    fields = {"n": 1, "hom": [0, 1], "id": "body"}
+    if changed_is_body:
+        changed = Row(fields, ["a"], ("id",))
+        unchanged = Row(changed, ["b"], changed.names)
+    else:
+        unchanged = Row(fields, ["b"], ("id",))
+        changed = Row(unchanged, ["a"], unchanged.names)
     change(changed)
     value = [changed, unchanged] if first else [unchanged, changed]
     assert canonical_json(value) == _dumps(value)
@@ -311,7 +331,7 @@ class _Key(str):
     pass
 
 
-@pytest.mark.parametrize("wrap", [dict, lambda d: Row(d, {})], ids=["dict", "row"])
+@pytest.mark.parametrize("wrap", [dict, lambda d: Row(d, (), ())], ids=["dict", "row"])
 def test_canonical_json_key_rule_is_the_same_for_dicts_and_rows(wrap):
     """A key of a str subclass is written as ``json.dumps`` writes it, and
     an int key raises, whether the dict is plain or a sweep row."""

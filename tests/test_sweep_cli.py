@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import atoms, emit, reference_tallies, report_sections
 
+import iseki.enumeration
 import iseki.sweep
 import iseki.topology
 from iseki.catalog import build_recipe, builtin_catalog
@@ -337,6 +338,61 @@ def test_oracle_verdicts_read_no_identity_field():
             assert verdicts(kind, masked) == verdicts(kind, rep), (kind, rep)
 
 
+@pytest.fixture(scope="module")
+def enumerate3_sections():
+    return report_sections(sweep(enumerate_n=[3], log=io.StringIO()))
+
+
+def test_first_row_of_each_body_is_that_body(enumerate3_sections):
+    """The sweep keeps no body apart from its rows: the first row of each
+    body on the ``--enumerate 3`` sweep is the body itself."""
+    for kind, rows in enumerate3_sections.items():
+        first = {}
+        for row in rows:
+            first.setdefault(id(row.body), row)
+        assert all(row.body is row for row in first.values()), kind
+
+
+def test_later_rows_hold_their_body_rows_objects(enumerate3_sections):
+    """Every other row's body is an earlier row of its kind, and the row
+    holds that body row's keys and, outside its identity fields, its very
+    value objects."""
+    for kind, rows in enumerate3_sections.items():
+        seen, shared = set(), 0
+        for row in rows:
+            if row.body is not row:
+                assert id(row.body) in seen, kind
+                assert row.keys() == row.body.keys(), kind
+                assert all(
+                    row[field] is value
+                    for field, value in row.body.items()
+                    if field not in row.names
+                ), kind
+                shared += 1
+            seen.add(id(row))
+        assert shared, kind
+
+
+def test_rows_of_one_kind_share_one_tuple_of_identity_names(enumerate3_sections):
+    """A row keeps its identity fields' names, not its own identity dict,
+    and every row of one kind keeps the same tuple."""
+    for kind, rows in enumerate3_sections.items():
+        assert len({id(row.names) for row in rows}) == 1, kind
+
+
+def test_quotient_rows_share_one_string_per_class_field_name(enumerate3_sections):
+    """The class-prefixed fields of every quotient row are named by the
+    same four string objects."""
+    prefixes = tuple(f"{cls}_" for cls in QUOTIENT_CLASSES)
+    names = {
+        id(field)
+        for row in enumerate3_sections[QUOTIENT]
+        for field in row
+        if field.startswith(prefixes)
+    }
+    assert len(names) == 2 * len(QUOTIENT_CLASSES)
+
+
 def _not_sober(monkeypatch):
     real = iseki.topology.CHECKS["sober"]
     monkeypatch.setitem(
@@ -438,15 +494,22 @@ REPORT_DIGESTS = {
     (): "a575b2c7445979099b92054d81517fc2f0af04df75cee9bf399e4ee729a283b8",
     (3,): "7a6cb19007b7e20f9778120ad9888994442413e0fb390bf732bd512e4d0e4dc4",
     (4,): "aff2302979e27c61bb5721ee17eb2afe1e03aa8556fb1ff3d2bfb495e4e7e231",
+    (5,): "9f28ea0edc12a12a61c7f10691b723e26ce73af312bfa5a5aca4d3ad810d99ad",
 }
 
 
 @pytest.mark.parametrize(
-    "enumerate_n", list(REPORT_DIGESTS), ids=["catalog", "enumerate3", "enumerate4"]
+    "enumerate_n",
+    list(REPORT_DIGESTS),
+    ids=["catalog", "enumerate3", "enumerate4", "enumerate5"],
 )
-def test_report_bytes_match_pinned_digest(enumerate_n):
-    """The report bytes of ``iseki sweep`` and ``--enumerate 3`` / ``4`` are
-    pinned, so a refactor that changes any report field fails here."""
+def test_report_bytes_match_pinned_digest(enumerate_n, monkeypatch):
+    """The report bytes of ``iseki sweep`` and ``--enumerate 3`` / ``4``,
+    and of the order-5 sweep (past the CLI's cap; about 0.2 s, most of its
+    rows first instances of their bodies), are pinned, so a refactor that
+    changes any report field fails here."""
+    cap = max((iseki.enumeration.ENUMERATION_CAP, *enumerate_n))
+    monkeypatch.setattr(iseki.enumeration, "ENUMERATION_CAP", cap)
     text = canonical_json(sweep(enumerate_n=list(enumerate_n), log=io.StringIO()))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == REPORT_DIGESTS[enumerate_n]
@@ -548,6 +611,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["sweep", "{B}", "{fake_B}"], "duplicate corpus id 'B'"),
         (["sweep", "--classes", "prime", "prime"], "duplicate class 'prime'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
+        (["topology", "{missing}", "--checks", ",,"], "no checks named in ',,'"),
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
         (["sweep", "{B}", "--enumerate", "5"], "enumeration capped at n <= 4 (asked for 5)"),
         (["validate", "{not_utf8}"], "not valid UTF-8 at byte 0"),
@@ -566,6 +630,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "sweep-duplicate-id",
         "sweep-duplicate-class",
         "checks-before-input",
+        "no-checks-before-input",
         "sweep-enumerate-zero",
         "sweep-enumerate-above-cap",
         "validate-not-utf8",
