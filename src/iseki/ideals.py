@@ -24,7 +24,6 @@ route to the radical that the sweep compares against the algebra.
 
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import and_
 
 from . import _kernels
@@ -71,12 +70,14 @@ class IdealAlgebra:
     so the sum of ideals a and b is ``generated(a | b)``, and
     ``product(a, b)`` is ``generated`` of the element products.
     ``radicals[a]`` is the radical of a (the elements with some positive
-    power in a), keyed by mask.  No table is indexed by pairs of ideals:
-    the laws over such pairs read the joins or the principals.  This is the
-    package's only implementation of these operations.  None of it
-    depends on a spectrum class, so every class's checks read the one
-    table that ``ideal_algebra`` caches.  ``tests/test_ideals.py`` checks
-    every field against the element-wise fixpoints of ``iseki.verify``.
+    power in a), keyed by mask, and ``seeds[a]`` the lexicographically
+    first least seed that generates a (see ``min_generators``).  No table
+    is indexed by pairs of ideals: the laws over such pairs read the joins
+    or the principals.  This is the package's only implementation of these
+    operations.  None of it depends on a spectrum class, so every class's
+    checks read the one table that ``ideal_algebra`` caches.
+    ``tests/test_ideals.py`` checks every field against the element-wise
+    fixpoints of ``iseki.verify``.
     """
 
     def __init__(self, s):
@@ -85,6 +86,15 @@ class IdealAlgebra:
         self.masks = tuple(self.joins)
         self.principals = self.joins[1]
         self.radicals = {a: _radical_mask(s, a) for a in self.masks}
+        # Breadth first from the zero ideal over the joins: each ideal
+        # found gets its parent's seed plus the element g it joined.
+        self.seeds = {1: ()}
+        order = [1]
+        for a in order:
+            for g, b in enumerate(self.joins[a]):
+                if b not in self.seeds:
+                    self.seeds[b] = self.seeds[a] + (g,)
+                    order.append(b)
 
     def generated(self, seed):
         """The least ideal mask holding the elements of the mask ``seed``:
@@ -181,16 +191,27 @@ def jacobson_radical(s):
 
 def min_generators(s, a):
     """Smallest generating-set size of the ideal mask ``a`` and the
-    lexicographically first witness seed."""
-    if a == 1:  # the zero ideal
-        return 0, ()
-    generated = ideal_algebra(s).generated
-    nonzero = mask_members(s, a & ~1)
-    for k in range(1, len(nonzero) + 1):
-        for seed in combinations(nonzero, k):
-            if generated(sum(1 << g for g in seed)) == a:
-                return k, seed
-    raise AssertionError("an ideal always generates itself")
+    lexicographically first witness seed, among seeds of that size; a
+    mask that is not an ideal raises RangeError.
+
+    The seed is ``IdealAlgebra.seeds[a]``, found breadth first from the
+    zero ideal: the ideals a + Rg of one ideal a are found in ascending
+    g, and the ideals of one level in the order their parents were
+    found.  A level is a least seed size, since an ideal generated by k
+    elements is k joins from the zero ideal.  Within each level, the
+    order found is the order of the seeds, and each seed is the first
+    least seed, by induction on the level.  Let (c1, ..., ck) be the
+    first least seed of b.  Its prefix is the first least seed of the
+    ideal p it generates: a smaller seed of p, with ck merged in, would
+    be a smaller seed of b.  For the same reason, every pair (a, g)
+    found before (p, ck) with a + Rg = b would give, sorted, a seed of b
+    smaller than (c1, ..., ck).  So b is first found from p and ck, and
+    its seed is the prefix plus ck.
+    """
+    seed = ideal_algebra(s).seeds.get(a)
+    if seed is None:
+        raise RangeError(f"mask {a} is not an ideal")
+    return len(seed), seed
 
 
 class IdealClassification(namedtuple("IdealClassification", "prime maximal primary "
@@ -286,8 +307,7 @@ def classify(s, a):
             (bits(b), bits(c)) for b in outside for c in outside if (b & c & ~a) == 0
         )
 
-    gen_count, seed = min_generators(s, a)
-    witnesses["generators"] = tuple(seed)
+    gen_count, witnesses["generators"] = min_generators(s, a)
 
     return IdealClassification(
         prime=prime,

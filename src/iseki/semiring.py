@@ -78,22 +78,27 @@ class FiniteSemiring:
         return f"FiniteSemiring(id={self.id!r}, n={self.n})"
 
 
-def _shape(table):
-    """Shape of a nested sequence as (), (rows,) or (rows, columns); None
-    when the rows differ in length or mix sequences with scalars.  An
-    empty sequence is the 0 x 0 table."""
+def _read_table(table):
+    """The table read once, and its shape.  The table comes back as a list
+    of its rows, each a tuple unless it is a scalar (a str counts as one);
+    the shape is (), (rows,) or (rows, columns), or None when the rows
+    differ in length or mix sequences with scalars.  An empty sequence is
+    the 0 x 0 table; a table that is not iterable has shape ()."""
     if not isinstance(table, Iterable):
-        return ()
-    rows = list(table)
+        return table, ()
+    rows = [
+        tuple(row) if isinstance(row, Iterable) and not isinstance(row, str) else row
+        for row in table
+    ]
     if not rows:
-        return (0, 0)
-    nested = [isinstance(row, Iterable) and not isinstance(row, str) for row in rows]
+        return rows, (0, 0)
+    nested = [type(row) is tuple for row in rows]
     if not any(nested):
-        return (len(rows),)
+        return rows, (len(rows),)
     if not all(nested):
-        return None
+        return rows, None
     widths = {len(row) for row in rows}
-    return (len(rows), widths.pop()) if len(widths) == 1 else None
+    return rows, (len(rows), widths.pop()) if len(widths) == 1 else None
 
 
 def _int_table(name, table, n):
@@ -112,12 +117,12 @@ def _int_table(name, table, n):
 
 
 def _check_tables_shape(add, mul, one):
-    shape = _shape(add)
+    add, shape = _read_table(add)
     if shape is None:
         raise RangeError("addition table has rows of different lengths")
     if len(shape) != 2 or shape[0] != shape[1]:
         raise RangeError(f"addition table is not square: shape {shape}")
-    mul_shape = _shape(mul)
+    mul, mul_shape = _read_table(mul)
     if mul_shape is None:
         raise RangeError("multiplication table has rows of different lengths")
     if mul_shape != shape:

@@ -20,18 +20,17 @@ TypeError.
 ``tests/test_catalog_io.py`` pins the text to ``json.dumps`` on random
 values and on the sweep reports.
 
-A sweep row is a ``Row``: a dict that remembers its report body and the
-names of its identity fields.  A Row made from a dict is its own body; a
-Row made from a Row shares that row's body, with its own identity values
-written over it.  A body is encoded once per call, depth and identity
-names, for every row whose keys are still the body's and whose other
-fields still hold the body's very objects; any other row is a plain
-dict.  Each identity string is quoted once per call.
+A sweep row is a ``Row``: a read-only dict that remembers its report body
+and the names of its identity fields.  A Row made from a dict is its own
+body; a Row made from a Row shares that row's body and names, with its
+own identity values written over it.  Since no Row changes after it is
+made, every Row holds its body's fields but for its identity values, and
+is written from its body's text, encoded once per call, depth and
+identity names.  Each identity string is quoted once per call.
 """
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from operator import is_
 
 from .errors import ParseError
 from .semiring import validate_semiring
@@ -40,15 +39,27 @@ from .semiring import validate_semiring
 class Row(dict):
     """``fields`` with ``values`` written over its identity fields
     ``names``, a tuple.  A Row made from a dict is its own ``body``; a Row
-    made from a Row shares that row's body."""
+    made from a Row shares that row's body and must keep its names.  A
+    Row is read-only; a copy or a pickle of it is a plain dict."""
 
     __slots__ = ("body", "names")
 
     def __init__(self, fields, values, names):
+        if type(fields) is Row and names != fields.names:
+            raise ValueError(f"a row of a row keeps its names {fields.names!r}")
         super().__init__(fields)
-        self.update(zip(names, values, strict=True))
+        dict.update(self, zip(names, values, strict=True))
         self.body = fields.body if type(fields) is Row else self
         self.names = names
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Row is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def canonical_json(obj):
@@ -73,7 +84,8 @@ def _encode(obj, newline, emit, rows, quoted):
         emit("false")
     elif obj is None:
         emit("null")
-    elif kind is Row and obj and (pieces := _row_pieces(obj, newline, rows, quoted)):
+    elif kind is Row and obj:
+        pieces = _row_pieces(obj, newline, rows, quoted)
         emit(pieces[0])
         for i in range(1, len(pieces), 2):
             value = obj[pieces[i]]
@@ -119,30 +131,17 @@ def _quote_key(key):
 
 def _row_pieces(row, newline, rows, quoted):
     """A row's text as fixed pieces around its identity fields' names, built
-    from its body once per (body, depth, names); None if a name is not a
-    field of the body, or the row is not its body and its keys are not the
-    body's or a field other than its names no longer holds the body's
-    object."""
-    body, names = row.body, row.names
-    key = (id(body), newline, names)
+    from its body once per (body, depth, names)."""
+    key = (id(row.body), newline, row.names)
     pieces = rows.get(key)
     if pieces is None:
-        pieces = rows[key] = _body_pieces(body, names, newline, rows, quoted)
-    if not pieces or row is body:
-        return pieces or None
-    if row.keys() != body.keys():
-        return None
-    # The body's fields with the row's identity values over them.
-    fields = body.copy()
-    fields.update(zip(names, map(row.__getitem__, names)))
-    return pieces if all(map(is_, map(row.__getitem__, fields), fields.values())) else None
+        pieces = rows[key] = _body_pieces(row.body, row.names, newline, rows, quoted)
+    return pieces
 
 
 def _body_pieces(body, names, newline, rows, quoted):
     """The body's text cut at its fields ``names``, which alternate with
-    the text between them; () if a name is not a field."""
-    if not all(map(body.__contains__, names)):
-        return ()
+    the text between them."""
     inner = newline + "  "
     chunks, pieces = ["{" + inner], []
     for field in sorted(body):
@@ -203,4 +202,7 @@ def ingest(path):
             raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
         except RecursionError as exc:
             raise ParseError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:
+            # An integer literal over the interpreter's digit limit.
+            raise ParseError(f"{path}: integer literal too long") from exc
     return semiring_from_json(doc)

@@ -22,11 +22,11 @@ the two tables, the map and the class; a quotient's on the tables and
 the ideal; an ideal-lattice report's on the tables.  ``sweep`` keeps the
 row of the first instance of each such key (the space and semiring
 objects themselves: a semiring's equality is its tables) in a dict local
-to the call.  That row is a ``serialize.Row`` built from the report and
-is its own body; every later instance's row is a Row made from it, with
-the instance's identity fields (ids and class) stamped over it, so no
-body is kept apart from the rows, the rows of one kind share one tuple
-of identity names, and a body's text is encoded once.  It enumerates the
+to the call.  That row is a read-only ``serialize.Row`` built from the
+report and is its own body; every later instance's row is a Row made
+from it, with the instance's identity fields (ids and class) stamped
+over it, so no body is kept apart from the rows, the rows of one kind
+share one tuple of identity names, and a body's text is encoded once.  It enumerates the
 homomorphisms of each distinct pair of tables once, in a dict as well.
 The invariant: a report field that depends on an identity (an id or the
 class name) must be stamped, never memoized.  The analyses below the

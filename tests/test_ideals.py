@@ -3,6 +3,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
+import pytest
 from conftest import (
     atoms,
     naive_ideal_sets,
@@ -13,6 +14,7 @@ from conftest import (
     reference_sum,
 )
 from iseki.enumeration import enumerate_semirings
+from iseki.errors import RangeError
 from iseki.sweep import sweep
 from iseki.ideals import (
     _ideal_masks_all,
@@ -224,11 +226,17 @@ def test_min_generators(z4, bb):
 
 
 def test_min_generators_matches_brute_force(catalog_semirings):
-    """For every proper ideal of the catalog and of every labeled order-3
-    semiring, the count is the least seed size whose element-wise
-    fixpoint is the ideal, and the witness is the first such seed in
-    ``combinations`` order."""
-    for s in [*catalog_semirings, *enumerate_semirings(3)]:
+    """For every proper ideal of the catalog, of every labeled order-3
+    semiring, of ``atoms(1..5)`` and of ``nullchain(1..6)``, the count is
+    the least seed size whose element-wise fixpoint is the ideal, and the
+    witness is the first such seed in ``combinations`` order."""
+    corpus = [
+        *catalog_semirings,
+        *enumerate_semirings(3),
+        *map(atoms, range(1, 6)),
+        *map(nullchain, range(1, 7)),
+    ]
+    for s in corpus:
         for a in _proper_ideal_masks(s):
             expected = next(
                 (k, seed)
@@ -237,6 +245,11 @@ def test_min_generators_matches_brute_force(catalog_semirings):
                 if reference_generated(s, sum(1 << g for g in seed)) == a
             )
             assert min_generators(s, a) == expected, (s.id, a)
+
+
+def test_min_generators_rejects_a_mask_that_is_not_an_ideal(z4):
+    with pytest.raises(RangeError):
+        min_generators(z4, ideal_from_members(z4, [0, 1]))
 
 
 def test_atoms_ideal_count():

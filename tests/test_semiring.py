@@ -63,11 +63,13 @@ B_MUL = [[0, 0], [0, 1]]
         (((0, 1), (1, 1)), ((0, 0), (0, 1))),
         (np.array(B_ADD), np.array(B_MUL)),
         (np.array(B_ADD, dtype=np.uint8), [(0, 0), np.array([0, 1])]),
+        ((iter(row) for row in B_ADD), map(iter, B_MUL)),
     ],
-    ids=["lists", "tuples", "arrays", "mixed"],
+    ids=["lists", "tuples", "arrays", "mixed", "generators"],
 )
 def test_tables_accepted_as_nested_integer_sequences(add, mul):
-    """Lists, tuples and numpy arrays all give the same tuple tables."""
+    """Lists, tuples, numpy arrays and one-shot iterators (tables and
+    rows alike) all give the same tuple tables."""
     s = validate_semiring(add, mul, np.int64(1), id="B")
     assert s.add == ((0, 1), (1, 1)) and s.mul == ((0, 0), (0, 1))
     assert all(type(v) is int for t in (s.add, s.mul) for row in t for v in row)

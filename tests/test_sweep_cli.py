@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import importlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from functools import cached_property
@@ -339,8 +341,34 @@ def test_oracle_verdicts_read_no_identity_field():
 
 
 @pytest.fixture(scope="module")
-def enumerate3_sections():
-    return report_sections(sweep(enumerate_n=[3], log=io.StringIO()))
+def enumerate3_report():
+    return sweep(enumerate_n=[3], log=io.StringIO())
+
+
+@pytest.fixture(scope="module")
+def enumerate3_sections(enumerate3_report):
+    return report_sections(enumerate3_report)
+
+
+def test_report_copies_and_pickles_encode_the_same(enumerate3_report):
+    """A deep copy and a pickle round trip of the ``--enumerate 3`` report,
+    whose rows become plain dicts, equal it and encode to the same text."""
+    text = canonical_json(enumerate3_report)
+    for copied in (
+        copy.deepcopy(enumerate3_report),
+        pickle.loads(pickle.dumps(enumerate3_report)),
+    ):
+        assert copied == enumerate3_report
+        assert canonical_json(copied) == text
+
+
+def test_report_rows_are_read_only(enumerate3_report):
+    """No row of the report can be changed after stamping."""
+    for row in enumerate3_report["topology"]:
+        t0 = row["t0"]
+        with pytest.raises(TypeError):
+            row["t0"] = False
+        assert row["t0"] is t0
 
 
 def test_first_row_of_each_body_is_that_body(enumerate3_sections):
@@ -619,6 +647,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["validate", "{empty_tables}"], "element count must be at least 1"),
         (["topology", "{B}", "--class", "fg(-1)"], "generator bound of at least 0"),
         (["validate", "{deep}"], "JSON nested too deeply"),
+        (["validate", "{long_n}"], "integer literal too long"),
+        (["validate", "{long_entry}"], "integer literal too long"),
     ],
     ids=[
         "topology-class",
@@ -638,6 +668,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "validate-empty-tables",
         "topology-negative-fg",
         "validate-deep-nesting",
+        "validate-long-n",
+        "validate-long-entry",
     ],
 )
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -650,6 +682,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
         "bool_one": tmp_path / "bool_one.json",
         "empty_tables": tmp_path / "empty_tables.json",
         "deep": tmp_path / "deep.json",
+        "long_n": tmp_path / "long_n.json",
+        "long_entry": tmp_path / "long_entry.json",
     }
     emit(paths["fake_B"], validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 1, id="B"))
     paths["not_utf8"].write_bytes(b"\xff\xfe")
@@ -660,6 +694,11 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
         json.dumps({"id": "E", "n": 0, "one": 0, "add": [], "mul": []})
     )
     paths["deep"].write_text("[" * 200_000)
+    # 5,000 digits: over CPython's default limit of 4,300 for int parsing.
+    long = "1" * 5000
+    b_doc = '{"id": "B", "n": %s, "one": 1, "add": [[0, 1], [1, %s]], "mul": [[0, 0], [0, 1]]}'
+    paths["long_n"].write_text(b_doc % (long, 1))
+    paths["long_entry"].write_text(b_doc % (2, long))
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
