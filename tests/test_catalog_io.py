@@ -179,17 +179,21 @@ def _change_body(row):
         _change_body,
     ],
 )
-def test_row_rejects_every_change(change, changed_is_body):
+@pytest.mark.parametrize("first", [True, False], ids=["changed-first", "changed-last"])
+def test_row_rejects_every_change(change, first, changed_is_body):
     """A Row is read-only, whether it is a body (made from a dict) or a
     Row made from the body: each change raises TypeError and leaves both
-    rows as they were, so they still encode like ``json.dumps``."""
+    rows as they were, so they still encode like ``json.dumps``, whether
+    the row the change was tried on is written before or after the other
+    row of its body."""
     body = Row({"n": 1, "hom": [0, 1], "id": "body"}, ["a"], ("id",))
     of_body = Row(body, ["b"], body.names)
+    changed, unchanged = (body, of_body) if changed_is_body else (of_body, body)
     before = [dict(body), dict(of_body)]
     with pytest.raises(TypeError):
-        change(body if changed_is_body else of_body)
-    value = [body, of_body]
-    assert value == before
+        change(changed)
+    assert [body, of_body] == before
+    value = [changed, unchanged] if first else [unchanged, changed]
     assert canonical_json(value) == _dumps(value)
 
 
