@@ -186,29 +186,24 @@ def check_quotient_homeomorphism(ind):
     Both spaces are Alexandrov, so a continuous injective map is a
     homeomorphism onto its image exactly when it is an embedding of the
     inclusion orders: for each point q of t, the points above q are the
-    pull-back of the points above its image, one mask comparison per
-    point.  For a surjection f, f(f^-1(q)) = q for every ideal q of t,
-    so that conjunct follows from correct preimages:
-    ``homeomorphism_onto_image`` checks the preimage and continuity
-    code, not a separate theorem instance.
+    pull-back of the points above its image.  For a surjection f that is
+    continuity itself.  Continuity on the principal ideals Rg of s says
+    that the point ``map[q]`` holds g exactly when f(g) is in q, so it is
+    f^-1(q).  Then f(f^-1(q)) = q, so the map is injective, and
+    f^-1(q) <= f^-1(q') gives q <= q', so up(f^-1(q)) pulls back to
+    up(q).  Hence ``homeomorphism_onto_image`` is ``continuous``: it
+    checks the preimage and continuity code, not a separate theorem
+    instance.
     """
     if len(set(ind.hom)) != ind.spec_t.semiring.n:
         return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
     ker_up = ind.spec_s.subbasis[ind.kernel]
     image = ind.image_point_set()
-
-    up_s, up_t = ind.spec_s.up, ind.spec_t.up
-    onto_image = (
-        ind.continuous
-        and len(set(ind.map)) == len(ind.map)
-        and all(_pull(ind.map, up_s[a]) == up_t[i] for i, a in enumerate(ind.map))
-    )
-
     return {
         "surjective": True,
         "image_equals_kernel_upset": image == ker_up,
-        "homeomorphism_onto_image": onto_image,
-        "homeomorphism_onto_kernel_upset": onto_image and image == ker_up,
+        "homeomorphism_onto_image": ind.continuous,
+        "homeomorphism_onto_kernel_upset": ind.continuous and image == ker_up,
     }
 
 

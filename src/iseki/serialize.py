@@ -30,6 +30,7 @@ identity names.  Each identity string is quoted once per call.
 """
 
 import json
+from codecs import BOM_UTF8
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError
@@ -190,19 +191,23 @@ def semiring_from_json(doc):
 
 
 def ingest(path):
-    """Load and validate a semiring JSON document from a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
-        except RecursionError as exc:
-            raise ParseError(f"{path}: JSON nested too deeply") from exc
-        except ValueError as exc:
-            # An integer literal over the interpreter's digit limit.
-            raise ParseError(f"{path}: integer literal too long") from exc
+    """Load and validate a semiring JSON document from a file.  A leading
+    UTF-8 byte-order mark is skipped, as RFC 8259 section 8.1 allows, and
+    counted in the byte offset of a decoding error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bom = len(BOM_UTF8) if data.startswith(BOM_UTF8) else 0
+    try:
+        doc = json.loads(data[bom:].decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {bom + exc.start}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # An integer literal over the interpreter's digit limit.
+        raise ParseError(f"{path}: integer literal too long") from exc
     return semiring_from_json(doc)

@@ -104,8 +104,19 @@ def ideal_lattice_report(s):
     """Per-semiring ideal-lattice oracles (radical equality, implications,
     lattice laws).  The monotone radical and the sums are decided on the
     join pairs (a, a + Rg) and the product on the principal pairs
-    (Rg, Rh), each with its proof at the check; only the meet closure
-    walks all pairs of ideals."""
+    (Rg, Rh), each with its proof at the check; no check walks pairs of
+    ideals.
+
+    ``sum_lub_intersection_glb`` requires every ideal found to hold 0,
+    and each join entry a + Rg, the sums that ``generated`` reads, to be
+    an ideal found, equal to {x + y : x in a, y in Rg} recomputed from
+    the two tables, and to be a itself when g is in a.  Then every mask
+    found is an ideal: for g in a, a = a + Rg holds every rg (x = 0) and
+    every x + g (y = 1g).  And every ideal is found: it is the fold of
+    its members' joins from {0}, which is found (``principals`` is its
+    row).  So the masks are exactly the ideals, the meet of two of them
+    is an ideal, and a + Rg, the set of pair sums, is the least upper
+    bound of a and Rg."""
     report = {"semiring": s.id, "n": s.n}
     algebra = ideal_algebra(s)
     masks, joins, principals = algebra.masks, algebra.joins, algebra.principals
@@ -150,7 +161,7 @@ def ideal_lattice_report(s):
     report["radical_monotone_witness"] = members(mono_witness)
 
     # ab is the sum of the R(gh), g in a and h in b, each inside Rg & Rh
-    # and so inside a & b, an ideal (the meet check below).
+    # and so inside a & b, an ideal (see ``sum_lub_intersection_glb``).
     prod_witness = next(
         (
             [rg, rh]
@@ -163,27 +174,27 @@ def ideal_lattice_report(s):
     report["product_in_intersection"] = prod_witness is None
     report["product_witness"] = members(prod_witness)
 
-    # a + Rg, every sum that ``generated`` reads, is the least upper bound
-    # of a and Rg when it is an ideal holding a | Rg and lies inside
-    # {x + y : x in a, y in Rg}, recomputed here from the addition table.
-    def join_fails(a, rg, total):
-        addends = mask_members(s, rg)
-        pair_sums = 0
-        for x in mask_members(s, a):
-            for y in addends:
-                pair_sums |= 1 << s.add[x][y]
-        union = a | rg
-        return total not in joins or (total & union) != union or total & ~pair_sums
+    # shifted[g][x] is the mask of x + Rg, Rg = {rg} from the two tables.
+    addends = [{row[g] for row in s.mul} for g in range(s.n)]
+    shifted = [[sum({1 << add_x[y] for y in rg}) for add_x in s.add] for rg in addends]
 
-    lat_witness = next(
-        (
-            [a, rg]
-            for a, row in joins.items()
-            for rg, total in zip(principals, row)
-            if join_fails(a, rg, total)
-        ),
-        None,
-    ) or next(([a, b] for a in masks for b in masks if a & b not in joins), None)
+    def lattice_witness():
+        for a, row in joins.items():
+            xs = mask_members(s, a)
+            for g, total in enumerate(row):
+                pair_sums = 0
+                for x in xs:
+                    pair_sums |= shifted[g][x]
+                if (
+                    not a & 1
+                    or total != pair_sums
+                    or (a >> g) & 1 and total != a
+                    or total not in joins
+                ):
+                    return [a, principals[g]]
+        return None
+
+    lat_witness = lattice_witness()
     report["sum_lub_intersection_glb"] = lat_witness is None
     report["lattice_witness"] = members(lat_witness)
     return report

@@ -1,5 +1,6 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from operator import and_
 
 import pytest
 
@@ -512,6 +513,20 @@ def reference_quasi_compact(spec, family_size_cap=3):
         "quasi_compact": True,
         "quasi_compact_sum_identity": identity_ok,
         "quasi_compact_maximal_rule": maximal_ok,
+    }
+
+
+def reference_irreducible_upsets(spec):
+    """The irreducible up-set check point by point: each point's closure
+    is the AND of the subbasic sets that pass a membership test for the
+    point.  The reference for ``topology.check_irreducible_upsets``."""
+    subbasic = spec.subbasis.values()
+    return {
+        "irreducible_upsets": all(
+            reduce(and_, (u for u in subbasic if (u >> i) & 1), spec.full)
+            == spec.subbasis[p]
+            for i, p in enumerate(spec.points)
+        )
     }
 
 

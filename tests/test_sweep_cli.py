@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from conftest import atoms, emit, reference_tallies, report_sections
 
+import iseki._kernels
 import iseki.enumeration
 import iseki.sweep
 import iseki.topology
@@ -205,6 +206,85 @@ def test_lattice_oracle_reads_every_join(c4, monkeypatch, wrong):
         ideal_algebra.cache_clear()
     assert report["sum_lub_intersection_glb"] is False
     assert report["lattice_witness"] == [[0], [0, 1, 2]]
+
+
+@pytest.mark.parametrize(
+    ("edit", "witness"),
+    [
+        ({0b0111: None}, [[0], [0, 1, 2]]),
+        (
+            {
+                0b0010: (0b0010, 0b0010, 0b0110, 0b1110),
+                0b0110: (0b0110, 0b0110, 0b0110, 0b1110),
+                0b1110: (0b1110,) * 4,
+            },
+            [[1], [0]],
+        ),
+        ({0b0101: (0b0101, 0b0111, 0b0111, 0b1111)}, [[0, 2], [0, 1, 2]]),
+    ],
+    ids=["ideal-missing", "keys-without-zero", "key-not-closed"],
+)
+def test_lattice_oracle_needs_every_join_condition(c4, monkeypatch, edit, witness):
+    """Each edit of C4's join table (max and min on 0 < 1 < 2 < 3) keeps
+    every entry equal to its pair sums, so a different condition of
+    ``sum_lub_intersection_glb`` must fail it: the ideal {0, 1, 2} dropped
+    from the keys; {1}, {1, 2} and {1, 2, 3} added, closed under + but
+    without 0; {0, 2} added, whose join with R2 is not itself.  C4 is
+    idempotent, so an added key is its own radical."""
+    algebra = ideal_algebra(c4)
+    assert ideal_lattice_report(c4)["sum_lub_intersection_glb"]
+    joins = {a: row for a, row in {**algebra.joins, **edit}.items() if row}
+    try:
+        monkeypatch.setattr(algebra, "joins", joins)
+        monkeypatch.setattr(algebra, "radicals", {a: a for a in [*algebra.joins, *edit]})
+        report = ideal_lattice_report(c4)
+    finally:
+        ideal_algebra.cache_clear()
+    assert report["sum_lub_intersection_glb"] is False
+    assert report["lattice_witness"] == witness
+
+
+def _clear_iseki_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "iseki" or name.startswith("iseki."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def _union_ideal_masks(add, mul):
+    """``_kernels.ideal_masks`` with the join a + Rg taken as a | Rg."""
+    principals = [sum({1 << row[g] for row in mul}) for g in range(len(add))]
+    joins, todo = {}, {1}
+    while todo:
+        a = todo.pop()
+        joins[a] = tuple(a if (a >> g) & 1 else a | rg for g, rg in enumerate(principals))
+        todo.update(b for b in joins[a] if b not in joins)
+    return dict(sorted(joins.items()))
+
+
+def test_lattice_oracle_fails_on_a_union_join(monkeypatch):
+    """An ideal search that joins a with Rg by union finds non-ideals.
+    In Z2 x Z2 (XOR and AND, one = 3) it joins {0, 1} with R2 = {0, 2}
+    into {0, 1, 2}, which the search itself finds and which lies between
+    the union and the pair sums, so only an entry that must equal the
+    pair sums fails it.  The report is called directly: the builtin
+    catalog's Bourne quotients crash on the non-ideals."""
+    s = validate_semiring(
+        [[a ^ b for b in range(4)] for a in range(4)],
+        [[a & b for b in range(4)] for a in range(4)],
+        3,
+        id="Z2xZ2",
+    )
+    _clear_iseki_caches()
+    try:
+        monkeypatch.setattr(iseki._kernels, "ideal_masks", _union_ideal_masks)
+        report = ideal_lattice_report(s)
+    finally:
+        monkeypatch.undo()
+        _clear_iseki_caches()
+    assert report["sum_lub_intersection_glb"] is False
+    assert report["lattice_witness"] == [[0, 1], [0, 2]]
 
 
 def _wrong_r3(algebra):
@@ -603,6 +683,12 @@ def test_cli_validate(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is True
 
+    # RFC 8259 section 8.1: a parser may ignore a leading byte-order mark.
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    assert main(["validate", str(bom)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
     bad = tmp_path / "bad.json"
     bad.write_text(
         json.dumps(
@@ -624,7 +710,12 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     assert main(["validate", str(path)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert (
+        "invalid JSON at line 1, column 2: "
+        "Expecting property name enclosed in double quotes"
+    ) in err
 
 
 @pytest.mark.parametrize(
@@ -643,6 +734,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
         (["sweep", "{B}", "--enumerate", "5"], "enumeration capped at n <= 4 (asked for 5)"),
         (["validate", "{not_utf8}"], "not valid UTF-8 at byte 0"),
+        (["validate", "{bom_not_utf8}"], "not valid UTF-8 at byte 3"),
         (["validate", "{bool_one}"], "field 'one' must be int"),
         (["validate", "{empty_tables}"], "element count must be at least 1"),
         (["topology", "{B}", "--class", "fg(-1)"], "generator bound of at least 0"),
@@ -664,6 +756,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "sweep-enumerate-zero",
         "sweep-enumerate-above-cap",
         "validate-not-utf8",
+        "validate-bom-not-utf8",
         "validate-bool-one",
         "validate-empty-tables",
         "topology-negative-fg",
@@ -679,6 +772,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
         "missing": str(tmp_path / "missing.json"),
         "fake_B": str(tmp_path / "fake_B.json"),
         "not_utf8": tmp_path / "not_utf8.json",
+        "bom_not_utf8": tmp_path / "bom_not_utf8.json",
         "bool_one": tmp_path / "bool_one.json",
         "empty_tables": tmp_path / "empty_tables.json",
         "deep": tmp_path / "deep.json",
@@ -687,6 +781,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
     }
     emit(paths["fake_B"], validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 1, id="B"))
     paths["not_utf8"].write_bytes(b"\xff\xfe")
+    # The offset counts the skipped byte-order mark.
+    paths["bom_not_utf8"].write_bytes(b"\xef\xbb\xbf\xff")
     paths["bool_one"].write_text(
         json.dumps({"id": "B", "n": 2, "one": True, "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]]})
     )

@@ -10,6 +10,7 @@ from conftest import (
     closed_set_count,
     emit,
     nontrivial_idempotents,
+    reference_irreducible_upsets,
     reference_quasi_compact,
     reference_upset_laws,
 )
@@ -175,8 +176,9 @@ def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirin
     conftest: on every spectrum of the catalog and the semirings of order
     <= 4, and, so that failing laws and witnesses are compared too, on
     the catalog and the order <= 3 semirings with one point of one up-set
-    flipped.  check_irreducible_upsets holds on every true space and
-    fails on some flipped ones."""
+    flipped.  check_irreducible_upsets equals its per-point reference on
+    every space, holds on every true space and fails on some flipped
+    ones."""
     failures = Counter()
     flipped_corpus = {s.id for s in catalog_semirings}
     for s in small_semirings:
@@ -190,7 +192,9 @@ def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirin
                 assert verify_upset_laws(spec) == laws, where
                 qc = reference_quasi_compact(spec)
                 assert check_quasi_compact(spec) == qc, where
-                irreducible = check_irreducible_upsets(spec)["irreducible_upsets"]
+                irreducible_check = check_irreducible_upsets(spec)
+                assert irreducible_check == reference_irreducible_upsets(spec), where
+                irreducible = irreducible_check["irreducible_upsets"]
                 assert irreducible or spec is not variants[0], where
                 if laws["upset_laws"] != "pass":
                     failures[laws["upset_laws"]["law"]] += 1
