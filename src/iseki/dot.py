@@ -11,22 +11,28 @@ from .ideals import mask_members
 
 def export_dot(spec):
     """The upper covers of point i are the minimal points of up[i] - {i}:
-    the j in it whose down-set (column j of ``up``, transposed) meets it
-    in j alone.  A proper superset has a larger mask, so j > i."""
-    up = spec.up
-    down = [
-        sum(1 << k for k, u in enumerate(up) if (u >> j) & 1) for j in range(len(up))
-    ]
+    the j in it whose down-set meets it in j alone.  The points below
+    point j are those that hold no element outside it, so its down-set
+    is the complement of the columns of those elements.  A proper
+    superset has a larger mask, so each edge runs to a larger index."""
+    down = []
+    for p in spec.points:
+        outside = 0
+        for x, column in enumerate(spec.columns):
+            if not (p >> x) & 1:
+                outside |= column
+        down.append(spec.full & ~outside)
     lines = ["digraph specialization {"]
     for i, p in enumerate(spec.points):
         label = "{" + ",".join(map(str, mask_members(spec.semiring, p))) + "}"
         lines.append(f'  p{i} [label="{label}"];')
-    for i, u in enumerate(up):
-        above = u & ~(1 << i)
-        lines.extend(
-            f"  p{i} -> p{j};"
-            for j in range(i + 1, len(up))
-            if (down[j] & above) == 1 << j
-        )
+    for i, u in enumerate(spec.up):
+        above = rest = u & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if down[j] & above == low:
+                lines.append(f"  p{i} -> p{j};")
+            rest ^= low
     lines.append("}")
     return "\n".join(lines) + "\n"

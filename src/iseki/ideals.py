@@ -85,7 +85,19 @@ class IdealAlgebra:
         self.joins = _kernels.ideal_masks(s.add, s.mul)
         self.masks = tuple(self.joins)
         self.principals = self.joins[1]
-        self.radicals = {a: _radical_mask(s, a) for a in self.masks}
+        # powers[r] is the mask of r, r^2, r^3, ...; r lies in the radical
+        # of a exactly when that mask meets a.
+        powers = []
+        for r in range(s.n):
+            mask, x = 0, r
+            while not (mask >> x) & 1:
+                mask |= 1 << x
+                x = s.mul[x][r]
+            powers.append(mask)
+        self.radicals = {
+            a: sum(1 << r for r, power in enumerate(powers) if power & a)
+            for a in self.masks
+        }
         # Breadth first from the zero ideal over the joins: each ideal
         # found gets its parent's seed plus the element g it joined.
         self.seeds = {1: ()}
@@ -125,20 +137,6 @@ def ideal_algebra(s):
 def _proper_ideal_masks(s):
     # The full mask is the largest ideal mask, so it comes last.
     return _ideal_masks_all(s)[:-1]
-
-
-def _radical_mask(s, mask):
-    out = 0
-    for r in range(s.n):
-        x = r
-        seen = 0
-        while not (seen >> x) & 1:
-            seen |= 1 << x
-            if (mask >> x) & 1:
-                out |= 1 << r
-                break
-            x = s.mul[x][r]
-    return out
 
 
 def _is_prime_mask(s, mask):

@@ -16,7 +16,7 @@ returns exactly the report fields it decides, under their report names.
 from .errors import ContractionFails, SizeLimitExceeded
 from .ideals import ideal_algebra, is_ideal_mask, mask_members
 from .semiring import _homomorphism_violation
-from .topology import CLASS_FLAGS, parse_class, spectrum
+from .topology import spectrum
 
 HOM_SEARCH_CAP = 10_000_000
 
@@ -83,7 +83,7 @@ def kernel(s, t, hom):
 
 class InducedMap:
     """The spectrum map induced by a homomorphism s -> t, acting by
-    preimage, for the class named ``cls``.
+    preimage.
 
     ``spec_s`` is the space over s and ``spec_t`` the space over t;
     ``map[j]`` is the index in ``spec_s`` of the preimage of point j of
@@ -97,10 +97,10 @@ class InducedMap:
     caches or hashes, so no field is read-only.
     """
 
-    __slots__ = ("hom", "cls", "spec_s", "spec_t", "map", "kernel", "continuity_witness")
+    __slots__ = ("hom", "spec_s", "spec_t", "map", "kernel", "continuity_witness")
 
-    def __init__(self, hom, cls, spec_s, spec_t, map, kernel, continuity_witness):
-        self.hom, self.cls, self.map, self.kernel = hom, cls, map, kernel
+    def __init__(self, hom, spec_s, spec_t, map, kernel, continuity_witness):
+        self.hom, self.map, self.kernel = hom, map, kernel
         self.spec_s, self.spec_t = spec_s, spec_t
         self.continuity_witness = continuity_witness
 
@@ -125,7 +125,7 @@ def induced_map(s, t, hom, cls):
     returned as a verdict on the map (``continuous``,
     ``continuity_witness``): for each element g of s, the preimage of
     up(Rg) must be up(R f(g)), both read from the spectra's subbases.
-    The map and the witness carry the canonical class name.
+    ``spectrum`` parses the class name; the map holds no class.
 
     These n checks decide every ideal a of s: the preimage of up(a) must
     be the up-set of the ideal generated by f(a).  For a = Rg that ideal
@@ -133,7 +133,6 @@ def induced_map(s, t, hom, cls):
     exactly when it holds every Rg with g in a, and preimages keep
     meets, so both sides are the meets over g in a of the principal case.
     """
-    cls = cls if cls in CLASS_FLAGS else parse_class(cls)
     spec_s = spectrum(s, cls)
     spec_t = spectrum(t, cls)
     index_of = spec_s.index_of
@@ -155,7 +154,6 @@ def induced_map(s, t, hom, cls):
             break
     return InducedMap(
         hom=hom,
-        cls=cls,
         spec_s=spec_s,
         spec_t=spec_t,
         map=tuple(point_map),
@@ -179,9 +177,8 @@ def check_quotient_homeomorphism(ind):
     surjection; otherwise ``homeomorphism_onto_kernel_upset`` is "n/a".
     The map carries both spaces, and each space its semiring.
 
-    Reports the image/kernel-up-set comparison and the subspace
-    homeomorphism onto the actual image separately, so a gap between the
-    image and the kernel up-set is visible as data.
+    Reports the image/kernel-up-set comparison on its own, so a gap
+    between the image and the kernel up-set is visible as data.
 
     Both spaces are Alexandrov, so a continuous injective map is a
     homeomorphism onto its image exactly when it is an embedding of the
@@ -191,9 +188,8 @@ def check_quotient_homeomorphism(ind):
     that the point ``map[q]`` holds g exactly when f(g) is in q, so it is
     f^-1(q).  Then f(f^-1(q)) = q, so the map is injective, and
     f^-1(q) <= f^-1(q') gives q <= q', so up(f^-1(q)) pulls back to
-    up(q).  Hence ``homeomorphism_onto_image`` is ``continuous``: it
-    checks the preimage and continuity code, not a separate theorem
-    instance.
+    up(q).  Hence the map is a homeomorphism onto its image exactly when
+    it is ``continuous``, which the report already carries.
     """
     if len(set(ind.hom)) != ind.spec_t.semiring.n:
         return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
@@ -202,7 +198,6 @@ def check_quotient_homeomorphism(ind):
     return {
         "surjective": True,
         "image_equals_kernel_upset": image == ker_up,
-        "homeomorphism_onto_image": ind.continuous,
         "homeomorphism_onto_kernel_upset": ind.continuous and image == ker_up,
     }
 
@@ -213,9 +208,10 @@ def check_density(ind):
     dense: the closure of the image of the induced map is the whole
     spectrum of s.  density_rhs: the kernel is contained in the
     intersection of all spectrum points.  The report also carries the
-    closure-of-image identity (closure equals the kernel up-set) and,
-    for the prime class, whether the radical-equality form of the
-    criterion (the kernel's radical is that intersection) matches density.
+    closure-of-image identity (closure equals the kernel up-set) and
+    whether the radical-equality form of the criterion (the kernel's
+    radical is that intersection) matches density, for every class; the
+    sweep's oracle table decides the class where it is a theorem.
     """
     s = ind.spec_s.semiring
     ker = ind.kernel
@@ -227,14 +223,11 @@ def check_density(ind):
         inter &= p
     criterion = (ker & inter) == ker
 
-    report = {
+    return {
         "dense": dense,
         "density_rhs": criterion,
-        "density_biconditional": dense == criterion,
         "closure_image_equals_kernel_upset": cl_image == ind.spec_s.subbasis[ker],
-    }
-    if ind.cls == "prime":
-        report["radical_equality_matches_density"] = (
+        "radical_equality_matches_density": (
             ideal_algebra(s).radicals[ker] == inter
-        ) == dense
-    return report
+        ) == dense,
+    }

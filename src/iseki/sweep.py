@@ -9,7 +9,13 @@ comparison for surjections and the ideal-up-set form of the quotient map.
 The rows read report fields, and each field has one definition: the
 check in ``topology`` or ``morphisms`` that decides it returns it under
 its report name, and the report builders below only merge those dicts
-with the instance's identity fields.
+with the instance's identity fields.  No field restates another: three
+rows read the fact itself.  ``connected_when_zero_present`` applies
+where [0] is among the ``points``, ``morphism_density_biconditional``
+compares ``dense`` with ``density_rhs``, and
+``morphism_homeomorphism_onto_image`` reads ``continuous`` (the proof
+is at ``morphisms.check_quotient_homeomorphism``).  A check reports
+the same fields for every class; only the rows' ``applies`` read it.
 
 Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
@@ -329,7 +335,7 @@ ORACLES = {
                applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
         Oracle("connected_when_zero_present", UNIVERSAL,
                lambda r: r["connected"] is True,
-               applies=lambda r: r["zero_ideal_in_points"]),
+               applies=lambda r: [0] in r["points"]),
         Oracle("irreducible_upsets", UNIVERSAL, lambda r: r["irreducible_upsets"]),
         Oracle("upset_laws", UNIVERSAL, lambda r: r["upset_laws"] == "pass",
                witness=lambda r: {"laws": r["upset_laws"]}),
@@ -363,16 +369,15 @@ ORACLES = {
         Oracle("morphism_continuity", UNIVERSAL,
                lambda r: r["continuous"] is True, applies=_prime_contraction),
         Oracle("morphism_density_biconditional", UNIVERSAL,
-               lambda r: r["density_biconditional"], applies=_prime_contraction),
+               lambda r: r["dense"] == r["density_rhs"], applies=_prime_contraction),
         Oracle("morphism_closure_image_equals_kernel_upset", UNIVERSAL,
                lambda r: r["closure_image_equals_kernel_upset"],
                applies=_prime_contraction),
         Oracle("morphism_prime_radical_equality", UNIVERSAL,
                lambda r: r["radical_equality_matches_density"],
-               applies=lambda r: _prime_contraction(r)
-               and "radical_equality_matches_density" in r),
+               applies=_prime_contraction),
         Oracle("morphism_homeomorphism_onto_image", UNIVERSAL,
-               lambda r: r["homeomorphism_onto_image"], applies=_prime_surjection),
+               lambda r: r["continuous"] is True, applies=_prime_surjection),
         Oracle("surjective_image_equals_kernel_upset", OBSERVATION,
                lambda r: r["image_equals_kernel_upset"], applies=_prime_surjection),
     ),

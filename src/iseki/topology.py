@@ -333,7 +333,8 @@ def check_sober(spec):
 
 
 def check_quasi_compact(spec):
-    """Finite spaces are quasi-compact; the value is the proof mechanism.
+    """The proof mechanism of quasi-compactness; every finite space is
+    quasi-compact, so only the mechanism is reported.
 
     The sum identity: every finite family's up-sets meet in the up-set
     of its sum, which the (ideal, principal ideal) pairs decide
@@ -345,7 +346,6 @@ def check_quasi_compact(spec):
     """
     full_mask = spec.semiring.full_mask
     return {
-        "quasi_compact": True,
         "quasi_compact_sum_identity": spec.sum_identity is None,
         "quasi_compact_maximal_rule": not _maximals_present(spec)
         or all(u or a == full_mask for a, u in spec.subbasis.items()),
@@ -354,20 +354,14 @@ def check_quasi_compact(spec):
 
 def check_connected(spec):
     """Connectivity from the connected components; the witness is the
-    lowest clopen set, the lowest component.  Empty spectra are degenerate."""
+    lowest clopen set, the lowest component.  Empty spectra are degenerate.
+    Whether the zero ideal is a point, the theorem's hypothesis, is read
+    from the reported points."""
     if spec.size == 0:
-        return {
-            "connected": "degenerate",
-            "connected_witness": None,
-            "zero_ideal_in_points": False,
-        }
+        return {"connected": "degenerate", "connected_witness": None}
     comps = spec.components
     witness = point_set_members(spec, comps[0]) if len(comps) > 1 else None
-    return {
-        "connected": witness is None,
-        "connected_witness": witness,
-        "zero_ideal_in_points": 1 in spec.points,
-    }
+    return {"connected": witness is None, "connected_witness": witness}
 
 
 def check_disconnection(spec):
@@ -516,17 +510,18 @@ def verify_upset_laws(spec):
     (1) and the principal pairs (Rg, Rh) decide (2), as
     ``_first_failing_upset_law`` proves.  ``upset_laws`` is "pass" or the
     first failing law with its witness.  The generator identity: the
-    up-set of each ideal is the intersection of the up-sets of the
-    principal ideals of its generators.
+    up-set of each proper ideal is the intersection of the up-sets of the
+    principal ideals of its generator seed (``IdealAlgebra.seeds``).
     """
     s = spec.semiring
     up = spec.subbasis
     law = _first_failing_upset_law(spec)
-    principals = ideal_algebra(s).principals
+    algebra = ideal_algebra(s)
+    principals = algebra.principals
     generator_witness = None
-    for ideal, classification in classified_ideals(s):
+    for ideal in algebra.masks[:-1]:
         pulled = spec.full
-        for g in classification.witness_dict()["generators"]:
+        for g in algebra.seeds[ideal]:
             pulled &= up[principals[g]]
         if up[ideal] != pulled:
             generator_witness = mask_members(s, ideal)

@@ -510,7 +510,6 @@ def reference_quasi_compact(spec, family_size_cap=3):
         spec.subbasis[a] or a == s.full_mask for a in masks
     )
     return {
-        "quasi_compact": True,
         "quasi_compact_sum_identity": identity_ok,
         "quasi_compact_maximal_rule": maximal_ok,
     }

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -22,9 +23,9 @@ from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import EmptyFamily, ParseError
 from iseki.ideals import _proper_ideal_masks, ideal_algebra
-from iseki.morphisms import enumerate_homomorphisms, induced_map
+from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import bourne_quotient, validate_semiring
-from iseki.serialize import canonical_json
+from iseki.serialize import canonical_json, semiring_from_json
 from iseki.sweep import (
     INSTANCE_KEY,
     MORPHISM,
@@ -546,16 +547,15 @@ def test_tally_by_multiplicity_equals_per_instance_replay(monkeypatch, force):
 
 
 def test_report_builders_canonicalise_the_class_name(c3, boolean):
-    """``morphism_report``, ``topology_report_by_check`` and
-    ``induced_map`` stamp and gate on the canonical class name, however
-    it is spelled: `` prime`` keeps the prime-only radical field."""
+    """``morphism_report`` and ``topology_report_by_check`` stamp the
+    canonical class name, however it is spelled: `` prime`` gives the
+    prime report."""
     hom = (0, 1, 1)
     prime = morphism_report(c3, boolean, hom, "prime")
     assert "radical_equality_matches_density" in prime
     assert morphism_report(c3, boolean, hom, " prime") == prime
     assert topology_report_by_check(c3, "fg:1") == topology_report_by_check(c3, "fg(1)")
     assert topology_report_by_check(c3, "fg:1")[0]["class"] == "fg(1)"
-    assert induced_map(c3, boolean, hom, " prime").cls == "prime"
 
 
 def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
@@ -599,10 +599,10 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
 # SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
 # to the report must update the digest here and say why.
 REPORT_DIGESTS = {
-    (): "a575b2c7445979099b92054d81517fc2f0af04df75cee9bf399e4ee729a283b8",
-    (3,): "7a6cb19007b7e20f9778120ad9888994442413e0fb390bf732bd512e4d0e4dc4",
-    (4,): "aff2302979e27c61bb5721ee17eb2afe1e03aa8556fb1ff3d2bfb495e4e7e231",
-    (5,): "9f28ea0edc12a12a61c7f10691b723e26ce73af312bfa5a5aca4d3ad810d99ad",
+    (): "94e6d27f70ee7029239ee8bd2650f5eddb535109cba00984c4c5b4d701d114a6",
+    (3,): "eae2dd160943a7cd1d7743c0e5201b85454dcc3777f8bc352c56533aec327f8a",
+    (4,): "406637748a604f1603ac8fade1ce1f5ae3f35e1e1e72e1fd14b823549f69e5d7",
+    (5,): "a6c0b763e5b07cf77f19fac25f2044ba7222d32c66fed61cf4adb30450f294ac",
 }
 
 
@@ -621,6 +621,39 @@ def test_report_bytes_match_pinned_digest(enumerate_n, monkeypatch):
     text = canonical_json(sweep(enumerate_n=list(enumerate_n), log=io.StringIO()))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == REPORT_DIGESTS[enumerate_n]
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, loaded from its file: perfbench is no
+    package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["acceptance", "enumerate4", "boolean4"])
+def test_tallies_match_the_benchmark_expectations(workload):
+    """The seed-0 documents of each benchmark workload, swept with its
+    enumerated orders, give the ``[instances, passes, failures]`` of every
+    tally and observation that ``perfbench/expected.json`` records."""
+    inputs = _perfbench_inputs()
+    corpus = [semiring_from_json(doc) for doc in inputs.documents(workload, 0)]
+    report = sweep(
+        corpus=corpus,
+        enumerate_n=inputs.WORKLOADS[workload]["enumerate_n"],
+        log=io.StringIO(),
+    )
+    path = Path(inputs.__file__).with_name("expected.json")
+    expected = json.loads(path.read_text(encoding="utf-8"))[workload]
+    for section in ("tallies", "observations"):
+        counts = {
+            name: [entry["instances"], entry["passes"], entry["failures"]]
+            for name, entry in report[section].items()
+        }
+        assert counts == expected[section], section
+    assert report["failures"] == expected["oracle_failures"]
 
 
 @pytest.mark.parametrize(
@@ -834,6 +867,28 @@ def test_cli_morphisms(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["homs"]) == 1
     assert out["homs"][0]["hom"] == [0, 1, 0, 1]
+
+
+def test_density_fields_do_not_depend_on_the_class(tmp_path, capsys):
+    """A check reports the same fields under every class, so a proper-class
+    morphism row whose contraction holds carries the radical-equality
+    field too; only the oracle table decides where the class matters.
+    And no report row restates a fact that another field holds."""
+    c3, b = _write(tmp_path, "C3"), _write(tmp_path, "B")
+    assert main(["morphisms", c3, b, "--class", "proper"]) == 0
+    rows = json.loads(capsys.readouterr().out)["homs"]
+    held = [row for row in rows if row["contraction"]]
+    assert held
+    assert all("radical_equality_matches_density" in row for row in held)
+    report = sweep(enumerate_n=[3], log=io.StringIO())
+    restated = {
+        "quasi_compact", "zero_ideal_in_points", "density_biconditional",
+        "homeomorphism_onto_image",
+    }
+    for section in (
+        report["topology"], report["morphisms"]["reports"], report["quotients"]["reports"]
+    ):
+        assert all(restated.isdisjoint(row) for row in section)
 
 
 def test_cli_export_dot(tmp_path, capsys):
