@@ -1,10 +1,6 @@
-"""Built-in corpus of small semirings used by the sweep and the tests.
+"""Built-in corpus of small semirings used by the sweep and the tests."""
 
-Every entry carries a structured recipe that re-evaluates to the same
-semiring, so the catalog is reproducible from its own description.
-"""
-
-from .ideals import _proper_ideal_masks, ideal_from_members, mask_members
+from .ideals import _proper_ideal_masks
 from .semiring import bourne_quotient, direct_product, validate_semiring
 
 
@@ -32,54 +28,19 @@ _NAMED = {
 }
 
 
-class CatalogEntry:
-    """A catalog semiring and the recipe that rebuilds it; a plain record
-    that nothing hashes, so no field is read-only."""
-
-    __slots__ = ("id", "recipe", "semiring")
-
-    def __init__(self, id, recipe, semiring):
-        self.id, self.recipe, self.semiring = id, recipe, semiring
-
-
-def build_recipe(recipe):
-    """Re-evaluate a catalog recipe to its semiring."""
-    kind = recipe[0]
-    if kind == "named":
-        return _NAMED[recipe[1]]()
-    if kind == "product":
-        return direct_product(build_recipe(recipe[1]), build_recipe(recipe[2]))
-    if kind == "quotient":
-        base = build_recipe(recipe[1])
-        ideal = ideal_from_members(base, recipe[2])
-        quotient, _ = bourne_quotient(base, ideal)
-        return quotient
-    raise ValueError(f"unknown recipe kind {kind!r}")
+def named(name):
+    """The named semiring ``name``, a key of the catalog's named bases."""
+    return _NAMED[name]()
 
 
 def builtin_catalog():
-    """The built-in corpus: named semirings, two products, and the Bourne
-    quotients of each base entry by each of its proper ideals."""
-    entries = []
-
-    def push(recipe, s):
-        entries.append(CatalogEntry(id=s.id, recipe=recipe, semiring=s))
-
-    bases = []
-    for name in ("trivial", "B", "Z2", "C3", "C4", "C5", "Z4"):
-        recipe = ("named", name)
-        s = build_recipe(recipe)
-        push(recipe, s)
-        bases.append((recipe, s))
-    for pair in (("B", "B"), ("B", "C3")):
-        recipe = ("product", ("named", pair[0]), ("named", pair[1]))
-        s = build_recipe(recipe)
-        push(recipe, s)
-        bases.append((recipe, s))
-
-    for base_recipe, base in bases:
-        for ideal in _proper_ideal_masks(base):
-            recipe = ("quotient", base_recipe, tuple(mask_members(base, ideal)))
-            quotient, _ = bourne_quotient(base, ideal)
-            push(recipe, quotient)
-    return entries
+    """The built-in corpus: the named semirings, two products, and the
+    Bourne quotients of each of them by each of its proper ideals."""
+    bases = [named(name) for name in _NAMED]
+    bases += [direct_product(named(a), named(b)) for a, b in (("B", "B"), ("B", "C3"))]
+    quotients = [
+        bourne_quotient(base, ideal)[0]
+        for base in bases
+        for ideal in _proper_ideal_masks(base)
+    ]
+    return bases + quotients

@@ -28,13 +28,16 @@ from .sweep import (
 from .topology import CHECKS, parse_class, spectrum
 
 
-def _emit(args, payload):
-    text = canonical_json(payload)
-    if getattr(args, "out", None):
+def _write(args, text):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload):
+    _write(args, canonical_json(payload))
 
 
 def _cmd_validate(args):
@@ -126,26 +129,15 @@ def _cmd_sweep(args):
 
 def _cmd_export_dot(args):
     s = ingest(args.file)
-    text = export_dot(spectrum(s, args.cls))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, export_dot(spectrum(s, args.cls)))
     return 0
 
 
 def _cmd_catalog(args):
-    entries = builtin_catalog()
-    _emit(
-        args,
-        {
-            "entries": [
-                {"id": e.id, "n": e.semiring.n, "semiring": semiring_to_json(e.semiring)}
-                for e in entries
-            ]
-        },
-    )
+    entries = [
+        {"id": s.id, "n": s.n, "semiring": semiring_to_json(s)} for s in builtin_catalog()
+    ]
+    _emit(args, {"entries": entries})
     return 0
 
 

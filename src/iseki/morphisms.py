@@ -8,9 +8,10 @@ gives a continuous map from the spectrum of t into the spectrum of s.
 ``induced_map`` derives that map in one pass: it raises ContractionFails
 with the first point whose preimage is not a point, and otherwise
 returns the map with its continuity verdict and the kernel.  The checks
-below read the map to verify the closed-subspace embedding for
-surjections and the density criterion; like the topology checks, each
-returns exactly the report fields it decides, under their report names.
+below read the map to compare a surjection's image with the up-set of
+its kernel and to decide the density criterion; like the topology
+checks, each returns exactly the report fields it decides, under their
+report names.
 """
 
 from .errors import ContractionFails, SizeLimitExceeded
@@ -171,15 +172,14 @@ def _pull(point_map, point_set):
     return out
 
 
-def check_quotient_homeomorphism(ind):
-    """Is the map induced by a homomorphism s -> t a homeomorphism of the
-    spectrum of t onto the up-set of the kernel?  Decided only for a
-    surjection; otherwise ``homeomorphism_onto_kernel_upset`` is "n/a".
-    The map carries both spaces, and each space its semiring.
+def check_surjection(ind):
+    """Whether the homomorphism s -> t behind the map is surjective and,
+    for a surjection, whether the map's image is the up-set of the
+    kernel; a gap between the two is visible as data.  The map carries
+    both spaces, and each space its semiring.
 
-    Reports the image/kernel-up-set comparison on its own, so a gap
-    between the image and the kernel up-set is visible as data.
-
+    No field says whether a surjection's map is a homeomorphism onto its
+    image: that is ``continuous``, which the report already carries.
     Both spaces are Alexandrov, so a continuous injective map is a
     homeomorphism onto its image exactly when it is an embedding of the
     inclusion orders: for each point q of t, the points above q are the
@@ -189,16 +189,14 @@ def check_quotient_homeomorphism(ind):
     f^-1(q).  Then f(f^-1(q)) = q, so the map is injective, and
     f^-1(q) <= f^-1(q') gives q <= q', so up(f^-1(q)) pulls back to
     up(q).  Hence the map is a homeomorphism onto its image exactly when
-    it is ``continuous``, which the report already carries.
+    it is ``continuous``.
     """
     if len(set(ind.hom)) != ind.spec_t.semiring.n:
-        return {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
-    ker_up = ind.spec_s.subbasis[ind.kernel]
-    image = ind.image_point_set()
+        return {"surjective": False}
     return {
         "surjective": True,
-        "image_equals_kernel_upset": image == ker_up,
-        "homeomorphism_onto_kernel_upset": ind.continuous and image == ker_up,
+        "image_equals_kernel_upset": ind.image_point_set()
+        == ind.spec_s.subbasis[ind.kernel],
     }
 
 

@@ -9,13 +9,19 @@ comparison for surjections and the ideal-up-set form of the quotient map.
 The rows read report fields, and each field has one definition: the
 check in ``topology`` or ``morphisms`` that decides it returns it under
 its report name, and the report builders below only merge those dicts
-with the instance's identity fields.  No field restates another: three
+with the instance's identity fields.  No field restates another: five
 rows read the fact itself.  ``connected_when_zero_present`` applies
 where [0] is among the ``points``, ``morphism_density_biconditional``
-compares ``dense`` with ``density_rhs``, and
+compares ``dense`` with ``density_rhs``,
 ``morphism_homeomorphism_onto_image`` reads ``continuous`` (the proof
-is at ``morphisms.check_quotient_homeomorphism``).  A check reports
-the same fields for every class; only the rows' ``applies`` read it.
+is at ``morphisms.check_surjection``), and ``sober_agreement`` and
+``sober_corollary`` read ``t0``, which is direct sobriety on these
+spaces (the proof is at ``topology.check_sober``).  The quotient report
+builds its own fields from the induced maps: each class's
+``{cls}_homeomorphism_onto_kernel_upset`` says that the map is
+continuous and that its image is the up-set of the kernel.  A check
+reports the same fields for every class; only the rows' ``applies``
+read it.
 
 Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
@@ -67,7 +73,7 @@ from .ideals import (
 )
 from .morphisms import (
     check_density,
-    check_quotient_homeomorphism,
+    check_surjection,
     enumerate_homomorphisms,
     induced_map,
 )
@@ -225,7 +231,6 @@ def morphism_report(s, t, hom, cls):
             "continuous": "n/a",
             "dense": "n/a",
             "density_rhs": "n/a",
-            "homeomorphism_onto_kernel_upset": "n/a",
         }
     rep["contraction"] = True
     rep["continuous"] = ind.continuous
@@ -235,7 +240,7 @@ def morphism_report(s, t, hom, cls):
     return {
         **rep,
         **check_density(ind),
-        **check_quotient_homeomorphism(ind),
+        **check_surjection(ind),
     }
 
 
@@ -251,10 +256,9 @@ def quotient_report(s, ideal):
     }
     for cls, (homeomorphism, image) in QUOTIENT_FIELDS.items():
         ind = induced_map(s, quotient, qmap, cls)
-        rep[homeomorphism] = check_quotient_homeomorphism(ind)[
-            "homeomorphism_onto_kernel_upset"
-        ]
-        rep[image] = ind.image_point_set() == ind.spec_s.subbasis[ideal]
+        up, image_mask = ind.spec_s.subbasis, ind.image_point_set()
+        rep[homeomorphism] = ind.continuous and image_mask == up[ind.kernel]
+        rep[image] = image_mask == up[ideal]
     # The kernel does not depend on the class.
     rep["kernel"] = mask_members(s, ind.kernel)
     return rep
@@ -330,8 +334,8 @@ ORACLES = {
         Oracle("t1_equivalence", UNIVERSAL, lambda r: r["t1"] == r["t1_predicate"],
                witness=lambda r: {"t1": r["t1"], "predicate": r["t1_predicate"]}),
         Oracle("sober_agreement", UNIVERSAL,
-               lambda r: r["sober"] == r["sober_criterion"]),
-        Oracle("sober_corollary", UNIVERSAL, lambda r: r["sober"],
+               lambda r: r["t0"] == r["sober_criterion"]),
+        Oracle("sober_corollary", UNIVERSAL, lambda r: r["t0"],
                applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
         Oracle("connected_when_zero_present", UNIVERSAL,
                lambda r: r["connected"] is True,
@@ -443,7 +447,7 @@ def _corpus_semirings(corpus, enumerate_n):
     if corpus is None:
         # Imported here: a supplied corpus never builds the catalog.
         from .catalog import builtin_catalog
-        semirings = [(e.semiring, "builtin") for e in builtin_catalog()]
+        semirings = [(s, "builtin") for s in builtin_catalog()]
     else:
         semirings = [(s, "supplied") for s in corpus]
     for n in enumerate_n or ():

@@ -13,11 +13,12 @@ up(point) is the smallest closed set containing the point and the space
 is Alexandrov: its closed sets are exactly the point sets that are
 up-closed under inclusion.  Point sets are bitmasks over point indices
 (point i = bit i), and every separation/connectedness property is
-decided exactly from the inclusion order; a failed T0, T1, sobriety,
-connectedness or up-set law verdict carries a witness.  Each ``check_*``
-function (and ``verify_upset_laws``) returns exactly the report fields
-it decides, under their report names, and ``CHECKS`` lists them all, so
-the sweep's topology report is the merge of their dicts.
+decided exactly from the inclusion order; a failed T0 (here the same
+verdict as sobriety, see ``check_sober``), T1, connectedness or up-set
+law verdict carries a witness.  Each ``check_*`` function (and
+``verify_upset_laws``) returns exactly the report fields it decides,
+under their report names, and ``CHECKS`` lists them all, so the sweep's
+topology report is the merge of their dicts.
 
 No check lists the closed sets: counting the up-sets of a poset is
 #P-complete (Provan and Ball, SIAM J. Comput. 12, 1983).
@@ -40,6 +41,7 @@ from .ideals import (
     _ideal_masks_all,
     classified_ideals,
     ideal_algebra,
+    ideal_from_members,
     is_ideal_mask,
     jacobson_radical,
     mask_members,
@@ -262,24 +264,18 @@ def _maximals_present(spec):
 # plain dict ready for JSON.
 # ---------------------------------------------------------------------------
 
-def _shared_upsets(spec):
-    """Each up-set that two or more points share, with their indices
-    ascending, in order of the first index: the points grouped by up-set
-    in one pass."""
+def check_t0(spec):
+    """T0: no two points have the same closure.  The witness is the first
+    pair (i, j) in index order with up[i] = up[j]: the points grouped by
+    up-set in one pass, the first two members of the first group that
+    holds two."""
     groups = {}
     for i, u in enumerate(spec.up):
         groups.setdefault(u, []).append(i)
-    return {u: group for u, group in groups.items() if len(group) > 1}
-
-
-def check_t0(spec):
-    """T0: no two points have the same closure.  The witness is the first
-    pair (i, j) in index order with up[i] = up[j]: the first two members
-    of the first group of ``_shared_upsets``."""
-    shared = list(_shared_upsets(spec).values())
-    if not shared:
+    shared = next((g for g in groups.values() if len(g) > 1), None)
+    if shared is None:
         return {"t0": True, "t0_witness": None}
-    i, j = shared[0][:2]
+    i, j = shared[:2]
     return {"t0": False, "t0_witness": point_set_members(spec, 1 << i | 1 << j)}
 
 
@@ -308,27 +304,32 @@ def check_t1(spec):
 
 
 def check_sober(spec):
-    """Direct sobriety versus the generic-point criterion.
+    """The generic-point criterion of sobriety.
 
-    Direct: every nonempty irreducible closed set (a principal up-set,
-    ``Spectrum.irreducible_closed_sets``) is the closure of exactly one
-    point; the witness is the least one that two points share.
-    Criterion: whenever an ideal has a nonempty irreducible up-set u, the
-    intersection of all points containing the ideal is itself a point.
-    That intersection is the set of elements x with u inside
+    Whenever an ideal has a nonempty irreducible up-set u, the
+    intersection of all points containing the ideal must itself be a
+    point.  That intersection is the set of elements x with u inside
     ``columns[x]``, and the irreducible up-sets are the principal ones,
-    each the up-set of its point.  The theorem says the two agree.
+    each the up-set of its point.
+
+    Direct sobriety, that every nonempty irreducible closed set has
+    exactly one generic point, is T0 here, so ``check_t0`` decides it and
+    no field restates it.  The points are ideals, so up(p) is the least
+    closed set holding p (``Spectrum``).  A closed set is the union of
+    the up-sets of its points, finitely many, so the nonempty irreducible
+    closed sets are exactly the up(p)
+    (``Spectrum.irreducible_closed_sets``).  A point q is a generic point
+    of up(p) exactly when its closure up(q) is up(p).  So every up(p) has
+    the generic point p, and a second one exactly when another point
+    shares its up-set: sober and T0 are the same verdict.
     """
-    shared = _shared_upsets(spec)
-    columns = spec.columns
-    criterion = all(
-        sum(1 << x for x, c in enumerate(columns) if (c & u) == u) in spec.index_of
-        for u in spec.irreducible_closed_sets()
-    )
+    s, columns = spec.semiring, spec.columns
     return {
-        "sober": not shared,
-        "sober_criterion": criterion,
-        "sober_witness": point_set_members(spec, min(shared)) if shared else None,
+        "sober_criterion": all(
+            ideal_from_members(s, [x for x, c in enumerate(columns) if (c & u) == u])
+            in spec.index_of
+            for u in spec.irreducible_closed_sets()
+        )
     }
 
 

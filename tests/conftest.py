@@ -4,7 +4,7 @@ from operator import and_
 
 import pytest
 
-from iseki.catalog import build_recipe, builtin_catalog
+from iseki.catalog import builtin_catalog, named
 from iseki.enumeration import enumerate_semirings
 from iseki.ideals import _ideal_masks_all, classified_ideals, maximal_ideal_masks
 from iseki.semiring import direct_product, validate_homomorphism, validate_semiring
@@ -166,32 +166,32 @@ def reference_semirings(n, up_to_iso=False):
 
 @pytest.fixture(scope="session")
 def boolean():
-    return build_recipe(("named", "B"))
+    return named("B")
 
 
 @pytest.fixture(scope="session")
 def z2():
-    return build_recipe(("named", "Z2"))
+    return named("Z2")
 
 
 @pytest.fixture(scope="session")
 def c3():
-    return build_recipe(("named", "C3"))
+    return named("C3")
 
 
 @pytest.fixture(scope="session")
 def c4():
-    return build_recipe(("named", "C4"))
+    return named("C4")
 
 
 @pytest.fixture(scope="session")
 def z4():
-    return build_recipe(("named", "Z4"))
+    return named("Z4")
 
 
 @pytest.fixture(scope="session")
 def trivial():
-    return build_recipe(("named", "trivial"))
+    return named("trivial")
 
 
 @pytest.fixture(scope="session")
@@ -226,13 +226,8 @@ def enum4_10():
 
 
 @pytest.fixture(scope="session")
-def catalog():
+def catalog_semirings():
     return builtin_catalog()
-
-
-@pytest.fixture(scope="session")
-def catalog_semirings(catalog):
-    return [entry.semiring for entry in catalog]
 
 
 @pytest.fixture(scope="session")

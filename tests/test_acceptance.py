@@ -115,8 +115,7 @@ def test_criterion_06_connectedness(acceptance):
     report, _ = acceptance
     t = _tally(report, "connected_when_zero_present")
     corollary_ok = True
-    for entry in builtin_catalog():
-        s = entry.semiring
+    for s in builtin_catalog():
         for tag in ("proper", "principal", "fg(1)", "fg(2)"):
             spec = spectrum(s, tag)
             rep = check_connected(spec)

@@ -2,13 +2,14 @@ import copy
 import io
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 from conftest import emit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iseki.catalog import build_recipe
+from iseki.catalog import builtin_catalog
 from iseki.dot import export_dot
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import AxiomViolation, ParseError
@@ -219,29 +220,32 @@ def test_canonical_json_rejects_other_types(value):
         canonical_json(value)
 
 
-def test_catalog_contents(catalog):
-    ids = [entry.id for entry in catalog]
+def test_catalog_contents(catalog_semirings):
+    ids = [s.id for s in catalog_semirings]
     assert len(ids) >= 10
     for required in ("trivial", "B", "Z2", "C3", "C4", "C5", "Z4", "BxB", "BxC3"):
         assert required in ids
     assert len(set(ids)) == len(ids)
 
 
-def test_catalog_recipes_reproduce(catalog):
-    for entry in catalog:
-        rebuilt = build_recipe(entry.recipe)
-        assert rebuilt.structure == entry.semiring.structure, entry.id
-        assert rebuilt.id == entry.semiring.id
+def test_builtin_catalog_is_the_benchmark_catalog():
+    """The benchmark's recorded catalog, ``perfbench/catalog.json``, is the
+    builtin catalog, so the ``acceptance`` workload sweeps the corpus that
+    ``iseki sweep`` does."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"
+    with open(path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert [semiring_to_json(s) for s in builtin_catalog()] == recorded
 
 
-def test_catalog_includes_quotients(catalog):
-    ids = [entry.id for entry in catalog]
+def test_catalog_includes_quotients(catalog_semirings):
+    ids = [s.id for s in catalog_semirings]
     assert any(entry_id.startswith("Z4/") for entry_id in ids)
     assert any(entry_id.startswith("BxB/") for entry_id in ids)
 
 
-def test_roundtrip_identity(tmp_path, boolean, catalog):
-    for s in [boolean] + [e.semiring for e in catalog][:6]:
+def test_roundtrip_identity(tmp_path, boolean, catalog_semirings):
+    for s in [boolean] + catalog_semirings[:6]:
         path = tmp_path / f"{s.id.replace('/', '_')}.json"
         text = emit(path, s)
         loaded = ingest(path)
@@ -288,11 +292,11 @@ def test_axiom_violation_passthrough(tmp_path):
         ingest(path)
 
 
-def test_ingest_of_catalog_dump_reproduces_catalog(tmp_path, catalog):
-    for entry in catalog:
+def test_ingest_of_catalog_dump_reproduces_catalog(tmp_path, catalog_semirings):
+    for s in catalog_semirings:
         path = tmp_path / "entry.json"
-        emit(path, entry.semiring)
-        assert ingest(path).structure == entry.semiring.structure
+        emit(path, s)
+        assert ingest(path).structure == s.structure
 
 
 def test_export_dot_examples(c3, bb, boolean):

@@ -15,7 +15,7 @@ from iseki.ideals import (
 )
 from iseki.morphisms import (
     check_density,
-    check_quotient_homeomorphism,
+    check_surjection,
     contract_ideal,
     enumerate_homomorphisms,
     induced_map,
@@ -156,20 +156,21 @@ def test_quotient_homeomorphism_examples(bb, z4, z2, catalog_semirings):
     ideal = ideal_from_members(bb, [0, 2])
     quotient, qmap = bourne_quotient(bb, ideal)
     ind = induced_map(bb, quotient, qmap, "prime")
-    rep = check_quotient_homeomorphism(ind)
-    assert rep["homeomorphism_onto_kernel_upset"]
+    rep = check_surjection(ind)
+    assert ind.continuous and rep["image_equals_kernel_upset"]
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
     ind = induced_map(z4, z2, mod2, "prime")
-    rep = check_quotient_homeomorphism(ind)
-    assert rep["homeomorphism_onto_kernel_upset"]
+    rep = check_surjection(ind)
+    assert ind.continuous
+    assert rep == {"surjective": True, "image_equals_kernel_upset": True}
     assert mask_members(z4, ind.kernel) == [0, 2]
 
 
 def test_quotient_homeomorphism_requires_surjective(boolean, bb):
     """A map that is not onto decides nothing about the kernel up-set."""
     diag = hom_by_map(boolean, bb, (0, 3))
-    rep = check_quotient_homeomorphism(induced_map(boolean, bb, diag, "prime"))
-    assert rep == {"surjective": False, "homeomorphism_onto_kernel_upset": "n/a"}
+    rep = check_surjection(induced_map(boolean, bb, diag, "prime"))
+    assert rep == {"surjective": False}
 
 
 def test_known_gap_surjection_image_smaller_than_kernel_upset(c3, boolean):
@@ -181,11 +182,10 @@ def test_known_gap_surjection_image_smaller_than_kernel_upset(c3, boolean):
     up-set.)"""
     collapse = hom_by_map(c3, boolean, (0, 1, 1))
     ind = induced_map(c3, boolean, collapse, "prime")
-    rep = check_quotient_homeomorphism(ind)
+    rep = check_surjection(ind)
     assert len(set(ind.map)) == len(ind.map)
     assert ind.continuous  # a homeomorphism onto its image
-    assert not rep["image_equals_kernel_upset"]
-    assert not rep["homeomorphism_onto_kernel_upset"]
+    assert rep == {"surjective": True, "image_equals_kernel_upset": False}
     density = check_density(ind)
     assert density["closure_image_equals_kernel_upset"]
     assert density["dense"] == density["density_rhs"]
@@ -199,8 +199,8 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
     quotient, qmap = bourne_quotient(collapsing3, x)
     assert quotient.n == 1
     ind = induced_map(collapsing3, quotient, qmap, "prime")
-    rep = check_quotient_homeomorphism(ind)
-    assert rep["homeomorphism_onto_kernel_upset"]  # both sides empty
+    rep = check_surjection(ind)
+    assert ind.continuous and rep["image_equals_kernel_upset"]  # both sides empty
     assert ind.kernel == collapsing3.full_mask
     assert ind.image_point_set() == 0
     assert up_set(ind.spec_s, x) != 0
@@ -244,19 +244,21 @@ def test_functoriality_of_induced_maps(z4, z2, boolean, c3):
 
 
 def test_quotient_corollary_kernel_form_on_catalog(catalog_semirings):
+    """The quotient report's kernel form holds on the catalog's semirings
+    of order at most 4, and it is the map's continuity together with
+    ``check_surjection``'s image comparison."""
     for s in catalog_semirings:
         if s.n > 4:
             continue
         for ideal in _proper_ideal_masks(s):
             quotient, qmap = bourne_quotient(s, ideal)
+            rep = iseki.sweep.quotient_report(s, ideal)
             for cls in ("prime", "proper"):
                 ind = induced_map(s, quotient, qmap, cls)
-                rep = check_quotient_homeomorphism(ind)
-                assert rep["homeomorphism_onto_kernel_upset"], (
-                    s.id,
-                    mask_members(s, ideal),
-                    cls,
-                )
+                field = rep[f"{cls}_homeomorphism_onto_kernel_upset"]
+                assert field is True, (s.id, mask_members(s, ideal), cls)
+                assert ind.continuous
+                assert check_surjection(ind)["image_equals_kernel_upset"]
 
 
 def test_homomorphism_roundtrip_serialization(z4, z2):

@@ -18,7 +18,7 @@ import iseki._kernels
 import iseki.enumeration
 import iseki.sweep
 import iseki.topology
-from iseki.catalog import build_recipe, builtin_catalog
+from iseki.catalog import builtin_catalog, named
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import EmptyFamily, ParseError
@@ -27,10 +27,12 @@ from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import bourne_quotient, validate_semiring
 from iseki.serialize import canonical_json, semiring_from_json
 from iseki.sweep import (
+    IDEAL_LATTICE,
     INSTANCE_KEY,
     MORPHISM,
     QUOTIENT,
     QUOTIENT_CLASSES,
+    QUOTIENT_FIELDS,
     TOPOLOGY,
     WITNESS_CAP,
     ideal_lattice_report,
@@ -45,7 +47,7 @@ from iseki.sweep import (
 
 @pytest.fixture(scope="module")
 def small_report():
-    corpus = [build_recipe(("named", name)) for name in ("B", "Z2", "C3", "Z4")]
+    corpus = [named(name) for name in ("B", "Z2", "C3", "Z4")]
     return sweep(corpus=corpus, log=io.StringIO())
 
 
@@ -65,7 +67,7 @@ def test_sweep_rejects_one_class_in_two_spellings():
     otherwise be swept and tallied twice."""
     with pytest.raises(ParseError, match=r"duplicate class 'fg\(1\)'"):
         sweep(
-            corpus=[build_recipe(("named", "B"))],
+            corpus=[named("B")],
             classes=["fg(1)", "fg:1"],
             log=io.StringIO(),
         )
@@ -75,7 +77,7 @@ def test_sweep_reports_canonical_class_names():
     """A class is reported, and the oracle gates read it, by its canonical
     name: ``" prime"`` is the prime class, so sober_corollary applies."""
     report = sweep(
-        corpus=[build_recipe(("named", "C3"))], classes=[" prime"], log=io.StringIO()
+        corpus=[named("C3")], classes=[" prime"], log=io.StringIO()
     )
     assert report["classes"] == ["prime"]
     assert [rep["class"] for rep in report["topology"]] == ["prime"]
@@ -112,7 +114,7 @@ def test_sweep_builds_one_space_per_tables_and_point_set(monkeypatch):
     report = sweep(enumerate_n=[3], log=io.StringIO())
     misses = iseki.topology._closed_family_cached.cache_info().misses
 
-    semirings = [e.semiring for e in builtin_catalog()]
+    semirings = builtin_catalog()
     semirings += enumerate_semirings(3, up_to_iso=True)
     asked = {(s, cls) for s in semirings for cls in report["classes"]}
     asked |= {
@@ -127,7 +129,7 @@ def test_sweep_builds_one_space_per_tables_and_point_set(monkeypatch):
 
 
 def test_sweep_deterministic_across_runs():
-    corpus = [build_recipe(("named", name)) for name in ("B", "C3", "Z4")]
+    corpus = [named(name) for name in ("B", "C3", "Z4")]
     runs = [canonical_json(sweep(corpus=corpus, log=io.StringIO())) for _ in range(2)]
     assert runs[0] == runs[1]
 
@@ -146,7 +148,7 @@ def test_default_sweep_runs_in_process(monkeypatch):
         return real(s, cls)
 
     monkeypatch.setattr(iseki.sweep, "topology_instance_report", counting)
-    corpus = [build_recipe(("named", name)) for name in ("B", "C3")]
+    corpus = [named(name) for name in ("B", "C3")]
     report = sweep(corpus=corpus, log=io.StringIO())
     assert calls == [("B", "proper"), ("C3", "proper"), ("C3", "maximal")]
     assert [(rep["semiring"], rep["class"]) for rep in report["topology"]] == [
@@ -161,7 +163,7 @@ def test_memoized_reports_equal_per_instance_reports():
     C3/{0,1}, ... share B's), so a memo key or a stamp that is wrong
     changes some row."""
     report = sweep(enumerate_n=[3], log=io.StringIO())
-    semirings = [e.semiring for e in builtin_catalog()]
+    semirings = builtin_catalog()
     semirings += enumerate_semirings(3, up_to_iso=True)
     assert [s.id for s in semirings] == [
         entry["id"] for entry in report["corpus"]["semirings"]
@@ -383,9 +385,7 @@ def test_sweep_enumerates_homomorphisms_once_per_table_pair(monkeypatch):
     monkeypatch.setattr(iseki.sweep, "enumerate_homomorphisms", counting)
     report = sweep(log=io.StringIO())
     small = {
-        e.semiring.structure
-        for e in builtin_catalog()
-        if e.semiring.n <= iseki.sweep.MORPHISM_ORDER_CAP
+        s.structure for s in builtin_catalog() if s.n <= iseki.sweep.MORPHISM_ORDER_CAP
     }
     assert len(calls) == len(set(calls)) == len(small) ** 2
     assert report["morphisms"]["pairs"] > len(calls)
@@ -502,25 +502,28 @@ def test_quotient_rows_share_one_string_per_class_field_name(enumerate3_sections
     assert len(names) == 2 * len(QUOTIENT_CLASSES)
 
 
-def _not_sober(monkeypatch):
-    real = iseki.topology.CHECKS["sober"]
+def _not_t0(monkeypatch):
+    real = iseki.topology.CHECKS["t0"]
     monkeypatch.setitem(
-        iseki.topology.CHECKS, "sober", lambda spec: {**real(spec), "sober": False}
+        iseki.topology.CHECKS, "t0", lambda spec: {**real(spec), "t0": False}
     )
     return TOPOLOGY, "sober_corollary"
 
 
 def _no_quotient_homeomorphism(monkeypatch):
-    real = iseki.sweep.check_quotient_homeomorphism
-    monkeypatch.setattr(
-        iseki.sweep,
-        "check_quotient_homeomorphism",
-        lambda ind: {**real(ind), "homeomorphism_onto_kernel_upset": False},
-    )
+    real = iseki.sweep.quotient_report
+
+    def forced(s, ideal):
+        rep = real(s, ideal)
+        for homeomorphism, _ in QUOTIENT_FIELDS.values():
+            rep[homeomorphism] = False
+        return rep
+
+    monkeypatch.setattr(iseki.sweep, "quotient_report", forced)
     return QUOTIENT, "quotient_kernel_homeomorphism"
 
 
-@pytest.mark.parametrize("force", [_not_sober, _no_quotient_homeomorphism])
+@pytest.mark.parametrize("force", [_not_t0, _no_quotient_homeomorphism])
 def test_tally_by_multiplicity_equals_per_instance_replay(monkeypatch, force):
     """The sweep decides each oracle once per (body key, class) and counts
     the group's size; replaying every oracle on every instance gives the
@@ -563,7 +566,7 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
     semiring's equality is its tables), yet ``iseki spectrum`` prints each
     one's own id, and the sweep's reports for the pair differ only in
     their id fields."""
-    b = build_recipe(("named", "B"))
+    b = named("B")
     twin = validate_semiring(b.add, b.mul, b.one, id="twin")
     assert twin == b and hash(twin) == hash(b)
     for s in (b, twin):
@@ -599,10 +602,10 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
 # SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
 # to the report must update the digest here and say why.
 REPORT_DIGESTS = {
-    (): "94e6d27f70ee7029239ee8bd2650f5eddb535109cba00984c4c5b4d701d114a6",
-    (3,): "eae2dd160943a7cd1d7743c0e5201b85454dcc3777f8bc352c56533aec327f8a",
-    (4,): "406637748a604f1603ac8fade1ce1f5ae3f35e1e1e72e1fd14b823549f69e5d7",
-    (5,): "a6c0b763e5b07cf77f19fac25f2044ba7222d32c66fed61cf4adb30450f294ac",
+    (): "bc04a8b12e093a3648fadf3250b83a62ddd16a5e2d997412918002895cd56d7b",
+    (3,): "3018a23e8c59fa6daed0488df8d267e616137fdc3b6a1170dbe1591063b8cdbe",
+    (4,): "7fbb70c41f2afc2a2a553f3f830cd8555235cfe60b536575c70cfc43bc9dd3b3",
+    (5,): "69d9ac3ccfaa5ac4642a951b017ddb0cfd0d3455dabeacc6dc5c1a3c5dad05e4",
 }
 
 
@@ -675,38 +678,65 @@ def test_benchmark_cache_contract(module, name):
     assert callable(getattr(cache, "cache_info", None)), f"{module}.{name} has no cache_info"
 
 
-def test_sweep_report_shape(small_report):
-    for key in (
-        "corpus",
-        "classes",
-        "topology",
-        "ideal_checks",
-        "morphisms",
-        "quotients",
-        "tallies",
-        "observations",
-        "failures",
-    ):
-        assert key in small_report
-    instance = small_report["topology"][0]
-    for key in (
-        "points",
-        "t0",
-        "t1",
-        "t1_predicate",
-        "sober",
-        "sober_criterion",
-        "connected",
-        "disconnection_witness",
-        "idempotent",
-        "upset_laws",
-    ):
-        assert key in instance
+# The fields of each kind of row: identity fields, then the fields that
+# the checks decide, each reported once.
+_MORPHISM_FIELDS = {"source", "target", "hom", "class", "contraction", "continuous"}
+_CONTRACTING_FIELDS = _MORPHISM_FIELDS | {
+    "kernel", "dense", "density_rhs", "closure_image_equals_kernel_upset",
+    "radical_equality_matches_density", "surjective",
+}
+ROW_FIELDS = {
+    TOPOLOGY: {
+        "semiring", "class", "points", "t0", "t0_witness", "t1", "t1_predicate",
+        "t1_witness", "sober_criterion", "quasi_compact_sum_identity",
+        "quasi_compact_maximal_rule", "connected", "connected_witness",
+        "upset_laws", "generator_upset_identity", "generator_upset_witness",
+        "irreducible_upsets", "disconnection_witness", "idempotent",
+        "idempotent_status",
+    },
+    IDEAL_LATTICE: {
+        "semiring", "n", "proper_ideals", "radical_oracle", "radical_oracle_witness",
+        "classification_implications", "classification_witness",
+        "radical_monotone", "radical_monotone_witness", "product_in_intersection",
+        "product_witness", "sum_lub_intersection_glb", "lattice_witness",
+    },
+    QUOTIENT: {
+        "semiring", "ideal", "quotient", "quotient_size", "map_surjective", "kernel",
+        *(field for pair in QUOTIENT_FIELDS.values() for field in pair),
+    },
+    "surjective": _CONTRACTING_FIELDS | {"image_equals_kernel_upset"},
+    "not surjective": _CONTRACTING_FIELDS,
+    "contraction failed": _MORPHISM_FIELDS | {"contraction_witness", "dense", "density_rhs"},
+}
+
+
+def test_sweep_report_shape(enumerate3_report, c3, c4):
+    """The report's sections, and the exact fields of every row of the
+    ``--enumerate 3`` report by kind: no row carries a field that another
+    field of its row restates.  The sweep's prime morphism rows all
+    contract, so a contraction-failed row comes from ``C3 -> C4`` under
+    ``maximal``."""
+    assert set(enumerate3_report) == {
+        "corpus", "classes", "topology", "ideal_checks", "morphisms", "quotients",
+        "tallies", "observations", "failures",
+    }
+    shapes = {}
+    for kind, rows in report_sections(enumerate3_report).items():
+        for row in rows:
+            if kind == MORPHISM:
+                shape = "surjective" if row["surjective"] else "not surjective"
+            else:
+                shape = kind
+            shapes.setdefault(shape, set()).add(frozenset(row))
+    jump = morphism_report(c3, c4, (0, 3, 3), "maximal")
+    assert jump["contraction"] is False
+    shapes["contraction failed"] = {frozenset(jump)}
+    assert shapes == {kind: {frozenset(fields)} for kind, fields in ROW_FIELDS.items()}
 
 
 def _write(tmp_path, name):
     path = tmp_path / f"{name}.json"
-    emit(path, build_recipe(("named", name)))
+    emit(path, named(name))
     return str(path)
 
 
@@ -927,25 +957,32 @@ def test_cli_catalog(capsys):
 
 def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monkeypatch):
     """One oracle row decides the sweep tally and the topology exit code:
-    a spectrum that is neither sober nor meets the generic-point criterion
-    passes sober_agreement, and fails sober_corollary only for the
-    classes the corollary covers."""
-    real = iseki.topology.CHECKS["sober"]
-
-    def not_sober(spec):
-        return {**real(spec), "sober": False, "sober_criterion": False}
-
-    monkeypatch.setitem(iseki.topology.CHECKS, "sober", not_sober)
-    report = sweep(corpus=[build_recipe(("named", "C3"))], log=io.StringIO())
+    a spectrum that is neither T0 (so not sober) nor meets the
+    generic-point criterion passes sober_agreement, and fails
+    sober_corollary only for the classes the corollary covers.  The t0
+    row fails under every class, so ``iseki topology`` exits 1 under
+    ``maximal`` too, where sober_corollary does not apply."""
+    real_t0, real_sober = iseki.topology.CHECKS["t0"], iseki.topology.CHECKS["sober"]
+    monkeypatch.setitem(
+        iseki.topology.CHECKS, "t0", lambda spec: {**real_t0(spec), "t0": False}
+    )
+    monkeypatch.setitem(
+        iseki.topology.CHECKS, "sober", lambda spec: {"sober_criterion": False}
+    )
+    report = sweep(corpus=[named("C3")], log=io.StringIO())
     assert report["tallies"]["sober_agreement"]["failures"] == 0
     assert report["tallies"]["sober_corollary"]["witnesses"] == [
         {"semiring": "C3", "class": cls}
         for cls in ("proper", "prime", "strongly-irreducible")
     ]
+    assert report["tallies"]["t0"]["failures"] == len(report["classes"])
     path = _write(tmp_path, "C3")
     assert main(["topology", path, "--class", "prime"]) == 1
     assert main(["topology", path, "--class", " prime "]) == 1
-    assert main(["topology", path, "--class", "maximal"]) == 0
+    rep, _ = topology_report_by_check(named("C3"), "maximal")
+    names = {oracle.name for oracle, _, _ in verdicts(TOPOLOGY, rep)}
+    assert "t0" in names and "sober_corollary" not in names
+    assert main(["topology", path, "--class", "maximal"]) == 1
 
 
 def test_cli_topology_runs_each_check_once(tmp_path, capsys, monkeypatch):
@@ -980,7 +1017,7 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
         return rep
 
     monkeypatch.setattr(iseki.sweep, "check_density", mismatched)
-    corpus = [build_recipe(("named", name)) for name in ("C3", "B")]
+    corpus = [named(name) for name in ("C3", "B")]
     report = sweep(corpus=corpus, log=io.StringIO())
     tally = report["tallies"]["morphism_prime_radical_equality"]
     assert tally["failures"] == tally["instances"] > 0
@@ -994,20 +1031,20 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
 def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     """A failing sweep prints one stderr line per failing universal oracle,
     with its failure count and first witness; the report is unchanged."""
-    real = iseki.topology.CHECKS["sober"]
+    real = iseki.topology.CHECKS["t0"]
 
-    def not_sober(spec):
-        return {**real(spec), "sober": False}
+    def not_t0(spec):
+        return {**real(spec), "t0": False}
 
-    monkeypatch.setitem(iseki.topology.CHECKS, "sober", not_sober)
+    monkeypatch.setitem(iseki.topology.CHECKS, "t0", not_t0)
     out_path = tmp_path / "report.json"
     path = _write(tmp_path, "C3")
     assert main(["sweep", path, "--out", str(out_path)]) == 1
-    corpus = [build_recipe(("named", "C3"))]
+    corpus = [named("C3")]
     report = sweep(corpus=corpus, log=io.StringIO())
     assert out_path.read_text() == canonical_json(report)
     failing = [name for name, entry in report["tallies"].items() if entry["failures"]]
-    assert failing == ["sober_agreement", "sober_corollary"]
+    assert failing == ["sober_agreement", "sober_corollary", "t0"]
     summary = [
         line for line in capsys.readouterr().err.splitlines()
         if line.startswith("failed: ")
@@ -1017,6 +1054,8 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
         '{"class": "proper", "semiring": "C3"}',
         "failed: sober_corollary: 3 of 3 instances; first witness "
         '{"class": "proper", "semiring": "C3"}',
+        "failed: t0: 8 of 8 instances; first witness "
+        '{"class": "proper", "semiring": "C3", "witness": null}',
     ]
 
 

@@ -254,7 +254,7 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
     corpus holds every relabeling of its small targets, and relabeling the
     target only reorders its spectrum), under every class with the
     contraction property.  The map is a homeomorphism onto its image
-    exactly when it is continuous (``check_quotient_homeomorphism``)."""
+    exactly when it is continuous (``check_surjection``)."""
     targets = {}
     for t in small_semirings:
         targets.setdefault(canonical_key(t.add, t.mul), t)
@@ -289,7 +289,7 @@ def test_proper_spectrum_above_twenty_points():
     rep = topology_instance_report(atoms(5), "proper")
     assert len(rep["points"]) == 38
     assert closed_set_count(spectrum(atoms(5), "proper")) == 8699
-    assert rep["t0"] and rep["sober"] and rep["connected"] is True
+    assert rep["t0"] and rep["sober_criterion"] and rep["connected"] is True
     assert rep["upset_laws"] == "pass"
 
 
@@ -350,20 +350,29 @@ def test_t1_equivalence_fg0_c3(c3, tmp_path):
 
 
 def test_sober_examples(bb, c3, z4, catalog_semirings):
-    assert check_sober(spectrum(bb, "maximal"))["sober"]
-    assert check_sober(spectrum(c3, "prime"))["sober"]
-    assert check_sober(spectrum(z4, "prime"))["sober"]
+    """Direct sobriety is ``t0`` here (``check_sober``)."""
+    assert check_t0(spectrum(bb, "maximal"))["t0"]
+    assert check_t0(spectrum(c3, "prime"))["t0"]
+    assert check_t0(spectrum(z4, "prime"))["t0"]
     for s in catalog_semirings:
         for tag in ("proper", "prime", "strongly-irreducible"):
-            rep = check_sober(spectrum(s, tag))
-            assert rep["sober"] and rep["sober_criterion"], (s.id, tag)
+            spec = spectrum(s, tag)
+            assert check_t0(spec)["t0"] and check_sober(spec)["sober_criterion"], (
+                s.id,
+                tag,
+            )
 
 
 def test_sober_agreement_everywhere(catalog_semirings):
+    """Sobriety from its definition, every irreducible closed set the
+    closure of exactly one point, is ``t0``, and agrees with the
+    generic-point criterion."""
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            rep = check_sober(spectrum(s, tag))
-            assert rep["sober"] == rep["sober_criterion"], (s.id, tag)
+            spec = spectrum(s, tag)
+            sober = all(spec.up.count(u) == 1 for u in spec.irreducible_closed_sets())
+            assert sober == check_t0(spec)["t0"], (s.id, tag)
+            assert sober == check_sober(spec)["sober_criterion"], (s.id, tag)
 
 
 def test_quasi_compact_mechanism(bb, catalog_semirings):
@@ -412,7 +421,7 @@ def test_degenerate_empty_spectrum(trivial):
     assert spec.size == 0
     assert check_connected(spec)["connected"] == "degenerate"
     assert check_t0(spec)["t0"]
-    assert check_sober(spec)["sober"]
+    assert check_sober(spec)["sober_criterion"]
 
 
 def test_irreducible_upsets_everywhere(catalog_semirings):
