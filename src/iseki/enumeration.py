@@ -3,25 +3,31 @@
 One backtracking search builds every table.  It fills the free cells
 (i, j), 1 <= i <= j < n, of a commutative table in row-major order and
 tries their values in ascending order, so its leaves come out in
-lexicographic order of the free cells.  Row and column 0 are forced: 0
-is the additive identity and multiplicatively absorbing, so every law
-holds on a triple that contains 0.  A branch is cut as soon as a law
-whose cells are all assigned fails: associativity on both tables, and
-a(b + c) = ab + ac on the multiplication table against its addition
-table (commutativity gives the right law).
+lexicographic order of the free cells.  Forced rows are fixed with
+their columns before the search: row 0, as 0 is the additive identity
+and multiplicatively absorbing, and in a multiplication table the row
+of its identity e.  Every law holds on a triple that holds 0, and
+associativity and e(b + c) = eb + ec hold through e.  A branch is cut
+as soon as another law instance whose cells are all assigned fails:
+associativity on both tables, and a(b + c) = ab + ac on the
+multiplication table against its addition table (commutativity gives
+the right law).
 
-The search runs over addition tables first, then over the
-multiplication tables of each addition table kept, keeping those with a
-multiplicative identity.  Up to isomorphism the addition table is fixed
+The search runs over addition tables first.  For each addition table
+kept, one multiplication search runs per choice of identity e, and
+their leaves, each table with the one identity it has, are merged in
+lexicographic order.  Up to isomorphism the addition table is fixed
 first: it is kept only if its flat table is least over the permutations
-fixing 0, and the multiplication table is then compared under the
-addition table's automorphisms alone (see ``enumerate_semirings``).
+fixing 0, which each partial table is checked for as its rows complete,
+and the multiplication table is then compared under the addition
+table's automorphisms alone (see ``enumerate_semirings``).
 This is the cell-by-cell constraint search of Distler & Kelsey, *The
 monoids of orders eight, nine & ten*, and Distler et al., *The
 semigroups of order 10* (CP 2012).
 """
 
-from itertools import combinations_with_replacement, permutations
+from heapq import merge
+from itertools import chain, combinations_with_replacement, permutations
 
 from .errors import SizeLimitExceeded
 from .semiring import FiniteSemiring
@@ -29,22 +35,26 @@ from .semiring import FiniteSemiring
 ENUMERATION_CAP = 4
 
 
-def _free_cells(n):
-    return [(i, j) for i in range(1, n) for j in range(i, n)]
+def _free_cells(n, forced):
+    """The cells (i, j), i <= j, off the rows in ``forced``, in row-major
+    order."""
+    free = [x for x in range(n) if x not in forced]
+    return [(i, j) for i in free for j in free if i <= j]
 
 
-def _search(n, row0, admissible):
-    """Yield every commutative table on {0..n-1} whose row and column 0
-    are ``row0`` and whose every partial table passes ``admissible``.
+def _search(n, forced, cells, admissible):
+    """Yield every commutative table on {0..n-1} whose row and column x
+    are ``forced[x]`` and whose every partial table passes
+    ``admissible``, in lexicographic order of ``cells``, its other cells.
 
-    ``admissible(t, k)`` runs once the k-th free cell is assigned.  Row
-    and column n of ``t`` and its unassigned cells hold n, so a lookup
-    through an unassigned cell reads n.
+    ``admissible(t, k)`` runs once the first k cells are assigned, from
+    k = 0.  Row and column n of ``t`` and its unassigned cells hold n,
+    so a lookup through an unassigned cell reads n.
     """
-    cells = _free_cells(n)
-    t = [list(row0) + [n]]
-    t += [[row0[i]] + [n] * n for i in range(1, n)]
-    t.append([n] * (n + 1))
+    t = [[n] * (n + 1) for _ in range(n + 1)]
+    for x, row in forced.items():
+        for y, v in enumerate(row):
+            t[x][y] = t[y][x] = v
 
     def fill(k):
         if k == len(cells):
@@ -53,82 +63,136 @@ def _search(n, row0, admissible):
         i, j = cells[k]
         for v in range(n):
             t[i][j] = t[j][i] = v
-            if admissible(t, k):
+            if admissible(t, k + 1):
                 yield from fill(k + 1)
         t[i][j] = t[j][i] = n
 
-    return fill(0)
+    return fill(0) if admissible(t, 0) else iter(())
 
 
-def _triples_by_cell(n):
-    """For each free cell k, the triples a <= b <= c of non-zero elements
-    (not all equal) whose cells (a, b), (b, c), (a, c) are assigned once
-    cell k is.
+def _positions(n, cells):
+    """``position[x][y]``, the index of cell (x, y) in ``cells`` either
+    way round, or -1 for a forced cell."""
+    position = [[-1] * n for _ in range(n)]
+    for k, (i, j) in enumerate(cells):
+        position[i][j] = position[j][i] = k
+    return position
+
+
+def _triples_by_cell(position, cells):
+    """For each k, the triples a <= b <= c (not all equal) of elements
+    off the forced rows to check once the first k ``cells`` are
+    assigned: at the first k at which (a, b), (b, c) and (a, c) are all
+    assigned, and at each later k whose cell holds a, b or c, as every
+    other cell that the check reads, (ab, c) for one, does.
 
     In a commutative table, (ab)c = a(bc) on every ordering of {a, b, c}
-    exactly when (ab)c, (bc)a and (ac)b agree.
+    exactly when (ab)c, (bc)a and (ac)b agree.  It holds on a triple
+    through a forced row: 0 absorbs (or is the additive identity), and
+    a multiplicative identity e gives (eb)c = bc = (bc)e = (ec)b.
     """
-    position = {cell: k for k, cell in enumerate(_free_cells(n))}
-    ready = [[] for _ in position]
-    for a, b, c in combinations_with_replacement(range(1, n), 3):
-        if a < c:
-            last = max(position[a, b], position[b, c], position[a, c])
-            for k in range(last, len(ready)):
-                ready[k].append((a, b, c))
+    ready = [[] for _ in range(len(cells) + 1)]
+    for a, b, c in combinations_with_replacement(range(1, len(position)), 3):
+        read = position[a][b], position[b][c], position[a][c]
+        if a < c and min(read) >= 0:
+            first = max(read) + 1
+            ready[first].append((a, b, c))
+            for k in range(first, len(cells)):
+                if not {a, b, c}.isdisjoint(cells[k]):
+                    ready[k + 1].append((a, b, c))
     return ready
 
 
 def _associative_so_far(t, triples, n):
-    # {.., n} has more than two members when two assigned values differ.
+    """Whether no two assigned values of (ab)c, (bc)a and (ac)b differ,
+    on each triple; an unassigned one reads n."""
     for a, b, c in triples:
-        if len({t[t[a][b]][c], t[t[b][c]][a], t[t[a][c]][b], n}) > 2:
+        x = t[t[a][b]][c]
+        y = t[t[b][c]][a]
+        z = t[t[a][c]][b]
+        # Two of them differ, neither unassigned.
+        if x != y != n != x or y != z != n != y or x != z != n != x:
             return False
     return True
 
 
-def _distributivity_by_cell(add):
-    """For each free cell k, the triples (a, b, c), 1 <= b <= c, whose
-    multiplication cells ab, ac and a(b + c) are first all assigned at
-    cell k."""
+def _distributivity_by_cell(add, e, position, size):
+    """For each k <= ``size``, the triples (a, b, c), a != e and
+    1 <= b <= c, whose multiplication cells ab, ac and a(b + c) are first
+    all assigned once the first k free cells are; the cells of rows 0
+    and e are assigned at k = 0.  The law holds at a = e, the identity:
+    e(b + c) = b + c = eb + ec."""
     n = len(add)
-    position = {cell: k for k, cell in enumerate(_free_cells(n))}
-    due = [[] for _ in position]
+    due = [[] for _ in range(size + 1)]
     for a in range(1, n):
-        for b, c in combinations_with_replacement(range(1, n), 2):
-            cells = [(a, b), (a, c), (a, add[b][c])]
-            last = max(position.get(tuple(sorted(cell)), -1) for cell in cells)
-            due[last].append((a, b, c, add[b][c]))
+        if a != e:
+            at = position[a]
+            for b in range(1, n):
+                for c in range(b, n):
+                    s = add[b][c]
+                    due[max(at[b], at[c], at[s]) + 1].append((a, b, c, s))
     return due
 
 
-def _mul_identity(t):
-    identity = tuple(range(len(t)))
-    for e, row in enumerate(t):
-        if row == identity:
-            return e
-    return None
+def _multiplications(add, e, forced, cells, position, triples):
+    """Yield (mul, e) for every multiplication table with identity e
+    that distributes over ``add``, in lexicographic order."""
+    n = len(add)
+    distributivity = _distributivity_by_cell(add, e, position, len(cells))
+
+    def admissible(t, k):
+        for a, b, c, s in distributivity[k]:
+            if t[a][s] != add[t[a][b]][t[a][c]]:
+                return False
+        return _associative_so_far(t, triples[k], n)
+
+    for mul in _search(n, forced, cells, admissible):
+        yield mul, e
 
 
 def _relabelings(n):
-    """(perm, inverse) for every permutation of {0..n-1} fixing 0."""
+    """For every permutation perm of {0..n-1} fixing 0: perm with n
+    appended, the renaming x -> perm^-1(x) (which fixes n), and the flat
+    positions that perm reads, in order."""
     out = []
     for p in permutations(range(1, n)):
-        perm = (0,) + p
-        inv = [0] * n
-        for i, x in enumerate(perm):
+        order = (0, *p, n)
+        inv = [0] * (n + 1)
+        for i, x in enumerate(order):
             inv[x] = i
-        out.append((perm, inv))
+        positions = tuple(i * n + j for i in order[:n] for j in order[:n])
+        out.append((order, inv.__getitem__, positions))
     return out
 
 
-def _permuted(t, relabeling):
-    """Flat table of ``t`` with every element x renamed perm^-1(x)."""
-    perm, inv = relabeling
-    return tuple(inv[t[i][j]] for i in perm for j in perm)
+def _relabeled_smaller(t, rows, relabelings):
+    """Whether a relabeling makes the partial table ``t`` smaller on its
+    first ``rows`` rows, which are assigned, so that no completion of
+    ``t`` is least.  An entry read through an unassigned cell is n, more
+    than any, so only assigned entries decide."""
+    for order, rename, _ in relabelings:
+        for r in range(1, rows + 1):
+            image = list(map(rename, map(t[order[r]].__getitem__, order)))
+            if image != t[r]:
+                if image < t[r]:
+                    return True
+                break
+    return False
 
 
-def _flat(t):
-    return tuple(v for row in t for v in row)
+def _automorphisms(flat, relabelings):
+    """The relabelings that map the flat table ``flat`` to itself, or
+    None when one of them makes it smaller."""
+    read = flat.__getitem__
+    fixing = []
+    for relabeling in relabelings:
+        _, rename, positions = relabeling
+        image = tuple(map(rename, map(read, positions)))
+        if image < flat:
+            return None
+        if image == flat:
+            fixing.append(relabeling)
+    return fixing
 
 
 def enumerate_semirings(n, up_to_iso=False):
@@ -150,32 +214,35 @@ def enumerate_semirings(n, up_to_iso=False):
         raise SizeLimitExceeded(
             f"enumeration capped at n <= {ENUMERATION_CAP} (asked for {n})"
         )
-    associativity = _triples_by_cell(n)
+    # 0 absorbs, so only the trivial semiring has identity 0.
+    by_identity = []
+    for e in range(1, n) or (0,):
+        forced = {0: (0,) * n, e: tuple(range(n))}
+        cells = _free_cells(n, forced)
+        position = _positions(n, cells)
+        triples = _triples_by_cell(position, cells)
+        by_identity.append((e, forced, cells, position, triples))
+    add_forced = {0: tuple(range(n))}
+    add_cells = _free_cells(n, add_forced)
+    associativity = _triples_by_cell(_positions(n, add_cells), add_cells)
     relabelings = _relabelings(n) if up_to_iso else ()
+    # The slots at which a row is complete: the ones to compare.
+    rows = {k + 1: i for k, (i, j) in enumerate(add_cells) if j == n - 1}
 
     def add_admissible(t, k):
-        return _associative_so_far(t, associativity[k], n)
+        return _associative_so_far(t, associativity[k], n) and not (
+            k in rows and _relabeled_smaller(t, rows[k], relabelings)
+        )
 
     count = 0
-    for add in _search(n, tuple(range(n)), add_admissible):
-        flat_add = _flat(add)
-        if any(_permuted(add, r) < flat_add for r in relabelings):
-            continue
-        automorphisms = [r for r in relabelings if _permuted(add, r) == flat_add]
-        distributivity = _distributivity_by_cell(add)
-
-        def mul_admissible(t, k):
-            for a, b, c, s in distributivity[k]:
-                if t[a][s] != add[t[a][b]][t[a][c]]:
-                    return False
-            return _associative_so_far(t, associativity[k], n)
-
-        for mul in _search(n, (0,) * n, mul_admissible):
-            one = _mul_identity(mul)
-            if one is None:
-                continue
-            flat_mul = _flat(mul)
-            if any(_permuted(mul, r) < flat_mul for r in automorphisms):
+    for add in _search(n, add_forced, add_cells, add_admissible):
+        # Least: the last cell completes the last row, which is compared.
+        automorphisms = _automorphisms(tuple(chain.from_iterable(add)), relabelings)
+        # A table has one identity, so merging the searches in
+        # lexicographic order of all the free cells yields each once.
+        searches = [_multiplications(add, *search) for search in by_identity]
+        for mul, one in merge(*searches):
+            if _automorphisms(tuple(chain.from_iterable(mul)), automorphisms) is None:
                 continue
             yield FiniteSemiring(
                 id=f"enum{n}-{count}", n=n, add=add, mul=mul, one=one

@@ -32,8 +32,12 @@ MAX_ELEMENTS = 16
 class FiniteSemiring:
     """A validated finite commutative semiring.
 
-    Construct through :func:`validate_semiring`; the constructor itself
-    does not re-check the axioms or copy the tables.  ``add`` and ``mul``
+    Construct through :func:`validate_semiring`, which scans the axioms,
+    or through one of the two constructions that prove them:
+    :func:`bourne_quotient` (a homomorphic image of a semiring) and
+    ``enumeration.enumerate_semirings`` (a search that checks every law
+    on every triple).  The constructor itself does not re-check the
+    axioms or copy the tables.  ``add`` and ``mul``
     are tuples of n int tuples, read as ``add[a][b]``.
     ``structure`` is ``(n, one, add, mul)``: everything but the id.
     Equality and the hash are those of ``structure``, because the ideals,
@@ -222,11 +226,24 @@ def bourne_quotient(s, ideal):
     transitive because I is closed under +: a + i = b + j and
     b + k = c + l give a + (i + k) = c + (j + l).  So the least b <= a
     with b ~ a is the least element of a's class; these, ascending,
-    represent the classes, the class of 0 first.  ``validate_homomorphism``
-    checks that the tables built on them are well defined on the classes.
-    The kernel is the class of 0: it contains I and may exceed it, and
-    when it is everything the quotient is trivial.  A mask that is not an
-    ideal of ``s`` raises RangeError.
+    represent the classes, the class of 0 first.  The kernel is the class
+    of 0: it contains I and may exceed it, and when it is everything the
+    quotient is trivial.  A mask that is not an ideal of ``s`` raises
+    RangeError.
+
+    The quotient's tables are proved, not scanned for the axioms.  The
+    map m sends a to the index of its least related element, so m is
+    onto, and the tables, read at the representatives, are symmetric as
+    those of ``s`` are.  ``validate_homomorphism`` checks that m
+    preserves +, *, 0 and 1 (on a <= b; symmetry gives the rest).  So
+    every axiom carries over from ``s`` to its image: for instance
+    (m(a) + m(b)) + m(c) = m((a + b) + c) = m(a + (b + c)) =
+    m(a) + (m(b) + m(c)) and m(1)m(a) = m(a), and the other axioms
+    follow the same way (Golan, *Semirings and their Applications*,
+    1999).  The check also proves that reps[i] lies in class i, as
+    m(a) = m(a + 0) = m(reps[m(a)] + reps[0]).  It fails, raising
+    InvalidHomomorphism, only when the ideal search accepted a mask
+    that is not an ideal.
     """
     if not is_ideal_mask(s, ideal):
         raise RangeError(f"mask {ideal} is not an ideal of {s.id}")
@@ -238,9 +255,9 @@ def bourne_quotient(s, ideal):
     ]
     reps = sorted(set(least))
     index_of = [reps.index(b) for b in least]
-    add = [[index_of[s.add[a][b]] for b in reps] for a in reps]
-    mul = [[index_of[s.mul[a][b]] for b in reps] for a in reps]
-    quotient = validate_semiring(
-        add, mul, index_of[s.one], id=quotient_id(s.id, members)
+    add = tuple(tuple(index_of[s.add[a][b]] for b in reps) for a in reps)
+    mul = tuple(tuple(index_of[s.mul[a][b]] for b in reps) for a in reps)
+    quotient = FiniteSemiring(
+        quotient_id(s.id, members), len(reps), add, mul, index_of[s.one]
     )
     return quotient, validate_homomorphism(s, quotient, index_of)

@@ -423,14 +423,23 @@ def _tally(kind, rows, tallies, observations):
     keep its first WITNESS_CAP failing rows in corpus order as witnesses."""
     groups, failing = {}, {}
     for index, rep in enumerate(rows):
-        groups.setdefault((id(rep.body), rep.get("class")), []).append(index)
+        key = id(rep.body), rep.get("class")
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [index]
+        else:
+            members.append(index)
     for members in groups.values():
+        size = len(members)
         for oracle, ok, detail in verdicts(kind, rows[members[0]]):
-            entry = (tallies if oracle.universal else observations).setdefault(
-                oracle.name, {"instances": 0, "passes": 0, "failures": 0, "witnesses": []}
-            )
-            entry["instances"] += len(members)
-            entry["passes" if ok else "failures"] += len(members)
+            counts = tallies if oracle.universal else observations
+            entry = counts.get(oracle.name)
+            if entry is None:
+                entry = counts[oracle.name] = {
+                    "instances": 0, "passes": 0, "failures": 0, "witnesses": []
+                }
+            entry["instances"] += size
+            entry["passes" if ok else "failures"] += size
             if not ok:
                 failing.setdefault(oracle.name, (entry, []))[1].extend(
                     (index, detail) for index in members[:WITNESS_CAP]

@@ -2,12 +2,12 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import nontrivial_idempotents
+from conftest import atoms, nontrivial_idempotents, nullchain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iseki.errors import AxiomViolation, InvalidHomomorphism, RangeError, SizeLimitExceeded
-from iseki import enumeration
+from iseki import _kernels, enumeration
 from iseki.enumeration import enumerate_semirings
 from iseki.ideals import (
     _ideal_masks_all,
@@ -266,6 +266,24 @@ def test_quotient_maps_are_surjective_homomorphisms(catalog_semirings):
             assert validate_homomorphism(s, q, hom) == hom
             assert set(hom) == set(range(q.n))
             assert all(hom[m] == 0 for m in mask_members(s, ideal))
+
+
+def test_bourne_quotients_are_semirings(small_semirings):
+    """bourne_quotient does not scan its quotient for the axioms: a
+    surjective homomorphism carries them over.  Every Bourne quotient of
+    the catalog, the labeled semirings of orders 1-4, atoms(1..6) and
+    nullchain(1..8), the improper ideal's included, passes the scan, and
+    validate_semiring of its own tables gives the same value."""
+    corpus = [*small_semirings, *map(atoms, range(1, 7)), *map(nullchain, range(1, 9))]
+    quotients = 0
+    for s in corpus:
+        for ideal in _ideal_masks_all(s):
+            q, _ = bourne_quotient(s, ideal)
+            assert _kernels.axiom_witness(q.add, q.mul, q.one) is None, (s.id, ideal)
+            validated = validate_semiring(q.add, q.mul, q.one, id=q.id)
+            assert (validated.id, validated.structure) == (q.id, q.structure)
+            quotients += 1
+    assert quotients == 1618
 
 
 def test_bourne_quotient_rejects_non_ideal_masks(c3, bb):

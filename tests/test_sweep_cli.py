@@ -21,7 +21,7 @@ import iseki.topology
 from iseki.catalog import builtin_catalog, named
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
-from iseki.errors import EmptyFamily, ParseError
+from iseki.errors import EmptyFamily, InvalidHomomorphism, ParseError
 from iseki.ideals import _proper_ideal_masks, ideal_algebra
 from iseki.morphisms import enumerate_homomorphisms
 from iseki.semiring import bourne_quotient, validate_semiring
@@ -288,6 +288,35 @@ def test_lattice_oracle_fails_on_a_union_join(monkeypatch):
         _clear_iseki_caches()
     assert report["sum_lub_intersection_glb"] is False
     assert report["lattice_witness"] == [[0, 1], [0, 2]]
+
+
+def test_bourne_quotient_raises_on_a_union_join(monkeypatch):
+    """bourne_quotient proves its quotient's axioms from its homomorphism
+    check, so an ideal search that joins by union must make it raise and
+    never return tables that fail an axiom.  On the labeled semirings of
+    orders 2-4, three of the masks the faulty search calls ideals raise
+    and 636 give a semiring; the builtin catalog raises too."""
+    corpus = [s for n in (2, 3, 4) for s in enumerate_semirings(n)]
+    raised, semirings = [], 0
+    _clear_iseki_caches()
+    try:
+        monkeypatch.setattr(iseki._kernels, "ideal_masks", _union_ideal_masks)
+        for s in corpus:
+            for ideal in _proper_ideal_masks(s):
+                try:
+                    q, _ = bourne_quotient(s, ideal)
+                except InvalidHomomorphism:
+                    raised.append((s.id, ideal))
+                    continue
+                assert iseki._kernels.axiom_witness(q.add, q.mul, q.one) is None
+                semirings += 1
+        with pytest.raises(InvalidHomomorphism):
+            builtin_catalog()
+    finally:
+        monkeypatch.undo()
+        _clear_iseki_caches()
+    assert raised == [("enum4-39", 13), ("enum4-104", 11), ("enum4-149", 7)]
+    assert semirings == 636
 
 
 def _wrong_r3(algebra):
