@@ -72,9 +72,13 @@ def axiom_witness(add, mul, one):
     name, witness tuple)``, or None.
 
     Axioms are scanned in the order below; within one axiom the witness
-    is the lexicographically least failing tuple.  Cached: a sweep
-    validates the same tables under many ids (Bourne quotients repeat
-    corpus tables), and the verdict depends on the tables alone.
+    is the lexicographically least failing tuple.  Cached, as the
+    verdict depends on the tables alone and a corpus repeats tables
+    under other ids.  The catalog holds each base's quotient by {0},
+    which is the base, and quotients equal to smaller bases: ingesting
+    its 30 documents gives 21 hits as recorded, 15 with their labels
+    shuffled.  Building it validates B and C3 again for each product
+    they enter: 4 hits in 13 calls.
     """
     w = _commutativity_witness(add)
     if w:

@@ -186,7 +186,15 @@ def build_parser():
     p = sub.add_parser("sweep", help="run every oracle over a corpus")
     p.add_argument("files", nargs="*", help="semiring JSON files (default: builtin catalog)")
     p.add_argument("--enumerate", type=int, default=None, metavar="N")
-    p.add_argument("--classes", nargs="+", default=None, choices=DEFAULT_CLASSES)
+    p.add_argument(
+        "--classes",
+        nargs="+",
+        default=None,
+        metavar="CLASS",
+        help="spectrum classes (default: all of "
+        + ", ".join(DEFAULT_CLASSES)
+        + "); fg(k) names the ideals with at most k generators",
+    )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sweep)
 

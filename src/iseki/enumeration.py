@@ -17,17 +17,18 @@ The search runs over addition tables first.  For each addition table
 kept, one multiplication search runs per choice of identity e, and
 their leaves, each table with the one identity it has, are merged in
 lexicographic order.  Up to isomorphism the addition table is fixed
-first: it is kept only if its flat table is least over the permutations
-fixing 0, which each partial table is checked for as its rows complete,
-and the multiplication table is then compared under the addition
-table's automorphisms alone (see ``enumerate_semirings``).
+first: it is kept only if it is least over the permutations fixing 0,
+which each partial table is checked for as its rows complete, and the
+multiplication table is then compared under the addition table's
+automorphisms alone (see ``enumerate_semirings``).  One row-wise
+comparison, ``_automorphisms``, decides both.
 This is the cell-by-cell constraint search of Distler & Kelsey, *The
 monoids of orders eight, nine & ten*, and Distler et al., *The
 semigroups of order 10* (CP 2012).
 """
 
 from heapq import merge
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 
 from .errors import SizeLimitExceeded
 from .semiring import FiniteSemiring
@@ -48,17 +49,17 @@ def _search(n, forced, cells, admissible):
     ``admissible``, in lexicographic order of ``cells``, its other cells.
 
     ``admissible(t, k)`` runs once the first k cells are assigned, from
-    k = 0.  Row and column n of ``t`` and its unassigned cells hold n,
-    so a lookup through an unassigned cell reads n.
+    k = 0.  Row n of ``t`` and its unassigned cells hold n, so a lookup
+    through an unassigned cell reads n.
     """
-    t = [[n] * (n + 1) for _ in range(n + 1)]
+    t = [[n] * n for _ in range(n + 1)]
     for x, row in forced.items():
         for y, v in enumerate(row):
             t[x][y] = t[y][x] = v
 
     def fill(k):
         if k == len(cells):
-            yield tuple(tuple(row[:n]) for row in t[:n])
+            yield tuple(map(tuple, t[:n]))
             return
         i, j = cells[k]
         for v in range(n):
@@ -134,9 +135,10 @@ def _distributivity_by_cell(add, e, position, size):
     return due
 
 
-def _multiplications(add, e, forced, cells, position, triples):
+def _multiplications(add, automorphisms, e, forced, cells, position, triples):
     """Yield (mul, e) for every multiplication table with identity e
-    that distributes over ``add``, in lexicographic order."""
+    that distributes over ``add`` and that no relabeling in
+    ``automorphisms`` makes smaller, in lexicographic order."""
     n = len(add)
     distributivity = _distributivity_by_cell(add, e, position, len(cells))
 
@@ -144,53 +146,47 @@ def _multiplications(add, e, forced, cells, position, triples):
         for a, b, c, s in distributivity[k]:
             if t[a][s] != add[t[a][b]][t[a][c]]:
                 return False
-        return _associative_so_far(t, triples[k], n)
+        return _associative_so_far(t, triples[k], n) and (
+            k < len(cells) or _automorphisms(t, n - 1, automorphisms) is not None
+        )
 
     for mul in _search(n, forced, cells, admissible):
         yield mul, e
 
 
 def _relabelings(n):
-    """For every permutation perm of {0..n-1} fixing 0: perm with n
-    appended, the renaming x -> perm^-1(x) (which fixes n), and the flat
-    positions that perm reads, in order."""
+    """For every permutation perm of {0..n-1} fixing 0: perm, and the
+    renaming x -> perm^-1(x), which fixes n."""
     out = []
     for p in permutations(range(1, n)):
-        order = (0, *p, n)
-        inv = [0] * (n + 1)
+        order = (0, *p)
+        inv = [0] * n + [n]
         for i, x in enumerate(order):
             inv[x] = i
-        positions = tuple(i * n + j for i in order[:n] for j in order[:n])
-        out.append((order, inv.__getitem__, positions))
+        out.append((order, inv.__getitem__))
     return out
 
 
-def _relabeled_smaller(t, rows, relabelings):
-    """Whether a relabeling makes the partial table ``t`` smaller on its
-    first ``rows`` rows, which are assigned, so that no completion of
-    ``t`` is least.  An entry read through an unassigned cell is n, more
-    than any, so only assigned entries decide."""
-    for order, rename, _ in relabelings:
+def _automorphisms(t, rows, relabelings):
+    """The relabelings that fix rows 1..``rows`` of the row-list table
+    ``t``, or None as soon as one makes them smaller, so that no
+    completion of ``t`` is least.  Row 0 is fixed by every relabeling.
+
+    Those rows are assigned; an entry that the relabeled table reads
+    through an unassigned cell is n, more than any, so only assigned
+    entries decide, and a relabeling whose rows differ first at such an
+    entry neither fixes ``t`` nor rejects it.
+    """
+    fixing = []
+    for relabeling in relabelings:
+        order, rename = relabeling
         for r in range(1, rows + 1):
             image = list(map(rename, map(t[order[r]].__getitem__, order)))
             if image != t[r]:
                 if image < t[r]:
-                    return True
+                    return None
                 break
-    return False
-
-
-def _automorphisms(flat, relabelings):
-    """The relabelings that map the flat table ``flat`` to itself, or
-    None when one of them makes it smaller."""
-    read = flat.__getitem__
-    fixing = []
-    for relabeling in relabelings:
-        _, rename, positions = relabeling
-        image = tuple(map(rename, map(read, positions)))
-        if image < flat:
-            return None
-        if image == flat:
+        else:
             fixing.append(relabeling)
     return fixing
 
@@ -230,20 +226,20 @@ def enumerate_semirings(n, up_to_iso=False):
     rows = {k + 1: i for k, (i, j) in enumerate(add_cells) if j == n - 1}
 
     def add_admissible(t, k):
-        return _associative_so_far(t, associativity[k], n) and not (
-            k in rows and _relabeled_smaller(t, rows[k], relabelings)
+        return _associative_so_far(t, associativity[k], n) and (
+            k not in rows or _automorphisms(t, rows[k], relabelings) is not None
         )
 
     count = 0
     for add in _search(n, add_forced, add_cells, add_admissible):
         # Least: the last cell completes the last row, which is compared.
-        automorphisms = _automorphisms(tuple(chain.from_iterable(add)), relabelings)
+        automorphisms = _automorphisms(list(map(list, add)), n - 1, relabelings)
         # A table has one identity, so merging the searches in
         # lexicographic order of all the free cells yields each once.
-        searches = [_multiplications(add, *search) for search in by_identity]
+        searches = [
+            _multiplications(add, automorphisms, *search) for search in by_identity
+        ]
         for mul, one in merge(*searches):
-            if _automorphisms(tuple(chain.from_iterable(mul)), automorphisms) is None:
-                continue
             yield FiniteSemiring(
                 id=f"enum{n}-{count}", n=n, add=add, mul=mul, one=one
             )

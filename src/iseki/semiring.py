@@ -151,7 +151,8 @@ def validate_semiring(add, mul, one, id="anonymous"):
     integer in range, and AxiomViolation (with the first failing axiom
     and a concrete witness) otherwise.  Every call sanitises its tables;
     the axiom scan runs once per distinct ``(add, mul, one)``, which
-    ``_kernels.axiom_witness`` caches.
+    ``_kernels.axiom_witness`` caches, as a corpus of documents or the
+    builtin catalog repeats tables under other ids.
     """
     n, add, mul, one = _check_tables_shape(add, mul, one)
     violation = _kernels.axiom_witness(add, mul, one)

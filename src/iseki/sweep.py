@@ -224,14 +224,8 @@ def morphism_report(s, t, hom, cls):
     try:
         ind = induced_map(s, t, hom, cls)
     except ContractionFails as exc:
-        return {
-            **rep,
-            "contraction": False,
-            "contraction_witness": exc.witness,
-            "continuous": "n/a",
-            "dense": "n/a",
-            "density_rhs": "n/a",
-        }
+        # No induced map, so no field that one decides.
+        return {**rep, "contraction": False, "contraction_witness": exc.witness}
     rep["contraction"] = True
     rep["continuous"] = ind.continuous
     if not ind.continuous:

@@ -12,6 +12,8 @@ per addition table ran over all multiplication tables), and the 228
 isomorphism classes from a pure-Python one of this search.  The
 orbit-stabilizer identity ties the two counts together."""
 
+import hashlib
+
 import pytest
 from conftest import (
     canonical_key,
@@ -94,6 +96,29 @@ def test_order_five_self_check(monkeypatch):
         assert table_pair_key(s.add, s.mul) == canonical_key(s.add, s.mul)
     for s in (reps[0], reps[-1]):
         validate_semiring(s.add, s.mul, s.one)
+
+
+STREAM_DIGESTS = {
+    (4, True): "8047e4cf7beabbb4f435f5c4975b99a20eb5766afd343910a7bc98c1ab1dcc50",
+    (5, True): "c7ee4be91a2089f37217ff7fff39d444f521de81220273dfbba606bbfc452645",
+    (5, False): "a04e3384247fcc17a8275b8f58ef0c0be3caeed5799c8355daee3b5c3058e25e",
+}
+
+
+@pytest.mark.parametrize(
+    ("n", "up_to_iso"), list(STREAM_DIGESTS), ids=["iso4", "iso5", "labeled5"]
+)
+def test_stream_digest(monkeypatch, n, up_to_iso):
+    """The sha256 of the (id, one, add, mul) stream is pinned: a count,
+    an orbit sum and canonicity would all pass a reordered or relabeled
+    set of representatives.  The order-6 stream is pinned in CI."""
+    monkeypatch.setattr(enumeration, "ENUMERATION_CAP", 5)
+    lines = (
+        repr((s.id, s.one, s.add, s.mul)) + "\n"
+        for s in enumerate_semirings(n, up_to_iso=up_to_iso)
+    )
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == STREAM_DIGESTS[n, up_to_iso]
 
 
 def test_size_limits():

@@ -709,9 +709,9 @@ def test_benchmark_cache_contract(module, name):
 
 # The fields of each kind of row: identity fields, then the fields that
 # the checks decide, each reported once.
-_MORPHISM_FIELDS = {"source", "target", "hom", "class", "contraction", "continuous"}
+_MORPHISM_FIELDS = {"source", "target", "hom", "class", "contraction"}
 _CONTRACTING_FIELDS = _MORPHISM_FIELDS | {
-    "kernel", "dense", "density_rhs", "closure_image_equals_kernel_upset",
+    "continuous", "kernel", "dense", "density_rhs", "closure_image_equals_kernel_upset",
     "radical_equality_matches_density", "surjective",
 }
 ROW_FIELDS = {
@@ -735,7 +735,7 @@ ROW_FIELDS = {
     },
     "surjective": _CONTRACTING_FIELDS | {"image_equals_kernel_upset"},
     "not surjective": _CONTRACTING_FIELDS,
-    "contraction failed": _MORPHISM_FIELDS | {"contraction_witness", "dense", "density_rhs"},
+    "contraction failed": _MORPHISM_FIELDS | {"contraction_witness"},
 }
 
 
@@ -821,6 +821,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (["topology", "{missing}"], "No such file or directory"),
         (["sweep", "{B}", "{fake_B}"], "duplicate corpus id 'B'"),
         (["sweep", "--classes", "prime", "prime"], "duplicate class 'prime'"),
+        (["sweep", "--classes", "weird"], "unknown spectrum class 'weird'"),
         (["topology", "{missing}", "--checks", "t0,bogus"], "unknown checks: bogus"),
         (["topology", "{missing}", "--checks", ",,"], "no checks named in ',,'"),
         (["sweep", "{missing}", "--enumerate", "0"], "--enumerate must be at least 1, got 0"),
@@ -843,6 +844,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         "topology-missing-file",
         "sweep-duplicate-id",
         "sweep-duplicate-class",
+        "sweep-unknown-class",
         "checks-before-input",
         "no-checks-before-input",
         "sweep-enumerate-zero",
@@ -891,6 +893,15 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_cli_sweep_accepts_every_class_the_api_parses(tmp_path):
+    """``--classes`` takes what ``parse_class`` takes, ``fg(k)`` included,
+    as ``sweep(classes=...)`` and ``topology --class`` do."""
+    out_path = tmp_path / "r.json"
+    argv = ["sweep", "--enumerate", "3", "--classes", "fg(2)", "prime", "--out", str(out_path)]
+    assert main(argv) == 0
+    assert json.loads(out_path.read_text())["classes"] == ["fg(2)", "prime"]
 
 
 def test_cli_ideals(tmp_path, capsys):
