@@ -179,7 +179,8 @@ def check_surjection(ind):
     both spaces, and each space its semiring.
 
     No field says whether a surjection's map is a homeomorphism onto its
-    image: that is ``continuous``, which the report already carries.
+    image: that is continuity, which the report's ``continuity_witness``
+    already decides.
     Both spaces are Alexandrov, so a continuous injective map is a
     homeomorphism onto its image exactly when it is an embedding of the
     inclusion orders: for each point q of t, the points above q are the

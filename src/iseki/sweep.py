@@ -9,16 +9,18 @@ comparison for surjections and the ideal-up-set form of the quotient map.
 The rows read report fields, and each field has one definition: the
 check in ``topology`` or ``morphisms`` that decides it returns it under
 its report name, and the report builders below only merge those dicts
-with the instance's identity fields.  No field restates another: five
-rows read the fact itself.  ``connected_when_zero_present`` applies
-where [0] is among the ``points``, ``morphism_density_biconditional``
+with the instance's identity fields.  No field restates another: where
+a check finds a witness, the witness is the verdict, and a
+``*_witness`` field is None exactly when its property holds.  Five rows
+read the fact itself.  ``connected_when_zero_present`` applies where
+[0] is among the ``points``, ``morphism_density_biconditional``
 compares ``dense`` with ``density_rhs``,
-``morphism_homeomorphism_onto_image`` reads ``continuous`` (the proof
-is at ``morphisms.check_surjection``), and ``sober_agreement`` and
-``sober_corollary`` read ``t0``, which is direct sobriety on these
-spaces (the proof is at ``topology.check_sober``).  The quotient report
-builds its own fields from the induced maps: each class's
-``{cls}_homeomorphism_onto_kernel_upset`` says that the map is
+``morphism_homeomorphism_onto_image`` reads ``continuity_witness`` (the
+proof is at ``morphisms.check_surjection``), and ``sober_agreement`` and
+``sober_corollary`` read ``t0_witness``, which decides direct sobriety
+on these spaces (the proof is at ``topology.check_sober``).  The
+quotient report builds its own fields from the induced maps: each
+class's ``{cls}_homeomorphism_onto_kernel_upset`` says that the map is
 continuous and that its image is the up-set of the kernel.  A check
 reports the same fields for every class; only the rows' ``applies``
 read it.
@@ -129,7 +131,7 @@ def ideal_lattice_report(s):
     row).  So the masks are exactly the ideals, the meet of two of them
     is an ideal, and a + Rg, the set of pair sums, is the least upper
     bound of a and Rg."""
-    report = {"semiring": s.id, "n": s.n}
+    report = {"semiring": s.id}
     algebra = ideal_algebra(s)
     masks, joins, principals = algebra.masks, algebra.joins, algebra.principals
     radicals = algebra.radicals
@@ -141,10 +143,9 @@ def ideal_lattice_report(s):
         return None if witness is None else mask_members(s, witness)
 
     rad_witness = next((a for a in masks if radicals[a] != radical_via_primes(s, a)), None)
-    report["radical_oracle"] = rad_witness is None
     report["radical_oracle_witness"] = members(rad_witness)
 
-    impl_ok, impl_witness = True, None
+    impl_witness = None
     for ideal, c in classified_ideals(s):
         chains = (
             (c.maximal, c.prime),
@@ -153,9 +154,8 @@ def ideal_lattice_report(s):
             (c.strongly_irreducible, c.irreducible),
         )
         if any(head and not tail for head, tail in chains):
-            impl_ok, impl_witness = False, mask_members(s, ideal)
+            impl_witness = mask_members(s, ideal)
             break
-    report["classification_implications"] = impl_ok
     report["classification_witness"] = impl_witness
 
     # a lies in rad(a), and rad(a) in rad(a + Rg): adding the members of an
@@ -169,7 +169,6 @@ def ideal_lattice_report(s):
         if a & ~ra or above:
             mono_witness = a if a & ~ra else [a, above[0]]
             break
-    report["radical_monotone"] = mono_witness is None
     report["radical_monotone_witness"] = members(mono_witness)
 
     # ab is the sum of the R(gh), g in a and h in b, each inside Rg & Rh
@@ -183,7 +182,6 @@ def ideal_lattice_report(s):
         ),
         None,
     )
-    report["product_in_intersection"] = prod_witness is None
     report["product_witness"] = members(prod_witness)
 
     # shifted[g][x] is the mask of x + Rg, Rg = {rg} from the two tables.
@@ -206,9 +204,7 @@ def ideal_lattice_report(s):
                     return [a, principals[g]]
         return None
 
-    lat_witness = lattice_witness()
-    report["sum_lub_intersection_glb"] = lat_witness is None
-    report["lattice_witness"] = members(lat_witness)
+    report["lattice_witness"] = members(lattice_witness())
     return report
 
 
@@ -227,9 +223,7 @@ def morphism_report(s, t, hom, cls):
         # No induced map, so no field that one decides.
         return {**rep, "contraction": False, "contraction_witness": exc.witness}
     rep["contraction"] = True
-    rep["continuous"] = ind.continuous
-    if not ind.continuous:
-        rep["continuity_witness"] = ind.continuity_witness
+    rep["continuity_witness"] = ind.continuity_witness
     rep["kernel"] = mask_members(s, ind.kernel)
     return {
         **rep,
@@ -323,16 +317,19 @@ def _quotient_class_oracles(cls):
 
 ORACLES = {
     TOPOLOGY: (
-        Oracle("t0", UNIVERSAL, lambda r: r["t0"],
+        Oracle("t0", UNIVERSAL, lambda r: r["t0_witness"] is None,
                witness=lambda r: {"witness": r["t0_witness"]}),
-        Oracle("t1_equivalence", UNIVERSAL, lambda r: r["t1"] == r["t1_predicate"],
-               witness=lambda r: {"t1": r["t1"], "predicate": r["t1_predicate"]}),
+        Oracle("t1_equivalence", UNIVERSAL,
+               lambda r: (r["t1_witness"] is None) == r["t1_predicate"],
+               witness=lambda r: {
+                   "t1": r["t1_witness"] is None, "predicate": r["t1_predicate"]
+               }),
         Oracle("sober_agreement", UNIVERSAL,
-               lambda r: r["t0"] == r["sober_criterion"]),
-        Oracle("sober_corollary", UNIVERSAL, lambda r: r["t0"],
+               lambda r: (r["t0_witness"] is None) == r["sober_criterion"]),
+        Oracle("sober_corollary", UNIVERSAL, lambda r: r["t0_witness"] is None,
                applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
         Oracle("connected_when_zero_present", UNIVERSAL,
-               lambda r: r["connected"] is True,
+               lambda r: r["connected_witness"] is None,
                applies=lambda r: [0] in r["points"]),
         Oracle("irreducible_upsets", UNIVERSAL, lambda r: r["irreducible_upsets"]),
         Oracle("upset_laws", UNIVERSAL, lambda r: r["upset_laws"] == "pass",
@@ -341,7 +338,7 @@ ORACLES = {
                lambda r: r["quasi_compact_sum_identity"]
                and r["quasi_compact_maximal_rule"]),
         Oracle("generator_upset_identity", UNIVERSAL,
-               lambda r: r["generator_upset_identity"],
+               lambda r: r["generator_upset_witness"] is None,
                witness=lambda r: {"witness": r["generator_upset_witness"]}),
         Oracle("idempotent_extraction", UNIVERSAL,
                lambda r: r["idempotent_status"] == "ok",
@@ -350,22 +347,20 @@ ORACLES = {
                witness=lambda r: {"status": r["idempotent_status"]}),
     ),
     IDEAL_LATTICE: (
-        Oracle("radical_oracle", UNIVERSAL, lambda r: r["radical_oracle"],
+        Oracle("radical_oracle", UNIVERSAL, lambda r: r["radical_oracle_witness"] is None,
                witness=lambda r: {"witness": r["radical_oracle_witness"]}),
         Oracle("classification_implications", UNIVERSAL,
-               lambda r: r["classification_implications"],
+               lambda r: r["classification_witness"] is None,
                witness=lambda r: {"witness": r["classification_witness"]}),
-        Oracle("radical_monotone", UNIVERSAL, lambda r: r["radical_monotone"]),
-        Oracle("product_in_intersection", UNIVERSAL,
-               lambda r: r["product_in_intersection"]),
-        Oracle("sum_lub_intersection_glb", UNIVERSAL,
-               lambda r: r["sum_lub_intersection_glb"]),
+        Oracle("radical_monotone", UNIVERSAL, lambda r: r["radical_monotone_witness"] is None),
+        Oracle("product_in_intersection", UNIVERSAL, lambda r: r["product_witness"] is None),
+        Oracle("sum_lub_intersection_glb", UNIVERSAL, lambda r: r["lattice_witness"] is None),
     ),
     MORPHISM: (
         Oracle("morphism_prime_contraction", UNIVERSAL,
                lambda r: r["contraction"], applies=lambda r: r["class"] == "prime"),
         Oracle("morphism_continuity", UNIVERSAL,
-               lambda r: r["continuous"] is True, applies=_prime_contraction),
+               lambda r: r["continuity_witness"] is None, applies=_prime_contraction),
         Oracle("morphism_density_biconditional", UNIVERSAL,
                lambda r: r["dense"] == r["density_rhs"], applies=_prime_contraction),
         Oracle("morphism_closure_image_equals_kernel_upset", UNIVERSAL,
@@ -375,7 +370,7 @@ ORACLES = {
                lambda r: r["radical_equality_matches_density"],
                applies=_prime_contraction),
         Oracle("morphism_homeomorphism_onto_image", UNIVERSAL,
-               lambda r: r["continuous"] is True, applies=_prime_surjection),
+               lambda r: r["continuity_witness"] is None, applies=_prime_surjection),
         Oracle("surjective_image_equals_kernel_upset", OBSERVATION,
                lambda r: r["image_equals_kernel_upset"], applies=_prime_surjection),
     ),

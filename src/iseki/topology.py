@@ -13,12 +13,14 @@ up(point) is the smallest closed set containing the point and the space
 is Alexandrov: its closed sets are exactly the point sets that are
 up-closed under inclusion.  Point sets are bitmasks over point indices
 (point i = bit i), and every separation/connectedness property is
-decided exactly from the inclusion order; a failed T0 (here the same
-verdict as sobriety, see ``check_sober``), T1, connectedness or up-set
-law verdict carries a witness.  Each ``check_*`` function (and
-``verify_upset_laws``) returns exactly the report fields it decides,
-under their report names, and ``CHECKS`` lists them all, so the sweep's
-topology report is the merge of their dicts.
+decided exactly from the inclusion order.  The T0 (here the same
+verdict as sobriety, see ``check_sober``), T1, connectedness and
+generator-identity verdicts are their witnesses, None exactly when the
+property holds, and a failed up-set law carries one.  Each
+``check_*`` function (and ``verify_upset_laws``) returns exactly the
+report fields it decides, under their report names, and ``CHECKS``
+lists them all, so the sweep's topology report is the merge of their
+dicts.
 
 No check lists the closed sets: counting the up-sets of a poset is
 #P-complete (Provan and Ball, SIAM J. Comput. 12, 1983).
@@ -274,17 +276,19 @@ def check_t0(spec):
         groups.setdefault(u, []).append(i)
     shared = next((g for g in groups.values() if len(g) > 1), None)
     if shared is None:
-        return {"t0": True, "t0_witness": None}
+        return {"t0_witness": None}
     i, j = shared[:2]
-    return {"t0": False, "t0_witness": point_set_members(spec, 1 << i | 1 << j)}
+    return {"t0_witness": point_set_members(spec, 1 << i | 1 << j)}
 
 
 def check_t1(spec):
     """Singleton-closure T1 test plus the "points are exactly the maximal
     ideals" test.
 
-    The two booleans agree whenever every maximal ideal is a point; both
-    are reported so disagreements are visible rather than asserted away.
+    The witness, the first point whose closure is not itself and None
+    when the space is T1, agrees with the predicate whenever every
+    maximal ideal is a point; both are reported so disagreements are
+    visible rather than asserted away.
     ``fg(0)`` on C3 is T1 (its one point is {0}) but {0} is not maximal:
     ``tests/test_topology.py::test_t1_equivalence_fg0_c3`` pins it.
     """
@@ -297,7 +301,6 @@ def check_t1(spec):
         None,
     )
     return {
-        "t1": witness is None,
         "t1_predicate": set(spec.points) == set(maximal_ideal_masks(spec.semiring)),
         "t1_witness": witness,
     }
@@ -355,14 +358,13 @@ def check_quasi_compact(spec):
 
 def check_connected(spec):
     """Connectivity from the connected components; the witness is the
-    lowest clopen set, the lowest component.  Empty spectra are degenerate.
-    Whether the zero ideal is a point, the theorem's hypothesis, is read
-    from the reported points."""
-    if spec.size == 0:
-        return {"connected": "degenerate", "connected_witness": None}
+    lowest clopen set, the lowest component, and None when the space is
+    connected (an empty space has no components).  Whether the zero
+    ideal is a point, the theorem's hypothesis, is read from the
+    reported points."""
     comps = spec.components
     witness = point_set_members(spec, comps[0]) if len(comps) > 1 else None
-    return {"connected": witness is None, "connected_witness": witness}
+    return {"connected_witness": witness}
 
 
 def check_disconnection(spec):
@@ -528,8 +530,7 @@ def verify_upset_laws(spec):
             generator_witness = mask_members(s, ideal)
             break
     return {
-        "upset_laws": "pass" if law is None else {"holds": False, **law},
-        "generator_upset_identity": generator_witness is None,
+        "upset_laws": "pass" if law is None else law,
         "generator_upset_witness": generator_witness,
     }
 

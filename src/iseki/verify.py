@@ -70,9 +70,6 @@ def verify_axiom_witness(add, mul, one, axiom, witness):
     if axiom == "distributive-left":
         a, b, c = w
         return mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
-    if axiom == "distributive-right":
-        a, b, c = w
-        return mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]
     return False
 
 

@@ -198,7 +198,7 @@ def test_lattice_oracle_reads_every_join(c4, monkeypatch, wrong):
     witness ({0}, R2).  The first report fills every cache that reads the
     joins, so only the lattice check sees the wrong entry."""
     algebra = ideal_algebra(c4)
-    assert ideal_lattice_report(c4)["sum_lub_intersection_glb"]
+    assert ideal_lattice_report(c4)["lattice_witness"] is None
     row = list(algebra.joins[1])
     assert row[2] == 0b0111
     row[2] = wrong
@@ -207,7 +207,6 @@ def test_lattice_oracle_reads_every_join(c4, monkeypatch, wrong):
         report = ideal_lattice_report(c4)
     finally:
         ideal_algebra.cache_clear()
-    assert report["sum_lub_intersection_glb"] is False
     assert report["lattice_witness"] == [[0], [0, 1, 2]]
 
 
@@ -235,7 +234,7 @@ def test_lattice_oracle_needs_every_join_condition(c4, monkeypatch, edit, witnes
     without 0; {0, 2} added, whose join with R2 is not itself.  C4 is
     idempotent, so an added key is its own radical."""
     algebra = ideal_algebra(c4)
-    assert ideal_lattice_report(c4)["sum_lub_intersection_glb"]
+    assert ideal_lattice_report(c4)["lattice_witness"] is None
     joins = {a: row for a, row in {**algebra.joins, **edit}.items() if row}
     try:
         monkeypatch.setattr(algebra, "joins", joins)
@@ -243,7 +242,6 @@ def test_lattice_oracle_needs_every_join_condition(c4, monkeypatch, edit, witnes
         report = ideal_lattice_report(c4)
     finally:
         ideal_algebra.cache_clear()
-    assert report["sum_lub_intersection_glb"] is False
     assert report["lattice_witness"] == witness
 
 
@@ -286,7 +284,6 @@ def test_lattice_oracle_fails_on_a_union_join(monkeypatch):
     finally:
         monkeypatch.undo()
         _clear_iseki_caches()
-    assert report["sum_lub_intersection_glb"] is False
     assert report["lattice_witness"] == [[0, 1], [0, 2]]
 
 
@@ -330,20 +327,15 @@ def _wrong_radical_of_z4(algebra):
 
 
 @pytest.mark.parametrize(
-    ("wrong", "field", "witness_field", "witness"),
+    ("wrong", "witness_field", "witness"),
     [
-        (_wrong_r3, "product_in_intersection", "product_witness", [[0, 2], [0, 3]]),
-        (
-            _wrong_radical_of_z4,
-            "radical_monotone",
-            "radical_monotone_witness",
-            [[0], [0, 1, 2, 3]],
-        ),
+        (_wrong_r3, "product_witness", [[0, 2], [0, 3]]),
+        (_wrong_radical_of_z4, "radical_monotone_witness", [[0], [0, 1, 2, 3]]),
     ],
     ids=["product", "radical"],
 )
 def test_ideal_lattice_rows_fail_on_a_wrong_algebra(
-    z4, monkeypatch, wrong, field, witness_field, witness
+    z4, monkeypatch, wrong, witness_field, witness
 ):
     """``product_in_intersection`` reads the principal ideals and
     ``radical_monotone`` the radicals along the joins.  In Z4 with R3
@@ -351,13 +343,12 @@ def test_ideal_lattice_rows_fail_on_a_wrong_algebra(
     radical of Z4 replaced by {0}, rad({0}) = {0, 2} is not inside the
     radical of its join {0} + R1 = Z4."""
     algebra = ideal_algebra(z4)
-    assert ideal_lattice_report(z4)[field]
+    assert ideal_lattice_report(z4)[witness_field] is None
     try:
         monkeypatch.setattr(algebra, *wrong(algebra))
         report = ideal_lattice_report(z4)
     finally:
         ideal_algebra.cache_clear()
-    assert report[field] is False
     assert report[witness_field] == witness
 
 
@@ -475,10 +466,10 @@ def test_report_copies_and_pickles_encode_the_same(enumerate3_report):
 def test_report_rows_are_read_only(enumerate3_report):
     """No row of the report can be changed after stamping."""
     for row in enumerate3_report["topology"]:
-        t0 = row["t0"]
+        t0 = row["t0_witness"]
         with pytest.raises(TypeError):
-            row["t0"] = False
-        assert row["t0"] is t0
+            row["t0_witness"] = [[0], [0]]
+        assert row["t0_witness"] is t0
 
 
 def test_first_row_of_each_body_is_that_body(enumerate3_sections):
@@ -534,7 +525,7 @@ def test_quotient_rows_share_one_string_per_class_field_name(enumerate3_sections
 def _not_t0(monkeypatch):
     real = iseki.topology.CHECKS["t0"]
     monkeypatch.setitem(
-        iseki.topology.CHECKS, "t0", lambda spec: {**real(spec), "t0": False}
+        iseki.topology.CHECKS, "t0", lambda spec: {**real(spec), "t0_witness": [[0], [0]]}
     )
     return TOPOLOGY, "sober_corollary"
 
@@ -631,10 +622,10 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
 # SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
 # to the report must update the digest here and say why.
 REPORT_DIGESTS = {
-    (): "bc04a8b12e093a3648fadf3250b83a62ddd16a5e2d997412918002895cd56d7b",
-    (3,): "3018a23e8c59fa6daed0488df8d267e616137fdc3b6a1170dbe1591063b8cdbe",
-    (4,): "7fbb70c41f2afc2a2a553f3f830cd8555235cfe60b536575c70cfc43bc9dd3b3",
-    (5,): "69d9ac3ccfaa5ac4642a951b017ddb0cfd0d3455dabeacc6dc5c1a3c5dad05e4",
+    (): "c822219ad9c6ccfafe489f5c5192d0040e880b40125af1b7b97f831f8c6fe3f1",
+    (3,): "ad4970bd5746f65d41d0af0a6c1d6f9c2abcbf42bca9201b7229d6a7b9c74ee1",
+    (4,): "93c9b109e18d0eb4acba210fe99cbd65b69097eb43aba8245e9e008d849d08a8",
+    (5,): "811e487577fbf27a2a4fc6307487969fdaa8d9e9c55e98505173ea6045ed28c2",
 }
 
 
@@ -708,26 +699,25 @@ def test_benchmark_cache_contract(module, name):
 
 
 # The fields of each kind of row: identity fields, then the fields that
-# the checks decide, each reported once.
+# the checks decide, each reported once.  A witness is its verdict, None
+# when the property holds; only ``contraction`` keeps a boolean beside
+# its witness.
 _MORPHISM_FIELDS = {"source", "target", "hom", "class", "contraction"}
 _CONTRACTING_FIELDS = _MORPHISM_FIELDS | {
-    "continuous", "kernel", "dense", "density_rhs", "closure_image_equals_kernel_upset",
-    "radical_equality_matches_density", "surjective",
+    "continuity_witness", "kernel", "dense", "density_rhs",
+    "closure_image_equals_kernel_upset", "radical_equality_matches_density", "surjective",
 }
 ROW_FIELDS = {
     TOPOLOGY: {
-        "semiring", "class", "points", "t0", "t0_witness", "t1", "t1_predicate",
-        "t1_witness", "sober_criterion", "quasi_compact_sum_identity",
-        "quasi_compact_maximal_rule", "connected", "connected_witness",
-        "upset_laws", "generator_upset_identity", "generator_upset_witness",
+        "semiring", "class", "points", "t0_witness", "t1_predicate", "t1_witness",
+        "sober_criterion", "quasi_compact_sum_identity", "quasi_compact_maximal_rule",
+        "connected_witness", "upset_laws", "generator_upset_witness",
         "irreducible_upsets", "disconnection_witness", "idempotent",
         "idempotent_status",
     },
     IDEAL_LATTICE: {
-        "semiring", "n", "proper_ideals", "radical_oracle", "radical_oracle_witness",
-        "classification_implications", "classification_witness",
-        "radical_monotone", "radical_monotone_witness", "product_in_intersection",
-        "product_witness", "sum_lub_intersection_glb", "lattice_witness",
+        "semiring", "proper_ideals", "radical_oracle_witness", "classification_witness",
+        "radical_monotone_witness", "product_witness", "lattice_witness",
     },
     QUOTIENT: {
         "semiring", "ideal", "quotient", "quotient_size", "map_surjective", "kernel",
@@ -920,14 +910,26 @@ def test_cli_spectrum_and_topology(tmp_path, capsys):
 
     assert main(["topology", path, "--class", "prime", "--checks", "t0,t1,sober"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["t0"] is True and out["t1"] is False
-    assert "connected" not in out
+    assert out["t0_witness"] is None and out["t1_witness"] == [0]
+    assert "connected_witness" not in out
 
     assert main(["topology", path, "--class", "prime"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["connected"] is True
+    assert out["connected_witness"] is None
 
     assert main(["topology", path, "--class", "prime", "--checks", "bogus"]) == 2
+
+
+def test_cli_topology_on_an_empty_space(tmp_path, capsys):
+    """The trivial semiring has no proper ideal, so its prime space is
+    empty: it has no components and no points, so it is connected and T1,
+    and ``iseki topology`` exits 0 with both witnesses null."""
+    path = _write(tmp_path, "trivial")
+    assert main(["topology", path, "--class", "prime"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["points"] == []
+    assert out["connected_witness"] is None
+    assert out["t1_witness"] is None
 
 
 def test_cli_morphisms(tmp_path, capsys):
@@ -1004,7 +1006,7 @@ def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monke
     ``maximal`` too, where sober_corollary does not apply."""
     real_t0, real_sober = iseki.topology.CHECKS["t0"], iseki.topology.CHECKS["sober"]
     monkeypatch.setitem(
-        iseki.topology.CHECKS, "t0", lambda spec: {**real_t0(spec), "t0": False}
+        iseki.topology.CHECKS, "t0", lambda spec: {**real_t0(spec), "t0_witness": [[0], [0]]}
     )
     monkeypatch.setitem(
         iseki.topology.CHECKS, "sober", lambda spec: {"sober_criterion": False}
@@ -1074,7 +1076,7 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     real = iseki.topology.CHECKS["t0"]
 
     def not_t0(spec):
-        return {**real(spec), "t0": False}
+        return {**real(spec), "t0_witness": [[0], [0]]}
 
     monkeypatch.setitem(iseki.topology.CHECKS, "t0", not_t0)
     out_path = tmp_path / "report.json"
@@ -1095,7 +1097,7 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
         "failed: sober_corollary: 3 of 3 instances; first witness "
         '{"class": "proper", "semiring": "C3"}',
         "failed: t0: 8 of 8 instances; first witness "
-        '{"class": "proper", "semiring": "C3", "witness": null}',
+        '{"class": "proper", "semiring": "C3", "witness": [[0], [0]]}',
     ]
 
 

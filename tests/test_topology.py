@@ -194,7 +194,7 @@ def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirin
                 assert irreducible or spec is not variants[0], where
                 if laws["upset_laws"] != "pass":
                     failures[laws["upset_laws"]["law"]] += 1
-                failures["generator identity"] += not laws["generator_upset_identity"]
+                failures["generator identity"] += laws["generator_upset_witness"] is not None
                 failures["qc sum identity"] += not qc["quasi_compact_sum_identity"]
                 failures["qc maximal rule"] += not qc["quasi_compact_maximal_rule"]
                 failures["irreducible_upsets"] += not irreducible
@@ -289,7 +289,8 @@ def test_proper_spectrum_above_twenty_points():
     rep = topology_instance_report(atoms(5), "proper")
     assert len(rep["points"]) == 38
     assert closed_set_count(spectrum(atoms(5), "proper")) == 8699
-    assert rep["t0"] and rep["sober_criterion"] and rep["connected"] is True
+    assert rep["t0_witness"] is None and rep["sober_criterion"]
+    assert rep["connected_witness"] is None
     assert rep["upset_laws"] == "pass"
 
 
@@ -319,17 +320,19 @@ def test_closure_examples(c3):
 def test_t0_on_catalog(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            assert check_t0(spectrum(s, tag))["t0"], (s.id, tag)
+            assert check_t0(spectrum(s, tag))["t0_witness"] is None, (s.id, tag)
 
 
 def test_t1_examples(bb, c3, trivial):
+    """The T1 witness is the first point whose closure is more than
+    itself: in C3's prime spectrum {0} lies below {0, 1}."""
     r = check_t1(spectrum(bb, "maximal"))
-    assert r["t1"] and r["t1_predicate"]
+    assert r["t1_witness"] is None and r["t1_predicate"]
     r = check_t1(spectrum(c3, "prime"))
-    assert not r["t1"] and not r["t1_predicate"]
+    assert r["t1_witness"] == [0] and not r["t1_predicate"]
     spec = spectrum(trivial, "prime")
     r = check_t1(spec)
-    assert r["t1"] and r["t1_predicate"] and spec.size == 0
+    assert r["t1_witness"] is None and r["t1_predicate"] and spec.size == 0
 
 
 @pytest.mark.xfail(
@@ -350,28 +353,26 @@ def test_t1_equivalence_fg0_c3(c3, tmp_path):
 
 
 def test_sober_examples(bb, c3, z4, catalog_semirings):
-    """Direct sobriety is ``t0`` here (``check_sober``)."""
-    assert check_t0(spectrum(bb, "maximal"))["t0"]
-    assert check_t0(spectrum(c3, "prime"))["t0"]
-    assert check_t0(spectrum(z4, "prime"))["t0"]
+    """Direct sobriety is T0 here (``check_sober``): no ``t0_witness``."""
+    assert check_t0(spectrum(bb, "maximal"))["t0_witness"] is None
+    assert check_t0(spectrum(c3, "prime"))["t0_witness"] is None
+    assert check_t0(spectrum(z4, "prime"))["t0_witness"] is None
     for s in catalog_semirings:
         for tag in ("proper", "prime", "strongly-irreducible"):
             spec = spectrum(s, tag)
-            assert check_t0(spec)["t0"] and check_sober(spec)["sober_criterion"], (
-                s.id,
-                tag,
-            )
+            assert check_t0(spec)["t0_witness"] is None, (s.id, tag)
+            assert check_sober(spec)["sober_criterion"], (s.id, tag)
 
 
 def test_sober_agreement_everywhere(catalog_semirings):
     """Sobriety from its definition, every irreducible closed set the
-    closure of exactly one point, is ``t0``, and agrees with the
-    generic-point criterion."""
+    closure of exactly one point, is T0 (no ``t0_witness``), and agrees
+    with the generic-point criterion."""
     for s in catalog_semirings:
         for tag in ALL_TAGS:
             spec = spectrum(s, tag)
             sober = all(spec.up.count(u) == 1 for u in spec.irreducible_closed_sets())
-            assert sober == check_t0(spec)["t0"], (s.id, tag)
+            assert sober == (check_t0(spec)["t0_witness"] is None), (s.id, tag)
             assert sober == check_sober(spec)["sober_criterion"], (s.id, tag)
 
 
@@ -403,9 +404,11 @@ def test_quasi_compact_mechanism(bb, catalog_semirings):
 
 
 def test_connected_examples(bb, c3, boolean):
-    assert check_connected(spectrum(bb, "maximal"))["connected"] is False
-    assert check_connected(spectrum(c3, "prime"))["connected"] is True
-    assert check_connected(spectrum(boolean, "prime"))["connected"] is True
+    """The witness of a disconnected space is its lowest component: in
+    B x B's maximal spectrum, the point {0, 1} alone."""
+    assert check_connected(spectrum(bb, "maximal"))["connected_witness"] == [[0, 1]]
+    assert check_connected(spectrum(c3, "prime"))["connected_witness"] is None
+    assert check_connected(spectrum(boolean, "prime"))["connected_witness"] is None
 
 
 def test_connected_when_zero_ideal_present(catalog_semirings):
@@ -413,14 +416,16 @@ def test_connected_when_zero_ideal_present(catalog_semirings):
         for tag in ALL_TAGS + ("fg(1)", "fg(2)"):
             spec = spectrum(s, tag)
             if 1 in spec.points:
-                assert check_connected(spec)["connected"] is True, (s.id, tag)
+                assert check_connected(spec)["connected_witness"] is None, (s.id, tag)
 
 
 def test_degenerate_empty_spectrum(trivial):
+    """An empty space has no components, so it is connected, and no
+    points, so it is T0."""
     spec = spectrum(trivial, "prime")
     assert spec.size == 0
-    assert check_connected(spec)["connected"] == "degenerate"
-    assert check_t0(spec)["t0"]
+    assert check_connected(spec)["connected_witness"] is None
+    assert check_t0(spec)["t0_witness"] is None
     assert check_sober(spec)["sober_criterion"]
 
 
@@ -440,7 +445,7 @@ def test_upset_laws_everywhere(catalog_semirings):
         for tag in ALL_TAGS:
             rep = verify_upset_laws(spectrum(s, tag))
             assert rep["upset_laws"] == "pass", (s.id, tag, rep)
-            assert rep["generator_upset_identity"], (s.id, tag, rep)
+            assert rep["generator_upset_witness"] is None, (s.id, tag, rep)
 
 
 def test_upset_laws_item5_forward(z4):
