@@ -7,17 +7,17 @@ spectrum class is stable under preimage (the contraction property), this
 gives a continuous map from the spectrum of t into the spectrum of s.
 ``induced_map`` derives that map in one pass: it raises ContractionFails
 with the first point whose preimage is not a point, and otherwise
-returns the map with its continuity verdict and the kernel.  The checks
+returns the map with its continuity witness and the kernel.  The checks
 below read the map to compare a surjection's image with the up-set of
 its kernel and to decide the density criterion; like the topology
 checks, each returns exactly the report fields it decides, under their
-report names.
+report names, each verdict a counterexample or None.
 """
 
 from .errors import ContractionFails, SizeLimitExceeded
 from .ideals import ideal_algebra, is_ideal_mask, mask_members
 from .semiring import _homomorphism_violation
-from .topology import spectrum
+from .topology import first_point, spectrum
 
 HOM_SEARCH_CAP = 10_000_000
 
@@ -105,10 +105,6 @@ class InducedMap:
         self.spec_s, self.spec_t = spec_s, spec_t
         self.continuity_witness = continuity_witness
 
-    @property
-    def continuous(self):
-        return self.continuity_witness is None
-
     def image_point_set(self):
         out = 0
         for i in self.map:
@@ -123,8 +119,8 @@ def induced_map(s, t, hom, cls):
     is not stable under preimage (the contraction property fails), raises
     ContractionFails with the witness ``{"point", "preimage"}`` of the
     first point of t whose preimage is not a point.  Continuity is
-    returned as a verdict on the map (``continuous``,
-    ``continuity_witness``): for each element g of s, the preimage of
+    returned as a witness on the map (``continuity_witness``, None when
+    the map is continuous): for each element g of s, the preimage of
     up(Rg) must be up(R f(g)), both read from the spectra's subbases.
     ``spectrum`` parses the class name; the map holds no class.
 
@@ -174,9 +170,10 @@ def _pull(point_map, point_set):
 
 def check_surjection(ind):
     """Whether the homomorphism s -> t behind the map is surjective and,
-    for a surjection, whether the map's image is the up-set of the
-    kernel; a gap between the two is visible as data.  The map carries
-    both spaces, and each space its semiring.
+    for a surjection, ``kernel_upset_gap``: the first point of s in
+    exactly one of the map's image and the up-set of the kernel, None
+    when the two are equal.  The map carries both spaces, and each space
+    its semiring.
 
     No field says whether a surjection's map is a homeomorphism onto its
     image: that is continuity, which the report's ``continuity_witness``
@@ -190,43 +187,47 @@ def check_surjection(ind):
     f^-1(q).  Then f(f^-1(q)) = q, so the map is injective, and
     f^-1(q) <= f^-1(q') gives q <= q', so up(f^-1(q)) pulls back to
     up(q).  Hence the map is a homeomorphism onto its image exactly when
-    it is ``continuous``.
+    it is continuous.
     """
     if len(set(ind.hom)) != ind.spec_t.semiring.n:
         return {"surjective": False}
+    spec = ind.spec_s
     return {
         "surjective": True,
-        "image_equals_kernel_upset": ind.image_point_set()
-        == ind.spec_s.subbasis[ind.kernel],
+        "kernel_upset_gap": first_point(spec, ind.image_point_set() ^ spec.subbasis[ind.kernel]),
     }
 
 
 def check_density(ind):
-    """Density of the induced image versus the kernel-inclusion criterion.
+    """Density of the induced image against two criteria, for every class;
+    the sweep's oracle table decides the class where they are theorems.
 
-    dense: the closure of the image of the induced map is the whole
-    spectrum of s.  density_rhs: the kernel is contained in the
-    intersection of all spectrum points.  The report also carries the
-    closure-of-image identity (closure equals the kernel up-set) and
-    whether the radical-equality form of the criterion (the kernel's
-    radical is that intersection) matches density, for every class; the
-    sweep's oracle table decides the class where it is a theorem.
+    ``density_witness`` compares density with "the kernel lies in every
+    point of s", ``radical_equality_witness`` with "the kernel's radical
+    is the intersection of the points": None when the two agree, and
+    otherwise ``{"point", "element"}``, the first point outside the
+    image's closure or the criterion's first misplaced element, one of
+    them None.  ``closure_kernel_upset_gap`` is the first point in
+    exactly one of the image's closure and the kernel's up-set.
     """
-    s = ind.spec_s.semiring
+    spec = ind.spec_s
+    s = spec.semiring
     ker = ind.kernel
-    cl_image = ind.spec_s.closure(ind.image_point_set())
-    dense = cl_image == ind.spec_s.full
+    cl_image = spec.closure(ind.image_point_set())
+    outside = first_point(spec, spec.full & ~cl_image)
 
     inter = s.full_mask
-    for p in ind.spec_s.points:
+    for p in spec.points:
         inter &= p
-    criterion = (ker & inter) == ker
+
+    def disagreement(wrong):  # the mask of the criterion's misplaced elements
+        element = (wrong & -wrong).bit_length() - 1 if wrong else None
+        if (outside is None) == (element is None):
+            return None
+        return {"point": outside, "element": element}
 
     return {
-        "dense": dense,
-        "density_rhs": criterion,
-        "closure_image_equals_kernel_upset": cl_image == ind.spec_s.subbasis[ker],
-        "radical_equality_matches_density": (
-            ideal_algebra(s).radicals[ker] == inter
-        ) == dense,
+        "density_witness": disagreement(ker & ~inter),
+        "radical_equality_witness": disagreement(ideal_algebra(s).radicals[ker] ^ inter),
+        "closure_kernel_upset_gap": first_point(spec, cl_image ^ spec.subbasis[ker]),
     }

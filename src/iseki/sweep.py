@@ -6,24 +6,20 @@ kind of report it reads.  The same rows fill the sweep's ``tallies`` and
 ``iseki morphisms``.  The observations are the image-versus-kernel-up-set
 comparison for surjections and the ideal-up-set form of the quotient map.
 
-The rows read report fields, and each field has one definition: the
-check in ``topology`` or ``morphisms`` that decides it returns it under
-its report name, and the report builders below only merge those dicts
-with the instance's identity fields.  No field restates another: where
-a check finds a witness, the witness is the verdict, and a
-``*_witness`` field is None exactly when its property holds.  Five rows
-read the fact itself.  ``connected_when_zero_present`` applies where
-[0] is among the ``points``, ``morphism_density_biconditional``
-compares ``dense`` with ``density_rhs``,
+Every row names one report field, the theorem's counterexample: the
+row holds exactly when that field is None, and a failure's detail is
+``{"witness": <the field's value>}``; only a row's gate is a callable.
+Each field has one definition: the check in ``topology`` or
+``morphisms`` that decides it returns it under its report name, and the
+report builders below only merge those dicts with the instance's
+identity fields.  Two rows read another row's field:
 ``morphism_homeomorphism_onto_image`` reads ``continuity_witness`` (the
-proof is at ``morphisms.check_surjection``), and ``sober_agreement`` and
-``sober_corollary`` read ``t0_witness``, which decides direct sobriety
-on these spaces (the proof is at ``topology.check_sober``).  The
-quotient report builds its own fields from the induced maps: each
-class's ``{cls}_homeomorphism_onto_kernel_upset`` says that the map is
-continuous and that its image is the up-set of the kernel.  A check
-reports the same fields for every class; only the rows' ``applies``
-read it.
+proof is at ``morphisms.check_surjection``) and ``sober_corollary``
+reads ``t0_witness`` (direct sobriety is T0 here, see
+``topology.check_sober``).  The quotient report's
+``{cls}_homeomorphism_witness`` joins the induced map's
+``continuity_witness`` with ``check_surjection``'s ``kernel_upset_gap``.
+A check reports the same fields for every class; only the gates read it.
 
 Reports are deterministic: corpus order is fixed, every collection is
 sorted, and wall-clock time goes to stderr instead of the report, so two
@@ -52,9 +48,8 @@ rows and oracles read them.
 Verdicts are decided once per distinct body as well: the tally runs
 ``verdicts`` once per (kind, body, class) group and counts the group's
 size; witnesses come from failing groups, each with its own instance's
-``INSTANCE_KEY`` fields.  The invariant: an oracle (its ``applies``,
-``holds`` and ``witness``) may read body fields and the class, never an
-id.
+``INSTANCE_KEY`` fields.  The invariant: an oracle (its field and its
+gate) may read body fields and the class, never an id.
 The tallies still count every instance.  The builtin catalog's 240
 topology instances, 318 homomorphisms and 62 quotients are 16 distinct
 spaces, 12 distinct homomorphisms and 21 distinct quotients; the stderr
@@ -81,16 +76,11 @@ from .morphisms import (
 )
 from .semiring import bourne_quotient, quotient_id
 from .serialize import Row
-from .topology import CHECKS, CLASS_FLAGS, parse_class, spectrum
+from .topology import CHECKS, CLASS_FLAGS, first_point, parse_class, spectrum
 
 DEFAULT_CLASSES = list(CLASS_FLAGS)
 WITNESS_CAP = 10
 QUOTIENT_CLASSES = ("prime", "proper")
-# Each quotient class's two report fields, named once for every report.
-QUOTIENT_FIELDS = {
-    cls: (f"{cls}_homeomorphism_onto_kernel_upset", f"{cls}_image_equals_ideal_upset")
-    for cls in QUOTIENT_CLASSES
-}
 # The morphism suite runs over every ordered pair of corpus semirings of
 # at most this order.
 MORPHISM_ORDER_CAP = 3
@@ -222,31 +212,48 @@ def morphism_report(s, t, hom, cls):
     except ContractionFails as exc:
         # No induced map, so no field that one decides.
         return {**rep, "contraction": False, "contraction_witness": exc.witness}
-    rep["contraction"] = True
-    rep["continuity_witness"] = ind.continuity_witness
-    rep["kernel"] = mask_members(s, ind.kernel)
     return {
         **rep,
+        "contraction": True,
+        "contraction_witness": None,
+        "continuity_witness": ind.continuity_witness,
+        "kernel": mask_members(s, ind.kernel),
         **check_density(ind),
         **check_surjection(ind),
     }
 
 
 def quotient_report(s, ideal):
-    """Quotient-map suite for one (semiring, proper ideal mask) pair."""
+    """Quotient-map suite for one (semiring, proper ideal mask) pair.
+
+    ``surjectivity_witness`` is the first element of the quotient that
+    the map misses.  Per class, the induced map is a homeomorphism onto
+    the kernel's up-set unless ``{cls}_homeomorphism_witness`` is
+    ``{"class", "continuity", "point"}``: its ``continuity_witness`` and
+    the ``kernel_upset_gap`` of ``check_surjection`` (absent if the map
+    misses an element).  ``{cls}_ideal_upset_gap`` compares the image
+    with the ideal's own up-set in the same way."""
     quotient, qmap = bourne_quotient(s, ideal)
+    hit = set(qmap)
     rep = {
         "semiring": s.id,
         "ideal": mask_members(s, ideal),
         "quotient": quotient.id,
         "quotient_size": quotient.n,
-        "map_surjective": len(set(qmap)) == quotient.n,
+        "surjectivity_witness": next((x for x in range(quotient.n) if x not in hit), None),
     }
-    for cls, (homeomorphism, image) in QUOTIENT_FIELDS.items():
+    for cls in QUOTIENT_CLASSES:
         ind = induced_map(s, quotient, qmap, cls)
-        up, image_mask = ind.spec_s.subbasis, ind.image_point_set()
-        rep[homeomorphism] = ind.continuous and image_mask == up[ind.kernel]
-        rep[image] = image_mask == up[ideal]
+        continuity, gap = ind.continuity_witness, check_surjection(ind).get("kernel_upset_gap")
+        point = first_point(ind.spec_s, ind.image_point_set() ^ ind.spec_s.subbasis[ideal])
+        # Interned, so every row names a field by one string object.
+        rep[sys.intern(f"{cls}_homeomorphism_witness")] = (
+            None if continuity is None and gap is None
+            else {"class": cls, "continuity": continuity, "point": gap}
+        )
+        rep[sys.intern(f"{cls}_ideal_upset_gap")] = (
+            None if point is None else {"class": cls, "point": point}
+        )
     # The kernel does not depend on the class.
     rep["kernel"] = mask_members(s, ind.kernel)
     return rep
@@ -275,123 +282,110 @@ UNIVERSAL, OBSERVATION = True, False
 class Oracle:
     """One theorem oracle, evaluated on every report of one kind.
 
-    ``holds``, ``applies`` and ``witness`` take the report dict and read
-    no id field (see the module docstring).  A failing instance is
-    recorded as the report's ``INSTANCE_KEY`` fields plus
-    ``witness(rep)``.  A universal oracle must hold wherever it
-    applies: a failure fails the sweep and the CLI verb.  An observation
-    is a claim known to fail on honest instances; its failures are
-    recorded with witnesses but fail nothing.  A plain record that
-    nothing hashes, so no field is read-only.
+    It holds exactly when the report field ``field``, the theorem's
+    counterexample, is None; a failing instance is recorded as the
+    report's ``INSTANCE_KEY`` fields plus ``{"witness": <the field's
+    value>}``.  ``applies``, the gate, is None or a callable on the
+    report whose docstring is its line in README's oracle table; neither
+    reads an id field (see the module docstring).  A universal oracle
+    must hold wherever it applies: a failure fails the sweep and the CLI
+    verb.  An observation is a claim known to fail on honest instances;
+    its failures are recorded with witnesses but fail nothing.
     """
 
-    __slots__ = ("name", "universal", "holds", "applies", "witness")
+    __slots__ = ("name", "universal", "field", "applies")
 
-    def __init__(self, name, universal, holds, applies=lambda rep: True, witness=lambda rep: {}):
-        self.name, self.universal, self.holds = name, universal, holds
-        self.applies, self.witness = applies, witness
+    def __init__(self, name, universal, field, applies=None):
+        self.name, self.universal, self.field, self.applies = name, universal, field, applies
+
+
+def _sober_classes(rep):
+    """`class` is proper, prime or strongly-irreducible"""
+    return rep["class"] in ("proper", "prime", "strongly-irreducible")
+
+
+def _zero_ideal_present(rep):
+    """`[0]` is in `points`"""
+    return [0] in rep["points"]
+
+
+def _hypotheses_met(rep):
+    """`unmet_hypothesis` is null"""
+    return rep["unmet_hypothesis"] is None
+
+
+def _prime(rep):
+    """`class` is prime"""
+    # The morphism suite is stated for the prime class, where contraction
+    # is a theorem; the other morphism oracles need the induced map.
+    return rep["class"] == "prime"
 
 
 def _prime_contraction(rep):
-    # The morphism suite is stated for the prime class, where contraction
-    # is a theorem; the other morphism oracles need the induced map.
+    """`class` is prime and `contraction` holds"""
     return rep["class"] == "prime" and rep["contraction"]
 
 
 def _prime_surjection(rep):
+    """`class` is prime, `contraction` holds and `surjective`"""
     return _prime_contraction(rep) and rep["surjective"]
-
-
-def _quotient_class_oracles(cls):
-    """The quotient-map oracles for the induced map under one class."""
-    homeomorphism, image = QUOTIENT_FIELDS[cls]
-    return (
-        Oracle("quotient_kernel_homeomorphism", UNIVERSAL,
-               lambda r: r[homeomorphism],
-               witness=lambda r: {"class": cls}),
-        Oracle("quotient_image_equals_ideal_upset", OBSERVATION,
-               lambda r: r[image],
-               witness=lambda r: {"class": cls}),
-    )
 
 
 ORACLES = {
     TOPOLOGY: (
-        Oracle("t0", UNIVERSAL, lambda r: r["t0_witness"] is None,
-               witness=lambda r: {"witness": r["t0_witness"]}),
-        Oracle("t1_equivalence", UNIVERSAL,
-               lambda r: (r["t1_witness"] is None) == r["t1_predicate"],
-               witness=lambda r: {
-                   "t1": r["t1_witness"] is None, "predicate": r["t1_predicate"]
-               }),
-        Oracle("sober_agreement", UNIVERSAL,
-               lambda r: (r["t0_witness"] is None) == r["sober_criterion"]),
-        Oracle("sober_corollary", UNIVERSAL, lambda r: r["t0_witness"] is None,
-               applies=lambda r: r["class"] in ("proper", "prime", "strongly-irreducible")),
-        Oracle("connected_when_zero_present", UNIVERSAL,
-               lambda r: r["connected_witness"] is None,
-               applies=lambda r: [0] in r["points"]),
-        Oracle("irreducible_upsets", UNIVERSAL, lambda r: r["irreducible_upsets"]),
-        Oracle("upset_laws", UNIVERSAL, lambda r: r["upset_laws"] == "pass",
-               witness=lambda r: {"laws": r["upset_laws"]}),
-        Oracle("quasi_compact_mechanism", UNIVERSAL,
-               lambda r: r["quasi_compact_sum_identity"]
-               and r["quasi_compact_maximal_rule"]),
-        Oracle("generator_upset_identity", UNIVERSAL,
-               lambda r: r["generator_upset_witness"] is None,
-               witness=lambda r: {"witness": r["generator_upset_witness"]}),
-        Oracle("idempotent_extraction", UNIVERSAL,
-               lambda r: r["idempotent_status"] == "ok",
-               applies=lambda r: r["idempotent_status"].split(":")[0]
-               in ("ok", "mechanism-failure"),
-               witness=lambda r: {"status": r["idempotent_status"]}),
+        Oracle("t0", UNIVERSAL, "t0_witness"),
+        Oracle("t1_equivalence", UNIVERSAL, "t1_equivalence_witness"),
+        Oracle("sober_agreement", UNIVERSAL, "sober_agreement_witness"),
+        Oracle("sober_corollary", UNIVERSAL, "t0_witness", _sober_classes),
+        Oracle("connected_when_zero_present", UNIVERSAL, "connected_witness", _zero_ideal_present),
+        Oracle("irreducible_upsets", UNIVERSAL, "irreducible_upsets_witness"),
+        Oracle("upset_laws", UNIVERSAL, "upset_laws_witness"),
+        Oracle("quasi_compact_mechanism", UNIVERSAL, "quasi_compact_witness"),
+        Oracle("generator_upset_identity", UNIVERSAL, "generator_upset_witness"),
+        Oracle("idempotent_extraction", UNIVERSAL, "extraction_witness", _hypotheses_met),
     ),
     IDEAL_LATTICE: (
-        Oracle("radical_oracle", UNIVERSAL, lambda r: r["radical_oracle_witness"] is None,
-               witness=lambda r: {"witness": r["radical_oracle_witness"]}),
-        Oracle("classification_implications", UNIVERSAL,
-               lambda r: r["classification_witness"] is None,
-               witness=lambda r: {"witness": r["classification_witness"]}),
-        Oracle("radical_monotone", UNIVERSAL, lambda r: r["radical_monotone_witness"] is None),
-        Oracle("product_in_intersection", UNIVERSAL, lambda r: r["product_witness"] is None),
-        Oracle("sum_lub_intersection_glb", UNIVERSAL, lambda r: r["lattice_witness"] is None),
+        Oracle("radical_oracle", UNIVERSAL, "radical_oracle_witness"),
+        Oracle("classification_implications", UNIVERSAL, "classification_witness"),
+        Oracle("radical_monotone", UNIVERSAL, "radical_monotone_witness"),
+        Oracle("product_in_intersection", UNIVERSAL, "product_witness"),
+        Oracle("sum_lub_intersection_glb", UNIVERSAL, "lattice_witness"),
     ),
     MORPHISM: (
-        Oracle("morphism_prime_contraction", UNIVERSAL,
-               lambda r: r["contraction"], applies=lambda r: r["class"] == "prime"),
-        Oracle("morphism_continuity", UNIVERSAL,
-               lambda r: r["continuity_witness"] is None, applies=_prime_contraction),
+        Oracle("morphism_prime_contraction", UNIVERSAL, "contraction_witness", _prime),
+        Oracle("morphism_continuity", UNIVERSAL, "continuity_witness", _prime_contraction),
         Oracle("morphism_density_biconditional", UNIVERSAL,
-               lambda r: r["dense"] == r["density_rhs"], applies=_prime_contraction),
+               "density_witness", _prime_contraction),
         Oracle("morphism_closure_image_equals_kernel_upset", UNIVERSAL,
-               lambda r: r["closure_image_equals_kernel_upset"],
-               applies=_prime_contraction),
+               "closure_kernel_upset_gap", _prime_contraction),
         Oracle("morphism_prime_radical_equality", UNIVERSAL,
-               lambda r: r["radical_equality_matches_density"],
-               applies=_prime_contraction),
+               "radical_equality_witness", _prime_contraction),
         Oracle("morphism_homeomorphism_onto_image", UNIVERSAL,
-               lambda r: r["continuity_witness"] is None, applies=_prime_surjection),
+               "continuity_witness", _prime_surjection),
         Oracle("surjective_image_equals_kernel_upset", OBSERVATION,
-               lambda r: r["image_equals_kernel_upset"], applies=_prime_surjection),
+               "kernel_upset_gap", _prime_surjection),
     ),
     QUOTIENT: (
-        Oracle("quotient_map_surjective", UNIVERSAL, lambda r: r["map_surjective"]),
-        *(oracle for cls in QUOTIENT_CLASSES for oracle in _quotient_class_oracles(cls)),
+        Oracle("quotient_map_surjective", UNIVERSAL, "surjectivity_witness"),
+        Oracle("quotient_kernel_homeomorphism", UNIVERSAL, "prime_homeomorphism_witness"),
+        Oracle("quotient_image_equals_ideal_upset", OBSERVATION, "prime_ideal_upset_gap"),
+        Oracle("quotient_kernel_homeomorphism", UNIVERSAL, "proper_homeomorphism_witness"),
+        Oracle("quotient_image_equals_ideal_upset", OBSERVATION, "proper_ideal_upset_gap"),
     ),
 }
 
 
 def verdicts(kind, rep):
     """``(oracle, holds, detail)`` for every oracle of ``kind`` that
-    applies to ``rep``; ``detail`` is ``oracle.witness(rep)`` when the
-    oracle fails and None when it holds.  A function of the report body
-    and its class alone (see the module docstring), so the sweep
-    computes it once per distinct body."""
+    applies to ``rep``; ``detail`` is ``{"witness": rep[oracle.field]}``
+    when the oracle fails and None when it holds.  A function of the
+    report body and its class alone (see the module docstring), so the
+    sweep computes it once per distinct body."""
     out = []
     for oracle in ORACLES[kind]:
-        if oracle.applies(rep):
-            ok = bool(oracle.holds(rep))
-            out.append((oracle, ok, None if ok else oracle.witness(rep)))
+        if oracle.applies is None or oracle.applies(rep):
+            witness = rep[oracle.field]
+            out.append((oracle, witness is None, None if witness is None else {"witness": witness}))
     return out
 
 

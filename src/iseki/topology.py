@@ -13,10 +13,8 @@ up(point) is the smallest closed set containing the point and the space
 is Alexandrov: its closed sets are exactly the point sets that are
 up-closed under inclusion.  Point sets are bitmasks over point indices
 (point i = bit i), and every separation/connectedness property is
-decided exactly from the inclusion order.  The T0 (here the same
-verdict as sobriety, see ``check_sober``), T1, connectedness and
-generator-identity verdicts are their witnesses, None exactly when the
-property holds, and a failed up-set law carries one.  Each
+decided exactly from the inclusion order.  Every verdict is a
+theorem's counterexample, None exactly when the theorem holds.  Each
 ``check_*`` function (and ``verify_upset_laws``) returns exactly the
 report fields it decides, under their report names, and ``CHECKS``
 lists them all, so the sweep's topology report is the merge of their
@@ -206,11 +204,6 @@ class Spectrum:
                 out |= u
         return out
 
-    def irreducible_closed_sets(self):
-        """Nonempty closed sets that are not unions of two proper closed
-        subsets: in an Alexandrov space, the principal up-sets."""
-        return tuple(sorted(set(self.up)))
-
 
 def spectrum(s, cls):
     """The cached space of the points of the class named ``cls``: its
@@ -255,6 +248,14 @@ def point_set_members(spec, point_set):
     ]
 
 
+def first_point(spec, point_set):
+    """The members of the lowest point of a point set, or None when it is
+    empty; of a symmetric difference, the witness that two sets differ."""
+    if not point_set:
+        return None
+    return mask_members(spec.semiring, spec.points[(point_set & -point_set).bit_length() - 1])
+
+
 def _maximals_present(spec):
     """Whether every maximal ideal of the semiring is a point."""
     return set(maximal_ideal_masks(spec.semiring)) <= set(spec.points)
@@ -282,27 +283,22 @@ def check_t0(spec):
 
 
 def check_t1(spec):
-    """Singleton-closure T1 test plus the "points are exactly the maximal
-    ideals" test.
+    """Singleton-closure T1 test, and its equivalence with "the points are
+    exactly the maximal ideals".
 
-    The witness, the first point whose closure is not itself and None
-    when the space is T1, agrees with the predicate whenever every
-    maximal ideal is a point; both are reported so disagreements are
-    visible rather than asserted away.
+    ``t1_witness`` is the first point whose closure is not itself, None
+    when the space is T1.  ``t1_equivalence_witness`` is None when T1 and
+    the predicate agree, and otherwise ``{"t1", "predicate"}``, the two
+    verdicts.  They agree whenever every maximal ideal is a point.
     ``fg(0)`` on C3 is T1 (its one point is {0}) but {0} is not maximal:
     ``tests/test_topology.py::test_t1_equivalence_fg0_c3`` pins it.
     """
-    witness = next(
-        (
-            mask_members(spec.semiring, p)
-            for i, p in enumerate(spec.points)
-            if spec.up[i] != 1 << i
-        ),
-        None,
-    )
+    witness = first_point(spec, sum(1 << i for i, u in enumerate(spec.up) if u != 1 << i))
+    t1 = witness is None
+    predicate = set(spec.points) == set(maximal_ideal_masks(spec.semiring))
     return {
-        "t1_predicate": set(spec.points) == set(maximal_ideal_masks(spec.semiring)),
         "t1_witness": witness,
+        "t1_equivalence_witness": None if t1 == predicate else {"t1": t1, "predicate": predicate},
     }
 
 
@@ -315,45 +311,53 @@ def check_sober(spec):
     ``columns[x]``, and the irreducible up-sets are the principal ones,
     each the up-set of its point.
 
+    ``sober_agreement_witness`` is None when the criterion and direct
+    sobriety agree, and otherwise ``{"t0", "criterion"}``: the T0
+    witness and the first point whose up-set fails the criterion.
+
     Direct sobriety, that every nonempty irreducible closed set has
     exactly one generic point, is T0 here, so ``check_t0`` decides it and
     no field restates it.  The points are ideals, so up(p) is the least
     closed set holding p (``Spectrum``).  A closed set is the union of
     the up-sets of its points, finitely many, so the nonempty irreducible
-    closed sets are exactly the up(p)
-    (``Spectrum.irreducible_closed_sets``).  A point q is a generic point
+    closed sets are exactly the up(p).  A point q is a generic point
     of up(p) exactly when its closure up(q) is up(p).  So every up(p) has
     the generic point p, and a second one exactly when another point
     shares its up-set: sober and T0 are the same verdict.
     """
     s, columns = spec.semiring, spec.columns
-    return {
-        "sober_criterion": all(
-            ideal_from_members(s, [x for x, c in enumerate(columns) if (c & u) == u])
-            in spec.index_of
-            for u in spec.irreducible_closed_sets()
-        )
-    }
+    failing = sum(
+        1 << i
+        for i, u in enumerate(spec.up)
+        if ideal_from_members(s, [x for x, c in enumerate(columns) if (c & u) == u])
+        not in spec.index_of
+    )
+    t0, criterion = check_t0(spec)["t0_witness"], first_point(spec, failing)
+    agree = (t0 is None) == (criterion is None)
+    return {"sober_agreement_witness": None if agree else {"t0": t0, "criterion": criterion}}
 
 
 def check_quasi_compact(spec):
     """The proof mechanism of quasi-compactness; every finite space is
-    quasi-compact, so only the mechanism is reported.
+    quasi-compact, so only the mechanism is reported: None, or the first
+    failing law as ``{"law", "witness"}``.
 
-    The sum identity: every finite family's up-sets meet in the up-set
-    of its sum, which the (ideal, principal ideal) pairs decide
-    (``Spectrum.sum_identity``).  The maximal rule, when every maximal
-    ideal is a point: up-sets that meet in the empty set have the
-    improper sum.  A family's sum is one ideal with that up-set, so the
-    rule is "up(a) empty forces a = S" over single ideals; each proper
-    ideal lies in a maximal one, a point.
+    The sum identity, witness [a, Rg]: every finite family's up-sets meet
+    in the up-set of its sum, which the (ideal, principal ideal) pairs
+    decide (``Spectrum.sum_identity``).  The maximal rule, witness a,
+    when every maximal ideal is a point: up-sets that meet in the empty
+    set have the improper sum.  A family's sum is one ideal with that
+    up-set, so the rule is "up(a) empty forces a = S" over single
+    ideals; each proper ideal lies in a maximal one, a point.
     """
-    full_mask = spec.semiring.full_mask
-    return {
-        "quasi_compact_sum_identity": spec.sum_identity is None,
-        "quasi_compact_maximal_rule": not _maximals_present(spec)
-        or all(u or a == full_mask for a, u in spec.subbasis.items()),
-    }
+    s, failure = spec.semiring, spec.sum_identity
+    witness = None
+    if failure is not None:
+        witness = {"law": "sum-identity", "witness": [mask_members(s, a) for a in failure]}
+    elif _maximals_present(spec):
+        empty = [a for a, u in spec.subbasis.items() if not u and a != s.full_mask]
+        witness = {"law": "maximal-rule", "witness": mask_members(s, empty[0])} if empty else None
+    return {"quasi_compact_witness": witness}
 
 
 def check_connected(spec):
@@ -369,33 +373,30 @@ def check_connected(spec):
 
 def check_disconnection(spec):
     """The strong disconnection witness, and the idempotent extracted from
-    it with the extraction's status: ``ok``, ``no-witness``,
-    ``hypothesis:<name>`` for an unmet hypothesis, or
-    ``mechanism-failure:<reason>``."""
+    it.  ``unmet_hypothesis`` names the first unmet hypothesis of
+    ``idempotent_from_disconnection``, None when all hold; then
+    ``extraction_witness`` is None exactly when a verified idempotent was
+    extracted, and otherwise the reason the mechanism failed."""
     witness = strong_disconnection_witness(spec)
-    if witness is None:
-        return {
-            "disconnection_witness": None,
-            "idempotent": None,
-            "idempotent_status": "no-witness",
-        }
-    idempotent = None
+    idempotent = unmet = failure = None
     try:
         idempotent = idempotent_from_disconnection(spec, witness)
-        status = "ok"
     except HypothesisUnmet as exc:
-        status = f"hypothesis:{exc.hypothesis}"
+        unmet = exc.hypothesis
     except NoUnitDecomposition as exc:
-        status = f"mechanism-failure:{exc}"
-    s = spec.semiring
-    left, right = witness
-    return {
-        "disconnection_witness": {
+        failure = str(exc)
+    if witness is not None:
+        s = spec.semiring
+        left, right = witness
+        witness = {
             "left": [mask_members(s, a) for a in left],
             "right": [mask_members(s, b) for b in right],
-        },
+        }
+    return {
+        "disconnection_witness": witness,
         "idempotent": idempotent,
-        "idempotent_status": status,
+        "unmet_hypothesis": unmet,
+        "extraction_witness": failure,
     }
 
 
@@ -405,7 +406,8 @@ def check_irreducible_upsets(spec):
     contains the point.  Each subbasic set u is ANDed into the closures
     of the points in u, so the cost is the sum of the |u|, not one test
     per (point, subbasic set).  The closure of a point is irreducible, so
-    each point's up-set is then an irreducible closed set."""
+    each point's up-set is then an irreducible closed set.  The witness
+    is the first point whose closure differs from its up-set."""
     closures = [spec.full] * spec.size
     for u in spec.subbasis.values():
         rest = u
@@ -413,7 +415,8 @@ def check_irreducible_upsets(spec):
             low = rest & -rest
             closures[low.bit_length() - 1] &= u
             rest ^= low
-    return {"irreducible_upsets": tuple(closures) == spec.up}
+    wrong = sum(1 << i for i, closure in enumerate(closures) if closure != spec.up[i])
+    return {"irreducible_upsets_witness": first_point(spec, wrong)}
 
 
 def strong_disconnection_witness(spec):
@@ -511,10 +514,10 @@ def verify_upset_laws(spec):
     (5) every point is a radical ideal if and only if up(a) =
     up(radical(a)) for every ideal a.  The join pairs (a, a + Rg) decide
     (1) and the principal pairs (Rg, Rh) decide (2), as
-    ``_first_failing_upset_law`` proves.  ``upset_laws`` is "pass" or the
-    first failing law with its witness.  The generator identity: the
-    up-set of each proper ideal is the intersection of the up-sets of the
-    principal ideals of its generator seed (``IdealAlgebra.seeds``).
+    ``_first_failing_upset_law`` proves.  ``upset_laws_witness`` is None
+    or the first failing law with its witness.  The generator identity:
+    the up-set of each proper ideal is the intersection of the up-sets of
+    the principal ideals of its generator seed (``IdealAlgebra.seeds``).
     """
     s = spec.semiring
     up = spec.subbasis
@@ -530,7 +533,7 @@ def verify_upset_laws(spec):
             generator_witness = mask_members(s, ideal)
             break
     return {
-        "upset_laws": "pass" if law is None else law,
+        "upset_laws_witness": law,
         "generator_upset_witness": generator_witness,
     }
 

@@ -487,39 +487,42 @@ def reference_quasi_compact(spec, family_size_cap=3):
     """The quasi-compactness mechanism check computed per class: the sum
     identity over every family of at most ``family_size_cap`` ideals, with
     the family sums from ``reference_sum``, so it checks that the pairs
-    of ``topology.check_quasi_compact`` decide the families; and the
+    of ``topology.check_quasi_compact`` decide the families; then the
     maximal rule over single ideals.  The reference for
-    ``topology.check_quasi_compact``."""
+    ``topology.check_quasi_compact``: None, or the first failing law as
+    ``{"law", "witness"}``, a sum-identity witness being the first
+    failing family."""
     s = spec.semiring
     masks = _ideal_masks_all(s)
-    maximals_present = all(m in spec.points for m in maximal_ideal_masks(s))
-    identity_ok = True
     for size in range(1, family_size_cap + 1):
         for family in combinations(masks, size):
             inter = spec.full
             for a in family:
                 inter &= spec.subbasis[a]
             if spec.subbasis[reference_sum(s, family)] != inter:
-                identity_ok = False
-    maximal_ok = not maximals_present or all(
-        spec.subbasis[a] or a == s.full_mask for a in masks
-    )
-    return {
-        "quasi_compact_sum_identity": identity_ok,
-        "quasi_compact_maximal_rule": maximal_ok,
-    }
+                return {"law": "sum-identity", "witness": [_members(a) for a in family]}
+    if all(m in spec.points for m in maximal_ideal_masks(s)):
+        for a in masks:
+            if not spec.subbasis[a] and a != s.full_mask:
+                return {"law": "maximal-rule", "witness": _members(a)}
+    return None
 
 
 def reference_irreducible_upsets(spec):
     """The irreducible up-set check point by point: each point's closure
     is the AND of the subbasic sets that pass a membership test for the
-    point.  The reference for ``topology.check_irreducible_upsets``."""
+    point; the witness is the first point whose closure is not its
+    up-set.  The reference for ``topology.check_irreducible_upsets``."""
     subbasic = spec.subbasis.values()
     return {
-        "irreducible_upsets": all(
-            reduce(and_, (u for u in subbasic if (u >> i) & 1), spec.full)
-            == spec.subbasis[p]
-            for i, p in enumerate(spec.points)
+        "irreducible_upsets_witness": next(
+            (
+                _members(p)
+                for i, p in enumerate(spec.points)
+                if reduce(and_, (u for u in subbasic if (u >> i) & 1), spec.full)
+                != spec.subbasis[p]
+            ),
+            None,
         )
     }
 
@@ -541,7 +544,7 @@ def reference_upset_laws(spec, family_size_cap=3):
             generator_witness = _members(ideal)
             break
     return {
-        "upset_laws": "pass" if law is None else law,
+        "upset_laws_witness": law,
         "generator_upset_witness": generator_witness,
     }
 

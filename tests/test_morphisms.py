@@ -119,7 +119,7 @@ def test_continuity_fails_on_a_flipped_target_space(c4, c3, monkeypatch):
     image of R1 = {0, 1} of C4) misses it, so the first failing principal
     ideal is R1 of C4; R0 still passes."""
     squash = hom_by_map(c4, c3, (0, 1, 1, 2))
-    assert induced_map(c4, c3, squash, "prime").continuous
+    assert induced_map(c4, c3, squash, "prime").continuity_witness is None
     target = spectrum(c3, "prime")
     r1 = ideal_algebra(c3).principals[1]
     assert target.points == (0b001, 0b011) and target.subbasis[r1] == 0b10
@@ -127,7 +127,6 @@ def test_continuity_fails_on_a_flipped_target_space(c4, c3, monkeypatch):
     try:
         monkeypatch.setitem(target.__dict__, "subbasis", flipped)
         ind = induced_map(c4, c3, squash, "prime")
-        assert not ind.continuous
         assert ind.continuity_witness == {"ideal": [0, 1]}
         report = iseki.sweep.morphism_report(c4, c3, squash, "prime")
         assert report["continuity_witness"] == {"ideal": [0, 1]}
@@ -157,12 +156,13 @@ def test_quotient_homeomorphism_examples(bb, z4, z2, catalog_semirings):
     quotient, qmap = bourne_quotient(bb, ideal)
     ind = induced_map(bb, quotient, qmap, "prime")
     rep = check_surjection(ind)
-    assert ind.continuous and rep["image_equals_kernel_upset"]
+    assert ind.continuity_witness is None
+    assert rep == {"surjective": True, "kernel_upset_gap": None}
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
     ind = induced_map(z4, z2, mod2, "prime")
     rep = check_surjection(ind)
-    assert ind.continuous
-    assert rep == {"surjective": True, "image_equals_kernel_upset": True}
+    assert ind.continuity_witness is None
+    assert rep == {"surjective": True, "kernel_upset_gap": None}
     assert mask_members(z4, ind.kernel) == [0, 2]
 
 
@@ -179,16 +179,19 @@ def test_known_gap_surjection_image_smaller_than_kernel_upset(c3, boolean):
     kernel up-set, so no homeomorphism onto the kernel up-set exists.
     (A ring-style prime correspondence for arbitrary semiring surjections
     is genuinely false; only the closure of the image equals the kernel
-    up-set.)"""
+    up-set.)  The gap is the prime {0, 1}: it holds the kernel {0}, but
+    it is no preimage of a point of B."""
     collapse = hom_by_map(c3, boolean, (0, 1, 1))
     ind = induced_map(c3, boolean, collapse, "prime")
     rep = check_surjection(ind)
     assert len(set(ind.map)) == len(ind.map)
-    assert ind.continuous  # a homeomorphism onto its image
-    assert rep == {"surjective": True, "image_equals_kernel_upset": False}
-    density = check_density(ind)
-    assert density["closure_image_equals_kernel_upset"]
-    assert density["dense"] == density["density_rhs"]
+    assert ind.continuity_witness is None  # a homeomorphism onto its image
+    assert rep == {"surjective": True, "kernel_upset_gap": [0, 1]}
+    assert check_density(ind) == {
+        "density_witness": None,
+        "radical_equality_witness": None,
+        "closure_kernel_upset_gap": None,
+    }
 
 
 def test_known_gap_quotient_ideal_upset_form(collapsing3):
@@ -200,19 +203,52 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
     assert quotient.n == 1
     ind = induced_map(collapsing3, quotient, qmap, "prime")
     rep = check_surjection(ind)
-    assert ind.continuous and rep["image_equals_kernel_upset"]  # both sides empty
+    assert ind.continuity_witness is None
+    assert rep == {"surjective": True, "kernel_upset_gap": None}  # both sides empty
     assert ind.kernel == collapsing3.full_mask
     assert ind.image_point_set() == 0
     assert up_set(ind.spec_s, x) != 0
 
 
+def _density_facts(ind):
+    """Density and its two criteria, each from its definition: the
+    closure of the image is every point of s, the kernel lies in every
+    point of s, the kernel's radical is their intersection."""
+    s = ind.spec_s.semiring
+    dense = ind.spec_s.closure(ind.image_point_set()) == ind.spec_s.full
+    inter = s.full_mask
+    for p in ind.spec_s.points:
+        inter &= p
+    return dense, ind.kernel & ~inter == 0, ideal_algebra(s).radicals[ind.kernel] == inter
+
+
 def test_density_examples(z4, z2, c3, boolean):
+    """Both maps are dense and meet both criteria; C3 -> B by (0, 1, 1)
+    is dense too, its image holding {0}, the bottom point."""
     mod2 = hom_by_map(z4, z2, (0, 1, 0, 1))
-    rep = check_density(induced_map(z4, z2, mod2, "prime"))
-    assert rep["dense"] and rep["density_rhs"]
     ident = hom_by_map(c3, c3, (0, 1, 2))
-    rep = check_density(induced_map(c3, c3, ident, "prime"))
-    assert rep["dense"] and rep["density_rhs"]
+    collapse = hom_by_map(c3, boolean, (0, 1, 1))
+    for s, t, hom in ((z4, z2, mod2), (c3, c3, ident), (c3, boolean, collapse)):
+        ind = induced_map(s, t, hom, "prime")
+        assert _density_facts(ind) == (True, True, True)
+        rep = check_density(ind)
+        assert rep["density_witness"] is None and rep["radical_equality_witness"] is None
+
+
+def test_density_witness_on_a_flipped_closure(c3, monkeypatch):
+    """With closures cut down to the point {0}, the identity of C3 is no
+    longer dense under ``prime``, while both criteria still hold: the
+    kernel {0} is its own radical and the intersection of the points {0}
+    and {0, 1}.  So both witnesses name the first point outside the
+    closure, {0, 1}, and no element."""
+    ident = hom_by_map(c3, c3, (0, 1, 2))
+    ind = induced_map(c3, c3, ident, "prime")
+    monkeypatch.setattr(
+        type(ind.spec_s), "closure", lambda spec, point_set: point_set & 0b01
+    )
+    rep = check_density(ind)
+    witness = {"point": [0, 1], "element": None}
+    assert rep["density_witness"] == rep["radical_equality_witness"] == witness
 
 
 def test_density_biconditional_on_small_corpus(catalog_semirings):
@@ -220,10 +256,14 @@ def test_density_biconditional_on_small_corpus(catalog_semirings):
     for s in small:
         for t in small:
             for hom in enumerate_homomorphisms(s, t):
-                rep = check_density(induced_map(s, t, hom, "prime"))
-                assert rep["dense"] == rep["density_rhs"], (s.id, t.id, hom)
-                assert rep["closure_image_equals_kernel_upset"]
-                assert rep["radical_equality_matches_density"]
+                ind = induced_map(s, t, hom, "prime")
+                dense, kernel_criterion, radical_criterion = _density_facts(ind)
+                assert dense == kernel_criterion == radical_criterion, (s.id, t.id, hom)
+                assert check_density(ind) == {
+                    "density_witness": None,
+                    "radical_equality_witness": None,
+                    "closure_kernel_upset_gap": None,
+                }, (s.id, t.id, hom)
 
 
 def test_functoriality_of_induced_maps(z4, z2, boolean, c3):
@@ -246,7 +286,7 @@ def test_functoriality_of_induced_maps(z4, z2, boolean, c3):
 def test_quotient_corollary_kernel_form_on_catalog(catalog_semirings):
     """The quotient report's kernel form holds on the catalog's semirings
     of order at most 4, and it is the map's continuity together with
-    ``check_surjection``'s image comparison."""
+    ``check_surjection``'s image comparison, each with no witness."""
     for s in catalog_semirings:
         if s.n > 4:
             continue
@@ -255,10 +295,10 @@ def test_quotient_corollary_kernel_form_on_catalog(catalog_semirings):
             rep = iseki.sweep.quotient_report(s, ideal)
             for cls in ("prime", "proper"):
                 ind = induced_map(s, quotient, qmap, cls)
-                field = rep[f"{cls}_homeomorphism_onto_kernel_upset"]
-                assert field is True, (s.id, mask_members(s, ideal), cls)
-                assert ind.continuous
-                assert check_surjection(ind)["image_equals_kernel_upset"]
+                field = rep[f"{cls}_homeomorphism_witness"]
+                assert field is None, (s.id, mask_members(s, ideal), cls)
+                assert ind.continuity_witness is None
+                assert check_surjection(ind)["kernel_upset_gap"] is None
 
 
 def test_homomorphism_roundtrip_serialization(z4, z2):

@@ -30,9 +30,9 @@ from iseki.sweep import (
     IDEAL_LATTICE,
     INSTANCE_KEY,
     MORPHISM,
+    ORACLES,
     QUOTIENT,
     QUOTIENT_CLASSES,
-    QUOTIENT_FIELDS,
     TOPOLOGY,
     WITNESS_CAP,
     ideal_lattice_report,
@@ -535,8 +535,8 @@ def _no_quotient_homeomorphism(monkeypatch):
 
     def forced(s, ideal):
         rep = real(s, ideal)
-        for homeomorphism, _ in QUOTIENT_FIELDS.values():
-            rep[homeomorphism] = False
+        for cls in QUOTIENT_CLASSES:
+            rep[f"{cls}_homeomorphism_witness"] = {"class": cls}
         return rep
 
     monkeypatch.setattr(iseki.sweep, "quotient_report", forced)
@@ -565,7 +565,7 @@ def test_tally_by_multiplicity_equals_per_instance_replay(monkeypatch, force):
     rows = {instance(rep): rep for rep in report_sections(report)[kind]}
     assert len({id(rows[instance(w)].body) for w in entry["witnesses"]}) > 1
     if kind == QUOTIENT:
-        assert [w["class"] for w in entry["witnesses"]] == ["prime", "proper"] * 5
+        assert [w["witness"]["class"] for w in entry["witnesses"]] == ["prime", "proper"] * 5
         assert entry["witnesses"][0]["ideal"] == entry["witnesses"][1]["ideal"]
 
 
@@ -575,7 +575,7 @@ def test_report_builders_canonicalise_the_class_name(c3, boolean):
     prime report."""
     hom = (0, 1, 1)
     prime = morphism_report(c3, boolean, hom, "prime")
-    assert "radical_equality_matches_density" in prime
+    assert "radical_equality_witness" in prime
     assert morphism_report(c3, boolean, hom, " prime") == prime
     assert topology_report_by_check(c3, "fg:1") == topology_report_by_check(c3, "fg(1)")
     assert topology_report_by_check(c3, "fg:1")[0]["class"] == "fg(1)"
@@ -622,10 +622,10 @@ def test_same_tables_under_two_ids_keep_their_own_ids(tmp_path, capsys):
 # SHA-256 of the canonical report of ``sweep(enumerate_n=...)``.  A change
 # to the report must update the digest here and say why.
 REPORT_DIGESTS = {
-    (): "c822219ad9c6ccfafe489f5c5192d0040e880b40125af1b7b97f831f8c6fe3f1",
-    (3,): "ad4970bd5746f65d41d0af0a6c1d6f9c2abcbf42bca9201b7229d6a7b9c74ee1",
-    (4,): "93c9b109e18d0eb4acba210fe99cbd65b69097eb43aba8245e9e008d849d08a8",
-    (5,): "811e487577fbf27a2a4fc6307487969fdaa8d9e9c55e98505173ea6045ed28c2",
+    (): "2e376f64d2feab388845ef978719e9c8da7677a069f1c3152a327ebfe6b300cf",
+    (3,): "c2c022ec79555eaae7cb587a7e56db570561a5d7a8475d9483d73f9d54287ed1",
+    (4,): "9d82b0c2ba5821a7943e0d74063690c443daad92e5e3c3d1f56c4072c20fadb7",
+    (5,): "f7c9ec3c010e160231c13515494c7a19c1cee83f0167008e03e60294c12866ad",
 }
 
 
@@ -701,31 +701,32 @@ def test_benchmark_cache_contract(module, name):
 # The fields of each kind of row: identity fields, then the fields that
 # the checks decide, each reported once.  A witness is its verdict, None
 # when the property holds; only ``contraction`` keeps a boolean beside
-# its witness.
-_MORPHISM_FIELDS = {"source", "target", "hom", "class", "contraction"}
+# its witness, and ``surjective`` and ``unmet_hypothesis`` are read by
+# gates alone.
+_MORPHISM_FIELDS = {"source", "target", "hom", "class", "contraction", "contraction_witness"}
 _CONTRACTING_FIELDS = _MORPHISM_FIELDS | {
-    "continuity_witness", "kernel", "dense", "density_rhs",
-    "closure_image_equals_kernel_upset", "radical_equality_matches_density", "surjective",
+    "continuity_witness", "kernel", "density_witness", "closure_kernel_upset_gap",
+    "radical_equality_witness", "surjective",
 }
 ROW_FIELDS = {
     TOPOLOGY: {
-        "semiring", "class", "points", "t0_witness", "t1_predicate", "t1_witness",
-        "sober_criterion", "quasi_compact_sum_identity", "quasi_compact_maximal_rule",
-        "connected_witness", "upset_laws", "generator_upset_witness",
-        "irreducible_upsets", "disconnection_witness", "idempotent",
-        "idempotent_status",
+        "semiring", "class", "points", "t0_witness", "t1_witness", "t1_equivalence_witness",
+        "sober_agreement_witness", "quasi_compact_witness", "connected_witness",
+        "upset_laws_witness", "generator_upset_witness", "irreducible_upsets_witness",
+        "disconnection_witness", "idempotent", "unmet_hypothesis", "extraction_witness",
     },
     IDEAL_LATTICE: {
         "semiring", "proper_ideals", "radical_oracle_witness", "classification_witness",
         "radical_monotone_witness", "product_witness", "lattice_witness",
     },
     QUOTIENT: {
-        "semiring", "ideal", "quotient", "quotient_size", "map_surjective", "kernel",
-        *(field for pair in QUOTIENT_FIELDS.values() for field in pair),
+        "semiring", "ideal", "quotient", "quotient_size", "surjectivity_witness", "kernel",
+        "prime_homeomorphism_witness", "prime_ideal_upset_gap",
+        "proper_homeomorphism_witness", "proper_ideal_upset_gap",
     },
-    "surjective": _CONTRACTING_FIELDS | {"image_equals_kernel_upset"},
+    "surjective": _CONTRACTING_FIELDS | {"kernel_upset_gap"},
     "not surjective": _CONTRACTING_FIELDS,
-    "contraction failed": _MORPHISM_FIELDS | {"contraction_witness"},
+    "contraction failed": _MORPHISM_FIELDS,
 }
 
 
@@ -742,15 +743,64 @@ def test_sweep_report_shape(enumerate3_report, c3, c4):
     shapes = {}
     for kind, rows in report_sections(enumerate3_report).items():
         for row in rows:
-            if kind == MORPHISM:
-                shape = "surjective" if row["surjective"] else "not surjective"
-            else:
-                shape = kind
-            shapes.setdefault(shape, set()).add(frozenset(row))
+            shapes.setdefault(_row_shape(kind, row), set()).add(frozenset(row))
     jump = morphism_report(c3, c4, (0, 3, 3), "maximal")
     assert jump["contraction"] is False
     shapes["contraction failed"] = {frozenset(jump)}
     assert shapes == {kind: {frozenset(fields)} for kind, fields in ROW_FIELDS.items()}
+
+
+def _row_shape(kind, row):
+    """The ``ROW_FIELDS`` key of a row of ``kind``."""
+    if kind != MORPHISM:
+        return kind
+    if not row["contraction"]:
+        return "contraction failed"
+    return "surjective" if row["surjective"] else "not surjective"
+
+
+@pytest.mark.parametrize(
+    "kind, oracle",
+    [
+        pytest.param(kind, oracle, id=f"{oracle.name}:{oracle.field}")
+        for kind, oracles in ORACLES.items()
+        for oracle in oracles
+    ],
+)
+def test_every_oracle_fails_with_its_field_as_witness(enumerate3_sections, kind, oracle):
+    """Every ``ORACLES`` row names a field of the rows it applies to, and
+    holds exactly when that field is None: a sentinel in the field of the
+    first ``--enumerate 3`` row that the oracle applies to fails that row
+    with ``{"witness": sentinel}``, and None in it holds."""
+    row = next(
+        row for row in enumerate3_sections[kind] if oracle.applies is None or oracle.applies(row)
+    )
+    assert oracle.field in ROW_FIELDS[_row_shape(kind, row)]
+    sentinel = object()
+    for value, expected in ((sentinel, (False, {"witness": sentinel})), (None, (True, None))):
+        forced = {**row, oracle.field: value}
+        assert [(ok, detail) for o, ok, detail in verdicts(kind, forced) if o is oracle] == [
+            expected
+        ]
+
+
+def test_readme_oracle_table_matches_oracles():
+    """README's oracle table has one line per ``ORACLES`` row, in order:
+    its name, kind, field and gate, a gate being its docstring."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    header = "| oracle | kind | field | gate |\n|---|---|---|---|\n"
+    assert readme.count(header) == 1
+    table = readme.split(header)[1].split("\n\n")[0].splitlines()
+    assert [[cell.strip() for cell in line.strip("|").split("|")] for line in table] == [
+        [
+            f"`{oracle.name}`",
+            "universal" if oracle.universal else "observation",
+            f"`{oracle.field}`",
+            "—" if oracle.applies is None else oracle.applies.__doc__,
+        ]
+        for oracles in ORACLES.values()
+        for oracle in oracles
+    ]
 
 
 def _write(tmp_path, name):
@@ -951,7 +1001,7 @@ def test_density_fields_do_not_depend_on_the_class(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)["homs"]
     held = [row for row in rows if row["contraction"]]
     assert held
-    assert all("radical_equality_matches_density" in row for row in held)
+    assert all("radical_equality_witness" in row for row in held)
     report = sweep(enumerate_n=[3], log=io.StringIO())
     restated = {
         "quasi_compact", "zero_ideal_in_points", "density_biconditional",
@@ -999,22 +1049,22 @@ def test_cli_catalog(capsys):
 
 def test_sober_corollary_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monkeypatch):
     """One oracle row decides the sweep tally and the topology exit code:
-    a spectrum that is neither T0 (so not sober) nor meets the
-    generic-point criterion passes sober_agreement, and fails
-    sober_corollary only for the classes the corollary covers.  The t0
-    row fails under every class, so ``iseki topology`` exits 1 under
+    a spectrum that is not T0 (so not sober), where the generic-point
+    criterion agrees, passes sober_agreement, and fails sober_corollary,
+    with the T0 witness, only for the classes the corollary covers.  The
+    t0 row fails under every class, so ``iseki topology`` exits 1 under
     ``maximal`` too, where sober_corollary does not apply."""
-    real_t0, real_sober = iseki.topology.CHECKS["t0"], iseki.topology.CHECKS["sober"]
+    real_t0 = iseki.topology.CHECKS["t0"]
     monkeypatch.setitem(
         iseki.topology.CHECKS, "t0", lambda spec: {**real_t0(spec), "t0_witness": [[0], [0]]}
     )
     monkeypatch.setitem(
-        iseki.topology.CHECKS, "sober", lambda spec: {"sober_criterion": False}
+        iseki.topology.CHECKS, "sober", lambda spec: {"sober_agreement_witness": None}
     )
     report = sweep(corpus=[named("C3")], log=io.StringIO())
     assert report["tallies"]["sober_agreement"]["failures"] == 0
     assert report["tallies"]["sober_corollary"]["witnesses"] == [
-        {"semiring": "C3", "class": cls}
+        {"semiring": "C3", "class": cls, "witness": [[0], [0]]}
         for cls in ("proper", "prime", "strongly-irreducible")
     ]
     assert report["tallies"]["t0"]["failures"] == len(report["classes"])
@@ -1049,21 +1099,22 @@ def test_cli_topology_runs_each_check_once(tmp_path, capsys, monkeypatch):
 
 def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monkeypatch):
     """The morphisms verb exits 1 on the same morphism_prime_radical_equality
-    failure the sweep tallies, and only for the prime class."""
+    failure the sweep tallies, and only for the prime class; the tally
+    witness is the field's value."""
     real = iseki.sweep.check_density
+    mismatch = {"point": None, "element": 0}
 
     def mismatched(ind):
-        rep = real(ind)
-        if "radical_equality_matches_density" in rep:
-            rep["radical_equality_matches_density"] = False
-        return rep
+        return {**real(ind), "radical_equality_witness": mismatch}
 
     monkeypatch.setattr(iseki.sweep, "check_density", mismatched)
     corpus = [named(name) for name in ("C3", "B")]
     report = sweep(corpus=corpus, log=io.StringIO())
     tally = report["tallies"]["morphism_prime_radical_equality"]
     assert tally["failures"] == tally["instances"] > 0
-    assert {"source": "C3", "target": "B", "hom": [0, 1, 1]} in tally["witnesses"]
+    assert {
+        "source": "C3", "target": "B", "hom": [0, 1, 1], "witness": mismatch
+    } in tally["witnesses"]
     src, dst = _write(tmp_path, "C3"), _write(tmp_path, "B")
     assert main(["morphisms", src, dst, "--class", "prime"]) == 1
     assert main(["morphisms", src, dst, "--class", " prime "]) == 1
@@ -1078,6 +1129,8 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     def not_t0(spec):
         return {**real(spec), "t0_witness": [[0], [0]]}
 
+    # check_sober reads check_t0 by name, CHECKS holds it for the t0 group.
+    monkeypatch.setattr(iseki.topology, "check_t0", not_t0)
     monkeypatch.setitem(iseki.topology.CHECKS, "t0", not_t0)
     out_path = tmp_path / "report.json"
     path = _write(tmp_path, "C3")
@@ -1093,9 +1146,9 @@ def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     ]
     assert summary == [
         "failed: sober_agreement: 8 of 8 instances; first witness "
-        '{"class": "proper", "semiring": "C3"}',
+        '{"class": "proper", "semiring": "C3", "witness": {"criterion": null, "t0": [[0], [0]]}}',
         "failed: sober_corollary: 3 of 3 instances; first witness "
-        '{"class": "proper", "semiring": "C3"}',
+        '{"class": "proper", "semiring": "C3", "witness": [[0], [0]]}',
         "failed: t0: 8 of 8 instances; first witness "
         '{"class": "proper", "semiring": "C3", "witness": [[0], [0]]}',
     ]
@@ -1169,12 +1222,16 @@ def test_atoms_fail_only_on_their_atom_quotients(k):
     elements, 1,036 ideals) are the as-stated
     quotient claim on each atom ideal {0, a_i} under ``proper``: mod
     {0, a_i} the point {0, a_i, t} holds the kernel but is not a union of
-    Bourne classes."""
+    Bourne classes, and each witness names that point."""
     report = sweep(corpus=[atoms(k)], log=io.StringIO())
     failing = {name: e for name, e in report["tallies"].items() if e["failures"]}
     assert report["failures"] == k
     assert list(failing) == ["quotient_kernel_homeomorphism"]
+    t = k + 1
     assert [
-        (w["semiring"], w["ideal"], w["class"])
+        (w["semiring"], w["ideal"], w["witness"])
         for w in failing["quotient_kernel_homeomorphism"]["witnesses"]
-    ] == [(f"atoms{k}", [0, i], "proper") for i in range(1, k + 1)]
+    ] == [
+        (f"atoms{k}", [0, i], {"class": "proper", "continuity": None, "point": [0, i, t]})
+        for i in range(1, k + 1)
+    ]

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -12,10 +13,12 @@ from conftest import (
     nontrivial_idempotents,
     reference_irreducible_upsets,
     reference_quasi_compact,
+    reference_sum,
     reference_upset_laws,
 )
 
 import iseki._kernels
+import iseki.topology
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
 from iseki.errors import ContractionFails, HypothesisUnmet
@@ -34,6 +37,7 @@ from iseki.topology import (
     Spectrum,
     _closed_family_cached,
     check_connected,
+    check_disconnection,
     check_irreducible_upsets,
     check_quasi_compact,
     check_sober,
@@ -144,7 +148,8 @@ def test_closed_family_matches_fixpoint_reference(small_semirings):
                 assert (spec.closure(k) == k) == (k in ref.closed_set), (where, k)
                 assert spec.closure(k) == ref.closure(k), (where, k)
             assert closed_set_count(spec) == len(ref.closed), where
-            assert list(spec.irreducible_closed_sets()) == ref.irreducible_closed_sets(), where
+            # In an Alexandrov space the irreducible closed sets are the up(p).
+            assert sorted(set(spec.up)) == ref.irreducible_closed_sets(), where
             if spec.size:
                 clopen = ref.clopen_witness()
                 expected = None if clopen is None else point_set_members(spec, clopen)
@@ -167,14 +172,17 @@ def _one_point_flipped(spec):
 
 
 def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirings):
-    """verify_upset_laws and check_quasi_compact, which read the cached
-    ideal algebra, return the same dicts as the per-class references in
-    conftest: on every spectrum of the catalog and the semirings of order
-    <= 4, and, so that failing laws and witnesses are compared too, on
-    the catalog and the order <= 3 semirings with one point of one up-set
-    flipped.  check_irreducible_upsets equals its per-point reference on
-    every space, holds on every true space and fails on some flipped
-    ones."""
+    """verify_upset_laws, which reads the cached ideal algebra, returns the
+    same dict as its per-class reference in conftest: on every spectrum
+    of the catalog and the semirings of order <= 4, and, so that failing
+    laws and witnesses are compared too, on the catalog and the order <=
+    3 semirings with one point of one up-set flipped.
+    check_quasi_compact fails the same law as its reference; a
+    maximal-rule witness is the reference's, and a sum-identity witness,
+    a pair (a, Rg) where the reference reports the first failing family,
+    fails the identity with the sum recomputed by ``reference_sum``.
+    check_irreducible_upsets equals its per-point reference on every
+    space, holds on every true space and fails on some flipped ones."""
     failures = Counter()
     flipped_corpus = {s.id for s in catalog_semirings}
     for s in small_semirings:
@@ -186,17 +194,25 @@ def test_upset_checks_match_per_class_reference(small_semirings, catalog_semirin
                 where = (s.id, tag, spec.subbasis)
                 laws = reference_upset_laws(spec)
                 assert verify_upset_laws(spec) == laws, where
-                qc = reference_quasi_compact(spec)
-                assert check_quasi_compact(spec) == qc, where
+                qc = check_quasi_compact(spec)["quasi_compact_witness"]
+                reference = reference_quasi_compact(spec)
+                law = qc and qc["law"]
+                assert law == (reference and reference["law"]), where
+                if law == "maximal-rule":
+                    assert qc == reference, where
+                elif law == "sum-identity":
+                    a, rg = (ideal_from_members(s, side) for side in qc["witness"])
+                    up = spec.subbasis
+                    assert up[reference_sum(s, (a, rg))] != up[a] & up[rg], where
                 irreducible_check = check_irreducible_upsets(spec)
                 assert irreducible_check == reference_irreducible_upsets(spec), where
-                irreducible = irreducible_check["irreducible_upsets"]
+                irreducible = irreducible_check["irreducible_upsets_witness"] is None
                 assert irreducible or spec is not variants[0], where
-                if laws["upset_laws"] != "pass":
-                    failures[laws["upset_laws"]["law"]] += 1
+                if laws["upset_laws_witness"] is not None:
+                    failures[laws["upset_laws_witness"]["law"]] += 1
                 failures["generator identity"] += laws["generator_upset_witness"] is not None
-                failures["qc sum identity"] += not qc["quasi_compact_sum_identity"]
-                failures["qc maximal rule"] += not qc["quasi_compact_maximal_rule"]
+                failures["qc sum identity"] += law == "sum-identity"
+                failures["qc maximal rule"] += law == "maximal-rule"
                 failures["irreducible_upsets"] += not irreducible
     reached = {law for law, count in failures.items() if count}
     assert reached >= {
@@ -278,7 +294,7 @@ def test_quotient_homeomorphism_matches_fixpoint_reference(small_semirings):
             expected = _reference_onto_image(
                 _reference(ind.spec_s), _reference(ind.spec_t), ind
             )
-            assert ind.continuous == expected, (s.id, t.id, hom, tag)
+            assert (ind.continuity_witness is None) == expected, (s.id, t.id, hom, tag)
 
 
 def test_proper_spectrum_above_twenty_points():
@@ -289,9 +305,9 @@ def test_proper_spectrum_above_twenty_points():
     rep = topology_instance_report(atoms(5), "proper")
     assert len(rep["points"]) == 38
     assert closed_set_count(spectrum(atoms(5), "proper")) == 8699
-    assert rep["t0_witness"] is None and rep["sober_criterion"]
+    assert rep["t0_witness"] is None and rep["sober_agreement_witness"] is None
     assert rep["connected_witness"] is None
-    assert rep["upset_laws"] == "pass"
+    assert rep["upset_laws_witness"] is None
 
 
 def test_closed_families(boolean, bb, c3):
@@ -325,14 +341,19 @@ def test_t0_on_catalog(catalog_semirings):
 
 def test_t1_examples(bb, c3, trivial):
     """The T1 witness is the first point whose closure is more than
-    itself: in C3's prime spectrum {0} lies below {0, 1}."""
+    itself: in C3's prime spectrum {0} lies below {0, 1}.  T1 agrees with
+    "the points are the maximal ideals" on each example, and the
+    equivalence witness is the pair of verdicts where they disagree: on
+    C3's ``fg(0)`` spectrum, whose one point {0} is not maximal."""
     r = check_t1(spectrum(bb, "maximal"))
-    assert r["t1_witness"] is None and r["t1_predicate"]
+    assert r == {"t1_witness": None, "t1_equivalence_witness": None}
     r = check_t1(spectrum(c3, "prime"))
-    assert r["t1_witness"] == [0] and not r["t1_predicate"]
+    assert r == {"t1_witness": [0], "t1_equivalence_witness": None}
     spec = spectrum(trivial, "prime")
     r = check_t1(spec)
-    assert r["t1_witness"] is None and r["t1_predicate"] and spec.size == 0
+    assert r == {"t1_witness": None, "t1_equivalence_witness": None} and spec.size == 0
+    r = check_t1(spectrum(c3, "fg(0)"))
+    assert r["t1_equivalence_witness"] == {"t1": True, "predicate": False}
 
 
 @pytest.mark.xfail(
@@ -345,11 +366,14 @@ def test_t1_examples(bb, c3, trivial):
     "perfbench/expected.json",
 )
 def test_t1_equivalence_fg0_c3(c3, tmp_path):
-    """``iseki topology`` on C3 with ``--class fg(0)`` should exit 0."""
+    """``iseki topology`` on C3 with ``--class fg(0)`` should report no
+    ``t1_equivalence_witness`` and exit 0."""
     path = tmp_path / "c3.json"
     emit(path, c3)
     out = tmp_path / "report.json"
-    assert main(["topology", str(path), "--class", "fg(0)", "--out", str(out)]) == 0
+    code = main(["topology", str(path), "--class", "fg(0)", "--out", str(out)])
+    assert json.loads(out.read_text())["t1_equivalence_witness"] is None
+    assert code == 0
 
 
 def test_sober_examples(bb, c3, z4, catalog_semirings):
@@ -361,19 +385,29 @@ def test_sober_examples(bb, c3, z4, catalog_semirings):
         for tag in ("proper", "prime", "strongly-irreducible"):
             spec = spectrum(s, tag)
             assert check_t0(spec)["t0_witness"] is None, (s.id, tag)
-            assert check_sober(spec)["sober_criterion"], (s.id, tag)
+            assert check_sober(spec)["sober_agreement_witness"] is None, (s.id, tag)
 
 
 def test_sober_agreement_everywhere(catalog_semirings):
     """Sobriety from its definition, every irreducible closed set the
     closure of exactly one point, is T0 (no ``t0_witness``), and agrees
-    with the generic-point criterion."""
+    with the generic-point criterion (no ``sober_agreement_witness``)."""
     for s in catalog_semirings:
         for tag in ALL_TAGS:
             spec = spectrum(s, tag)
-            sober = all(spec.up.count(u) == 1 for u in spec.irreducible_closed_sets())
+            sober = all(spec.up.count(u) == 1 for u in set(spec.up))
             assert sober == (check_t0(spec)["t0_witness"] is None), (s.id, tag)
-            assert sober == check_sober(spec)["sober_criterion"], (s.id, tag)
+            assert check_sober(spec)["sober_agreement_witness"] is None, (s.id, tag)
+
+
+def test_sober_agreement_witness_names_the_failing_side(c3, monkeypatch):
+    """A forced T0 failure, with the criterion holding, gives the witness
+    ``{"t0": <the T0 witness>, "criterion": None}``."""
+    spec = spectrum(c3, "prime")
+    monkeypatch.setattr(iseki.topology, "check_t0", lambda spec: {"t0_witness": [[0], [0]]})
+    assert check_sober(spec)["sober_agreement_witness"] == {
+        "t0": [[0], [0]], "criterion": None
+    }
 
 
 def test_quasi_compact_mechanism(bb, catalog_semirings):
@@ -382,10 +416,8 @@ def test_quasi_compact_mechanism(bb, catalog_semirings):
     sum is improper, as the maximal rule over single ideals and the pair
     lemma say."""
     spec = spectrum(bb, "maximal")
-    rep = check_quasi_compact(spec)
-    assert rep["quasi_compact_sum_identity"]
+    assert check_quasi_compact(spec) == {"quasi_compact_witness": None}
     assert set(spec.points) == set(maximal_ideal_masks(bb))
-    assert rep["quasi_compact_maximal_rule"]
     generated = ideal_algebra(bb).generated
     empty_pairs = [
         (a, b)
@@ -399,8 +431,7 @@ def test_quasi_compact_mechanism(bb, catalog_semirings):
             continue
         for tag in ALL_TAGS:
             rep = check_quasi_compact(spectrum(s, tag))
-            assert rep["quasi_compact_sum_identity"], (s.id, tag)
-            assert rep["quasi_compact_maximal_rule"], (s.id, tag)
+            assert rep["quasi_compact_witness"] is None, (s.id, tag, rep)
 
 
 def test_connected_examples(bb, c3, boolean):
@@ -426,16 +457,14 @@ def test_degenerate_empty_spectrum(trivial):
     assert spec.size == 0
     assert check_connected(spec)["connected_witness"] is None
     assert check_t0(spec)["t0_witness"] is None
-    assert check_sober(spec)["sober_criterion"]
+    assert check_sober(spec)["sober_agreement_witness"] is None
 
 
 def test_irreducible_upsets_everywhere(catalog_semirings):
     for s in catalog_semirings:
         for tag in ALL_TAGS:
-            assert check_irreducible_upsets(spectrum(s, tag))["irreducible_upsets"], (
-                s.id,
-                tag,
-            )
+            rep = check_irreducible_upsets(spectrum(s, tag))
+            assert rep["irreducible_upsets_witness"] is None, (s.id, tag, rep)
 
 
 def test_upset_laws_everywhere(catalog_semirings):
@@ -444,7 +473,7 @@ def test_upset_laws_everywhere(catalog_semirings):
             continue
         for tag in ALL_TAGS:
             rep = verify_upset_laws(spectrum(s, tag))
-            assert rep["upset_laws"] == "pass", (s.id, tag, rep)
+            assert rep["upset_laws_witness"] is None, (s.id, tag, rep)
             assert rep["generator_upset_witness"] is None, (s.id, tag, rep)
 
 
@@ -472,6 +501,10 @@ def test_idempotent_extraction_bb(bb):
     e = idempotent_from_disconnection(spec, w)
     assert e in (1, 2)  # the pairs (0,1) and (1,0)
     assert bb.mul[e][e] == e
+    rep = check_disconnection(spec)
+    assert (rep["idempotent"], rep["unmet_hypothesis"], rep["extraction_witness"]) == (
+        e, None, None
+    )
 
 
 def test_idempotent_hypothesis_no_witness(z4):
@@ -479,6 +512,12 @@ def test_idempotent_hypothesis_no_witness(z4):
     with pytest.raises(HypothesisUnmet) as err:
         idempotent_from_disconnection(spec, None)
     assert err.value.hypothesis == "witness"
+    assert check_disconnection(spec) == {
+        "disconnection_witness": None,
+        "idempotent": None,
+        "unmet_hypothesis": "witness",
+        "extraction_witness": None,
+    }
 
 
 def test_idempotent_hypothesis_jacobson(z4, boolean):
@@ -491,6 +530,8 @@ def test_idempotent_hypothesis_jacobson(z4, boolean):
     with pytest.raises(HypothesisUnmet) as err:
         idempotent_from_disconnection(spec, w)
     assert err.value.hypothesis == "jacobson"
+    rep = check_disconnection(spec)
+    assert rep["unmet_hypothesis"] == "jacobson" and rep["idempotent"] is None
 
 
 def test_idempotent_hypothesis_maximal_containment(bb, boolean):

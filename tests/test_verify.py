@@ -7,9 +7,9 @@ import pytest
 from conftest import closed_set_count
 
 from iseki.errors import AxiomViolation, ContractionFails
-from iseki.ideals import classified_ideals, mask_members
+from iseki.ideals import classified_ideals, ideal_from_members, mask_members
 from iseki.morphisms import enumerate_homomorphisms, induced_map
-from iseki.semiring import validate_semiring
+from iseki.semiring import bourne_quotient, validate_semiring
 from iseki.sweep import sweep
 from iseki.topology import spectrum, strong_disconnection_witness
 from iseki.verify import (
@@ -147,8 +147,21 @@ def test_kernel_upset_gap_witnesses(c3, boolean):
     assert not verify_kernel_upset_gap(boolean, boolean, ident, b_points, b_points)
 
 
-def test_sweep_observation_witnesses_revalidate(catalog_semirings):
-    """Every violation recorded by the sweep's observations re-validates."""
+def _splits_image_and_kernel_upset(s, t, hom_map, s_points, t_points, point):
+    """Whether ``point``, a listed point of s, lies in exactly one of the
+    induced image (the preimages of the listed points of t) and the
+    kernel's up-set, recomputed with raw set logic."""
+    ker = {a for a in range(s.n) if hom_map[a] == 0}
+    image = [{a for a in range(s.n) if hom_map[a] in set(q)} for q in t_points]
+    p = set(point)
+    return point in s_points and (p in image) != (ker <= p)
+
+
+def test_sweep_observation_witnesses_revalidate(catalog_semirings, enum4_10):
+    """Every violation recorded by the sweep's observations re-validates,
+    and each named ``kernel_upset_gap`` point lies in exactly one of the
+    image and the kernel's up-set.  So does the point of the quotient
+    witness on enum4-10 mod {0, 3}, the order-4 sweep's first failure."""
     small = [s for s in catalog_semirings if s.n <= 3]
     report = sweep(corpus=small, log=io.StringIO())
     by_id = {s.id: s for s in small}
@@ -162,3 +175,17 @@ def test_sweep_observation_witnesses_revalidate(catalog_semirings):
         assert verify_kernel_upset_gap(
             s, t, witness["hom"], s_points, t_points
         ), witness
+        assert _splits_image_and_kernel_upset(
+            s, t, witness["hom"], s_points, t_points, witness["witness"]
+        ), witness
+
+    ideal = [0, 3]
+    report = sweep(corpus=[enum4_10], log=io.StringIO())
+    first = report["tallies"]["quotient_kernel_homeomorphism"]["witnesses"][0]
+    assert (first["semiring"], first["ideal"]) == ("enum4-10", ideal)
+    cls, point = first["witness"]["class"], first["witness"]["point"]
+    assert cls == "prime" and point is not None
+    quotient, qmap = bourne_quotient(enum4_10, ideal_from_members(enum4_10, ideal))
+    s_points = spectrum(enum4_10, cls).to_json()["points"]
+    q_points = spectrum(quotient, cls).to_json()["points"]
+    assert _splits_image_and_kernel_upset(enum4_10, quotient, qmap, s_points, q_points, point)
