@@ -88,8 +88,8 @@ class InducedMap:
 
     ``spec_s`` is the space over s and ``spec_t`` the space over t;
     ``map[j]`` is the index in ``spec_s`` of the preimage of point j of
-    ``spec_t``.  ``kernel`` is the mask of the homomorphism's kernel, an
-    ideal of s.
+    ``spec_t``, and ``image`` the point set of those indices, made once.
+    ``kernel`` is the mask of the homomorphism's kernel, an ideal of s.
     ``continuity_witness`` is None when the preimage of the up-set of
     every principal ideal Rg of s is the up-set of the principal ideal
     of its image, hence closed; otherwise it is ``{"ideal": Rg}`` for
@@ -98,18 +98,13 @@ class InducedMap:
     caches or hashes, so no field is read-only.
     """
 
-    __slots__ = ("hom", "spec_s", "spec_t", "map", "kernel", "continuity_witness")
+    __slots__ = ("hom", "spec_s", "spec_t", "map", "image", "kernel", "continuity_witness")
 
     def __init__(self, hom, spec_s, spec_t, map, kernel, continuity_witness):
         self.hom, self.map, self.kernel = hom, map, kernel
+        self.image = sum(1 << i for i in set(map))
         self.spec_s, self.spec_t = spec_s, spec_t
         self.continuity_witness = continuity_witness
-
-    def image_point_set(self):
-        out = 0
-        for i in self.map:
-            out |= 1 << i
-        return out
 
 
 def induced_map(s, t, hom, cls):
@@ -194,7 +189,7 @@ def check_surjection(ind):
     spec = ind.spec_s
     return {
         "surjective": True,
-        "kernel_upset_gap": first_point(spec, ind.image_point_set() ^ spec.subbasis[ind.kernel]),
+        "kernel_upset_gap": first_point(spec, ind.image ^ spec.subbasis[ind.kernel]),
     }
 
 
@@ -213,7 +208,7 @@ def check_density(ind):
     spec = ind.spec_s
     s = spec.semiring
     ker = ind.kernel
-    cl_image = spec.closure(ind.image_point_set())
+    cl_image = spec.closure(ind.image)
     outside = first_point(spec, spec.full & ~cl_image)
 
     inter = s.full_mask

@@ -235,7 +235,7 @@ def bourne_quotient(s, ideal):
     The quotient's tables are proved, not scanned for the axioms.  The
     map m sends a to the index of its least related element, so m is
     onto, and the tables, read at the representatives, are symmetric as
-    those of ``s`` are.  ``validate_homomorphism`` checks that m
+    those of ``s`` are.  ``_homomorphism_violation`` checks that m
     preserves +, *, 0 and 1 (on a <= b; symmetry gives the rest).  So
     every axiom carries over from ``s`` to its image: for instance
     (m(a) + m(b)) + m(c) = m((a + b) + c) = m(a + (b + c)) =
@@ -255,10 +255,13 @@ def bourne_quotient(s, ideal):
         for a in range(s.n)
     ]
     reps = sorted(set(least))
-    index_of = [reps.index(b) for b in least]
+    index_of = tuple(reps.index(b) for b in least)
     add = tuple(tuple(index_of[s.add[a][b]] for b in reps) for a in reps)
     mul = tuple(tuple(index_of[s.mul[a][b]] for b in reps) for a in reps)
     quotient = FiniteSemiring(
         quotient_id(s.id, members), len(reps), add, mul, index_of[s.one]
     )
-    return quotient, validate_homomorphism(s, quotient, index_of)
+    violation = _homomorphism_violation(s, quotient, index_of)
+    if violation is not None:
+        raise InvalidHomomorphism(*violation)
+    return quotient, index_of

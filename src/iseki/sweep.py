@@ -108,8 +108,8 @@ def ideal_lattice_report(s):
     """Per-semiring ideal-lattice oracles (radical equality, implications,
     lattice laws).  The monotone radical and the sums are decided on the
     join pairs (a, a + Rg) and the product on the principal pairs
-    (Rg, Rh), each with its proof at the check; no check walks pairs of
-    ideals.
+    (Rg, Rh) with g <= h, each with its proof at the check; no check
+    walks pairs of ideals.
 
     ``sum_lub_intersection_glb`` requires every ideal found to hold 0,
     and each join entry a + Rg, the sums that ``generated`` reads, to be
@@ -163,11 +163,13 @@ def ideal_lattice_report(s):
 
     # ab is the sum of the R(gh), g in a and h in b, each inside Rg & Rh
     # and so inside a & b, an ideal (see ``sum_lub_intersection_glb``).
+    # Only g <= h: the test is symmetric (gh = hg), so a failing (g, h), h < g,
+    # has (h, g) before it, and the full scan's first failing pair has g <= h.
     prod_witness = next(
         (
             [rg, rh]
             for g, rg in enumerate(principals)
-            for h, rh in enumerate(principals)
+            for h, rh in enumerate(principals[g:], g)
             if principals[s.mul[g][h]] & ~(rg & rh)
         ),
         None,
@@ -245,7 +247,7 @@ def quotient_report(s, ideal):
     for cls in QUOTIENT_CLASSES:
         ind = induced_map(s, quotient, qmap, cls)
         continuity, gap = ind.continuity_witness, check_surjection(ind).get("kernel_upset_gap")
-        point = first_point(ind.spec_s, ind.image_point_set() ^ ind.spec_s.subbasis[ideal])
+        point = first_point(ind.spec_s, ind.image ^ ind.spec_s.subbasis[ideal])
         # Interned, so every row names a field by one string object.
         rep[sys.intern(f"{cls}_homeomorphism_witness")] = (
             None if continuity is None and gap is None

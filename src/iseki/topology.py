@@ -35,13 +35,13 @@ reads its id.
 """
 
 from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .errors import HypothesisUnmet, NoUnitDecomposition, ParseError
 from .ideals import (
     _ideal_masks_all,
     classified_ideals,
     ideal_algebra,
-    ideal_from_members,
     is_ideal_mask,
     jacobson_radical,
     mask_members,
@@ -108,7 +108,7 @@ class Spectrum:
     its points' up-sets.
     ``components`` are the connected components, ascending: the classes
     of points linked by a chain of overlapping up-sets (the comparability
-    graph).
+    graph).  ``t0_witness`` is the space's one T0 decision.
     """
 
     def __init__(self, semiring, points):
@@ -175,6 +175,19 @@ class Spectrum:
         return sorted(comps)
 
     @cached_property
+    def t0_witness(self):
+        """The first pair (i, j) in index order of points with one closure,
+        up[i] = up[j], as members; None exactly when the space is T0."""
+        groups = {}
+        for i, u in enumerate(self.up):
+            groups.setdefault(u, []).append(i)
+        shared = next((g for g in groups.values() if len(g) > 1), None)
+        if shared is None:
+            return None
+        i, j = shared[:2]
+        return point_set_members(self, 1 << i | 1 << j)
+
+    @cached_property
     def sum_identity(self):
         """The first (a, Rg), ideals a ascending and then elements g, with
         up(a + Rg) != up(a) & up(Rg), or None; a point holds a + Rg exactly
@@ -198,11 +211,7 @@ class Spectrum:
         )
 
     def closure(self, point_set):
-        out = 0
-        for i, u in enumerate(self.up):
-            if (point_set >> i) & 1:
-                out |= u
-        return out
+        return reduce(or_, (u for i, u in enumerate(self.up) if (point_set >> i) & 1), 0)
 
 
 def spectrum(s, cls):
@@ -268,18 +277,9 @@ def _maximals_present(spec):
 # ---------------------------------------------------------------------------
 
 def check_t0(spec):
-    """T0: no two points have the same closure.  The witness is the first
-    pair (i, j) in index order with up[i] = up[j]: the points grouped by
-    up-set in one pass, the first two members of the first group that
-    holds two."""
-    groups = {}
-    for i, u in enumerate(spec.up):
-        groups.setdefault(u, []).append(i)
-    shared = next((g for g in groups.values() if len(g) > 1), None)
-    if shared is None:
-        return {"t0_witness": None}
-    i, j = shared[:2]
-    return {"t0_witness": point_set_members(spec, 1 << i | 1 << j)}
+    """T0: no two points have the same closure.  The space decides it
+    once (``Spectrum.t0_witness``); this reports it."""
+    return {"t0_witness": spec.t0_witness}
 
 
 def check_t1(spec):
@@ -307,32 +307,31 @@ def check_sober(spec):
 
     Whenever an ideal has a nonempty irreducible up-set u, the
     intersection of all points containing the ideal must itself be a
-    point.  That intersection is the set of elements x with u inside
+    point.  That intersection is the mask of the elements x with u inside
     ``columns[x]``, and the irreducible up-sets are the principal ones,
     each the up-set of its point.
 
     ``sober_agreement_witness`` is None when the criterion and direct
-    sobriety agree, and otherwise ``{"t0", "criterion"}``: the T0
-    witness and the first point whose up-set fails the criterion.
+    sobriety agree, and otherwise ``{"t0", "criterion"}``: the space's
+    ``t0_witness`` and the first point whose up-set fails the criterion.
 
     Direct sobriety, that every nonempty irreducible closed set has
-    exactly one generic point, is T0 here, so ``check_t0`` decides it and
-    no field restates it.  The points are ideals, so up(p) is the least
-    closed set holding p (``Spectrum``).  A closed set is the union of
+    exactly one generic point, is T0 here, so ``Spectrum.t0_witness``
+    decides it and no field restates it.  The points are ideals, so up(p)
+    is the least closed set holding p (``Spectrum``).  A closed set is the union of
     the up-sets of its points, finitely many, so the nonempty irreducible
     closed sets are exactly the up(p).  A point q is a generic point
     of up(p) exactly when its closure up(q) is up(p).  So every up(p) has
     the generic point p, and a second one exactly when another point
     shares its up-set: sober and T0 are the same verdict.
     """
-    s, columns = spec.semiring, spec.columns
+    columns = spec.columns
     failing = sum(
         1 << i
         for i, u in enumerate(spec.up)
-        if ideal_from_members(s, [x for x, c in enumerate(columns) if (c & u) == u])
-        not in spec.index_of
+        if sum(1 << x for x, c in enumerate(columns) if (c & u) == u) not in spec.index_of
     )
-    t0, criterion = check_t0(spec)["t0_witness"], first_point(spec, failing)
+    t0, criterion = spec.t0_witness, first_point(spec, failing)
     agree = (t0 is None) == (criterion is None)
     return {"sober_agreement_witness": None if agree else {"t0": t0, "criterion": criterion}}
 
@@ -376,16 +375,18 @@ def check_disconnection(spec):
     it.  ``unmet_hypothesis`` names the first unmet hypothesis of
     ``idempotent_from_disconnection``, None when all hold; then
     ``extraction_witness`` is None exactly when a verified idempotent was
-    extracted, and otherwise the reason the mechanism failed."""
+    extracted, and otherwise the reason the mechanism failed.  Without a
+    witness, "witness" is unmet and no extraction is tried."""
     witness = strong_disconnection_witness(spec)
-    idempotent = unmet = failure = None
-    try:
-        idempotent = idempotent_from_disconnection(spec, witness)
-    except HypothesisUnmet as exc:
-        unmet = exc.hypothesis
-    except NoUnitDecomposition as exc:
-        failure = str(exc)
+    idempotent = failure = None
+    unmet = "witness" if witness is None else None
     if witness is not None:
+        try:
+            idempotent = idempotent_from_disconnection(spec, witness)
+        except HypothesisUnmet as exc:
+            unmet = exc.hypothesis
+        except NoUnitDecomposition as exc:
+            failure = str(exc)
         s = spec.semiring
         left, right = witness
         witness = {
@@ -449,7 +450,8 @@ def idempotent_from_disconnection(spec, witness):
     space: two lists of ideal masks of its semiring.
 
     Requires the witness, the spectrum to contain every maximal ideal,
-    and a zero Jacobson radical.  Reduces the witness families to a
+    and a zero Jacobson radical, and raises HypothesisUnmet for the first
+    unmet one, a None witness included.  Reduces the witness families to a
     single ideal per side by taking ideal products (``IdealAlgebra.product``,
     one per reduction step), decomposes 1 = u + v across the two sides,
     and returns the verified idempotent u.
@@ -463,12 +465,7 @@ def idempotent_from_disconnection(spec, witness):
     if not all(is_ideal_mask(s, a) for a in [*left, *right]):
         raise HypothesisUnmet("witness", "a side holds a non-ideal of the semiring")
     up = spec.subbasis
-    left_union = 0
-    for a in left:
-        left_union |= up[a]
-    right_union = 0
-    for b in right:
-        right_union |= up[b]
+    left_union, right_union = (reduce(or_, [up[a] for a in side], 0) for side in witness)
     if (
         left_union == 0
         or right_union == 0
@@ -551,7 +548,10 @@ def _first_failing_upset_law(spec):
     follows from (1), a & b being an ideal inside a and inside b.  And ab
     is the sum of the R(gh), g in a and h in b, so up(ab) is the meet of
     their up-sets by (3) on the joins that ``generated`` folds, and
-    up(a & b) lies in each up(Rg & Rh) by (1).
+    up(a & b) lies in each up(Rg & Rh) by (1).  Only pairs with g <= h
+    are scanned: both tests are symmetric (gh = hg), so a failing (g, h),
+    h < g, has (h, g) fail the same law before it in row-major order, and
+    the full scan's first failing pair has g <= h.
     """
     s = spec.semiring
     algebra = ideal_algebra(s)
@@ -572,7 +572,7 @@ def _first_failing_upset_law(spec):
                 }
 
     for g, rg in enumerate(principals):
-        for h, rh in enumerate(principals):
+        for h, rh in enumerate(principals[g:], g):
             inter_up = up[rg & rh]
             if (up[rg] | up[rh]) & ~inter_up:
                 law = "union-inside-intersection"

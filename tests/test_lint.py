@@ -10,21 +10,25 @@ MODULES = sorted(
 ) + sorted((ROOT / "tests").glob("*.py"))
 
 
-def unused_imports(source):
-    """Names that the module imports but never reads, in import order."""
-    tree = ast.parse(source)
+def imported_names(source):
+    """The names that the module's imports bind, in import order."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported += [a.asname or a.name for a in node.names]
+    return imported
+
+
+def unused_imports(source):
+    """Names that the module imports but never reads, in import order."""
     read = {
         node.id
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    return [name for name in imported if name not in read]
+    return [name for name in imported_names(source) if name not in read]
 
 
 def test_no_unused_imports():
@@ -63,16 +67,17 @@ def names_read(source):
     }
 
 
-def unreferenced(sources):
+def unreferenced(sources, exported=()):
     """Definitions of the modules in ``sources`` (file name -> source)
-    whose bare name no module reads, as ``file:qualified name``.
+    whose bare name no module reads and ``exported`` does not hold, as
+    ``file:qualified name``.
 
     A match is by bare name only: a method counts as used when any module
     reads its name as any variable or attribute, whatever the receiver.
     So a dead method that shares its name with a live one (``to_json``,
     ``report``) is not caught; only names unique to a dead definition are.
     """
-    read = set().union(*(names_read(src) for src in sources.values()))
+    read = set(exported).union(*(names_read(src) for src in sources.values()))
     return [
         f"{name}:{qualified}"
         for name, src in sources.items()
@@ -85,24 +90,28 @@ def test_no_unreferenced_definitions():
     """Every module-level function or class of ``src/iseki``, and every
     non-dunder method of one, is read by bare name, as a variable or as an
     attribute, in some module of ``src/iseki`` other than ``__init__.py``,
-    whose re-exports do not count as a use.  ``verify.py`` is exempt: the
+    or is imported by ``__init__.py``: those names are the public API,
+    which callers outside the package read.  ``verify.py`` is exempt: the
     tests and perfbench call its checkers.  The sample with a name
-    collision records the limit of matching by bare name."""
+    collision records the limit of matching by bare name, and its
+    ``api`` is used only by being exported."""
     sample = "def f():\n    pass\nclass C:\n    def m(self):\n        pass\n"
     assert list(definitions(sample)) == [("f", "f"), ("C", "C"), ("C.m", "m")]
     assert names_read("f(C().m)\nx = 1\n") == {"f", "C", "m"}
     collision = {
         "a.py": "class C:\n    def to_json(self):\n        pass\n"
-        "    def dead(self):\n        pass\n",
+        "    def dead(self):\n        pass\ndef api():\n    pass\n",
         "b.py": "C()\nreport = {}\nreport.to_json\n",
     }
-    assert unreferenced(collision) == ["a.py:C.dead"]
+    assert unreferenced(collision) == ["a.py:C.dead", "a.py:api"]
+    assert unreferenced(collision, exported=["api"]) == ["a.py:C.dead"]
     package = {
         p.name: p.read_text(encoding="utf-8")
         for p in MODULES
         if p.parent.name == "iseki"
     }
-    found = unreferenced(package)
+    init = (ROOT / "src" / "iseki" / "__init__.py").read_text(encoding="utf-8")
+    found = unreferenced(package, exported=imported_names(init))
     assert [f for f in found if not f.startswith("verify.py:")] == []
 
 

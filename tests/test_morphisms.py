@@ -206,7 +206,7 @@ def test_known_gap_quotient_ideal_upset_form(collapsing3):
     assert ind.continuity_witness is None
     assert rep == {"surjective": True, "kernel_upset_gap": None}  # both sides empty
     assert ind.kernel == collapsing3.full_mask
-    assert ind.image_point_set() == 0
+    assert ind.image == 0
     assert up_set(ind.spec_s, x) != 0
 
 
@@ -215,7 +215,7 @@ def _density_facts(ind):
     closure of the image is every point of s, the kernel lies in every
     point of s, the kernel's radical is their intersection."""
     s = ind.spec_s.semiring
-    dense = ind.spec_s.closure(ind.image_point_set()) == ind.spec_s.full
+    dense = ind.spec_s.closure(ind.image) == ind.spec_s.full
     inter = s.full_mask
     for p in ind.spec_s.points:
         inter &= p

@@ -523,10 +523,10 @@ def test_quotient_rows_share_one_string_per_class_field_name(enumerate3_sections
 
 
 def _not_t0(monkeypatch):
-    real = iseki.topology.CHECKS["t0"]
-    monkeypatch.setitem(
-        iseki.topology.CHECKS, "t0", lambda spec: {**real(spec), "t0_witness": [[0], [0]]}
-    )
+    """Every space's T0 fact fails, with the criterion of sobriety still
+    holding.  A property shadows the cached one on every space, cached
+    or not, and leaves no value behind."""
+    monkeypatch.setattr(iseki.topology.Spectrum, "t0_witness", property(lambda spec: [[0], [0]]))
     return TOPOLOGY, "sober_corollary"
 
 
@@ -1124,14 +1124,7 @@ def test_radical_equality_verdict_shared_by_sweep_and_cli(tmp_path, capsys, monk
 def test_sweep_failure_summary_on_stderr(tmp_path, capsys, monkeypatch):
     """A failing sweep prints one stderr line per failing universal oracle,
     with its failure count and first witness; the report is unchanged."""
-    real = iseki.topology.CHECKS["t0"]
-
-    def not_t0(spec):
-        return {**real(spec), "t0_witness": [[0], [0]]}
-
-    # check_sober reads check_t0 by name, CHECKS holds it for the t0 group.
-    monkeypatch.setattr(iseki.topology, "check_t0", not_t0)
-    monkeypatch.setitem(iseki.topology.CHECKS, "t0", not_t0)
+    _not_t0(monkeypatch)
     out_path = tmp_path / "report.json"
     path = _write(tmp_path, "C3")
     assert main(["sweep", path, "--out", str(out_path)]) == 1
@@ -1213,6 +1206,98 @@ def test_cold_import_loads_no_code_generator(tmp_path):
     unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "iseki.catalog"}
     assert unwanted.intersection(loaded) == set()
     assert catalog_loaded and size == len(builtin_catalog()) and failures == 0
+
+
+_DECISIONS = """
+import io, json, re, sys
+import iseki.errors, iseki.ideals, iseki.morphisms, iseki.semiring, iseki.sweep, iseki.topology
+from iseki.morphisms import InducedMap
+from iseki.topology import CHECKS, Spectrum, strong_disconnection_witness
+
+calls = {"ideal_from_members": 0, "validate_homomorphism": 0}
+
+
+def counted(name, real):
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+    return wrapper
+
+
+for name, module in (("ideal_from_members", iseki.ideals),
+                     ("validate_homomorphism", iseki.semiring)):
+    real, wrapper = getattr(module, name), counted(name, getattr(module, name))
+    for loaded in [m for key, m in sys.modules.items() if key.startswith("iseki")]:
+        if getattr(loaded, name, None) is real:
+            setattr(loaded, name, wrapper)
+
+t0_spaces = []
+group = Spectrum.t0_witness.func
+def grouped(spec):
+    t0_spaces.append(id(spec))
+    return group(spec)
+Spectrum.t0_witness.func = grouped
+
+built = [0]
+unmet = iseki.errors.HypothesisUnmet.__init__
+def building(self, *args):
+    built[0] += 1
+    unmet(self, *args)
+iseki.errors.HypothesisUnmet.__init__ = building
+
+disconnection = {"without_witness": 0, "built_without_witness": 0}
+check = CHECKS["disconnection"]
+def checking(spec):
+    before = built[0]
+    fields = check(spec)
+    if strong_disconnection_witness(spec) is None:
+        disconnection["without_witness"] += 1
+        disconnection["built_without_witness"] += built[0] > before
+    return fields
+CHECKS["disconnection"] = iseki.topology.check_disconnection = checking
+
+maps = []
+init = InducedMap.__init__
+def constructing(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    maps.append(self)
+InducedMap.__init__ = constructing
+
+log = io.StringIO()
+iseki.sweep.sweep(enumerate_n=[3], log=log)
+print(json.dumps({
+    "spaces": int(re.search(r"(\\d+) distinct spaces", log.getvalue()).group(1)),
+    "t0_groupings": len(t0_spaces),
+    "t0_spaces": len(set(t0_spaces)),
+    **disconnection,
+    **calls,
+    "maps": len(maps),
+    "images_stored": all(ind.image == sum(1 << i for i in set(ind.map)) for ind in maps),
+}))
+"""
+
+
+def test_sweep_decides_each_fact_once():
+    """In a fresh process, so every cache starts cold, the ``--enumerate
+    3`` sweep groups the points by up-set for T0 once per distinct space;
+    builds no HypothesisUnmet for a space without a strong disconnection;
+    never re-parses its own masks through ``ideal_from_members`` or its
+    own quotient maps through ``validate_homomorphism``; and stores each
+    induced map's image as a field, made once with the map."""
+    src = str(Path(iseki.sweep.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _DECISIONS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["t0_groupings"] == counts["t0_spaces"] == counts["spaces"] > 0, counts
+    assert counts["without_witness"] > 0 == counts["built_without_witness"], counts
+    assert counts["ideal_from_members"] == counts["validate_homomorphism"] == 0, counts
+    assert counts["maps"] > 0 and counts["images_stored"], counts
 
 
 @pytest.mark.parametrize("k", [7, 9, 10])

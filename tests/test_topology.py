@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -18,6 +20,7 @@ from conftest import (
 )
 
 import iseki._kernels
+import iseki.sweep
 import iseki.topology
 from iseki.cli import main
 from iseki.enumeration import enumerate_semirings
@@ -117,7 +120,7 @@ def _reference_onto_image(ref_s, ref_t, ind):
     """The subspace-lattice definition: an injective map is a homeomorphism
     onto its image when it carries the closed sets of its domain exactly
     onto the traces of the closed sets of its codomain on the image."""
-    image = ind.image_point_set()
+    image = ind.image
     forward = set()
     for k in ref_t.closed:
         pushed = 0
@@ -404,7 +407,7 @@ def test_sober_agreement_witness_names_the_failing_side(c3, monkeypatch):
     """A forced T0 failure, with the criterion holding, gives the witness
     ``{"t0": <the T0 witness>, "criterion": None}``."""
     spec = spectrum(c3, "prime")
-    monkeypatch.setattr(iseki.topology, "check_t0", lambda spec: {"t0_witness": [[0], [0]]})
+    monkeypatch.setattr(iseki.topology.Spectrum, "t0_witness", property(lambda spec: [[0], [0]]))
     assert check_sober(spec)["sober_agreement_witness"] == {
         "t0": [[0], [0]], "criterion": None
     }
@@ -475,6 +478,108 @@ def test_upset_laws_everywhere(catalog_semirings):
             rep = verify_upset_laws(spectrum(s, tag))
             assert rep["upset_laws_witness"] is None, (s.id, tag, rep)
             assert rep["generator_upset_witness"] is None, (s.id, tag, rep)
+
+
+LAW_2 = ("union-inside-intersection", "intersection-inside-product")
+
+
+def _full_scan_upset_law(spec, principals):
+    """Up-set laws (1) and (2) as the row-major scan over every ordered
+    pair (g, h) of principal ideals reports them, None when they hold:
+    the reference for the half scan in ``verify_upset_laws``."""
+    s, up = spec.semiring, spec.subbasis
+    if up[1] != spec.full:
+        return {"law": "zero-full", "witness": None}
+    if up[s.full_mask] != 0 and s.n > 1:
+        return {"law": "improper-empty", "witness": None}
+    for a, row in ideal_algebra(s).joins.items():
+        for total in row:
+            if up[total] & ~up[a]:
+                return {"law": "antitone", "witness": [mask_members(s, a), mask_members(s, total)]}
+    for g, rg in enumerate(principals):
+        for h, rh in enumerate(principals):
+            inter_up = up[rg & rh]
+            if (up[rg] | up[rh]) & ~inter_up:
+                law = "union-inside-intersection"
+            elif inter_up & ~up[principals[s.mul[g][h]]]:
+                law = "intersection-inside-product"
+            else:
+                continue
+            return {"law": law, "witness": [mask_members(s, rg), mask_members(s, rh)]}
+    return None
+
+
+def _full_scan_product_witness(s, principals):
+    """``product_witness`` as the row-major scan over every ordered pair
+    of principal ideals reports it."""
+    pair = next(
+        (
+            [rg, rh]
+            for g, rg in enumerate(principals)
+            for h, rh in enumerate(principals)
+            if principals[s.mul[g][h]] & ~(rg & rh)
+        ),
+        None,
+    )
+    return None if pair is None else [mask_members(s, m) for m in pair]
+
+
+def test_half_scans_report_the_full_scans_first_pair(monkeypatch):
+    """Law (2) of the up-set laws and ``product_in_intersection`` visit
+    the principal pairs (Rg, Rh) with g <= h only.  With seeded
+    corruptions of each space's subbasis and, separately, of the
+    principal-ideal table, on the semirings of order <= 3,
+    ``upset_laws_witness`` and ``product_witness`` are what the full
+    row-major scans report.  A corrupt subbasis fails other laws but
+    never law (2): once law (1) holds, law (2) follows, its pairs being
+    inclusions of true ideals.  A corrupt table of principal ideals
+    reaches law (2) and the product oracle."""
+    semirings = [s for n in (1, 2, 3) for s in enumerate_semirings(n)]
+    reached = {"subbasis": Counter(), "principals": Counter()}
+
+    def compare(spec, principals, corruption):
+        law = verify_upset_laws(spec)["upset_laws_witness"]
+        expected = _full_scan_upset_law(spec, principals)
+        if expected is not None:
+            assert law == expected, (spec.semiring.id, spec.points, principals)
+        else:
+            assert law is None or law["law"] not in LAW_2
+        reached[corruption][law and law["law"]] += 1
+
+    for s in semirings:
+        algebra = ideal_algebra(s)
+        for trial in range(4):
+            rng = random.Random(f"{s.id}/{trial}")
+            for tag in ALL_TAGS:
+                true = spectrum(s, tag)
+                subbasis = dict(true.subbasis)
+                for m in rng.sample(sorted(subbasis), min(2, len(subbasis))):
+                    subbasis[m] ^= rng.getrandbits(true.size)
+                spec = Spectrum(s, true.points)
+                spec.__dict__["subbasis"] = subbasis
+                compare(spec, algebra.principals, "subbasis")
+
+            corrupt = copy.copy(algebra)
+            corrupt.principals = list(algebra.principals)
+            for g in rng.sample(range(s.n), min(s.n, 2)):
+                corrupt.principals[g] = rng.choice(algebra.masks)
+
+            def patched(x):
+                return corrupt if x == s else ideal_algebra(x)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(iseki.topology, "ideal_algebra", patched)
+                patch.setattr(iseki.sweep, "ideal_algebra", patched)
+                for tag in ALL_TAGS:
+                    # A fresh space, so no cached space sees the table.
+                    compare(Spectrum(s, spectrum(s, tag).points), corrupt.principals, "principals")
+                product = ideal_lattice_report(s)["product_witness"]
+            assert product == _full_scan_product_witness(s, corrupt.principals), s.id
+            reached["principals"]["product"] += product is not None
+    assert not set(LAW_2) & set(reached["subbasis"]), reached
+    assert reached["principals"]["intersection-inside-product"] > 0, reached
+    assert reached["principals"]["product"] > 0, reached
+    assert sum(reached["subbasis"].values()) > reached["subbasis"][None], reached
 
 
 def test_upset_laws_item5_forward(z4):
